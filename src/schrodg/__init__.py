@@ -4,7 +4,7 @@ from .assembly import (BoundaryData, DiscreteSolution, SlabSolveError, SlabSyste
                        apply_form_to_field, assemble_global, assemble_slab,
                        constant_data, element_bases, export_matrix_market, march,
                        solution_data, solve_global)
-from .basis import (ElementBasis, SpaceKind, Wave, element_basis, eval_basis,
+from .basis import (ElementBasis, MeshBasis, SpaceKind, Wave, element_basis, eval_basis,
                     eval_basis_many, full_poly_basis, plane_wave_basis,
                     quasi_trefftz_basis, trefftz_basis)
 from .linalg import SingularMatrixError, cond2, solve_lu

@@ -34,19 +34,23 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .basis import ElementBasis, SpaceKind, Wave, element_basis, eval_basis_many
+from .basis import ElementBasis, MeshBasis, SpaceKind, element_basis
 from .linalg import FactoredMatrix, SingularMatrixError, cond2
-from .mesh import FacetKind, FacetRole, Mesh
-from .poly import apply_schrodinger, eval_poly_many, mi, poly_combination
-from .quadrature import data_rule_size, mapped_interval, poly_rule_size, rect_rule
+from .mesh import FacetKind, Mesh
+from .norms import field_points
+from .quadrature import (data_rule_size, mapped_interval, mapped_intervals, poly_rule_size,
+                         rect_rule)
 
-_DX = mi(1, 0)
 _COND_FLAG_DEFAULT = 1e14
 
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Initial datum psi0(x) and Dirichlet datum g_D(x, t), both vectorized."""
+    """Initial datum psi0(x) and Dirichlet datum g_D(x, t), both vectorized.
+
+    Both are called with 2-D point arrays (one row per facet) and must
+    return values of the same shape.
+    """
 
     psi0: Callable
     g_D: Callable
@@ -88,54 +92,45 @@ def export_matrix_market(matrix: np.ndarray, path) -> None:
 
 
 class DiscreteSolution:
-    """Per-element coefficient vectors over a chosen discrete space.
+    """Coefficients of a discrete space on every element, one (n_elements, dim) array.
 
-    Evaluable anywhere in the cylinder through one-sided element traces;
-    polynomial spaces collapse each element to a single combined polynomial
-    for fast evaluation.
+    A field in the sense of `schrodg.norms`: value/dx take an element id, or
+    an id array (nF,) with points (nF, nq), and evaluate through the space's
+    batched `MeshBasis`.  ``bases`` (from `element_bases`) is accepted but not
+    needed.
     """
 
-    def __init__(self, mesh: Mesh, space: SpaceKind, bases: list[ElementBasis],
-                 coeffs: list[np.ndarray | None] | None = None):
+    def __init__(self, mesh: Mesh, space: SpaceKind, bases: list[ElementBasis] | None = None):
         self.mesh = mesh
         self.space = space
-        self.bases = bases
-        self.coeffs: list[np.ndarray | None] = coeffs if coeffs is not None \
-            else [None] * mesh.n_elements
-        self._combined: list = [None] * mesh.n_elements
+        self.basis = MeshBasis(mesh, space)
+        self.coeffs = np.zeros((mesh.n_elements, self.basis.dim), dtype=complex)
+        self._known = np.zeros(mesh.n_elements, dtype=bool)
 
-    def set_coeffs(self, eid: int, vec: np.ndarray) -> None:
-        self.coeffs[eid] = np.asarray(vec, dtype=complex)
-        self._combined[eid] = None
+    def set_coeffs(self, eid, vec) -> None:
+        """Coefficients of element ``eid``, or rows (len(eid), dim) for an id array."""
+        self.coeffs[eid] = vec
+        self._known[eid] = True
 
     def has_slab(self, slab: int) -> bool:
-        return all(self.coeffs[e] is not None for e in self.mesh.slab_elements[slab])
+        return bool(np.all(self._known[list(self.mesh.slab_elements[slab])]))
 
     @property
     def is_complete(self) -> bool:
-        return all(c is not None for c in self.coeffs)
+        return bool(np.all(self._known))
 
-    def _poly(self, eid: int):
-        if self._combined[eid] is None:
-            funcs = self.bases[eid].functions
-            self._combined[eid] = poly_combination(funcs, self.coeffs[eid])
-        return self._combined[eid]
+    def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
+        eids, X, T, shape = field_points(eid, xs, ts)
+        missing = eids[~self._known[eids]]
+        if missing.size:
+            raise ValueError(f"element {missing[0]} has no coefficients yet")
+        return self.basis.combination(eids, X, T, self.coeffs[eids], dx).reshape(shape)
 
-    def _eval(self, eid: int, xs, ts, deriv) -> np.ndarray:
-        c = self.coeffs[eid]
-        if c is None:
-            raise ValueError(f"element {eid} has no coefficients yet")
-        funcs = self.bases[eid].functions
-        if any(isinstance(f, Wave) for f in funcs):
-            rows = np.stack([eval_basis_many(f, xs, ts, deriv) for f in funcs])
-            return c @ rows
-        return eval_poly_many(self._poly(eid), xs, ts, deriv)
+    def value(self, eid, xs, ts) -> np.ndarray:
+        return self._eval(eid, xs, ts, dx=False)
 
-    def value(self, eid: int, xs, ts) -> np.ndarray:
-        return self._eval(eid, xs, ts, None)
-
-    def dx(self, eid: int, xs, ts) -> np.ndarray:
-        return self._eval(eid, xs, ts, _DX)
+    def dx(self, eid, xs, ts) -> np.ndarray:
+        return self._eval(eid, xs, ts, dx=True)
 
 
 def element_bases(mesh: Mesh, space: SpaceKind) -> list[ElementBasis]:
@@ -150,117 +145,105 @@ def _rule_sizes(space: SpaceKind, n_quad: int | None) -> tuple[int, int]:
     return poly_rule_size(space.p), data_rule_size(space.p)
 
 
-def _values(funcs, xs, ts, deriv=None) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    xs, ts = np.broadcast_arrays(xs, ts)
-    return np.stack([eval_basis_many(f, xs, ts, deriv) for f in funcs])
+# --- slab-wide assembly for march: every facet kind of a slab in one batch ---
+
+def _pair(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_q conj(a[f, i, q]) w[f, q] b[f, j, q] for every facet f: (nF, dim, dim)."""
+    return (a.conj() * w[:, None, :]) @ np.swapaxes(b, 1, 2)
 
 
-def _offsets(bases, elem_ids) -> tuple[dict[int, int], int]:
-    off: dict[int, int] = {}
-    n = 0
-    for e in elem_ids:
-        off[e] = n
-        n += bases[e].dim
-    return off, n
+def _project(a: np.ndarray, w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """sum_q conj(a[f, i, q]) w[f, q] vals[f, q] for every facet f: (nF, dim)."""
+    return np.einsum("fiq,fq->fi", a.conj(), w * vals)
 
 
-def _dof_map(bases, elem_ids, off) -> dict[tuple[int, int], int]:
-    return {(e, i): off[e] + i for e in elem_ids for i in range(bases[e].dim)}
+def _volume_rule(mesh: Mesh, eids: np.ndarray, n: int):
+    """The tensor rule of `rect_rule` on every element of ``eids``: X, T, W (len(eids), n * n)."""
+    arrays = mesh.element_arrays
+    xq, wx = mapped_intervals(arrays.x_range[eids, 0], arrays.x_range[eids, 1], n)
+    tq, wt = mapped_intervals(arrays.t_range[eids, 0], arrays.t_range[eids, 1], n)
+    return (np.repeat(xq, n, axis=1), np.tile(tq, (1, n)),
+            (wx[:, :, None] * wt[:, None, :]).reshape(len(eids), n * n))
 
 
-def _add_time_facet(M, facet, funcs_l, funcs_r, off_l, off_r, n_facet):
-    tq, wq = mapped_interval(facet.span[0], facet.span[1], n_facet)
-    sides = []
-    for funcs, off, nrm in ((funcs_l, off_l, 1.0), (funcs_r, off_r, -1.0)):
-        v = _values(funcs, facet.fixed, tq)
-        g = _values(funcs, facet.fixed, tq, _DX)
-        sides.append((off, v, g, nrm))
-    al, be = facet.alpha, facet.beta
-    for oa, va, ga, na in sides:
-        vaw = va.conj() * wq
-        gaw = ga.conj() * wq
-        for ob, vb, gb, nb in sides:
-            block = 0.5 * (0.5 * na * (vaw @ gb.T)
-                           + 1j * al * na * nb * (vaw @ vb.T)
-                           - 0.5 * na * (gaw @ vb.T)
-                           + 1j * be * na * nb * (gaw @ gb.T))
-            M[oa:oa + va.shape[0], ob:ob + vb.shape[0]] += block
+def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: int
+                 ) -> np.ndarray:
+    """Dense matrix of one slab: rows test, columns trial, dim dofs per element in slab order."""
+    first = mesh.slab_elements[slab][0]
+    nx, dim = len(mesh.slab_elements[slab]), basis.dim
+    n_facet = n_data if basis.kind.family == "planewave" else n_poly
+    M = np.zeros((nx * dim, nx * dim), dtype=complex)
+    blocks = M.reshape(nx, dim, nx, dim)  # a view: blocks[i, :, j, :] is block (i, j)
+    diag = np.zeros((nx, dim, dim), dtype=complex)
 
+    for kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):  # every element's top facet
+        fa = mesh.facet_arrays(kind, slab)
+        if fa is not None:
+            X, T, W = fa.quadrature(n_facet)
+            v = basis.values(fa.below, X, T)
+            np.add.at(diag, fa.below - first, 1j * _pair(v, v, W))
 
-def _add_dirichlet_matrix(M, facet, funcs, off, n_facet):
-    tq, wq = mapped_interval(facet.span[0], facet.span[1], n_facet)
-    v = _values(funcs, facet.fixed, tq)
-    g = _values(funcs, facet.fixed, tq, _DX)
-    vaw = v.conj() * wq
-    d = v.shape[0]
-    M[off:off + d, off:off + d] += 0.5 * (facet.normal_sign * (vaw @ g.T)
-                                          + 1j * facet.alpha * (vaw @ v.T))
-
-
-def _add_volume(M, mesh, eid, funcs, off, n_vol):
-    xg, tg, wg = rect_rule(mesh.elements[eid].x_range, mesh.elements[eid].t_range, n_vol)
-    v = _values(funcs, xg, tg)
-    sv = np.stack([
-        np.zeros_like(xg, dtype=complex) if isinstance(f, Wave)
-        else _values([apply_schrodinger(f)], xg, tg)[0]
-        for f in funcs
-    ])
-    d = v.shape[0]
-    M[off:off + d, off:off + d] += (sv.conj() * wg) @ v.T
-
-
-def _slab_matrix(mesh: Mesh, slab: int, bases, space: SpaceKind,
-                 n_poly: int, n_data: int) -> tuple[np.ndarray, dict[int, int], int]:
-    elems = mesh.slab_elements[slab]
-    off, n = _offsets(bases, elems)
-    n_facet = n_data if space.family == "planewave" else n_poly
-    M = np.zeros((n, n), dtype=complex)
-    for e in elems:
-        funcs = bases[e].functions
-        oe = off[e]
-        de = len(funcs)
-        for fid, role in mesh.element_facets[e]:
-            f = mesh.facets[fid]
-            if role is FacetRole.BELOW:  # top facet: space-like interior or final
-                xq, wq = mapped_interval(f.span[0], f.span[1], n_facet)
-                v = _values(funcs, xq, f.fixed)
-                M[oe:oe + de, oe:oe + de] += 1j * ((v.conj() * wq) @ v.T)
-            elif role is FacetRole.LEFT and f.kind is FacetKind.TIME_INTERIOR:
-                _add_time_facet(M, f, funcs, bases[f.right].functions,
-                                oe, off[f.right], n_facet)
-            elif f.kind is FacetKind.DIRICHLET:
-                _add_dirichlet_matrix(M, f, funcs, oe, n_facet)
-        if space.needs_volume_term:
-            _add_volume(M, mesh, e, funcs, oe, n_poly)
-    return M, off, n
-
-
-def _slab_rhs(mesh: Mesh, slab: int, bases, space: SpaceKind, data: BoundaryData,
-              below: DiscreteSolution | None, off, n, n_data: int) -> np.ndarray:
-    rhs = np.zeros(n, dtype=complex)
-    for e in mesh.slab_elements[slab]:
-        funcs = bases[e].functions
-        oe = off[e]
-        for fid, role in mesh.element_facets[e]:
-            f = mesh.facets[fid]
-            if role is FacetRole.ABOVE:  # bottom facet: initial or space-like
-                xq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-                v = _values(funcs, xq, f.fixed)
-                if f.kind is FacetKind.INITIAL:
-                    vals = np.asarray(data.psi0(xq), dtype=complex)
+    fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
+    if fa is not None:
+        X, T, W = fa.quadrature(n_facet)
+        al, be = fa.alpha[:, None, None], fa.beta[:, None, None]
+        sides = [(fa.left - first, *basis.traces(fa.left, X, T), 1.0),
+                 (fa.right - first, *basis.traces(fa.right, X, T), -1.0)]
+        for ia, va, ga, na in sides:
+            for ib, vb, gb, nb in sides:
+                block = 0.5 * (0.5 * na * _pair(va, gb, W)
+                               + 1j * al * na * nb * _pair(va, vb, W)
+                               - 0.5 * na * _pair(ga, vb, W)
+                               + 1j * be * na * nb * _pair(ga, gb, W))
+                if ia is ib:
+                    np.add.at(diag, ia, block)
                 else:
-                    vals = np.asarray(below.value(f.below, xq, f.fixed), dtype=complex)
-                rhs[oe:oe + len(funcs)] += 1j * ((v.conj() * wq) @ vals)
-            elif f.kind is FacetKind.DIRICHLET:
-                tq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-                v = _values(funcs, f.fixed, tq)
-                g = _values(funcs, f.fixed, tq, _DX)
-                gv = np.asarray(data.g_D(np.full_like(tq, f.fixed), tq), dtype=complex)
-                rhs[oe:oe + len(funcs)] += 0.5 * (f.normal_sign * ((g.conj() * wq) @ gv)
-                                                  + 1j * f.alpha * ((v.conj() * wq) @ gv))
-    return rhs
+                    blocks[ia, :, ib, :] += block
+
+    fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
+    if fa is not None:
+        X, T, W = fa.quadrature(n_facet)
+        v, g = basis.traces(fa.owner, X, T)
+        np.add.at(diag, fa.owner - first,
+                  0.5 * (fa.normal_sign[:, None, None] * _pair(v, g, W)
+                         + 1j * fa.alpha[:, None, None] * _pair(v, v, W)))
+
+    if basis.kind.needs_volume_term:
+        elems = np.arange(first, first + nx)
+        X, T, W = _volume_rule(mesh, elems, n_poly)
+        diag += _pair(basis.operator_image(elems, X, T), basis.values(elems, X, T), W)
+
+    i = np.arange(nx)
+    blocks[i, :, i, :] += diag
+    return M
+
+
+def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
+              below: DiscreteSolution | None, n_data: int) -> np.ndarray:
+    """Right-hand side of one slab: initial datum or the solution below, and g_D."""
+    first = mesh.slab_elements[slab][0]
+    rhs = np.zeros((len(mesh.slab_elements[slab]), basis.dim), dtype=complex)
+
+    # every element's bottom facet: initial, or space-like above the previous slab
+    for kind, owner_slab in ((FacetKind.INITIAL, slab), (FacetKind.SPACE_INTERIOR, slab - 1)):
+        fa = mesh.facet_arrays(kind, owner_slab)
+        if fa is not None:
+            X, T, W = fa.quadrature(n_data)
+            if kind is FacetKind.INITIAL:
+                vals = np.asarray(data.psi0(X), dtype=complex)
+            else:
+                vals = below.value(fa.below, X, T)
+            np.add.at(rhs, fa.above - first, 1j * _project(basis.values(fa.above, X, T), W, vals))
+
+    fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
+    if fa is not None:
+        X, T, W = fa.quadrature(n_data)
+        v, g = basis.traces(fa.owner, X, T)
+        gv = np.asarray(data.g_D(X, T), dtype=complex)
+        np.add.at(rhs, fa.owner - first,
+                  0.5 * (fa.normal_sign[:, None] * _project(g, W, gv)
+                         + 1j * fa.alpha[:, None] * _project(v, W, gv)))
+    return rhs.reshape(-1)
 
 
 def assemble_slab(mesh: Mesh, slab: int, space: SpaceKind, data: BoundaryData,
@@ -279,12 +262,13 @@ def assemble_slab(mesh: Mesh, slab: int, space: SpaceKind, data: BoundaryData,
     else:
         if below is None or not below.has_slab(slab - 1):
             raise ValueError(f"below-solution does not cover slab {slab - 1}")
-    bases = below.bases if below is not None else element_bases(mesh, space)
+    basis = below.basis if below is not None else MeshBasis(mesh, space)
     n_poly, n_data = _rule_sizes(space, n_quad)
-    M, off, n = _slab_matrix(mesh, slab, bases, space, n_poly, n_data)
-    rhs = _slab_rhs(mesh, slab, bases, space, data, below, off, n, n_data)
+    M = _slab_matrix(mesh, slab, basis, n_poly, n_data)
+    rhs = _slab_rhs(mesh, slab, basis, data, below, n_data)
     elems = mesh.slab_elements[slab]
-    return SlabSystem(slab, M, rhs, _dof_map(bases, elems, off), elems)
+    dof_map = {(e, i): k * basis.dim + i for k, e in enumerate(elems) for i in range(basis.dim)}
+    return SlabSystem(slab, M, rhs, dof_map, elems)
 
 
 def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
@@ -294,20 +278,19 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     On uniform meshes the slab matrix is identical for every slab for the
     translation-invariant polynomial families, so a single factorization is
     reused.  Plane-wave systems are screened against ``max_cond`` (default
-    1e14) and rejected with a SlabSolveError when numerically unusable.
+    1e14) and rejected with a SlabSolveError when numerically unusable, as
+    is a slab whose right-hand side or solution is not finite.
     """
-    bases = element_bases(mesh, space)
     n_poly, n_data = _rule_sizes(space, n_quad)
     if max_cond is None and space.family == "planewave":
         max_cond = _COND_FLAG_DEFAULT
-    sol = DiscreteSolution(mesh, space, bases)
+    sol = DiscreteSolution(mesh, space)
     reuse = mesh.is_uniform and space.family != "planewave"
     factor = None
-    off: dict[int, int] = {}
     for slab in range(mesh.n_slabs):
         if factor is None or not reuse:
-            M, off, n = _slab_matrix(mesh, slab, bases, space, n_poly, n_data)
-            if max_cond is not None and n <= 2000:
+            M = _slab_matrix(mesh, slab, sol.basis, n_poly, n_data)
+            if max_cond is not None and M.shape[0] <= 2000:
                 c = cond2(M)
                 if not np.isfinite(c) or c > max_cond:
                     raise SlabSolveError(slab, c)
@@ -315,28 +298,73 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
                 factor = FactoredMatrix(M)
             except SingularMatrixError as exc:
                 raise SlabSolveError(slab, float("inf"), "singular matrix") from exc
-        else:
-            # offsets repeat the slab-0 layout shifted by nx elements
-            off = {e: off[e - mesh.nx] for e in mesh.slab_elements[slab]} \
-                if slab > 0 else off
-        rhs = _slab_rhs(mesh, slab, bases, space, data,
-                        sol if slab > 0 else None, off, factor.n, n_data)
+        rhs = _slab_rhs(mesh, slab, sol.basis, data, sol, n_data)
+        if not np.all(np.isfinite(rhs)):
+            raise SlabSolveError(slab, float("nan"), "non-finite right-hand side")
         coeffs = factor.solve(rhs)
-        for e in mesh.slab_elements[slab]:
-            sol.set_coeffs(e, coeffs[off[e]:off[e] + bases[e].dim])
+        if not np.all(np.isfinite(coeffs)):
+            raise SlabSolveError(slab, float("nan"), "non-finite solution")
+        sol.set_coeffs(list(mesh.slab_elements[slab]), coeffs.reshape(-1, sol.basis.dim))
     return sol
 
 
+# --- global oracle: an independent facet-by-facet walk, one element at a time ---
+
 GLOBAL_DOF_CAP = 5000
+
+
+def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Values and x-derivatives (dim, nq) of element ``eid``'s basis at the points xs, ts."""
+    v, g = basis.traces([eid], np.atleast_1d(xs)[None], np.atleast_1d(ts)[None])
+    return v[0], g[0]
+
+
+def _add_time_facet(M, facet, basis, n_facet):
+    tq, wq = mapped_interval(facet.span[0], facet.span[1], n_facet)
+    sides = []
+    for e, nrm in ((facet.left, 1.0), (facet.right, -1.0)):
+        v, g = _element_traces(basis, e, facet.fixed, tq)
+        sides.append((e * basis.dim, v, g, nrm))
+    al, be = facet.alpha, facet.beta
+    for oa, va, ga, na in sides:
+        vaw = va.conj() * wq
+        gaw = ga.conj() * wq
+        for ob, vb, gb, nb in sides:
+            block = 0.5 * (0.5 * na * (vaw @ gb.T)
+                           + 1j * al * na * nb * (vaw @ vb.T)
+                           - 0.5 * na * (gaw @ vb.T)
+                           + 1j * be * na * nb * (gaw @ gb.T))
+            M[oa:oa + va.shape[0], ob:ob + vb.shape[0]] += block
+
+
+def _add_dirichlet_matrix(M, facet, basis, n_facet):
+    tq, wq = mapped_interval(facet.span[0], facet.span[1], n_facet)
+    e = facet.owner
+    v, g = _element_traces(basis, e, facet.fixed, tq)
+    vaw = v.conj() * wq
+    off, d = e * basis.dim, basis.dim
+    M[off:off + d, off:off + d] += 0.5 * (facet.normal_sign * (vaw @ g.T)
+                                          + 1j * facet.alpha * (vaw @ v.T))
+
+
+def _add_volume(M, mesh, eid, basis, n_vol):
+    xg, tg, wg = rect_rule(mesh.elements[eid].x_range, mesh.elements[eid].t_range, n_vol)
+    v = basis.values([eid], xg[None], tg[None])[0]
+    sv = basis.operator_image([eid], xg[None], tg[None])[0]
+    off, d = eid * basis.dim, basis.dim
+    M[off:off + d, off:off + d] += (sv.conj() * wg) @ v.T
 
 
 def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
                     n_quad: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]:
-    """The fully coupled system over all slabs (dense testing oracle)."""
-    bases = element_bases(mesh, space)
-    elem_ids = [el.id for el in mesh.elements]
-    off, n = _offsets(bases, elem_ids)
+    """The fully coupled system over all slabs (dense testing oracle).
+
+    Unknown i of element e is row and column e * dim + i.
+    """
+    basis = MeshBasis(mesh, space)
+    d = basis.dim
+    n = mesh.n_elements * d
     if n > GLOBAL_DOF_CAP:
         raise ValueError(f"global system of size {n} exceeds cap {GLOBAL_DOF_CAP}")
     n_poly, n_data = _rule_sizes(space, n_quad)
@@ -347,54 +375,47 @@ def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     for f in mesh.facets:
         if f.kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):
             e = f.below
-            funcs = bases[e].functions
             xq, wq = mapped_interval(f.span[0], f.span[1], n_facet)
-            v = _values(funcs, xq, f.fixed)
-            oe, de = off[e], len(funcs)
-            M[oe:oe + de, oe:oe + de] += 1j * ((v.conj() * wq) @ v.T)
+            v = _element_traces(basis, e, xq, f.fixed)[0]
+            oe = e * d
+            M[oe:oe + d, oe:oe + d] += 1j * ((v.conj() * wq) @ v.T)
             if f.kind is FacetKind.SPACE_INTERIOR:
-                up = f.above
-                vu = _values(bases[up].functions, xq, f.fixed)
-                ou, du = off[up], bases[up].dim
-                M[ou:ou + du, oe:oe + de] -= 1j * ((vu.conj() * wq) @ v.T)
+                ou = f.above * d
+                vu = _element_traces(basis, f.above, xq, f.fixed)[0]
+                M[ou:ou + d, oe:oe + d] -= 1j * ((vu.conj() * wq) @ v.T)
         elif f.kind is FacetKind.INITIAL:
             e = f.above
             xq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-            v = _values(bases[e].functions, xq, f.fixed)
+            v = _element_traces(basis, e, xq, f.fixed)[0]
             vals = np.asarray(data.psi0(xq), dtype=complex)
-            rhs[off[e]:off[e] + bases[e].dim] += 1j * ((v.conj() * wq) @ vals)
+            rhs[e * d:(e + 1) * d] += 1j * ((v.conj() * wq) @ vals)
         elif f.kind is FacetKind.TIME_INTERIOR:
-            _add_time_facet(M, f, bases[f.left].functions, bases[f.right].functions,
-                            off[f.left], off[f.right], n_facet)
+            _add_time_facet(M, f, basis, n_facet)
         elif f.kind is FacetKind.DIRICHLET:
             e = f.owner
-            funcs = bases[e].functions
-            _add_dirichlet_matrix(M, f, funcs, off[e], n_facet)
+            _add_dirichlet_matrix(M, f, basis, n_facet)
             tq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-            v = _values(funcs, f.fixed, tq)
-            g = _values(funcs, f.fixed, tq, _DX)
+            v, g = _element_traces(basis, e, f.fixed, tq)
             gv = np.asarray(data.g_D(np.full_like(tq, f.fixed), tq), dtype=complex)
-            rhs[off[e]:off[e] + len(funcs)] += 0.5 * (
+            rhs[e * d:(e + 1) * d] += 0.5 * (
                 f.normal_sign * ((g.conj() * wq) @ gv)
                 + 1j * f.alpha * ((v.conj() * wq) @ gv))
 
     if space.needs_volume_term:
-        for e in elem_ids:
-            _add_volume(M, mesh, e, bases[e].functions, off[e], n_poly)
+        for e in range(mesh.n_elements):
+            _add_volume(M, mesh, e, basis, n_poly)
 
-    return M, rhs, _dof_map(bases, elem_ids, off)
+    dof_map = {(e, i): e * d + i for e in range(mesh.n_elements) for i in range(d)}
+    return M, rhs, dof_map
 
 
 def solve_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
                  n_quad: int | None = None) -> DiscreteSolution:
     """Solve the fully coupled system at once (oracle for the marching path)."""
-    M, rhs, dof_map = assemble_global(mesh, space, data, n_quad)
+    M, rhs, _ = assemble_global(mesh, space, data, n_quad)
     x = FactoredMatrix(M).solve(rhs)
-    bases = element_bases(mesh, space)
-    sol = DiscreteSolution(mesh, space, bases)
-    for el in mesh.elements:
-        rows = [dof_map[(el.id, i)] for i in range(bases[el.id].dim)]
-        sol.set_coeffs(el.id, x[rows])
+    sol = DiscreteSolution(mesh, space)
+    sol.set_coeffs(np.arange(mesh.n_elements), x.reshape(mesh.n_elements, -1))
     return sol
 
 
@@ -405,23 +426,22 @@ def apply_form_to_field(mesh: Mesh, space: SpaceKind, field,
     The field must expose value(elem_id, xs, ts) and dx(elem_id, xs, ts).
     Used for consistency and Galerkin-orthogonality checks.
     """
-    bases = element_bases(mesh, space)
-    elem_ids = [el.id for el in mesh.elements]
-    off, n = _offsets(bases, elem_ids)
+    basis = MeshBasis(mesh, space)
+    d = basis.dim
     _, n_data = _rule_sizes(space, n_quad)
-    out = np.zeros(n, dtype=complex)
+    out = np.zeros(mesh.n_elements * d, dtype=complex)
 
     for f in mesh.facets:
         if f.kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):
             xq, wq = mapped_interval(f.span[0], f.span[1], n_data)
             fm = np.asarray(field.value(f.below, xq, f.fixed), dtype=complex)
             e = f.below
-            v = _values(bases[e].functions, xq, f.fixed)
-            out[off[e]:off[e] + bases[e].dim] += 1j * ((v.conj() * wq) @ fm)
+            v = _element_traces(basis, e, xq, f.fixed)[0]
+            out[e * d:(e + 1) * d] += 1j * ((v.conj() * wq) @ fm)
             if f.kind is FacetKind.SPACE_INTERIOR:
                 up = f.above
-                vu = _values(bases[up].functions, xq, f.fixed)
-                out[off[up]:off[up] + bases[up].dim] -= 1j * ((vu.conj() * wq) @ fm)
+                vu = _element_traces(basis, up, xq, f.fixed)[0]
+                out[up * d:(up + 1) * d] -= 1j * ((vu.conj() * wq) @ fm)
         elif f.kind is FacetKind.TIME_INTERIOR:
             tq, wq = mapped_interval(f.span[0], f.span[1], n_data)
             v1 = np.asarray(field.value(f.left, f.fixed, tq), dtype=complex)
@@ -431,33 +451,28 @@ def apply_form_to_field(mesh: Mesh, space: SpaceKind, field,
             avg_g, jump_v = 0.5 * (g1 + g2), v1 - v2
             avg_v, jump_g = 0.5 * (v1 + v2), g1 - g2
             for e, na in ((f.left, 1.0), (f.right, -1.0)):
-                v = _values(bases[e].functions, f.fixed, tq)
-                g = _values(bases[e].functions, f.fixed, tq, _DX)
+                v, g = _element_traces(basis, e, f.fixed, tq)
                 contrib = 0.5 * (na * ((v.conj() * wq) @ avg_g)
                                  + 1j * f.alpha * na * ((v.conj() * wq) @ jump_v)
                                  - na * ((g.conj() * wq) @ avg_v)
                                  + 1j * f.beta * na * ((g.conj() * wq) @ jump_g))
-                out[off[e]:off[e] + bases[e].dim] += contrib
+                out[e * d:(e + 1) * d] += contrib
         elif f.kind is FacetKind.DIRICHLET:
             e = f.owner
             tq, wq = mapped_interval(f.span[0], f.span[1], n_data)
             fv = np.asarray(field.value(e, f.fixed, tq), dtype=complex)
             fg = np.asarray(field.dx(e, f.fixed, tq), dtype=complex)
-            v = _values(bases[e].functions, f.fixed, tq)
+            v = _element_traces(basis, e, f.fixed, tq)[0]
             flux = f.normal_sign * fg + 1j * f.alpha * fv
-            out[off[e]:off[e] + bases[e].dim] += 0.5 * ((v.conj() * wq) @ flux)
+            out[e * d:(e + 1) * d] += 0.5 * ((v.conj() * wq) @ flux)
 
     if space.needs_volume_term:
-        for e in elem_ids:
+        for e in range(mesh.n_elements):
             el = mesh.elements[e]
             xg, tg, wg = rect_rule(el.x_range, el.t_range, n_data)
             fv = np.asarray(field.value(e, xg, tg), dtype=complex)
-            sv = np.stack([
-                np.zeros_like(xg, dtype=complex) if isinstance(fn, Wave)
-                else _values([apply_schrodinger(fn)], xg, tg)[0]
-                for fn in bases[e].functions
-            ])
-            out[off[e]:off[e] + bases[e].dim] += (sv.conj() * wg) @ fv
+            sv = basis.operator_image([e], xg[None], tg[None])[0]
+            out[e * d:(e + 1) * d] += (sv.conj() * wg) @ fv
 
     return out
 

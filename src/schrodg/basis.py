@@ -16,6 +16,10 @@ Four families are supported:
 * ``full``: all scaled monomials of total degree <= p.
 * ``planewave``: exp(i (k x - k^2 t / 2)) with 2p + 1 equispaced
   wavenumbers k = -2p, -2p + 2, ..., 2p (d = 1 only).
+
+``MeshBasis`` evaluates the basis of many elements of a mesh in one array
+call: a polynomial family is one coefficient table per element size, since
+every element of that size carries the same table, only translated.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from typing import Union
 
 import numpy as np
 
-from .poly import MultiIndex, ScaledPolynomial, eval_poly_many, mi, space_multi_indices
+from .poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, eval_poly_many, mi,
+                   scaled_monomials, space_multi_indices)
 
 FAMILIES = ("trefftz", "quasi-trefftz", "full", "planewave")
 
@@ -262,3 +267,110 @@ def element_basis(kind: SpaceKind, center, scales, element_id: int = 0) -> Eleme
     if kind.family == "full":
         return full_poly_basis(kind.p, center, scales, d=1, element_id=element_id)
     return plane_wave_basis(kind.p, center, scales, element_id)
+
+
+@lru_cache(maxsize=None)
+def coefficient_table(kind: SpaceKind, hx: float, ht: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense form of a polynomial family's local basis on elements of size (hx, ht).
+
+    Returns the exponents (jx, jt) of the scaled monomials in use, shape
+    (n_terms, 2), the basis coefficients, shape (dim, n_terms), and the
+    coefficients of the basis' image under i d/dt + (1/2) d^2/dx^2, same
+    shape.  The table does not depend on the element center.
+    """
+    if kind.family == "planewave":
+        raise ValueError("plane waves have no coefficient table")
+    funcs = element_basis(kind, (0.0, 0.0), (hx, ht)).functions
+    images = [apply_schrodinger(f) for f in funcs]
+    exps = sorted({(j.jx[0], j.jt) for f in (*funcs, *images) for j in f.coeffs})
+    column = {e: k for k, e in enumerate(exps)}
+    tables = np.zeros((2, len(funcs), len(exps)), dtype=complex)
+    for row, pair in enumerate(zip(funcs, images)):
+        for table, f in zip(tables, pair):
+            for j, c in f.coeffs.items():
+                table[row, column[(j.jx[0], j.jt)]] = c
+    out = (np.array(exps, dtype=np.intp).reshape(-1, 2), tables[0], tables[1])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+class MeshBasis:
+    """The local basis of every element of a mesh, evaluated a batch at a time.
+
+    Every method takes element ids ``eids`` (nF,) and points ``X``, ``T``
+    that broadcast to (nF, nq); row f of the points lies on element eids[f].
+    Polynomial families go through `coefficient_table`, one table per
+    distinct element size; plane waves are evaluated from absolute
+    coordinates.
+    """
+
+    def __init__(self, mesh, kind: SpaceKind):
+        self.kind = kind
+        self.dim = kind.dim(1)
+        arrays = mesh.element_arrays
+        self.center = arrays.center
+        sizes, group = np.unique(arrays.h, axis=0, return_inverse=True)
+        self.size_group = group.reshape(-1)
+        self.sizes = [(float(hx), float(ht)) for hx, ht in sizes]
+        self.k = None
+        if kind.family == "planewave":
+            self.k = np.array([f.k for f in
+                               element_basis(kind, (0.0, 0.0), (1.0, 1.0)).functions])
+
+    def traces(self, eids, X, T) -> tuple[np.ndarray, np.ndarray]:
+        """Values and x-derivatives of every basis function, each (nF, dim, nq)."""
+        return self._evaluate(eids, X, T), self._evaluate(eids, X, T, dx=True)
+
+    def values(self, eids, X, T) -> np.ndarray:
+        """The values alone of `traces`."""
+        return self._evaluate(eids, X, T)
+
+    def operator_image(self, eids, X, T) -> np.ndarray:
+        """i d/dt + (1/2) d^2/dx^2 of every basis function, (nF, dim, nq).
+
+        Only for the polynomial families (plane waves lie in the kernel).
+        """
+        if self.k is not None:
+            raise ValueError("plane waves have no operator image table")
+        return self._evaluate(eids, X, T, image=True)
+
+    def combination(self, eids, X, T, weights, dx: bool = False) -> np.ndarray:
+        """sum_d weights[f, d] phi_d at the points of row f (its x-derivative with
+        ``dx``), shape (nF, nq)."""
+        return self._evaluate(eids, X, T, dx=dx, weights=np.asarray(weights))
+
+    def _evaluate(self, eids, X, T, dx=False, image=False, weights=None) -> np.ndarray:
+        eids = np.asarray(eids, dtype=np.intp)
+        X, T = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(T, dtype=float))
+        if self.k is not None:
+            k = self.k[:, None, None]
+            vals = np.exp(1j * (k * X - 0.5 * k * k * T))
+            if dx:
+                vals *= 1j * k
+            if weights is not None:
+                return np.einsum("fd,dfq->fq", weights, vals)
+            return np.moveaxis(vals, 0, 1)
+        out = np.empty(((self.dim,) if weights is None else ()) + X.shape, dtype=complex)
+        for rows, (hx, ht) in self._size_groups(eids):
+            exps, table, image_table = coefficient_table(self.kind, hx, ht)
+            e = eids[rows]
+            xi = (X[rows] - self.center[e, 0:1]) / hx
+            tau = (T[rows] - self.center[e, 1:2]) / ht
+            mon = scaled_monomials(exps, xi, tau, dx)
+            if dx:
+                mon /= hx
+            table = image_table if image else table
+            if weights is None:
+                out[:, rows] = np.tensordot(table, mon, 1)
+            else:
+                out[rows] = np.einsum("fk,kfq->fq", weights[rows] @ table, mon)
+        return out if weights is not None else np.moveaxis(out, 0, 1)
+
+    def _size_groups(self, eids):
+        """(rows of eids, element size) for every size present; all rows if one size."""
+        if len(self.sizes) == 1:
+            return [(slice(None), self.sizes[0])]
+        group = self.size_group[eids]
+        return [(np.flatnonzero(group == g), self.sizes[g]) for g in np.unique(group)]

@@ -14,6 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .assembly import SlabSolveError
 from .basis import SpaceKind
 from .experiments import (ExperimentConfig, OracleMismatchError, loglog_slope,
@@ -131,7 +133,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ValueError,) as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
+        print(f"schrodg: solver failure: linear algebra: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ValueError as exc:
         print(f"schrodg: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SlabSolveError, OracleMismatchError) as exc:

@@ -14,11 +14,15 @@ construction and safe for concurrent read access.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+
+from .quadrature import mapped_intervals
 
 
 class FacetKind(Enum):
@@ -123,6 +127,46 @@ class Facet:
                      if e is not None)
 
 
+class ElementArrays(NamedTuple):
+    """Element geometry as arrays, one row per element id."""
+
+    center: np.ndarray   # (n, 2): x_K, t_K
+    h: np.ndarray        # (n, 2): h_x, h_t
+    x_range: np.ndarray  # (n, 2)
+    t_range: np.ndarray  # (n, 2)
+
+
+@dataclass(frozen=True)
+class FacetArrays:
+    """The facets of one kind in one slab, as parallel arrays (one entry per facet).
+
+    Neighbor ids are -1 where a facet has no such neighbor.  ``owner`` is the
+    first neighbor (below, left, or the only one), and a facet belongs to its
+    owner's slab: a space-like interior facet to the slab below it.
+    """
+
+    kind: FacetKind
+    owner: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    fixed: np.ndarray
+    normal_sign: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Points X, T and weights W, each (n_facets, n): the n-point Gauss rule on every facet."""
+        pts, wts = mapped_intervals(self.lo, self.hi, n)
+        fixed = np.broadcast_to(self.fixed[:, None], pts.shape)
+        if self.kind.is_horizontal:
+            return pts, fixed, wts
+        return fixed, pts, wts
+
+
 @dataclass(frozen=True)
 class Mesh:
     domain: SpaceTimeDomain
@@ -132,7 +176,6 @@ class Mesh:
     nt: int
     slab_elements: tuple[tuple[int, ...], ...]
     element_facets: tuple[tuple[tuple[int, FacetRole], ...], ...]
-    is_uniform: bool = True
 
     @property
     def n_slabs(self) -> int:
@@ -145,18 +188,59 @@ class Mesh:
     def element(self, eid: int) -> Element:
         return self.elements[eid]
 
+    @cached_property
+    def element_arrays(self) -> ElementArrays:
+        rows = np.array([(*el.center, el.h_x, el.h_t, *el.x_range, *el.t_range)
+                         for el in self.elements], dtype=float).reshape(-1, 8)
+        return ElementArrays(rows[:, 0:2], rows[:, 2:4], rows[:, 4:6], rows[:, 6:8])
+
+    @cached_property
+    def is_uniform(self) -> bool:
+        """Whether every element has the same size (h_x, h_t)."""
+        return len(np.unique(self.element_arrays.h, axis=0)) <= 1
+
+    @cached_property
+    def _facet_groups(self) -> dict[tuple[FacetKind, int], FacetArrays]:
+        groups: dict[tuple[FacetKind, int], list[Facet]] = defaultdict(list)
+        for f in self.facets:
+            groups[(f.kind, self.elements[f.owner].slab)].append(f)
+
+        def ids(facets, side):
+            return np.array([-1 if getattr(f, side) is None else getattr(f, side)
+                             for f in facets], dtype=np.intp)
+
+        def values(facets, attr):
+            return np.array([getattr(f, attr) for f in facets], dtype=float)
+
+        return {key: FacetArrays(
+            kind=key[0], owner=np.array([f.owner for f in fs], dtype=np.intp),
+            below=ids(fs, "below"), above=ids(fs, "above"),
+            left=ids(fs, "left"), right=ids(fs, "right"),
+            lo=np.array([f.span[0] for f in fs]), hi=np.array([f.span[1] for f in fs]),
+            fixed=values(fs, "fixed"), normal_sign=values(fs, "normal_sign"),
+            alpha=values(fs, "alpha"), beta=values(fs, "beta"),
+        ) for key, fs in groups.items()}
+
+    def facet_arrays(self, kind: FacetKind, slab: int) -> FacetArrays | None:
+        """The facets of ``kind`` in ``slab`` (see FacetArrays), or None if there are none."""
+        return self._facet_groups.get((kind, slab))
+
 
 def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
     """Uniform nx-by-nt tensor mesh with complete facet taxonomy.
 
-    The interior time-like length scale h_Fx is the minimum of the two
-    neighboring element widths (they coincide on uniform meshes); on
-    Dirichlet facets it is the owning element's width.
+    Every element stores the exact sizes h_x = width / nx and
+    h_t = t_final / nt, not differences of the grid points, so all elements
+    share one size.  The interior time-like length scale h_Fx is the minimum
+    of the two neighboring element widths; on Dirichlet facets it is the
+    owning element's width.
     """
     if nx < 1 or nt < 1:
         raise ValueError("nx and nt must be >= 1")
     xs = np.linspace(domain.x_lo, domain.x_hi, nx + 1)
     ts = np.linspace(0.0, domain.t_final, nt + 1)
+    h_x = domain.width / nx
+    h_t = domain.t_final / nt
 
     elements = []
     for s in range(nt):
@@ -166,7 +250,7 @@ def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
             elements.append(Element(
                 id=s * nx + ix, ix=ix, slab=s,
                 x_range=(x0, x1), t_range=(t0, t1),
-                h_x=x1 - x0, h_t=t1 - t0,
+                h_x=h_x, h_t=h_t,
                 center=(0.5 * (x0 + x1), 0.5 * (t0 + t1)),
             ))
 
@@ -231,7 +315,6 @@ def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
         nx=nx, nt=nt,
         slab_elements=tuple(tuple(range(s * nx, (s + 1) * nx)) for s in range(nt)),
         element_facets=tuple(tuple(a) for a in adjacency),
-        is_uniform=True,
     )
 
 

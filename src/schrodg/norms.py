@@ -12,8 +12,11 @@ boundary:
                     + ||a^(-1/2) <w_x>||^2_time + ||a^(-1/2) n w_x||^2_dirichlet
                     + ||b^(-1/2) <w>||^2_time )
 
-A field exposes one-sided traces via value(elem_id, xs, ts) and
-dx(elem_id, xs, ts); jumps are always formed from two one-sided traces.
+A field exposes one-sided traces via value(eid, xs, ts) and dx(eid, xs, ts).
+``eid`` is an element id or an int array of ids (nF,); with an array, the
+points broadcast to (nF, nq) and row f lies on element eid[f].  The result
+has the shape of the points.  Jumps are always formed from two one-sided
+traces.  The norms evaluate a whole slab's facets of one kind per call.
 """
 
 from __future__ import annotations
@@ -23,10 +26,27 @@ import math
 import numpy as np
 
 from .mesh import FacetKind, Mesh
-from .poly import ScaledPolynomial, eval_poly_many, mi
-from .quadrature import mapped_interval
+from .poly import ScaledPolynomial, scaled_monomials
+from .quadrature import mapped_intervals
 
-_DX = mi(1, 0)
+
+def field_points(eid, xs, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Normalize the arguments of a field call.
+
+    Returns element ids (nF,), points X, T (nF, nq) and the shape of the
+    result: that of the broadcast points, at least 1-D for a scalar id.
+    """
+    eids = np.asarray(eid, dtype=np.intp)
+    if eids.ndim == 0:
+        X, T = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
+        return eids.reshape(1), X.reshape(1, -1), T.reshape(1, -1), X.shape or (1,)
+    if eids.ndim != 1:
+        raise ValueError("element ids must be a scalar or a 1-D array")
+    X, T, _ = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float),
+                                  eids[:, None])
+    if X.ndim != 2:
+        raise ValueError("points must broadcast to (number of ids, points per id)")
+    return eids, X, T, X.shape
 
 
 class ClosedFormField:
@@ -51,16 +71,33 @@ def exact_field(sol) -> ClosedFormField:
 
 
 class PiecewisePolyField:
-    """One polynomial per element, e.g. an elementwise interpolant."""
+    """One polynomial per element (d = 1), e.g. an elementwise interpolant."""
 
     def __init__(self, polys: list[ScaledPolynomial]):
         self.polys = polys
+        exps = sorted({(j.jx[0], j.jt) for p in polys for j in p.coeffs})
+        column = {e: k for k, e in enumerate(exps)}
+        self._exps = np.array(exps, dtype=np.intp).reshape(-1, 2)
+        self._coeffs = np.zeros((len(polys), len(exps)), dtype=complex)
+        for row, p in enumerate(polys):
+            for j, c in p.coeffs.items():
+                self._coeffs[row, column[(j.jx[0], j.jt)]] = c
+        # per element: center x, center t, h_x, h_t
+        self._frame = np.array([(p.center[0][0], p.center[1], *p.scales) for p in polys],
+                               dtype=float).reshape(-1, 4)
+
+    def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
+        eids, X, T, shape = field_points(eid, xs, ts)
+        z, s, hx, ht = (self._frame[eids, k][:, None] for k in range(4))
+        mon = scaled_monomials(self._exps, (X - z) / hx, (T - s) / ht, dx)
+        out = np.einsum("fk,kfq->fq", self._coeffs[eids], mon)
+        return (out / hx if dx else out).reshape(shape)
 
     def value(self, eid, xs, ts):
-        return eval_poly_many(self.polys[eid], xs, ts)
+        return self._eval(eid, xs, ts, dx=False)
 
     def dx(self, eid, xs, ts):
-        return eval_poly_many(self.polys[eid], xs, ts, _DX)
+        return self._eval(eid, xs, ts, dx=True)
 
 
 class DifferenceField:
@@ -75,42 +112,43 @@ class DifferenceField:
         return self.a.dx(eid, xs, ts) - self.b.dx(eid, xs, ts)
 
 
-def _wsum_sq(wq, z) -> float:
+def _wsum_sq(w, z) -> float:
     z = np.asarray(z)
-    return float(np.sum(wq * (z.real * z.real + z.imag * z.imag)))
+    return float(np.sum(w * (z.real * z.real + z.imag * z.imag)))
 
 
 def _norm_terms(field, mesh: Mesh, n: int, with_plus: bool) -> tuple[float, float]:
     s_dg = 0.0
     s_plus = 0.0
-    for f in mesh.facets:
-        if f.kind is FacetKind.SPACE_INTERIOR:
-            xq, wq = mapped_interval(f.span[0], f.span[1], n)
-            wm = field.value(f.below, xq, f.fixed)
-            wp = field.value(f.above, xq, f.fixed)
-            s_dg += _wsum_sq(wq, wm - wp)
-            if with_plus:
-                s_plus += _wsum_sq(wq, wm)
-        elif f.kind in (FacetKind.INITIAL, FacetKind.FINAL):
-            e = f.above if f.kind is FacetKind.INITIAL else f.below
-            xq, wq = mapped_interval(f.span[0], f.span[1], n)
-            s_dg += _wsum_sq(wq, field.value(e, xq, f.fixed))
-        elif f.kind is FacetKind.TIME_INTERIOR:
-            tq, wq = mapped_interval(f.span[0], f.span[1], n)
-            v1 = field.value(f.left, f.fixed, tq)
-            v2 = field.value(f.right, f.fixed, tq)
-            g1 = field.dx(f.left, f.fixed, tq)
-            g2 = field.dx(f.right, f.fixed, tq)
-            s_dg += f.alpha * _wsum_sq(wq, v1 - v2) + f.beta * _wsum_sq(wq, g1 - g2)
-            if with_plus:
-                s_plus += _wsum_sq(wq, 0.5 * (g1 + g2)) / f.alpha
-                s_plus += _wsum_sq(wq, 0.5 * (v1 + v2)) / f.beta
-        elif f.kind is FacetKind.DIRICHLET:
-            e = f.owner
-            tq, wq = mapped_interval(f.span[0], f.span[1], n)
-            s_dg += f.alpha * _wsum_sq(wq, field.value(e, f.fixed, tq))
-            if with_plus:
-                s_plus += _wsum_sq(wq, field.dx(e, f.fixed, tq)) / f.alpha
+    for slab in range(mesh.n_slabs):
+        for kind in FacetKind:
+            fa = mesh.facet_arrays(kind, slab)
+            if fa is None:
+                continue
+            X, T, W = fa.quadrature(n)
+            if kind is FacetKind.SPACE_INTERIOR:
+                wm = field.value(fa.below, X, T)
+                wp = field.value(fa.above, X, T)
+                s_dg += _wsum_sq(W, wm - wp)
+                if with_plus:
+                    s_plus += _wsum_sq(W, wm)
+            elif kind in (FacetKind.INITIAL, FacetKind.FINAL):
+                s_dg += _wsum_sq(W, field.value(fa.owner, X, T))
+            elif kind is FacetKind.TIME_INTERIOR:
+                alpha, beta = fa.alpha[:, None], fa.beta[:, None]
+                v1 = field.value(fa.left, X, T)
+                v2 = field.value(fa.right, X, T)
+                g1 = field.dx(fa.left, X, T)
+                g2 = field.dx(fa.right, X, T)
+                s_dg += _wsum_sq(alpha * W, v1 - v2) + _wsum_sq(beta * W, g1 - g2)
+                if with_plus:
+                    s_plus += _wsum_sq(W / alpha, 0.5 * (g1 + g2))
+                    s_plus += _wsum_sq(W / beta, 0.5 * (v1 + v2))
+            elif kind is FacetKind.DIRICHLET:
+                alpha = fa.alpha[:, None]
+                s_dg += _wsum_sq(alpha * W, field.value(fa.owner, X, T))
+                if with_plus:
+                    s_plus += _wsum_sq(W / alpha, field.dx(fa.owner, X, T))
     return s_dg, s_plus
 
 
@@ -137,9 +175,7 @@ def l2_slice_error(field, t: float, mesh: Mesh, n: int = 20) -> float:
         if t0 < t <= t1 or (s == 0 and t <= t0):
             slab = s
             break
-    acc = 0.0
-    for e in mesh.slab_elements[slab]:
-        el = mesh.elements[e]
-        xq, wq = mapped_interval(el.x_range[0], el.x_range[1], n)
-        acc += _wsum_sq(wq, field.value(e, xq, t))
-    return math.sqrt(acc)
+    elems = np.asarray(mesh.slab_elements[slab], dtype=np.intp)
+    x_range = mesh.element_arrays.x_range[elems]
+    X, W = mapped_intervals(x_range[:, 0], x_range[:, 1], n)
+    return math.sqrt(_wsum_sq(W, field.value(elems, X, t)))

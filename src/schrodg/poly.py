@@ -144,6 +144,21 @@ def _pow_table(v: np.ndarray, max_deg: int) -> np.ndarray:
     return out
 
 
+def scaled_monomials(exps: np.ndarray, xi: np.ndarray, tau: np.ndarray,
+                     dx: bool = False) -> np.ndarray:
+    """xi**jx * tau**jt for every row (jx, jt) of ``exps``, shape (len(exps),) + xi.shape.
+
+    With ``dx`` the xi-derivatives jx * xi**(jx - 1) * tau**jt instead.  The
+    powers come from tables of cumulative products (d = 1 only).
+    """
+    jx, jt = exps[:, 0], exps[:, 1]
+    out = _pow_table(tau, int(jt.max(initial=0)))[jt]
+    if not dx:
+        return out * _pow_table(xi, int(jx.max(initial=0)))[jx]
+    fac = jx.reshape((-1,) + (1,) * np.ndim(xi))
+    return out * (fac * _pow_table(xi, int(jx.max(initial=1)) - 1)[np.maximum(jx - 1, 0)])
+
+
 def eval_poly_many(p: ScaledPolynomial, xs, ts, deriv: MultiIndex | None = None) -> np.ndarray:
     """Vectorized D^deriv p at points; xs is (n,) for d = 1, (n, d) otherwise."""
     if deriv is None:

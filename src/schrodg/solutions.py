@@ -64,6 +64,7 @@ class ExpSolutionND:
 
 
 SQUARE_WELL_AMPLITUDE = math.sqrt(30.0)
+SERIES_BLOCK = 32  # points per block: 32 x 250 modes x 16 B = 128 kB per temporary
 
 
 def square_well_initial(x):
@@ -88,24 +89,29 @@ class SquareWellSeries:
     def _modes(self) -> np.ndarray:
         return 2.0 * np.arange(self.n_trunc) + 1.0
 
-    def value(self, x, t):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        x, t = np.broadcast_arrays(x, t)
+    def _sum(self, x, t, dx: bool) -> np.ndarray:
+        # Sums over the modes a block of points at a time, so the temporaries
+        # stay at SERIES_BLOCK x n_trunc whatever the number of points.
+        x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                                   np.atleast_1d(np.asarray(t, dtype=float)))
         n = self._modes()
         amp = SQUARE_WELL_AMPLITUDE * (2.0 / math.pi) ** 3 / n ** 3
-        phase = np.exp(-0.5j * np.pi ** 2 * np.outer(t, n * n))
-        vals = (np.sin(np.pi * np.outer(x, n)) * phase) @ amp
-        return vals
+        if dx:
+            amp = amp * (np.pi * n)
+        wave = np.cos if dx else np.sin
+        xf, tf = x.reshape(-1), t.reshape(-1)
+        out = np.empty(xf.shape, dtype=complex)
+        for i in range(0, xf.size, SERIES_BLOCK):
+            xb, tb = xf[i:i + SERIES_BLOCK], tf[i:i + SERIES_BLOCK]
+            phase = np.exp(-0.5j * np.pi ** 2 * np.outer(tb, n * n))
+            out[i:i + SERIES_BLOCK] = (wave(np.pi * np.outer(xb, n)) * phase) @ amp
+        return out.reshape(x.shape)
+
+    def value(self, x, t):
+        return self._sum(x, t, dx=False)
 
     def dx(self, x, t):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        x, t = np.broadcast_arrays(x, t)
-        n = self._modes()
-        amp = SQUARE_WELL_AMPLITUDE * (2.0 / math.pi) ** 3 / n ** 3 * (np.pi * n)
-        phase = np.exp(-0.5j * np.pi ** 2 * np.outer(t, n * n))
-        return (np.cos(np.pi * np.outer(x, n)) * phase) @ amp
+        return self._sum(x, t, dx=True)
 
 
 def series_eval(sol: SquareWellSeries, point, deriv: int = 0):

@@ -208,3 +208,81 @@ def test_global_size_cap():
     mesh = build_cartesian_mesh(DOM, 40, 40)
     with pytest.raises(ValueError):
         assemble_global(mesh, SpaceKind.trefftz(2), constant_data(1.0))
+
+
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.full_poly(2)], ids=str)
+def test_non_uniform_mesh_march_matches_global(space):
+    from tests.conftest import perturbed_mesh
+
+    mesh = perturbed_mesh()
+    assert not mesh.is_uniform
+    data = solution_data(ExpSolution(5.0))
+    assert rel_coeff_diff(march(mesh, space, data), solve_global(mesh, space, data)) <= 1e-10
+
+
+def test_nan_initial_datum_fails_on_slab_0():
+    from schrodg.assembly import SlabSolveError
+
+    mesh = build_cartesian_mesh(DOM, 3, 4)
+    data = BoundaryData(psi0=lambda x: np.full(np.shape(x), np.nan, dtype=complex),
+                        g_D=lambda x, t: np.ones(np.shape(x), dtype=complex))
+    with pytest.raises(SlabSolveError, match="non-finite") as exc:
+        march(mesh, SpaceKind.trefftz(1), data)
+    assert exc.value.slab == 0
+
+
+def test_nan_dirichlet_datum_fails_on_first_slab_past_it():
+    from schrodg.assembly import SlabSolveError
+
+    mesh = build_cartesian_mesh(DOM, 3, 4)  # slabs of 0.25: slab 2 is the first past 0.5
+    data = BoundaryData(psi0=lambda x: np.ones(np.shape(x), dtype=complex),
+                        g_D=lambda x, t: np.where(t > 0.5, np.nan, 1.0) + 0j)
+    with pytest.raises(SlabSolveError, match="non-finite") as exc:
+        march(mesh, SpaceKind.trefftz(1), data)
+    assert exc.value.slab == 2
+
+
+BATCH_SPACES = [SpaceKind.trefftz(2, "a"), SpaceKind.trefftz(2, "b"),
+                SpaceKind.quasi_trefftz(2), SpaceKind.full_poly(2), SpaceKind.plane_wave(2)]
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES, ids=str)
+def test_batched_solution_matches_per_element_calls(space):
+    from schrodg.basis import element_basis, eval_basis_many
+    from schrodg.poly import mi
+    from tests.conftest import perturbed_mesh
+
+    mesh = perturbed_mesh()  # two element sizes, so two coefficient tables
+    rng = np.random.default_rng(5)
+    sol = DiscreteSolution(mesh, space)
+    d = space.dim(1)
+    sol.set_coeffs(np.arange(mesh.n_elements),
+                   rng.standard_normal((mesh.n_elements, d))
+                   + 1j * rng.standard_normal((mesh.n_elements, d)))
+    eids = np.array([0, 5, 5, 9, 15, 3])
+    lo = np.array([[mesh.elements[e].x_range[0], mesh.elements[e].t_range[0]] for e in eids])
+    X, T = (lo[:, k:k + 1] + 0.25 * rng.random((len(eids), 7)) for k in (0, 1))
+    for method, deriv in (("value", None), ("dx", mi(1, 0))):
+        batched = getattr(sol, method)(eids, X, T)
+        assert batched.shape == X.shape
+        for f, e in enumerate(eids):
+            el = mesh.elements[e]
+            scalar = getattr(sol, method)(int(e), X[f], T[f])
+            funcs = element_basis(space, el.center, (el.h_x, el.h_t)).functions
+            ref = sum(c * eval_basis_many(fn, X[f], T[f], deriv)
+                      for c, fn in zip(sol.coeffs[e], funcs))
+            scale = np.max(np.abs(ref))
+            assert scalar.shape == X[f].shape
+            assert np.max(np.abs(batched[f] - scalar)) <= 1e-13 * scale
+            assert np.max(np.abs(batched[f] - ref)) <= 1e-13 * scale
+
+
+def test_element_without_coefficients_raises():
+    mesh = build_cartesian_mesh(DOM, 2, 2)
+    sol = DiscreteSolution(mesh, SpaceKind.trefftz(1))
+    sol.set_coeffs([0, 1], np.ones((2, 3)))
+    assert sol.value(np.array([0, 1]), np.full((2, 1), 0.25), 0.1).shape == (2, 1)
+    with pytest.raises(ValueError, match="element 2"):
+        sol.value(np.array([1, 2]), np.full((2, 1), 0.25), 0.6)
+    with pytest.raises(ValueError, match="element 3"):
+        sol.dx(3, 0.75, 0.6)

@@ -17,6 +17,13 @@ def test_config_requires_two_levels():
         ExperimentConfig("conv-h", levels=1)
 
 
+@pytest.mark.parametrize("experiment, levels, minimum",
+                         [("conv-p", 0, 1), ("verify-basis", 0, 1), ("conv-h", 1, 2)])
+def test_config_message_names_the_minimum(experiment, levels, minimum):
+    with pytest.raises(ValueError, match=f"levels must be >= {minimum} for {experiment}"):
+        ExperimentConfig(experiment, levels=levels)
+
+
 def test_conv_h_constant_data_exact():
     cfg = ExperimentConfig("conv-h", space=SpaceKind.trefftz(1), levels=2,
                            constant_data=True)
@@ -155,3 +162,34 @@ def test_cli_singular_writes_per_space(tmp_path):
     assert main(["singular", "--p", "1", "--levels", "2", "--out", str(out)]) == 0
     for family in ("trefftz", "quasi-trefftz", "full", "planewave"):
         assert (tmp_path / f"sing_{family}.csv").exists()
+
+
+def test_cli_nan_initial_datum_exits_2(tmp_path, capsys):
+    assert main(["conv-h", "--levels", "2", "--kappa", "nan",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "slab 0: non-finite" in capsys.readouterr().err
+
+
+def test_cli_nan_dirichlet_datum_exits_2(tmp_path, capsys, monkeypatch):
+    import schrodg.experiments
+    from schrodg.assembly import BoundaryData
+
+    def nan_after_half(sol):
+        return BoundaryData(psi0=lambda x: sol.value(x, 0.0),
+                            g_D=lambda x, t: np.where(t > 0.5, np.nan, sol.value(x, t)))
+
+    monkeypatch.setattr(schrodg.experiments, "solution_data", nan_after_half)
+    assert main(["conv-h", "--levels", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "slab 5: non-finite" in capsys.readouterr().err  # h_t = 0.1
+
+
+def test_cli_linalg_error_exits_2(tmp_path, capsys, monkeypatch):
+    import schrodg.experiments
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("LU did not converge")
+
+    monkeypatch.setattr(schrodg.experiments, "march", broken)
+    assert main(["conv-h", "--levels", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "solver failure" in err and "Traceback" not in err

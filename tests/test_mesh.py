@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from schrodg.mesh import (FacetKind, FacetRole, SpaceTimeDomain, build_cartesian_mesh,
@@ -144,3 +145,32 @@ def test_summary_json():
     assert data["n_slabs"] == 3
     assert data["facet_counts"]["time_interior"] == 3
     assert data["lqu"] == pytest.approx(1.0)
+
+
+def test_exact_spacing_gives_one_element_size():
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 80, 80)
+    assert {(el.h_x, el.h_t) for el in mesh.elements} == {(1.0 / 80, 1.0 / 80)}
+    assert mesh.is_uniform
+
+
+def test_is_uniform_is_derived_from_element_sizes():
+    from tests.conftest import perturbed_mesh
+
+    assert not perturbed_mesh().is_uniform
+
+
+def test_facet_arrays_cover_every_facet_once():
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 3, 4)
+    seen = Counter()
+    for kind in FacetKind:
+        for slab in range(mesh.n_slabs):
+            fa = mesh.facet_arrays(kind, slab)
+            if fa is None:
+                continue
+            assert all(mesh.elements[e].slab == slab for e in fa.owner)
+            seen[kind] += len(fa.owner)
+    assert seen == kind_counts(mesh)
+    X, T, W = mesh.facet_arrays(FacetKind.TIME_INTERIOR, 2).quadrature(5)
+    assert X.shape == T.shape == W.shape == (2, 5)
+    assert np.allclose(X, [[1 / 3], [2 / 3]]) and np.all((0.5 < T) & (T < 0.75))
+    assert np.allclose(W.sum(axis=1), 0.25)

@@ -5,12 +5,13 @@ import pytest
 
 from schrodg.assembly import element_bases, march, solution_data, DiscreteSolution
 from schrodg.basis import SpaceKind
-from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
                            dg_norm, dg_plus_norm, exact_field, l2_slice_error)
 from schrodg.poly import extended_taylor_poly
 from schrodg.solutions import ExpSolution
-from tests.conftest import constant_field
+from schrodg.quadrature import mapped_interval
+from tests.conftest import constant_field, perturbed_mesh
 
 DOM = SpaceTimeDomain(0.0, 1.0, 1.0)
 
@@ -103,9 +104,11 @@ def test_l2_slice_uses_earlier_trace_at_interfaces():
 
     class SlabIndicator:
         def value(self, eid, xs, ts):
-            v = float(mesh.elements[eid].slab)
-            return np.full(np.broadcast(np.asarray(xs), np.asarray(ts)).shape, v,
-                           dtype=complex)
+            # eid is an id, or an id array (nF,) with points (nF, nq)
+            v = np.array([el.slab for el in mesh.elements], dtype=complex)[eid]
+            if np.ndim(v):
+                v = v[:, None]
+            return np.broadcast_to(v, np.broadcast(np.asarray(xs), np.asarray(ts)).shape)
 
         def dx(self, eid, xs, ts):
             return np.zeros(np.broadcast(np.asarray(xs), np.asarray(ts)).shape,
@@ -125,3 +128,61 @@ def test_dg_error_of_smooth_solve_decreases():
         dsol = march(mesh, SpaceKind.trefftz(1), data)
         errs.append(dg_norm(DifferenceField(exact_field(sol), dsol), mesh))
     assert errs[0] > errs[1] > errs[2]
+
+
+def _wsum_sq(wq, z):
+    z = np.asarray(z)
+    return float(np.sum(wq * np.abs(z) ** 2))
+
+
+def per_facet_norms(field, mesh, n):
+    """(dg, dg+) by a walk over single facets with scalar element ids."""
+    s_dg = s_plus = 0.0
+    for f in mesh.facets:
+        if f.kind.is_horizontal:
+            xq, wq = mapped_interval(f.span[0], f.span[1], n)
+            if f.kind is FacetKind.SPACE_INTERIOR:
+                wm = field.value(f.below, xq, f.fixed)
+                s_dg += _wsum_sq(wq, wm - field.value(f.above, xq, f.fixed))
+                s_plus += _wsum_sq(wq, wm)
+            else:
+                s_dg += _wsum_sq(wq, field.value(f.owner, xq, f.fixed))
+            continue
+        tq, wq = mapped_interval(f.span[0], f.span[1], n)
+        if f.kind is FacetKind.TIME_INTERIOR:
+            v1, v2 = field.value(f.left, f.fixed, tq), field.value(f.right, f.fixed, tq)
+            g1, g2 = field.dx(f.left, f.fixed, tq), field.dx(f.right, f.fixed, tq)
+            s_dg += f.alpha * _wsum_sq(wq, v1 - v2) + f.beta * _wsum_sq(wq, g1 - g2)
+            s_plus += (_wsum_sq(wq, 0.5 * (g1 + g2)) / f.alpha
+                       + _wsum_sq(wq, 0.5 * (v1 + v2)) / f.beta)
+        else:
+            s_dg += f.alpha * _wsum_sq(wq, field.value(f.owner, f.fixed, tq))
+            s_plus += _wsum_sq(wq, field.dx(f.owner, f.fixed, tq)) / f.alpha
+    return math.sqrt(0.5 * s_dg), math.sqrt(0.5 * (s_dg + s_plus))
+
+
+def _field(kind, mesh):
+    sol = ExpSolution(3.0)
+    if kind == "closed":
+        return exact_field(sol)
+    if kind == "piecewise":
+        return PiecewisePolyField([extended_taylor_poly(sol.derivative, 2, el.center,
+                                                        (el.h_x, el.h_t))
+                                   for el in mesh.elements])
+    rng = np.random.default_rng(8)
+    space = SpaceKind.trefftz(2)
+    dsol = DiscreteSolution(mesh, space)
+    shape = (mesh.n_elements, space.dim(1))
+    dsol.set_coeffs(np.arange(mesh.n_elements),
+                    rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return dsol
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["uniform", "perturbed"])
+@pytest.mark.parametrize("kind", ["discrete", "piecewise", "closed"])
+def test_norms_match_per_facet_walk(kind, perturbed):
+    mesh = perturbed_mesh(5, 4) if perturbed else build_cartesian_mesh(DOM, 5, 4)
+    field = _field(kind, mesh)
+    ref_dg, ref_plus = per_facet_norms(field, mesh, 12)
+    assert dg_norm(field, mesh, n=12) == pytest.approx(ref_dg, rel=1e-12)
+    assert dg_plus_norm(field, mesh, n=12) == pytest.approx(ref_plus, rel=1e-12)

@@ -102,3 +102,19 @@ def test_series_spatial_derivative():
 def test_series_rejects_higher_derivatives():
     with pytest.raises(ValueError):
         series_eval(SquareWellSeries(10), (0.5, 0.0), deriv=2)
+
+
+@pytest.mark.parametrize("method", ["value", "dx"])
+def test_series_keeps_the_input_shape(method):
+    # 2-D input, more points than one evaluation block
+    series = SquareWellSeries(250)
+    rng = np.random.default_rng(3)
+    x, t = rng.random((3, 50)), 0.1 * rng.random((3, 50))
+    out = getattr(series, method)(x, t)
+    assert out.shape == (3, 50)
+    flat = getattr(series, method)(x.ravel(), t.ravel())
+    assert flat.shape == (150,)
+    assert np.array_equal(out.ravel(), flat)
+    row = getattr(series, method)(x[1], t[1])
+    assert np.max(np.abs(row - out[1])) <= 1e-15 * np.max(np.abs(row))
+    assert getattr(series, method)(x[:, :1], 0.05).shape == (3, 1)
