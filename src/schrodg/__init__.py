@@ -1,16 +1,13 @@
 """Space-time ultra-weak Trefftz DG solver for the free Schrodinger equation."""
 
-from .assembly import (BoundaryData, DiscreteSolution, SlabSolveError, SlabSystem,
-                       apply_form_to_field, assemble_global, assemble_slab,
-                       constant_data, element_bases, export_matrix_market, march,
+from .assembly import (BoundaryData, DiscreteSolution, SlabSolveError, apply_form_to_field,
+                       assemble_global, constant_data, element_bases, march,
                        solution_data, solve_global)
 from .basis import (ElementBasis, MeshBasis, SpaceKind, Wave, element_basis, eval_basis,
                     eval_basis_many, full_poly_basis, plane_wave_basis,
                     quasi_trefftz_basis, trefftz_basis)
 from .linalg import SingularMatrixError, cond2, solve_lu
-from .mesh import (Element, Facet, FacetKind, FacetRole, Mesh, SpaceTimeDomain,
-                   build_cartesian_mesh, facets_of, local_quasi_uniformity,
-                   mesh_summary, mesh_summary_json)
+from .mesh import Element, FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
 from .norms import (ClosedFormField, DifferenceField, PiecewisePolyField, dg_norm,
                     dg_plus_norm, exact_field, l2_slice_error)
 from .poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, eval_poly,

@@ -31,11 +31,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .basis import ElementBasis, MeshBasis, SpaceKind, element_basis
-from .linalg import FactoredMatrix, SingularMatrixError, cond2
+from .linalg import COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2
 from .mesh import FacetKind, Mesh
 from .norms import field_points
 from .quadrature import (data_rule_size, mapped_interval, mapped_intervals, poly_rule_size,
@@ -73,24 +71,6 @@ class SlabSolveError(RuntimeError):
         self.cond_estimate = cond_estimate
 
 
-@dataclass(frozen=True)
-class SlabSystem:
-    slab: int
-    matrix: np.ndarray
-    rhs: np.ndarray
-    dof_map: dict[tuple[int, int], int]
-    element_ids: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def export_matrix_market(matrix: np.ndarray, path) -> None:
-    """Write a dense complex matrix in Matrix Market coordinate format."""
-    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(matrix))
-
-
 class DiscreteSolution:
     """Coefficients of a discrete space on every element, one (n_elements, dim) array.
 
@@ -112,13 +92,6 @@ class DiscreteSolution:
         self.coeffs[eid] = vec
         self._known[eid] = True
 
-    def has_slab(self, slab: int) -> bool:
-        return bool(np.all(self._known[list(self.mesh.slab_elements[slab])]))
-
-    @property
-    def is_complete(self) -> bool:
-        return bool(np.all(self._known))
-
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
         eids, X, T, shape = field_points(eid, xs, ts)
         missing = eids[~self._known[eids]]
@@ -135,8 +108,9 @@ class DiscreteSolution:
 
 def element_bases(mesh: Mesh, space: SpaceKind) -> list[ElementBasis]:
     """Local bases for every element (coefficient maps shared across congruent ones)."""
-    return [element_basis(space, el.center, (el.h_x, el.h_t), el.id)
-            for el in mesh.elements]
+    arrays = mesh.element_arrays
+    return [element_basis(space, tuple(center), tuple(h), eid) for eid, (center, h)
+            in enumerate(zip(arrays.center.tolist(), arrays.h.tolist()))]
 
 
 def _rule_sizes(space: SpaceKind, n_quad: int | None) -> tuple[int, int]:
@@ -246,31 +220,6 @@ def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
     return rhs.reshape(-1)
 
 
-def assemble_slab(mesh: Mesh, slab: int, space: SpaceKind, data: BoundaryData,
-                  below: DiscreteSolution | None = None,
-                  n_quad: int | None = None) -> SlabSystem:
-    """Matrix and right-hand side for one time slab.
-
-    ``below`` must be the solved solution covering slab - 1, or None on the
-    first slab (the initial datum is used instead).
-    """
-    if not 0 <= slab < mesh.n_slabs:
-        raise ValueError(f"invalid slab {slab}")
-    if slab == 0:
-        if below is not None:
-            raise ValueError("slab 0 takes its trace from the initial datum, not a solution")
-    else:
-        if below is None or not below.has_slab(slab - 1):
-            raise ValueError(f"below-solution does not cover slab {slab - 1}")
-    basis = below.basis if below is not None else MeshBasis(mesh, space)
-    n_poly, n_data = _rule_sizes(space, n_quad)
-    M = _slab_matrix(mesh, slab, basis, n_poly, n_data)
-    rhs = _slab_rhs(mesh, slab, basis, data, below, n_data)
-    elems = mesh.slab_elements[slab]
-    dof_map = {(e, i): k * basis.dim + i for k, e in enumerate(elems) for i in range(basis.dim)}
-    return SlabSystem(slab, M, rhs, dof_map, elems)
-
-
 def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
           n_quad: int | None = None, max_cond: float | None = None) -> DiscreteSolution:
     """Solve slab systems in time order, feeding each top trace downstream.
@@ -290,7 +239,7 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     for slab in range(mesh.n_slabs):
         if factor is None or not reuse:
             M = _slab_matrix(mesh, slab, sol.basis, n_poly, n_data)
-            if max_cond is not None and M.shape[0] <= 2000:
+            if max_cond is not None and M.shape[0] <= COND_MAX_N:
                 c = cond2(M)
                 if not np.isfinite(c) or c > max_cond:
                     raise SlabSolveError(slab, c)
@@ -313,19 +262,34 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
 GLOBAL_DOF_CAP = 5000
 
 
+def _facets(mesh: Mesh):
+    """Every facet as (kind, its FacetArrays, its row), kind by kind and slab by slab."""
+    for kind in FacetKind:
+        for slab in range(mesh.n_slabs):
+            fa = mesh.facet_arrays(kind, slab)
+            for r in range(0 if fa is None else len(fa.owner)):
+                yield kind, fa, r
+
+
 def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.ndarray]:
     """Values and x-derivatives (dim, nq) of element ``eid``'s basis at the points xs, ts."""
     v, g = basis.traces([eid], np.atleast_1d(xs)[None], np.atleast_1d(ts)[None])
     return v[0], g[0]
 
 
-def _add_time_facet(M, facet, basis, n_facet):
-    tq, wq = mapped_interval(facet.span[0], facet.span[1], n_facet)
+def _element_rule(mesh: Mesh, eid: int, n: int):
+    """`rect_rule` on element ``eid``: points xg, tg and weights wg."""
+    arrays = mesh.element_arrays
+    return rect_rule(tuple(arrays.x_range[eid].tolist()), tuple(arrays.t_range[eid].tolist()), n)
+
+
+def _add_time_facet(M, fa, r, basis, n_facet):
+    tq, wq = mapped_interval(fa.lo[r], fa.hi[r], n_facet)
     sides = []
-    for e, nrm in ((facet.left, 1.0), (facet.right, -1.0)):
-        v, g = _element_traces(basis, e, facet.fixed, tq)
+    for e, nrm in ((int(fa.left[r]), 1.0), (int(fa.right[r]), -1.0)):
+        v, g = _element_traces(basis, e, fa.fixed[r], tq)
         sides.append((e * basis.dim, v, g, nrm))
-    al, be = facet.alpha, facet.beta
+    al, be = fa.alpha[r], fa.beta[r]
     for oa, va, ga, na in sides:
         vaw = va.conj() * wq
         gaw = ga.conj() * wq
@@ -337,18 +301,18 @@ def _add_time_facet(M, facet, basis, n_facet):
             M[oa:oa + va.shape[0], ob:ob + vb.shape[0]] += block
 
 
-def _add_dirichlet_matrix(M, facet, basis, n_facet):
-    tq, wq = mapped_interval(facet.span[0], facet.span[1], n_facet)
-    e = facet.owner
-    v, g = _element_traces(basis, e, facet.fixed, tq)
+def _add_dirichlet_matrix(M, fa, r, basis, n_facet):
+    tq, wq = mapped_interval(fa.lo[r], fa.hi[r], n_facet)
+    e = int(fa.owner[r])
+    v, g = _element_traces(basis, e, fa.fixed[r], tq)
     vaw = v.conj() * wq
     off, d = e * basis.dim, basis.dim
-    M[off:off + d, off:off + d] += 0.5 * (facet.normal_sign * (vaw @ g.T)
-                                          + 1j * facet.alpha * (vaw @ v.T))
+    M[off:off + d, off:off + d] += 0.5 * (fa.normal_sign[r] * (vaw @ g.T)
+                                          + 1j * fa.alpha[r] * (vaw @ v.T))
 
 
 def _add_volume(M, mesh, eid, basis, n_vol):
-    xg, tg, wg = rect_rule(mesh.elements[eid].x_range, mesh.elements[eid].t_range, n_vol)
+    xg, tg, wg = _element_rule(mesh, eid, n_vol)
     v = basis.values([eid], xg[None], tg[None])[0]
     sv = basis.operator_image([eid], xg[None], tg[None])[0]
     off, d = eid * basis.dim, basis.dim
@@ -372,34 +336,35 @@ def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     M = np.zeros((n, n), dtype=complex)
     rhs = np.zeros(n, dtype=complex)
 
-    for f in mesh.facets:
-        if f.kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):
-            e = f.below
-            xq, wq = mapped_interval(f.span[0], f.span[1], n_facet)
-            v = _element_traces(basis, e, xq, f.fixed)[0]
+    for kind, fa, r in _facets(mesh):
+        lo, hi, fixed = fa.lo[r], fa.hi[r], fa.fixed[r]
+        if kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):
+            e = int(fa.below[r])
+            xq, wq = mapped_interval(lo, hi, n_facet)
+            v = _element_traces(basis, e, xq, fixed)[0]
             oe = e * d
             M[oe:oe + d, oe:oe + d] += 1j * ((v.conj() * wq) @ v.T)
-            if f.kind is FacetKind.SPACE_INTERIOR:
-                ou = f.above * d
-                vu = _element_traces(basis, f.above, xq, f.fixed)[0]
-                M[ou:ou + d, oe:oe + d] -= 1j * ((vu.conj() * wq) @ v.T)
-        elif f.kind is FacetKind.INITIAL:
-            e = f.above
-            xq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-            v = _element_traces(basis, e, xq, f.fixed)[0]
+            if kind is FacetKind.SPACE_INTERIOR:
+                up = int(fa.above[r])
+                vu = _element_traces(basis, up, xq, fixed)[0]
+                M[up * d:(up + 1) * d, oe:oe + d] -= 1j * ((vu.conj() * wq) @ v.T)
+        elif kind is FacetKind.INITIAL:
+            e = int(fa.above[r])
+            xq, wq = mapped_interval(lo, hi, n_data)
+            v = _element_traces(basis, e, xq, fixed)[0]
             vals = np.asarray(data.psi0(xq), dtype=complex)
             rhs[e * d:(e + 1) * d] += 1j * ((v.conj() * wq) @ vals)
-        elif f.kind is FacetKind.TIME_INTERIOR:
-            _add_time_facet(M, f, basis, n_facet)
-        elif f.kind is FacetKind.DIRICHLET:
-            e = f.owner
-            _add_dirichlet_matrix(M, f, basis, n_facet)
-            tq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-            v, g = _element_traces(basis, e, f.fixed, tq)
-            gv = np.asarray(data.g_D(np.full_like(tq, f.fixed), tq), dtype=complex)
+        elif kind is FacetKind.TIME_INTERIOR:
+            _add_time_facet(M, fa, r, basis, n_facet)
+        elif kind is FacetKind.DIRICHLET:
+            e = int(fa.owner[r])
+            _add_dirichlet_matrix(M, fa, r, basis, n_facet)
+            tq, wq = mapped_interval(lo, hi, n_data)
+            v, g = _element_traces(basis, e, fixed, tq)
+            gv = np.asarray(data.g_D(np.full_like(tq, fixed), tq), dtype=complex)
             rhs[e * d:(e + 1) * d] += 0.5 * (
-                f.normal_sign * ((g.conj() * wq) @ gv)
-                + 1j * f.alpha * ((v.conj() * wq) @ gv))
+                fa.normal_sign[r] * ((g.conj() * wq) @ gv)
+                + 1j * fa.alpha[r] * ((v.conj() * wq) @ gv))
 
     if space.needs_volume_term:
         for e in range(mesh.n_elements):
@@ -431,54 +396,48 @@ def apply_form_to_field(mesh: Mesh, space: SpaceKind, field,
     _, n_data = _rule_sizes(space, n_quad)
     out = np.zeros(mesh.n_elements * d, dtype=complex)
 
-    for f in mesh.facets:
-        if f.kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):
-            xq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-            fm = np.asarray(field.value(f.below, xq, f.fixed), dtype=complex)
-            e = f.below
-            v = _element_traces(basis, e, xq, f.fixed)[0]
+    for kind, fa, r in _facets(mesh):
+        lo, hi, fixed = fa.lo[r], fa.hi[r], fa.fixed[r]
+        if kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):
+            e = int(fa.below[r])
+            xq, wq = mapped_interval(lo, hi, n_data)
+            fm = np.asarray(field.value(e, xq, fixed), dtype=complex)
+            v = _element_traces(basis, e, xq, fixed)[0]
             out[e * d:(e + 1) * d] += 1j * ((v.conj() * wq) @ fm)
-            if f.kind is FacetKind.SPACE_INTERIOR:
-                up = f.above
-                vu = _element_traces(basis, up, xq, f.fixed)[0]
+            if kind is FacetKind.SPACE_INTERIOR:
+                up = int(fa.above[r])
+                vu = _element_traces(basis, up, xq, fixed)[0]
                 out[up * d:(up + 1) * d] -= 1j * ((vu.conj() * wq) @ fm)
-        elif f.kind is FacetKind.TIME_INTERIOR:
-            tq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-            v1 = np.asarray(field.value(f.left, f.fixed, tq), dtype=complex)
-            v2 = np.asarray(field.value(f.right, f.fixed, tq), dtype=complex)
-            g1 = np.asarray(field.dx(f.left, f.fixed, tq), dtype=complex)
-            g2 = np.asarray(field.dx(f.right, f.fixed, tq), dtype=complex)
+        elif kind is FacetKind.TIME_INTERIOR:
+            left, right = int(fa.left[r]), int(fa.right[r])
+            tq, wq = mapped_interval(lo, hi, n_data)
+            v1 = np.asarray(field.value(left, fixed, tq), dtype=complex)
+            v2 = np.asarray(field.value(right, fixed, tq), dtype=complex)
+            g1 = np.asarray(field.dx(left, fixed, tq), dtype=complex)
+            g2 = np.asarray(field.dx(right, fixed, tq), dtype=complex)
             avg_g, jump_v = 0.5 * (g1 + g2), v1 - v2
             avg_v, jump_g = 0.5 * (v1 + v2), g1 - g2
-            for e, na in ((f.left, 1.0), (f.right, -1.0)):
-                v, g = _element_traces(basis, e, f.fixed, tq)
+            for e, na in ((left, 1.0), (right, -1.0)):
+                v, g = _element_traces(basis, e, fixed, tq)
                 contrib = 0.5 * (na * ((v.conj() * wq) @ avg_g)
-                                 + 1j * f.alpha * na * ((v.conj() * wq) @ jump_v)
+                                 + 1j * fa.alpha[r] * na * ((v.conj() * wq) @ jump_v)
                                  - na * ((g.conj() * wq) @ avg_v)
-                                 + 1j * f.beta * na * ((g.conj() * wq) @ jump_g))
+                                 + 1j * fa.beta[r] * na * ((g.conj() * wq) @ jump_g))
                 out[e * d:(e + 1) * d] += contrib
-        elif f.kind is FacetKind.DIRICHLET:
-            e = f.owner
-            tq, wq = mapped_interval(f.span[0], f.span[1], n_data)
-            fv = np.asarray(field.value(e, f.fixed, tq), dtype=complex)
-            fg = np.asarray(field.dx(e, f.fixed, tq), dtype=complex)
-            v = _element_traces(basis, e, f.fixed, tq)[0]
-            flux = f.normal_sign * fg + 1j * f.alpha * fv
+        elif kind is FacetKind.DIRICHLET:
+            e = int(fa.owner[r])
+            tq, wq = mapped_interval(lo, hi, n_data)
+            fv = np.asarray(field.value(e, fixed, tq), dtype=complex)
+            fg = np.asarray(field.dx(e, fixed, tq), dtype=complex)
+            v = _element_traces(basis, e, fixed, tq)[0]
+            flux = fa.normal_sign[r] * fg + 1j * fa.alpha[r] * fv
             out[e * d:(e + 1) * d] += 0.5 * ((v.conj() * wq) @ flux)
 
     if space.needs_volume_term:
         for e in range(mesh.n_elements):
-            el = mesh.elements[e]
-            xg, tg, wg = rect_rule(el.x_range, el.t_range, n_data)
+            xg, tg, wg = _element_rule(mesh, e, n_data)
             fv = np.asarray(field.value(e, xg, tg), dtype=complex)
             sv = basis.operator_image([e], xg[None], tg[None])[0]
             out[e * d:(e + 1) * d] += (sv.conj() * wg) @ fv
 
     return out
-
-
-def assemble_functional(mesh: Mesh, space: SpaceKind, data: BoundaryData,
-                        n_quad: int | None = None) -> np.ndarray:
-    """l(phi_a) for every global test dof."""
-    _, rhs, _ = assemble_global(mesh, space, data, n_quad)
-    return rhs

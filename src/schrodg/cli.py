@@ -142,6 +142,9 @@ def main(argv=None) -> int:
     except (SlabSolveError, OracleMismatchError) as exc:
         print(f"schrodg: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError:
+        print("schrodg: solver failure: out of memory", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (BoundaryData, SlabSolveError, constant_data, march, solution_data,
-                       solve_global, _slab_matrix, _rule_sizes)
+from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_data, march,
+                       solution_data, solve_global, _slab_matrix, _rule_sizes)
 from .basis import MeshBasis, SpaceKind, trefftz_basis
-from .linalg import cond2
+from .linalg import COND_MAX_N, cond2
 from .mesh import SpaceTimeDomain, build_cartesian_mesh
 from .norms import ClosedFormField, DifferenceField, dg_norm, exact_field
 from .poly import apply_schrodinger, eval_poly_many, poly_combination
@@ -121,7 +121,7 @@ def _total_dofs(mesh, space: SpaceKind) -> int:
 def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False,
                      max_cond=None) -> float:
     sol = march(mesh, space, data, n_quad=quad_n, max_cond=max_cond)
-    if global_oracle and _total_dofs(mesh, space) <= 5000:
+    if global_oracle and _total_dofs(mesh, space) <= GLOBAL_DOF_CAP:
         ref = solve_global(mesh, space, data, n_quad=quad_n)
         num = float(np.linalg.norm(sol.coeffs - ref.coeffs))
         den = float(np.linalg.norm(ref.coeffs))
@@ -171,7 +171,7 @@ def run_conv_p(config: ExperimentConfig) -> list[ConvergenceRow]:
         cond = None
         n_poly, n_data = _rule_sizes(space, config.quad_n)
         M = _slab_matrix(mesh, 0, MeshBasis(mesh, space), n_poly, n_data)
-        if M.shape[0] <= 2000:
+        if M.shape[0] <= COND_MAX_N:
             cond = cond2(M)
         rows.append(ConvergenceRow(p, 0.1, 0.1, _total_dofs(mesh, space), err,
                                    _rate(prev, err), cond))
@@ -193,7 +193,7 @@ def run_conditioning(config: ExperimentConfig) -> dict:
             mesh = build_cartesian_mesh(SMOOTH_DOMAIN, n, n)
             n_poly, n_data = _rule_sizes(space, config.quad_n)
             M = _slab_matrix(mesh, 0, MeshBasis(mesh, space), n_poly, n_data)
-            cond = cond2(M) if M.shape[0] <= 2000 else None
+            cond = cond2(M) if M.shape[0] <= COND_MAX_N else None
             rows.append(ConvergenceRow(j, SMOOTH_DOMAIN.width / n,
                                        SMOOTH_DOMAIN.t_final / n,
                                        _total_dofs(mesh, space), None,

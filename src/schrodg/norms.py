@@ -170,8 +170,9 @@ def l2_slice_error(field, t: float, mesh: Mesh, n: int = 20) -> float:
     if not 0.0 <= t <= mesh.domain.t_final:
         raise ValueError("t outside the time interval")
     slab = 0
+    t_range = mesh.element_arrays.t_range
     for s in range(mesh.n_slabs):
-        t0, t1 = mesh.elements[mesh.slab_elements[s][0]].t_range
+        t0, t1 = t_range[mesh.slab_elements[s][0]]
         if t0 < t <= t1 or (s == 0 and t <= t0):
             slab = s
             break

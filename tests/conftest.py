@@ -36,7 +36,6 @@ def perturbed_mesh(nx: int = 4, nt: int = 4):
     """A uniform mesh on the unit square whose element 1 of slab 1 has a 30% larger
     h_x, the scale of its local basis; facets and element ranges are unchanged."""
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, nt)
-    elements = list(mesh.elements)
-    el = elements[nx + 1]
-    elements[nx + 1] = dataclasses.replace(el, h_x=1.3 * el.h_x)
-    return dataclasses.replace(mesh, elements=tuple(elements))
+    h = mesh.element_arrays.h.copy()
+    h[nx + 1, 0] *= 1.3
+    return dataclasses.replace(mesh, element_arrays=mesh.element_arrays._replace(h=h))

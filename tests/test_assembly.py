@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.io
 
-from schrodg.assembly import (BoundaryData, DiscreteSolution, apply_form_to_field,
-                              assemble_global, assemble_slab, constant_data,
-                              element_bases, export_matrix_market, march,
-                              solution_data, solve_global)
-from schrodg.basis import SpaceKind
+from schrodg.assembly import (BoundaryData, DiscreteSolution, _rule_sizes, _slab_matrix,
+                              _slab_rhs, apply_form_to_field, assemble_global,
+                              constant_data, march, solution_data, solve_global)
+from schrodg.basis import MeshBasis, SpaceKind
 from schrodg.linalg import cond2
 from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import DifferenceField, dg_norm, exact_field
@@ -31,14 +29,22 @@ def rel_coeff_diff(a: DiscreteSolution, b: DiscreteSolution) -> float:
     return num / den
 
 
+def first_slab(mesh, space, data):
+    """Matrix and right-hand side of slab 0, built as march builds them."""
+    basis = MeshBasis(mesh, space)
+    n_poly, n_data = _rule_sizes(space, None)
+    return (_slab_matrix(mesh, 0, basis, n_poly, n_data),
+            _slab_rhs(mesh, 0, basis, data, None, n_data))
+
+
 def test_single_element_p0_matrix_and_rhs():
     # top facet contributes i, the two Dirichlet facets i/2 each
     mesh = build_cartesian_mesh(DOM, 1, 1)
-    sys0 = assemble_slab(mesh, 0, SpaceKind.trefftz(0), constant_data(1.0))
-    assert sys0.matrix.shape == (1, 1)
-    assert sys0.matrix[0, 0] == pytest.approx(2j, abs=1e-14)
-    assert sys0.rhs[0] == pytest.approx(2j, abs=1e-14)
-    assert sys0.dof_map == {(0, 0): 0}
+    matrix, rhs = first_slab(mesh, SpaceKind.trefftz(0), constant_data(1.0))
+    assert matrix.shape == (1, 1)
+    assert matrix[0, 0] == pytest.approx(2j, abs=1e-14)
+    assert rhs[0] == pytest.approx(2j, abs=1e-14)
+    assert assemble_global(mesh, SpaceKind.trefftz(0), constant_data(1.0))[2] == {(0, 0): 0}
 
 
 def test_single_element_p0_reproduces_constant():
@@ -58,10 +64,10 @@ def test_single_slab_global_equals_slab():
     mesh = build_cartesian_mesh(DOM, 1, 1)
     space = SpaceKind.trefftz(1)
     data = constant_data(1.0)
-    sys0 = assemble_slab(mesh, 0, space, data)
+    slab_matrix, slab_rhs = first_slab(mesh, space, data)
     m, rhs, _ = assemble_global(mesh, space, data)
-    assert np.allclose(sys0.matrix, m, atol=1e-14)
-    assert np.allclose(sys0.rhs, rhs, atol=1e-14)
+    assert np.allclose(slab_matrix, m, atol=1e-14)
+    assert np.allclose(slab_rhs, rhs, atol=1e-14)
 
 
 def test_two_slab_marching_matches_global_p0():
@@ -163,25 +169,10 @@ def test_coercivity_on_constant():
     assert np.imag(m[0, 0]) == pytest.approx(2.0, abs=1e-14)
 
 
-def test_slab_argument_validation():
-    mesh = build_cartesian_mesh(DOM, 2, 2)
-    space = SpaceKind.trefftz(1)
-    data = constant_data(1.0)
-    with pytest.raises(ValueError):
-        assemble_slab(mesh, 5, space, data)
-    with pytest.raises(ValueError):
-        assemble_slab(mesh, 1, space, data, below=None)
-    empty = DiscreteSolution(mesh, space, element_bases(mesh, space))
-    with pytest.raises(ValueError):
-        assemble_slab(mesh, 1, space, data, below=empty)
-    with pytest.raises(ValueError):
-        assemble_slab(mesh, 0, space, data, below=empty)
-
-
 def test_first_slab_cond_is_one_for_single_p0_element():
     mesh = build_cartesian_mesh(DOM, 1, 1)
-    sys0 = assemble_slab(mesh, 0, SpaceKind.trefftz(0), constant_data(1.0))
-    assert cond2(sys0.matrix) == pytest.approx(1.0)
+    matrix, _ = first_slab(mesh, SpaceKind.trefftz(0), constant_data(1.0))
+    assert cond2(matrix) == pytest.approx(1.0)
 
 
 def test_ill_conditioned_slab_is_flagged():
@@ -193,15 +184,6 @@ def test_ill_conditioned_slab_is_flagged():
         march(mesh, SpaceKind.plane_wave(2), data, max_cond=10.0)
     assert exc.value.slab == 0
     assert exc.value.cond_estimate > 10.0
-
-
-def test_matrix_market_round_trip(tmp_path):
-    mesh = build_cartesian_mesh(DOM, 2, 2)
-    sys0 = assemble_slab(mesh, 0, SpaceKind.trefftz(1), constant_data(1.0))
-    path = tmp_path / "slab0.mtx"
-    export_matrix_market(sys0.matrix, path)
-    back = scipy.io.mmread(path).toarray()
-    assert np.allclose(back, sys0.matrix, atol=1e-15)
 
 
 def test_global_size_cap():

@@ -193,3 +193,14 @@ def test_cli_linalg_error_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["conv-h", "--levels", "2", "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "solver failure" in err and "Traceback" not in err
+
+
+def test_cli_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    import schrodg.cli
+
+    def out_of_memory(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(schrodg.cli, "run_conv_h", out_of_memory)
+    assert main(["conv-h", "--levels", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "schrodg: solver failure: out of memory\n"

@@ -1,17 +1,31 @@
-import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from schrodg.mesh import (FacetKind, FacetRole, SpaceTimeDomain, build_cartesian_mesh,
-                          facets_of, local_quasi_uniformity, mesh_summary,
-                          mesh_summary_json)
+from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
+
+SIDES = ("below", "above", "left", "right")
+
+
+def facet_groups(mesh):
+    """(kind, slab, FacetArrays) for every kind and slab that has facets."""
+    return [(kind, slab, fa) for kind in FacetKind for slab in range(mesh.n_slabs)
+            if (fa := mesh.facet_arrays(kind, slab)) is not None]
 
 
 def kind_counts(mesh):
-    return Counter(f.kind for f in mesh.facets)
+    counts = Counter()
+    for kind, _, fa in facet_groups(mesh):
+        counts[kind] += len(fa.owner)
+    return counts
+
+
+def incidences(mesh, eid):
+    """(kind, side) for every facet of element ``eid``; side is the slot holding eid."""
+    return [(kind, side) for kind, _, fa in facet_groups(mesh) for side in SIDES
+            for e in getattr(fa, side) if e == eid]
 
 
 def test_domain_validation():
@@ -26,7 +40,7 @@ def test_single_element_taxonomy():
     assert mesh.n_elements == 1
     counts = kind_counts(mesh)
     assert counts == {FacetKind.INITIAL: 1, FacetKind.FINAL: 1, FacetKind.DIRICHLET: 2}
-    kinds = sorted(f.kind.value for f, _ in facets_of(mesh, 0))
+    kinds = sorted(kind.value for kind, _ in incidences(mesh, 0))
     assert kinds == ["dirichlet", "dirichlet", "final", "initial"]
 
 
@@ -39,40 +53,40 @@ def test_2x3_counts_by_enumeration():
     assert counts[FacetKind.DIRICHLET] == 6
     assert counts[FacetKind.INITIAL] == 2
     assert counts[FacetKind.FINAL] == 2
-    for f in mesh.facets:
-        if f.kind is FacetKind.TIME_INTERIOR:
-            assert f.fixed == pytest.approx(0.5)
+    for slab in range(mesh.n_slabs):
+        for fixed in mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab).fixed:
+            assert fixed == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_experiment_mesh_family_spacing(j):
     n = 10 * 2 ** j
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), n, n)
-    s = mesh_summary(mesh)
-    assert math.isclose(s["h_x"], 0.1 * 2.0 ** (-j), rel_tol=1e-15)
-    assert math.isclose(s["h_t"], 0.1 * 2.0 ** (-j), rel_tol=1e-15)
+    for h_x, h_t in mesh.element_arrays.h:
+        assert math.isclose(h_x, 0.1 * 2.0 ** (-j), rel_tol=1e-15)
+        assert math.isclose(h_t, 0.1 * 2.0 ** (-j), rel_tol=1e-15)
 
 
 def test_every_element_has_four_facets():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 3, 4)
-    for el in mesh.elements:
-        assert len(facets_of(mesh, el.id)) == 4
+    for eid in range(mesh.n_elements):
+        assert len(incidences(mesh, eid)) == 4
 
 
 def test_roles_time_like_left():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 2, 1)
-    roles = {f.kind: role for f, role in facets_of(mesh, 0)}
-    assert roles[FacetKind.TIME_INTERIOR] is FacetRole.LEFT
-    roles1 = {f.kind: role for f, role in facets_of(mesh, 1)}
-    assert roles1[FacetKind.TIME_INTERIOR] is FacetRole.RIGHT
+    roles = dict(incidences(mesh, 0))
+    assert roles[FacetKind.TIME_INTERIOR] == "left"
+    roles1 = dict(incidences(mesh, 1))
+    assert roles1[FacetKind.TIME_INTERIOR] == "right"
 
 
 def test_roles_space_like_above():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 1, 2)
     top_elem = mesh.slab_elements[1][0]
-    bottom = [role for f, role in facets_of(mesh, top_elem)
-              if f.kind is FacetKind.SPACE_INTERIOR]
-    assert bottom == [FacetRole.ABOVE]
+    bottom = [side for kind, side in incidences(mesh, top_elem)
+              if kind is FacetKind.SPACE_INTERIOR]
+    assert bottom == ["above"]
 
 
 def test_invalid_inputs():
@@ -81,9 +95,6 @@ def test_invalid_inputs():
         build_cartesian_mesh(dom, 0, 1)
     with pytest.raises(ValueError):
         build_cartesian_mesh(dom, 1, 0)
-    mesh = build_cartesian_mesh(dom, 2, 2)
-    with pytest.raises(ValueError):
-        facets_of(mesh, 99)
 
 
 def test_areas_tile_domain():
@@ -95,23 +106,23 @@ def test_areas_tile_domain():
 
 def test_neighbor_counts():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 3, 3)
-    for f in mesh.facets:
-        expected = 2 if f.kind in (FacetKind.SPACE_INTERIOR, FacetKind.TIME_INTERIOR) else 1
-        assert len(f.neighbors) == expected
+    for kind, _, fa in facet_groups(mesh):
+        expected = 2 if kind in (FacetKind.SPACE_INTERIOR, FacetKind.TIME_INTERIOR) else 1
+        n_neighbors = sum((getattr(fa, side) >= 0).astype(int) for side in SIDES)
+        assert np.all(n_neighbors == expected)
 
 
 def test_stabilization_values_exact():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 4, 3)
-    for f in mesh.facets:
-        if f.kind is FacetKind.DIRICHLET:
-            assert f.alpha * f.h_F_x == 1.0
-            assert f.h_F_x == mesh.elements[f.owner].h_x
-        elif f.kind is FacetKind.TIME_INTERIOR:
-            assert f.alpha * f.h_F_x == 1.0
-            assert f.beta == f.h_F_x
-            h1 = mesh.elements[f.left].h_x
-            h2 = mesh.elements[f.right].h_x
-            assert min(h1, h2) <= f.h_F_x <= max(h1, h2)
+    h_x = mesh.element_arrays.h[:, 0]
+    for kind, _, fa in facet_groups(mesh):
+        if kind is FacetKind.DIRICHLET:  # h_Fx is the owner's width
+            assert np.all(fa.alpha * h_x[fa.owner] == 1.0)
+            assert np.all(fa.beta == 0.0)
+        elif kind is FacetKind.TIME_INTERIOR:  # h_Fx = beta
+            assert np.all(fa.alpha * fa.beta == 1.0)
+            h1, h2 = h_x[fa.left], h_x[fa.right]
+            assert np.all((np.minimum(h1, h2) <= fa.beta) & (fa.beta <= np.maximum(h1, h2)))
 
 
 def test_horizontal_partition_property():
@@ -120,31 +131,31 @@ def test_horizontal_partition_property():
     nx, nt = 4, 3
     mesh = build_cartesian_mesh(dom, nx, nt)
     by_level = {}
-    for f in mesh.facets:
-        if f.kind.is_horizontal:
-            by_level.setdefault(round(f.fixed, 12), []).append(f)
+    for kind, _, fa in facet_groups(mesh):
+        if kind.is_horizontal:
+            for lo, hi, fixed in zip(fa.lo, fa.hi, fa.fixed):
+                by_level.setdefault(round(float(fixed), 12), []).append((lo, hi))
     assert len(by_level) == nt + 1
-    for level, facets in by_level.items():
-        assert len(facets) == nx
-        total = sum(f.length for f in facets)
+    for level, spans in by_level.items():
+        assert len(spans) == nx
+        total = sum(hi - lo for lo, hi in spans)
         assert total == pytest.approx(dom.width, rel=1e-13)
-        spans = sorted(f.span for f in facets)
+        spans = sorted(spans)
         for a, b in zip(spans, spans[1:]):
             assert a[1] == pytest.approx(b[0])  # no overlap, no gap
 
 
 def test_lqu_uniform_is_one():
+    # local quasi-uniformity: the largest width ratio of two elements sharing a facet
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 5, 4)
-    assert local_quasi_uniformity(mesh) == pytest.approx(1.0)
-
-
-def test_summary_json():
-    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 2, 3)
-    data = json.loads(mesh_summary_json(mesh))
-    assert data["n_elements"] == 6
-    assert data["n_slabs"] == 3
-    assert data["facet_counts"]["time_interior"] == 3
-    assert data["lqu"] == pytest.approx(1.0)
+    h_x = mesh.element_arrays.h[:, 0]
+    lqu = 1.0
+    for kind, _, fa in facet_groups(mesh):
+        a, b = (fa.below, fa.above) if kind.is_horizontal else (fa.left, fa.right)
+        shared = (a >= 0) & (b >= 0)
+        ratio = h_x[a[shared]] / h_x[b[shared]]
+        lqu = max(lqu, np.max(np.maximum(ratio, 1.0 / ratio), initial=1.0))
+    assert lqu == pytest.approx(1.0)
 
 
 def test_exact_spacing_gives_one_element_size():
@@ -160,16 +171,18 @@ def test_is_uniform_is_derived_from_element_sizes():
 
 
 def test_facet_arrays_cover_every_facet_once():
-    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 3, 4)
+    nx, nt = 3, 4
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, nt)
     seen = Counter()
-    for kind in FacetKind:
-        for slab in range(mesh.n_slabs):
-            fa = mesh.facet_arrays(kind, slab)
-            if fa is None:
-                continue
-            assert all(mesh.elements[e].slab == slab for e in fa.owner)
-            seen[kind] += len(fa.owner)
-    assert seen == kind_counts(mesh)
+    neighbors = set()
+    for kind, slab, fa in facet_groups(mesh):
+        assert all(mesh.elements[e].slab == slab for e in fa.owner)
+        seen[kind] += len(fa.owner)
+        neighbors.update((kind, *ids) for ids in zip(*(getattr(fa, s) for s in SIDES)))
+    assert seen == {FacetKind.SPACE_INTERIOR: nx * (nt - 1), FacetKind.FINAL: nx,
+                    FacetKind.INITIAL: nx, FacetKind.TIME_INTERIOR: (nx - 1) * nt,
+                    FacetKind.DIRICHLET: 2 * nt}
+    assert len(neighbors) == sum(seen.values())
     X, T, W = mesh.facet_arrays(FacetKind.TIME_INTERIOR, 2).quadrature(5)
     assert X.shape == T.shape == W.shape == (2, 5)
     assert np.allclose(X, [[1 / 3], [2 / 3]]) and np.all((0.5 < T) & (T < 0.75))

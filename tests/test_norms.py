@@ -138,26 +138,32 @@ def _wsum_sq(wq, z):
 def per_facet_norms(field, mesh, n):
     """(dg, dg+) by a walk over single facets with scalar element ids."""
     s_dg = s_plus = 0.0
-    for f in mesh.facets:
-        if f.kind.is_horizontal:
-            xq, wq = mapped_interval(f.span[0], f.span[1], n)
-            if f.kind is FacetKind.SPACE_INTERIOR:
-                wm = field.value(f.below, xq, f.fixed)
-                s_dg += _wsum_sq(wq, wm - field.value(f.above, xq, f.fixed))
+    facets = [(kind, fa, r) for kind in FacetKind for slab in range(mesh.n_slabs)
+              if (fa := mesh.facet_arrays(kind, slab)) is not None
+              for r in range(len(fa.owner))]
+    for kind, fa, r in facets:
+        below, above, left, right, owner = (int(getattr(fa, side)[r]) for side in
+                                            ("below", "above", "left", "right", "owner"))
+        fixed, alpha, beta = fa.fixed[r], fa.alpha[r], fa.beta[r]
+        if kind.is_horizontal:
+            xq, wq = mapped_interval(fa.lo[r], fa.hi[r], n)
+            if kind is FacetKind.SPACE_INTERIOR:
+                wm = field.value(below, xq, fixed)
+                s_dg += _wsum_sq(wq, wm - field.value(above, xq, fixed))
                 s_plus += _wsum_sq(wq, wm)
             else:
-                s_dg += _wsum_sq(wq, field.value(f.owner, xq, f.fixed))
+                s_dg += _wsum_sq(wq, field.value(owner, xq, fixed))
             continue
-        tq, wq = mapped_interval(f.span[0], f.span[1], n)
-        if f.kind is FacetKind.TIME_INTERIOR:
-            v1, v2 = field.value(f.left, f.fixed, tq), field.value(f.right, f.fixed, tq)
-            g1, g2 = field.dx(f.left, f.fixed, tq), field.dx(f.right, f.fixed, tq)
-            s_dg += f.alpha * _wsum_sq(wq, v1 - v2) + f.beta * _wsum_sq(wq, g1 - g2)
-            s_plus += (_wsum_sq(wq, 0.5 * (g1 + g2)) / f.alpha
-                       + _wsum_sq(wq, 0.5 * (v1 + v2)) / f.beta)
+        tq, wq = mapped_interval(fa.lo[r], fa.hi[r], n)
+        if kind is FacetKind.TIME_INTERIOR:
+            v1, v2 = field.value(left, fixed, tq), field.value(right, fixed, tq)
+            g1, g2 = field.dx(left, fixed, tq), field.dx(right, fixed, tq)
+            s_dg += alpha * _wsum_sq(wq, v1 - v2) + beta * _wsum_sq(wq, g1 - g2)
+            s_plus += (_wsum_sq(wq, 0.5 * (g1 + g2)) / alpha
+                       + _wsum_sq(wq, 0.5 * (v1 + v2)) / beta)
         else:
-            s_dg += f.alpha * _wsum_sq(wq, field.value(f.owner, f.fixed, tq))
-            s_plus += _wsum_sq(wq, field.dx(f.owner, f.fixed, tq)) / f.alpha
+            s_dg += alpha * _wsum_sq(wq, field.value(owner, fixed, tq))
+            s_plus += _wsum_sq(wq, field.dx(owner, fixed, tq)) / alpha
     return math.sqrt(0.5 * s_dg), math.sqrt(0.5 * (s_dg + s_plus))
 
 
