@@ -3,19 +3,15 @@
 from .assembly import (BoundaryData, DiscreteSolution, SlabSolveError, apply_form_to_field,
                        assemble_global, constant_data, element_bases, march,
                        solution_data, solve_global)
-from .basis import (ElementBasis, MeshBasis, SpaceKind, Wave, element_basis, eval_basis,
-                    eval_basis_many, full_poly_basis, plane_wave_basis,
-                    quasi_trefftz_basis, trefftz_basis)
+from .basis import (ElementBasis, MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
+                    full_poly_basis, plane_wave_basis, quasi_trefftz_basis, trefftz_basis)
 from .linalg import SingularMatrixError, cond2, solve_lu
 from .mesh import Element, FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
 from .norms import (ClosedFormField, DifferenceField, PiecewisePolyField, dg_norm,
                     dg_plus_norm, exact_field, l2_slice_error)
-from .poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, eval_poly,
-                   eval_poly_many, extended_taylor_poly, mi, poly_combination,
-                   taylor_poly)
-from .quadrature import (QuadratureRule, gauss_legendre, integrate_interval,
-                         integrate_rect)
-from .solutions import (ExpSolution, ExpSolutionND, SquareWellSeries, series_eval,
-                        square_well_initial)
+from .poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, eval_poly_many,
+                   extended_taylor_poly, mi, poly_combination, taylor_poly)
+from .quadrature import QuadratureRule, gauss_legendre
+from .solutions import ExpSolution, ExpSolutionND, SquareWellSeries, square_well_initial
 
 __version__ = "0.1.0"

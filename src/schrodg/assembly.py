@@ -23,6 +23,12 @@ is added, which restores consistency of the ultra-weak formulation.
 The upwind space-like flux makes the global system block lower-triangular
 by time slab, so the default solve marches slab by slab; the assembled
 global system is kept as a testing oracle.
+
+The form is implemented twice on purpose: once in the batched slab kernel
+that `march` runs (`_slab_matrix`, `_slab_rhs`), and once in the per-facet
+reference walk `_walk_form` behind `assemble_global` and
+`apply_form_to_field`.  The walk shares no code with the kernel, so that
+marching = global solve compares two independent implementations.
 """
 
 from __future__ import annotations
@@ -257,14 +263,15 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     return sol
 
 
-# --- global oracle: an independent facet-by-facet walk, one element at a time ---
+# --- the reference: one facet at a time, one element at a time ---
 
 GLOBAL_DOF_CAP = 5000
 
 
-def _facets(mesh: Mesh):
-    """Every facet as (kind, its FacetArrays, its row), kind by kind and slab by slab."""
-    for kind in FacetKind:
+def _facets(mesh: Mesh, kinds):
+    """Every facet of ``kinds`` as (kind, its FacetArrays, its row), kind by kind and
+    slab by slab."""
+    for kind in kinds:
         for slab in range(mesh.n_slabs):
             fa = mesh.facet_arrays(kind, slab)
             for r in range(0 if fa is None else len(fa.owner)):
@@ -277,46 +284,60 @@ def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.
     return v[0], g[0]
 
 
-def _element_rule(mesh: Mesh, eid: int, n: int):
-    """`rect_rule` on element ``eid``: points xg, tg and weights wg."""
-    arrays = mesh.element_arrays
-    return rect_rule(tuple(arrays.x_range[eid].tolist()), tuple(arrays.t_range[eid].tolist()), n)
+def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n_facet: int,
+               n_vol: int) -> None:
+    """Add A(u, phi_a) into out[e * dim + a, cols] for every test function phi_a of
+    every element e, one facet at a time with scalar element ids.
 
+    The trial u enters through ``trial(e, xs, ts, v, g) -> (cols, values, dx)``,
+    the last two (m, nq): u's traces on element e at the points xs, ts, where
+    ``v`` and ``g`` (dim, nq) are the values and x-derivatives of e's basis there.
+    This is the reference that the batched slab kernel of `march` is checked
+    against, so it shares none of that kernel's code.
+    """
+    d = basis.dim
 
-def _add_time_facet(M, fa, r, basis, n_facet):
-    tq, wq = mapped_interval(fa.lo[r], fa.hi[r], n_facet)
-    sides = []
-    for e, nrm in ((int(fa.left[r]), 1.0), (int(fa.right[r]), -1.0)):
-        v, g = _element_traces(basis, e, fa.fixed[r], tq)
-        sides.append((e * basis.dim, v, g, nrm))
-    al, be = fa.alpha[r], fa.beta[r]
-    for oa, va, ga, na in sides:
-        vaw = va.conj() * wq
-        gaw = ga.conj() * wq
-        for ob, vb, gb, nb in sides:
-            block = 0.5 * (0.5 * na * (vaw @ gb.T)
-                           + 1j * al * na * nb * (vaw @ vb.T)
-                           - 0.5 * na * (gaw @ vb.T)
-                           + 1j * be * na * nb * (gaw @ gb.T))
-            M[oa:oa + va.shape[0], ob:ob + vb.shape[0]] += block
+    def side(e, xs, ts):
+        v, g = _element_traces(basis, e, xs, ts)
+        return (slice(e * d, (e + 1) * d), v, g, *trial(e, xs, ts, v, g))
 
+    for kind, fa, r in _facets(mesh, (FacetKind.SPACE_INTERIOR, FacetKind.FINAL,
+                                      FacetKind.TIME_INTERIOR, FacetKind.DIRICHLET)):
+        q, wq = mapped_interval(fa.lo[r], fa.hi[r], n_facet)
+        fixed = fa.fixed[r]
+        if kind is FacetKind.TIME_INTERIOR:
+            al, be = fa.alpha[r], fa.beta[r]
+            sides = [(*side(int(fa.left[r]), fixed, q), 1.0),
+                     (*side(int(fa.right[r]), fixed, q), -1.0)]
+            for ra, va, ga, _, _, _, na in sides:
+                vaw = va.conj() * wq
+                gaw = ga.conj() * wq
+                for _, _, _, cb, ub, uxb, nb in sides:
+                    out[ra, cb] += 0.5 * (0.5 * na * (vaw @ uxb.T)
+                                          + 1j * al * na * nb * (vaw @ ub.T)
+                                          - 0.5 * na * (gaw @ ub.T)
+                                          + 1j * be * na * nb * (gaw @ uxb.T))
+        elif kind is FacetKind.DIRICHLET:
+            rows, v, _, cols, u, ux = side(int(fa.owner[r]), fixed, q)
+            vaw = v.conj() * wq
+            out[rows, cols] += 0.5 * (fa.normal_sign[r] * (vaw @ ux.T)
+                                      + 1j * fa.alpha[r] * (vaw @ u.T))
+        else:  # space-like: the upwind trace u^- from below, tested on both sides
+            rows, v, _, cols, u, _ = side(int(fa.below[r]), q, fixed)
+            out[rows, cols] += 1j * ((v.conj() * wq) @ u.T)
+            if kind is FacetKind.SPACE_INTERIOR:
+                up = int(fa.above[r])
+                vu = _element_traces(basis, up, q, fixed)[0]
+                out[up * d:(up + 1) * d, cols] -= 1j * ((vu.conj() * wq) @ u.T)
 
-def _add_dirichlet_matrix(M, fa, r, basis, n_facet):
-    tq, wq = mapped_interval(fa.lo[r], fa.hi[r], n_facet)
-    e = int(fa.owner[r])
-    v, g = _element_traces(basis, e, fa.fixed[r], tq)
-    vaw = v.conj() * wq
-    off, d = e * basis.dim, basis.dim
-    M[off:off + d, off:off + d] += 0.5 * (fa.normal_sign[r] * (vaw @ g.T)
-                                          + 1j * fa.alpha[r] * (vaw @ v.T))
-
-
-def _add_volume(M, mesh, eid, basis, n_vol):
-    xg, tg, wg = _element_rule(mesh, eid, n_vol)
-    v = basis.values([eid], xg[None], tg[None])[0]
-    sv = basis.operator_image([eid], xg[None], tg[None])[0]
-    off, d = eid * basis.dim, basis.dim
-    M[off:off + d, off:off + d] += (sv.conj() * wg) @ v.T
+    if basis.kind.needs_volume_term:
+        arrays = mesh.element_arrays
+        for e in range(mesh.n_elements):
+            xg, tg, wg = rect_rule(tuple(arrays.x_range[e].tolist()),
+                                   tuple(arrays.t_range[e].tolist()), n_vol)
+            rows, _, _, cols, u, _ = side(e, xg, tg)
+            sv = basis.operator_image([e], xg[None], tg[None])[0]
+            out[rows, cols] += (sv.conj() * wg) @ u.T
 
 
 def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
@@ -334,41 +355,25 @@ def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     n_poly, n_data = _rule_sizes(space, n_quad)
     n_facet = n_data if space.family == "planewave" else n_poly
     M = np.zeros((n, n), dtype=complex)
-    rhs = np.zeros(n, dtype=complex)
+    _walk_form(mesh, basis, lambda e, xs, ts, v, g: (slice(e * d, (e + 1) * d), v, g),
+               M, n_facet, n_poly)
 
-    for kind, fa, r in _facets(mesh):
-        lo, hi, fixed = fa.lo[r], fa.hi[r], fa.fixed[r]
-        if kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):
-            e = int(fa.below[r])
-            xq, wq = mapped_interval(lo, hi, n_facet)
-            v = _element_traces(basis, e, xq, fixed)[0]
-            oe = e * d
-            M[oe:oe + d, oe:oe + d] += 1j * ((v.conj() * wq) @ v.T)
-            if kind is FacetKind.SPACE_INTERIOR:
-                up = int(fa.above[r])
-                vu = _element_traces(basis, up, xq, fixed)[0]
-                M[up * d:(up + 1) * d, oe:oe + d] -= 1j * ((vu.conj() * wq) @ v.T)
-        elif kind is FacetKind.INITIAL:
+    rhs = np.zeros(n, dtype=complex)
+    for kind, fa, r in _facets(mesh, (FacetKind.INITIAL, FacetKind.DIRICHLET)):
+        q, wq = mapped_interval(fa.lo[r], fa.hi[r], n_data)
+        fixed = fa.fixed[r]
+        if kind is FacetKind.INITIAL:
             e = int(fa.above[r])
-            xq, wq = mapped_interval(lo, hi, n_data)
-            v = _element_traces(basis, e, xq, fixed)[0]
-            vals = np.asarray(data.psi0(xq), dtype=complex)
+            v = _element_traces(basis, e, q, fixed)[0]
+            vals = np.asarray(data.psi0(q), dtype=complex)
             rhs[e * d:(e + 1) * d] += 1j * ((v.conj() * wq) @ vals)
-        elif kind is FacetKind.TIME_INTERIOR:
-            _add_time_facet(M, fa, r, basis, n_facet)
-        elif kind is FacetKind.DIRICHLET:
+        else:
             e = int(fa.owner[r])
-            _add_dirichlet_matrix(M, fa, r, basis, n_facet)
-            tq, wq = mapped_interval(lo, hi, n_data)
-            v, g = _element_traces(basis, e, fixed, tq)
-            gv = np.asarray(data.g_D(np.full_like(tq, fixed), tq), dtype=complex)
+            v, g = _element_traces(basis, e, fixed, q)
+            gv = np.asarray(data.g_D(np.full_like(q, fixed), q), dtype=complex)
             rhs[e * d:(e + 1) * d] += 0.5 * (
                 fa.normal_sign[r] * ((g.conj() * wq) @ gv)
                 + 1j * fa.alpha[r] * ((v.conj() * wq) @ gv))
-
-    if space.needs_volume_term:
-        for e in range(mesh.n_elements):
-            _add_volume(M, mesh, e, basis, n_poly)
 
     dof_map = {(e, i): e * d + i for e in range(mesh.n_elements) for i in range(d)}
     return M, rhs, dof_map
@@ -392,52 +397,12 @@ def apply_form_to_field(mesh: Mesh, space: SpaceKind, field,
     Used for consistency and Galerkin-orthogonality checks.
     """
     basis = MeshBasis(mesh, space)
-    d = basis.dim
     _, n_data = _rule_sizes(space, n_quad)
-    out = np.zeros(mesh.n_elements * d, dtype=complex)
+    out = np.zeros((mesh.n_elements * basis.dim, 1), dtype=complex)
 
-    for kind, fa, r in _facets(mesh):
-        lo, hi, fixed = fa.lo[r], fa.hi[r], fa.fixed[r]
-        if kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):
-            e = int(fa.below[r])
-            xq, wq = mapped_interval(lo, hi, n_data)
-            fm = np.asarray(field.value(e, xq, fixed), dtype=complex)
-            v = _element_traces(basis, e, xq, fixed)[0]
-            out[e * d:(e + 1) * d] += 1j * ((v.conj() * wq) @ fm)
-            if kind is FacetKind.SPACE_INTERIOR:
-                up = int(fa.above[r])
-                vu = _element_traces(basis, up, xq, fixed)[0]
-                out[up * d:(up + 1) * d] -= 1j * ((vu.conj() * wq) @ fm)
-        elif kind is FacetKind.TIME_INTERIOR:
-            left, right = int(fa.left[r]), int(fa.right[r])
-            tq, wq = mapped_interval(lo, hi, n_data)
-            v1 = np.asarray(field.value(left, fixed, tq), dtype=complex)
-            v2 = np.asarray(field.value(right, fixed, tq), dtype=complex)
-            g1 = np.asarray(field.dx(left, fixed, tq), dtype=complex)
-            g2 = np.asarray(field.dx(right, fixed, tq), dtype=complex)
-            avg_g, jump_v = 0.5 * (g1 + g2), v1 - v2
-            avg_v, jump_g = 0.5 * (v1 + v2), g1 - g2
-            for e, na in ((left, 1.0), (right, -1.0)):
-                v, g = _element_traces(basis, e, fixed, tq)
-                contrib = 0.5 * (na * ((v.conj() * wq) @ avg_g)
-                                 + 1j * fa.alpha[r] * na * ((v.conj() * wq) @ jump_v)
-                                 - na * ((g.conj() * wq) @ avg_v)
-                                 + 1j * fa.beta[r] * na * ((g.conj() * wq) @ jump_g))
-                out[e * d:(e + 1) * d] += contrib
-        elif kind is FacetKind.DIRICHLET:
-            e = int(fa.owner[r])
-            tq, wq = mapped_interval(lo, hi, n_data)
-            fv = np.asarray(field.value(e, fixed, tq), dtype=complex)
-            fg = np.asarray(field.dx(e, fixed, tq), dtype=complex)
-            v = _element_traces(basis, e, fixed, tq)[0]
-            flux = fa.normal_sign[r] * fg + 1j * fa.alpha[r] * fv
-            out[e * d:(e + 1) * d] += 0.5 * ((v.conj() * wq) @ flux)
+    def trial(e, xs, ts, v, g):
+        return (slice(0, 1), np.asarray(field.value(e, xs, ts), dtype=complex)[None],
+                np.asarray(field.dx(e, xs, ts), dtype=complex)[None])
 
-    if space.needs_volume_term:
-        for e in range(mesh.n_elements):
-            xg, tg, wg = _element_rule(mesh, e, n_data)
-            fv = np.asarray(field.value(e, xg, tg), dtype=complex)
-            sv = basis.operator_image([e], xg[None], tg[None])[0]
-            out[e * d:(e + 1) * d] += (sv.conj() * wg) @ fv
-
-    return out
+    _walk_form(mesh, basis, trial, out, n_data, n_data)
+    return out[:, 0]

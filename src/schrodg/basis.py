@@ -131,12 +131,6 @@ def eval_basis_many(b: BasisFunction, xs, ts, deriv: MultiIndex | None = None) -
     return eval_poly_many(b, xs, ts, deriv)
 
 
-def eval_basis(b: BasisFunction, point, deriv: MultiIndex | None = None) -> complex:
-    x, t = point
-    return complex(eval_basis_many(b, np.asarray([x], dtype=float),
-                                   np.asarray([t], dtype=float), deriv)[0])
-
-
 def _propagate_trefftz(seed: dict[tuple[int, ...], complex], d: int, p: int,
                        hx: float, ht: float) -> dict[MultiIndex, complex]:
     """Complete a spatial seed (coefficients at j_t = 0) to a kernel polynomial."""

@@ -89,8 +89,6 @@ def _run(args) -> int:
               "quad_n": config.quad_n}
 
     if config.experiment == "verify-basis":
-        if config.space.p > 3:
-            raise ValueError("verify-basis supports p <= 3")
         report = verify_basis(p_max=config.space.p, seed_choice=args.seed_choice,
                               dump_basis=args.dump_basis)
         write_json({"params": params, **report}, out)

@@ -52,6 +52,11 @@ class ExperimentConfig:
         minimum = 1 if self.experiment in ("conv-p", "verify-basis") else 2
         if self.levels < minimum:
             raise ValueError(f"levels must be >= {minimum} for {self.experiment}")
+        if self.experiment == "verify-basis" and not 1 <= self.space.p <= 3:
+            raise ValueError("p must be 1, 2 or 3 for verify-basis")
+        # both study the trefftz space only (conditioning: its seed scalings a and b)
+        if self.experiment in ("conditioning", "verify-basis") and self.space.family != "trefftz":
+            raise ValueError(f"space must be trefftz for {self.experiment}")
 
 
 @dataclass

@@ -201,17 +201,6 @@ def eval_poly_many(p: ScaledPolynomial, xs, ts, deriv: MultiIndex | None = None)
     return acc.sum(axis=0)
 
 
-def eval_poly(p: ScaledPolynomial, point: Point, deriv: MultiIndex | None = None) -> complex:
-    """D^deriv p at a single point (x, t)."""
-    x, t = point
-    if p.d == 1:
-        out = eval_poly_many(p, np.asarray([x], dtype=float), np.asarray([t], dtype=float), deriv)
-    else:
-        out = eval_poly_many(p, np.asarray([list(x)], dtype=float), np.asarray([t], dtype=float),
-                             deriv)
-    return complex(out[0])
-
-
 def apply_schrodinger(p: ScaledPolynomial) -> ScaledPolynomial:
     """Coefficients of i d/dt p + (1/2) Delta_x p, in the same scaled basis."""
     hx, ht = p.scales

@@ -81,34 +81,6 @@ def box_rule(ranges, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def integrate_interval(f, interval: tuple[float, float], n: int) -> complex:
-    """Integrate a complex-valued integrand over (lo, hi).
-
-    The integrand is called once with the array of quadrature points; plain
-    scalar functions are evaluated pointwise as a fallback.
-    """
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
-    pts, wts = mapped_interval(lo, hi, n)
-    try:
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.ndim == 0:
-            vals = np.full(pts.shape, complex(vals))
-        elif vals.shape != pts.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([f(float(x)) for x in pts], dtype=complex)
-    return complex(np.sum(wts * vals))
-
-
-def integrate_rect(f, x_range, t_range, n: int) -> complex:
-    """Tensor-rule integral of f(x, t) over a rectangle."""
-    xg, tg, wg = rect_rule(tuple(x_range), tuple(t_range), n)
-    vals = np.asarray(f(xg, tg), dtype=complex)
-    return complex(np.sum(wg * vals))
-
-
 def poly_rule_size(p: int) -> int:
     """Nodes for polynomial x polynomial facet integrands of degree <= 4p."""
     return 2 * p + 2

@@ -112,15 +112,3 @@ class SquareWellSeries:
 
     def dx(self, x, t):
         return self._sum(x, t, dx=True)
-
-
-def series_eval(sol: SquareWellSeries, point, deriv: int = 0):
-    """Value (deriv = 0) or spatial derivative (deriv = 1) at (x, t)."""
-    x, t = point
-    if deriv == 0:
-        out = sol.value(x, t)
-    elif deriv == 1:
-        out = sol.dx(x, t)
-    else:
-        raise ValueError("series supports spatial derivative order <= 1")
-    return complex(out[0]) if np.isscalar(x) else out

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from schrodg.basis import (SpaceKind, Wave, eval_basis, eval_basis_many, full_poly_basis,
+from schrodg.basis import (SpaceKind, Wave, eval_basis_many, full_poly_basis,
                            plane_wave_basis, quasi_trefftz_basis, trefftz_basis)
 from schrodg.poly import apply_schrodinger, mi, poly_combination
 
@@ -160,20 +160,20 @@ def test_wave_satisfies_equation_identically():
 
 
 def test_eval_wave_examples():
-    assert eval_basis(Wave(0.0, (0.0, 0.0), (1.0, 1.0)), (0.77, 0.13)) == pytest.approx(1.0)
-    got = eval_basis(Wave(2.0, (0.0, 0.0), (1.0, 1.0)), (0.5, 0.0))
+    assert eval_basis_many(Wave(0.0, (0.0, 0.0), (1.0, 1.0)), 0.77, 0.13)[0] == pytest.approx(1.0)
+    got = eval_basis_many(Wave(2.0, (0.0, 0.0), (1.0, 1.0)), 0.5, 0.0)[0]
     assert got == pytest.approx(cmath.exp(1j))
 
 
 def test_eval_poly_basis_derivative():
     eb = trefftz_basis(1, 1, **UNIT)
-    assert eval_basis(eb.functions[2], (1.0, 1.0), deriv=mi(1, 0)) == pytest.approx(2.0)
+    assert eval_basis_many(eb.functions[2], 1.0, 1.0, deriv=mi(1, 0))[0] == pytest.approx(2.0)
 
 
 def test_wave_rejects_high_derivatives():
     w = Wave(2.0, (0.0, 0.0), (1.0, 1.0))
     with pytest.raises(ValueError):
-        eval_basis(w, (0.0, 0.0), deriv=mi(2, 1))
+        eval_basis_many(w, 0.0, 0.0, deriv=mi(2, 1))
 
 
 def test_space_kind_validation():

@@ -111,6 +111,20 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "y.csv")]) == 3
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify-basis", "--p", "0"], "p must be 1, 2 or 3 for verify-basis"),
+    (["verify-basis", "--p", "4"], "p must be 1, 2 or 3 for verify-basis"),
+    (["conditioning", "--space", "full", "--levels", "2"],
+     "space must be trefftz for conditioning"),
+    (["verify-basis", "--space", "full", "--p", "1"], "space must be trefftz for verify-basis"),
+])
+def test_cli_rejects_unsupported_experiment_settings(tmp_path, capsys, args, message):
+    out = tmp_path / "x.json"
+    assert main(args + ["--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_unknown_experiment_exits_3(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

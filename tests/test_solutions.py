@@ -6,8 +6,7 @@ import pytest
 
 from schrodg.poly import mi
 from schrodg.quadrature import mapped_interval
-from schrodg.solutions import (ExpSolution, ExpSolutionND, SquareWellSeries, series_eval,
-                               square_well_initial)
+from schrodg.solutions import ExpSolution, ExpSolutionND, SquareWellSeries, square_well_initial
 
 
 def test_exp_value_at_origin():
@@ -47,14 +46,14 @@ def test_exp_nd_residual_vanishes():
 def test_series_vanishes_at_boundary():
     s = SquareWellSeries(250)
     for t in (0.0, 0.03, 0.1):
-        assert abs(series_eval(s, (0.0, t))) <= 1e-12
-        assert abs(series_eval(s, (1.0, t))) <= 1e-12
+        assert abs(s.value(0.0, t)[0]) <= 1e-12
+        assert abs(s.value(1.0, t)[0]) <= 1e-12
 
 
 def test_series_midpoint_alternating_sum():
     # sum (-1)^m / (2m+1)^3 = pi^3 / 32, so psi(1/2, 0) = sqrt(30) / 4
     s = SquareWellSeries(250)
-    assert series_eval(s, (0.5, 0.0)) == pytest.approx(math.sqrt(30.0) / 4.0, rel=1e-7)
+    assert s.value(0.5, 0.0)[0] == pytest.approx(math.sqrt(30.0) / 4.0, rel=1e-7)
 
 
 def test_series_matches_initial_profile():
@@ -95,13 +94,8 @@ def test_each_mode_solves_equation():
 def test_series_spatial_derivative():
     s = SquareWellSeries(100)
     x, t, h = 0.4, 0.05, 1e-6
-    fd = (series_eval(s, (x + h, t)) - series_eval(s, (x - h, t))) / (2 * h)
-    assert series_eval(s, (x, t), deriv=1) == pytest.approx(fd, rel=1e-5)
-
-
-def test_series_rejects_higher_derivatives():
-    with pytest.raises(ValueError):
-        series_eval(SquareWellSeries(10), (0.5, 0.0), deriv=2)
+    fd = (s.value(x + h, t)[0] - s.value(x - h, t)[0]) / (2 * h)
+    assert s.dx(x, t)[0] == pytest.approx(fd, rel=1e-5)
 
 
 @pytest.mark.parametrize("method", ["value", "dx"])
