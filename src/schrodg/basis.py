@@ -19,7 +19,8 @@ Four families are supported:
 
 ``MeshBasis`` evaluates the basis of many elements of a mesh in one array
 call: a polynomial family is one coefficient table per element size, since
-every element of that size carries the same table, only translated.
+every element of that size carries the same table, only translated.  Every
+evaluation goes through `poly.scaled_monomials` or the one wave formula.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Union
 
 import numpy as np
 
-from .poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, eval_poly_many, mi,
-                   scaled_monomials, space_multi_indices)
+from .poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, dense_terms, eval_poly_many,
+                   mi, scaled_monomials, space_multi_indices)
 
 FAMILIES = ("trefftz", "quasi-trefftz", "full", "planewave")
 
@@ -72,13 +73,9 @@ class SpaceKind:
         return cls("planewave", p)
 
     @property
-    def is_trefftz_exact(self) -> bool:
-        """Whether members annihilate the operator identically."""
-        return self.family in ("trefftz", "planewave")
-
-    @property
     def needs_volume_term(self) -> bool:
-        return not self.is_trefftz_exact
+        """Whether members miss the operator kernel (trefftz and plane waves lie in it)."""
+        return self.family not in ("trefftz", "planewave")
 
     def dim(self, d: int = 1) -> int:
         if self.family == "trefftz":
@@ -113,6 +110,16 @@ class ElementBasis:
         return len(self.functions)
 
 
+def _wave(k, X, T, ax: int = 0, at: int = 0) -> np.ndarray:
+    """D^(ax, at) exp(i (k x - k^2 t / 2)) at the points X, T."""
+    vals = np.exp(1j * (k * X - 0.5 * k * k * T))
+    if ax:
+        vals *= (1j * k) ** ax
+    if at:
+        vals *= (-0.5j * k * k) ** at
+    return vals
+
+
 def eval_basis_many(b: BasisFunction, xs, ts, deriv: MultiIndex | None = None) -> np.ndarray:
     """Vectorized D^deriv b at points (order <= 2 for wave functions)."""
     if isinstance(b, Wave):
@@ -122,12 +129,7 @@ def eval_basis_many(b: BasisFunction, xs, ts, deriv: MultiIndex | None = None) -
             ax, at = sum(deriv.jx), deriv.jt
         if ax + at > 2:
             raise ValueError("wave derivatives supported up to total order 2")
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        xs, ts = np.broadcast_arrays(xs, ts)
-        k = b.k
-        vals = np.exp(1j * (k * xs - 0.5 * k * k * ts))
-        return (1j * k) ** ax * (-0.5j * k * k) ** at * vals
+        return _wave(b.k, *np.atleast_1d(xs, ts), ax, at)
     return eval_poly_many(b, xs, ts, deriv)
 
 
@@ -276,15 +278,8 @@ def coefficient_table(kind: SpaceKind, hx: float, ht: float
     if kind.family == "planewave":
         raise ValueError("plane waves have no coefficient table")
     funcs = element_basis(kind, (0.0, 0.0), (hx, ht)).functions
-    images = [apply_schrodinger(f) for f in funcs]
-    exps = sorted({(j.jx[0], j.jt) for f in (*funcs, *images) for j in f.coeffs})
-    column = {e: k for k, e in enumerate(exps)}
-    tables = np.zeros((2, len(funcs), len(exps)), dtype=complex)
-    for row, pair in enumerate(zip(funcs, images)):
-        for table, f in zip(tables, pair):
-            for j, c in f.coeffs.items():
-                table[row, column[(j.jx[0], j.jt)]] = c
-    out = (np.array(exps, dtype=np.intp).reshape(-1, 2), tables[0], tables[1])
+    exps, coeffs = dense_terms([*funcs, *(apply_schrodinger(f) for f in funcs)])
+    out = (exps, coeffs[:len(funcs)], coeffs[len(funcs):])
     for a in out:
         a.flags.writeable = False
     return out
@@ -339,10 +334,7 @@ class MeshBasis:
         eids = np.asarray(eids, dtype=np.intp)
         X, T = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(T, dtype=float))
         if self.k is not None:
-            k = self.k[:, None, None]
-            vals = np.exp(1j * (k * X - 0.5 * k * k * T))
-            if dx:
-                vals *= 1j * k
+            vals = _wave(self.k[:, None, None], X, T, ax=int(dx))
             if weights is not None:
                 return np.einsum("fd,dfq->fq", weights, vals)
             return np.moveaxis(vals, 0, 1)
@@ -352,7 +344,7 @@ class MeshBasis:
             e = eids[rows]
             xi = (X[rows] - self.center[e, 0:1]) / hx
             tau = (T[rows] - self.center[e, 1:2]) / ht
-            mon = scaled_monomials(exps, xi, tau, dx)
+            mon = scaled_monomials(exps, (xi, tau), mi(1, 0) if dx else None)
             if dx:
                 mon /= hx
             table = image_table if image else table

@@ -2,10 +2,11 @@
 
     schrodg <experiment> [--p N] [--space FAMILY] [--levels N] [--kappa K]
             [--seed-choice a|b] [--out PATH] [--quad-n N] [--global-oracle]
-            [--constant-data]
+            [--constant-data] [--dump-basis]
 
 Experiments: conv-h, conv-p, conditioning, singular, verify-basis.
-Exit codes: 0 success, 2 solver failure, 3 invalid configuration.
+Exit codes: 0 success, 2 solver failure, 3 invalid configuration (this
+includes an option the chosen experiment does not read).
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from .experiments import (ExperimentConfig, OracleMismatchError, loglog_slope,
                           run_singular, verify_basis, write_json, write_rows_csv)
 
 EXPERIMENTS = ("conv-h", "conv-p", "conditioning", "singular", "verify-basis")
+# The options each experiment reads besides --out; giving any other is an error.
+READS = {"conv-h": "p space levels kappa seed_choice quad_n global_oracle constant_data",
+         "conv-p": "space levels kappa seed_choice quad_n",
+         "conditioning": "p space levels quad_n",
+         "singular": "p space levels seed_choice quad_n",
+         "verify-basis": "p space seed_choice dump_basis"}
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -44,10 +51,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--space", default=None,
                         choices=("trefftz", "quasi-trefftz", "full", "planewave"),
                         help="discrete space (default trefftz; singular: all four)")
-    parser.add_argument("--levels", type=int, default=5,
-                        help="refinement levels (conv-p: largest degree)")
-    parser.add_argument("--kappa", type=float, default=5.0)
-    parser.add_argument("--seed-choice", default="a", choices=("a", "b"))
+    parser.add_argument("--levels", type=int, default=None,
+                        help="refinement levels (default 5; conv-p: largest degree)")
+    parser.add_argument("--kappa", type=float, default=None,
+                        help="exponential solution exp(kappa x + ...) (default 5)")
+    parser.add_argument("--seed-choice", default=None, choices=("a", "b"),
+                        help="trefftz seed scaling (default a)")
     parser.add_argument("--out", default=None, help="output CSV/JSON path")
     parser.add_argument("--quad-n", type=int, default=None,
                         help="override quadrature nodes per direction")
@@ -60,9 +69,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_options(args) -> None:
+    """Reject every option given that the chosen experiment does not read."""
+    reads = set(READS[args.experiment].split()) - ({"kappa"} if args.constant_data else set())
+    for name, value in vars(args).items():
+        if value is not None and value is not False and name not in reads | {"experiment", "out"}:
+            scope = " --constant-data" if name == "kappa" and args.constant_data else ""
+            raise ValueError(f"{args.experiment}{scope} does not read --{name.replace('_', '-')}")
+
+
 def _make_config(args) -> ExperimentConfig:
     p = args.p if args.p is not None else (3 if args.experiment == "verify-basis" else 1)
-    space = SpaceKind(args.space or "trefftz", p, args.seed_choice)
+    space = SpaceKind(args.space or "trefftz", p, args.seed_choice or "a")
     out = args.out
     if out is None:
         ext = ".json" if args.experiment == "verify-basis" else ".csv"
@@ -70,8 +88,8 @@ def _make_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=args.experiment,
         space=space,
-        levels=args.levels,
-        kappa=args.kappa,
+        levels=5 if args.levels is None else args.levels,
+        kappa=5.0 if args.kappa is None else args.kappa,
         quad_n=args.quad_n,
         out=out,
         constant_data=args.constant_data,
@@ -81,6 +99,7 @@ def _make_config(args) -> ExperimentConfig:
 
 
 def _run(args) -> int:
+    _check_options(args)
     config = _make_config(args)
     out = Path(config.out)
     params = {"experiment": config.experiment, "space": config.space.family,
@@ -89,8 +108,7 @@ def _run(args) -> int:
               "quad_n": config.quad_n}
 
     if config.experiment == "verify-basis":
-        report = verify_basis(p_max=config.space.p, seed_choice=args.seed_choice,
-                              dump_basis=args.dump_basis)
+        report = verify_basis(p_max=config.space.p, dump_basis=args.dump_basis)
         write_json({"params": params, **report}, out)
         print(f"wrote {out}")
         return EXIT_OK if report["all_pass"] else EXIT_SOLVER

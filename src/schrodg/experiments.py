@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_data, march,
                        solution_data, solve_global, _slab_matrix, _rule_sizes)
-from .basis import MeshBasis, SpaceKind, trefftz_basis
+from .basis import FAMILIES, MeshBasis, SpaceKind, trefftz_basis
 from .linalg import COND_MAX_N, cond2
 from .mesh import SpaceTimeDomain, build_cartesian_mesh
 from .norms import ClosedFormField, DifferenceField, dg_norm, exact_field
@@ -54,6 +54,8 @@ class ExperimentConfig:
             raise ValueError(f"levels must be >= {minimum} for {self.experiment}")
         if self.experiment == "verify-basis" and not 1 <= self.space.p <= 3:
             raise ValueError("p must be 1, 2 or 3 for verify-basis")
+        if self.experiment == "verify-basis" and self.space.seed_choice != "a":
+            raise ValueError("seed choice must be a for verify-basis (b is d = 1 only)")
         # both study the trefftz space only (conditioning: its seed scalings a and b)
         if self.experiment in ("conditioning", "verify-basis") and self.space.family != "trefftz":
             raise ValueError(f"space must be trefftz for {self.experiment}")
@@ -123,9 +125,8 @@ def _total_dofs(mesh, space: SpaceKind) -> int:
     return mesh.n_elements * space.dim(1)
 
 
-def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False,
-                     max_cond=None) -> float:
-    sol = march(mesh, space, data, n_quad=quad_n, max_cond=max_cond)
+def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) -> float:
+    sol = march(mesh, space, data, n_quad=quad_n)
     if global_oracle and _total_dofs(mesh, space) <= GLOBAL_DOF_CAP:
         ref = solve_global(mesh, space, data, n_quad=quad_n)
         num = float(np.linalg.norm(sol.coeffs - ref.coeffs))
@@ -136,6 +137,14 @@ def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False,
     n_norm = quad_n if quad_n is not None else data_rule_size(space.p)
     err = DifferenceField(sol_field, sol)
     return dg_norm(err, mesh, n=n_norm)
+
+
+def _first_slab_cond2(mesh, space: SpaceKind, quad_n) -> float | None:
+    """cond2 of the first-slab matrix; None above COND_MAX_N unknowns."""
+    if len(mesh.slab_elements[0]) * space.dim(1) > COND_MAX_N:
+        return None
+    n_poly, n_data = _rule_sizes(space, quad_n)
+    return cond2(_slab_matrix(mesh, 0, MeshBasis(mesh, space), n_poly, n_data))
 
 
 def run_conv_h(config: ExperimentConfig) -> list[ConvergenceRow]:
@@ -173,11 +182,7 @@ def run_conv_p(config: ExperimentConfig) -> list[ConvergenceRow]:
     for p in range(1, config.levels + 1):
         space = SpaceKind(config.space.family, p, config.space.seed_choice)
         err = _solve_and_error(mesh, space, data, sol_field, config.quad_n)
-        cond = None
-        n_poly, n_data = _rule_sizes(space, config.quad_n)
-        M = _slab_matrix(mesh, 0, MeshBasis(mesh, space), n_poly, n_data)
-        if M.shape[0] <= COND_MAX_N:
-            cond = cond2(M)
+        cond = _first_slab_cond2(mesh, space, config.quad_n)
         rows.append(ConvergenceRow(p, 0.1, 0.1, _total_dofs(mesh, space), err,
                                    _rate(prev, err), cond))
         prev = err
@@ -196,9 +201,7 @@ def run_conditioning(config: ExperimentConfig) -> dict:
         for j in range(config.levels):
             n = 10 * 2 ** j
             mesh = build_cartesian_mesh(SMOOTH_DOMAIN, n, n)
-            n_poly, n_data = _rule_sizes(space, config.quad_n)
-            M = _slab_matrix(mesh, 0, MeshBasis(mesh, space), n_poly, n_data)
-            cond = cond2(M) if M.shape[0] <= COND_MAX_N else None
+            cond = _first_slab_cond2(mesh, space, config.quad_n)
             rows.append(ConvergenceRow(j, SMOOTH_DOMAIN.width / n,
                                        SMOOTH_DOMAIN.t_final / n,
                                        _total_dofs(mesh, space), None,
@@ -209,9 +212,6 @@ def run_conditioning(config: ExperimentConfig) -> dict:
     return {"p": p, "tables": tables, "slopes": slopes}
 
 
-SINGULAR_FAMILIES = ("trefftz", "quasi-trefftz", "full", "planewave")
-
-
 def run_singular(config: ExperimentConfig) -> dict:
     """Square-well problem on (0,1) x (0,0.1) with h_t = 0.1 h_x = 0.05 * 2^-j."""
     p = config.space.p
@@ -219,7 +219,7 @@ def run_singular(config: ExperimentConfig) -> dict:
     data = BoundaryData(psi0=square_well_initial,
                         g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
     sol_field = exact_field(series)
-    families = SINGULAR_FAMILIES if config.all_spaces else (config.space.family,)
+    families = FAMILIES if config.all_spaces else (config.space.family,)
     out: dict[str, list[ConvergenceRow]] = {}
     for family in families:
         space = SpaceKind(family, p, config.space.seed_choice)
@@ -256,10 +256,9 @@ def _gram_time_slice(funcs, d: int, p_for_rule: int, center, scales) -> np.ndarr
     return (vals.conj() * wts) @ vals.T
 
 
-def verify_basis(p_max: int = 3, dims: tuple[int, ...] = (1, 2, 3),
-                 seed_choice: str = "a", rng_seed: int = 0,
+def verify_basis(p_max: int = 3, dims: tuple[int, ...] = (1, 2, 3), rng_seed: int = 0,
                  dump_basis: bool = False) -> dict:
-    """Dimension, kernel-residual, Gram-rank and trace-uniqueness report."""
+    """Dimension, kernel-residual, Gram-rank and trace-uniqueness report (seed choice a)."""
     from .basis import _propagate_trefftz  # reconstruction shares the builder path
 
     rng = np.random.default_rng(rng_seed)
@@ -269,7 +268,7 @@ def verify_basis(p_max: int = 3, dims: tuple[int, ...] = (1, 2, 3),
         for p in range(1, p_max + 1):
             center = (tuple([0.3] * d) if d > 1 else 0.3, 0.2)
             scales = (0.5, 0.7)
-            eb = trefftz_basis(d, p, center, scales, seed_choice=seed_choice)
+            eb = trefftz_basis(d, p, center, scales)
             expected = math.comb(2 * p + d, d)
 
             residual = 0.0
@@ -305,7 +304,7 @@ def verify_basis(p_max: int = 3, dims: tuple[int, ...] = (1, 2, 3),
             })
             if dump_basis:
                 bases_dump[f"d{d}_p{p}"] = [f.to_json_dict() for f in eb.functions]
-    report = {"seed_choice": seed_choice, "entries": entries,
+    report = {"seed_choice": "a", "entries": entries,
               "all_pass": all(e["pass"] for e in entries)}
     if dump_basis:
         report["bases"] = bases_dump

@@ -36,10 +36,6 @@ class FactoredMatrix:
         if np.any(np.diag(self.lu) == 0):
             raise SingularMatrixError("zero pivot after partial pivoting")
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=complex)
         x = scipy.linalg.lu_solve((self.lu, self.piv), b, check_finite=False)

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .mesh import FacetKind, Mesh
-from .poly import ScaledPolynomial, scaled_monomials
+from .poly import ScaledPolynomial, dense_terms, mi, scaled_monomials
 from .quadrature import mapped_intervals
 
 
@@ -74,14 +74,7 @@ class PiecewisePolyField:
     """One polynomial per element (d = 1), e.g. an elementwise interpolant."""
 
     def __init__(self, polys: list[ScaledPolynomial]):
-        self.polys = polys
-        exps = sorted({(j.jx[0], j.jt) for p in polys for j in p.coeffs})
-        column = {e: k for k, e in enumerate(exps)}
-        self._exps = np.array(exps, dtype=np.intp).reshape(-1, 2)
-        self._coeffs = np.zeros((len(polys), len(exps)), dtype=complex)
-        for row, p in enumerate(polys):
-            for j, c in p.coeffs.items():
-                self._coeffs[row, column[(j.jx[0], j.jt)]] = c
+        self._exps, self._coeffs = dense_terms(polys)
         # per element: center x, center t, h_x, h_t
         self._frame = np.array([(p.center[0][0], p.center[1], *p.scales) for p in polys],
                                dtype=float).reshape(-1, 4)
@@ -89,7 +82,7 @@ class PiecewisePolyField:
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
         eids, X, T, shape = field_points(eid, xs, ts)
         z, s, hx, ht = (self._frame[eids, k][:, None] for k in range(4))
-        mon = scaled_monomials(self._exps, (X - z) / hx, (T - s) / ht, dx)
+        mon = scaled_monomials(self._exps, ((X - z) / hx, (T - s) / ht), mi(1, 0) if dx else None)
         out = np.einsum("fk,kfq->fq", self._coeffs[eids], mon)
         return (out / hx if dx else out).reshape(shape)
 

@@ -6,9 +6,10 @@ evaluates as
     p(x, t) = sum_j C_j * ((x - z) / h_x)**j_x * ((t - s) / h_t)**j_t
 
 with complex coefficients stored sparsely by space-time multi-index
-``j = (j_x, j_t)``.  The free-particle operator ``i d/dt + (1/2) Delta_x``
-maps polynomials to polynomials and is applied directly on the coefficient
-map, so membership in its kernel can be checked exactly from coefficients.
+``j = (j_x, j_t)``.  Arithmetic works on these sparse maps: the operator
+``i d/dt + (1/2) Delta_x`` is applied directly on them, so membership in its
+kernel is checked exactly from coefficients.  Evaluation works on the dense
+term table of `dense_terms`, contracted with the kernel `scaled_monomials`.
 
 All objects are immutable values; operations are pure functions.
 """
@@ -128,12 +129,21 @@ class ScaledPolynomial:
             "coeffs": [[list(j.jx), j.jt, c.real, c.imag] for j, c in self.sorted_terms()],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ScaledPolynomial":
-        terms = {mi(tuple(jx), jt): complex(re, im) for jx, jt, re, im in data["coeffs"]}
-        z, s = data["center"]
-        return cls.from_terms(terms, center=(tuple(z), s), scales=tuple(data["scales"]),
-                              d=data["d"], degree_bound=data["degree_bound"])
+
+def dense_terms(polys: Sequence[ScaledPolynomial]) -> tuple[np.ndarray, np.ndarray]:
+    """The dense term table of polynomials of one dimension d.
+
+    Returns the exponents (j_x, j_t) of every monomial any of them uses, in
+    sorted order, shape (n_terms, d + 1), and the coefficients, shape
+    (len(polys), n_terms), zero where a polynomial lacks the term.
+    """
+    exps = sorted({(*j.jx, j.jt) for p in polys for j in p.coeffs})
+    column = {e: k for k, e in enumerate(exps)}
+    coeffs = np.zeros((len(polys), len(exps)), dtype=complex)
+    for row, p in enumerate(polys):
+        for j, c in p.coeffs.items():
+            coeffs[row, column[(*j.jx, j.jt)]] = c
+    return np.array(exps, dtype=np.intp).reshape(-1, polys[0].d + 1), coeffs
 
 
 def _pow_table(v: np.ndarray, max_deg: int) -> np.ndarray:
@@ -144,61 +154,41 @@ def _pow_table(v: np.ndarray, max_deg: int) -> np.ndarray:
     return out
 
 
-def scaled_monomials(exps: np.ndarray, xi: np.ndarray, tau: np.ndarray,
-                     dx: bool = False) -> np.ndarray:
-    """xi**jx * tau**jt for every row (jx, jt) of ``exps``, shape (len(exps),) + xi.shape.
+def scaled_monomials(exps: np.ndarray, coords, deriv: MultiIndex | None = None
+                     ) -> np.ndarray:
+    """D^deriv of xi_1**j_1 ... xi_d**j_d * tau**j_t for every row of ``exps``.
 
-    With ``dx`` the xi-derivatives jx * xi**(jx - 1) * tau**jt instead.  The
-    powers come from tables of cumulative products (d = 1 only).
+    ``coords`` are the d + 1 scaled coordinates (xi_1, ..., xi_d, tau), arrays of
+    one shape; the result has shape (len(exps),) + that shape.  Derivatives are
+    in the scaled coordinates: the caller divides by h_x**|a_x| * h_t**a_t.
+    Powers come from tables of cumulative products, time multiplied first.
     """
-    jx, jt = exps[:, 0], exps[:, 1]
-    out = _pow_table(tau, int(jt.max(initial=0)))[jt]
-    if not dx:
-        return out * _pow_table(xi, int(jx.max(initial=0)))[jx]
-    fac = jx.reshape((-1,) + (1,) * np.ndim(xi))
-    return out * (fac * _pow_table(xi, int(jx.max(initial=1)) - 1)[np.maximum(jx - 1, 0)])
+    a = (0,) * exps.shape[1] if deriv is None else (*deriv.jx, deriv.jt)
+    out = None
+    for ell in (-1, *range(len(coords) - 1)):
+        e, k, v = exps[:, ell], a[ell], coords[ell]
+        pw = _pow_table(v, max(int(e.max(initial=0)) - k, 0))[np.maximum(e - k, 0) if k else e]
+        if k:  # times e (e - 1) ... (e - k + 1), zero where e < k
+            fac = e
+            for i in range(1, k):
+                fac = fac * (e - i)
+            pw = fac.reshape((-1,) + (1,) * v.ndim) * pw
+        out = pw if out is None else out * pw
+    return out
 
 
 def eval_poly_many(p: ScaledPolynomial, xs, ts, deriv: MultiIndex | None = None) -> np.ndarray:
     """Vectorized D^deriv p at points; xs is (n,) for d = 1, (n, d) otherwise."""
-    if deriv is None:
-        deriv = MultiIndex((0,) * p.d, 0)
-    ax, at = deriv.jx, deriv.jt
     z, s = p.center
     hx, ht = p.scales
-
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if p.d == 1:
-        X1 = np.atleast_1d(xs)
-        T = np.atleast_1d(ts)
-        X1, T = np.broadcast_arrays(X1, T)
-        cols = [(X1 - z[0]) / hx]
-        T = (T - s) / ht
-    else:
-        A = np.atleast_2d(xs)
-        cols = [(A[:, ell] - z[ell]) / hx for ell in range(p.d)]
-        T = np.broadcast_to(np.atleast_1d(ts), (A.shape[0],))
-        T = (T - s) / ht
-    npts = T.shape[0]
-
-    keep = [(j, c) for j, c in p.coeffs.items()
-            if j.jt >= at and all(j.jx[ell] >= ax[ell] for ell in range(p.d))]
-    if not keep:
-        return np.zeros(npts, dtype=complex)
-
-    scale = hx ** (-sum(ax)) * ht ** (-at)
-    w = np.array(
-        [c * math.perm(j.jt, at) * math.prod(math.perm(j.jx[ell], ax[ell]) for ell in range(p.d))
-         for j, c in keep],
-        dtype=complex,
-    ) * scale
-    et = np.array([j.jt - at for j, _ in keep])
-    acc = w[:, None] * _pow_table(T, int(et.max()))[et]
-    for ell in range(p.d):
-        ex = np.array([j.jx[ell] - ax[ell] for j, _ in keep])
-        acc = acc * _pow_table(cols[ell], int(ex.max()))[ex]
-    return acc.sum(axis=0)
+    X = np.asarray(xs, dtype=float)
+    X = np.atleast_2d(X) if p.d > 1 else np.atleast_1d(X)[..., None]
+    coords = [(X[..., ell] - z[ell]) / hx for ell in range(p.d)]
+    coords = np.broadcast_arrays(*coords, (np.asarray(ts, dtype=float) - s) / ht)
+    exps, coeffs = dense_terms([p])
+    if deriv is not None:
+        coeffs = coeffs * (hx ** (-sum(deriv.jx)) * ht ** (-deriv.jt))
+    return np.tensordot(coeffs[0], scaled_monomials(exps, coords, deriv), 1)
 
 
 def apply_schrodinger(p: ScaledPolynomial) -> ScaledPolynomial:

@@ -17,10 +17,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadratureRule:

@@ -31,14 +31,9 @@ class ExpSolution:
     def dx(self, x, t):
         return self.kappa * self.value(x, t)
 
-    def dt(self, x, t):
-        return 0.5j * self.kappa ** 2 * self.value(x, t)
-
     def derivative(self, j: MultiIndex, point) -> complex:
         x, t = point
-        jx = j.jx[0] if isinstance(j, MultiIndex) else j[0]
-        jt = j.jt if isinstance(j, MultiIndex) else j[1]
-        return complex(self.kappa ** jx * (0.5j * self.kappa ** 2) ** jt
+        return complex(self.kappa ** j.jx[0] * (0.5j * self.kappa ** 2) ** j.jt
                        * np.exp(self.kappa * x + 0.5j * self.kappa ** 2 * t))
 
 

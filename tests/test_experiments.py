@@ -117,6 +117,23 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     (["conditioning", "--space", "full", "--levels", "2"],
      "space must be trefftz for conditioning"),
     (["verify-basis", "--space", "full", "--p", "1"], "space must be trefftz for verify-basis"),
+    (["conditioning", "--kappa", "0", "--levels", "2"], "conditioning does not read --kappa"),
+    (["singular", "--kappa", "3", "--levels", "2"], "singular does not read --kappa"),
+    (["verify-basis", "--kappa", "3", "--p", "1"], "verify-basis does not read --kappa"),
+    (["conv-h", "--constant-data", "--kappa", "3", "--levels", "2"],
+     "conv-h --constant-data does not read --kappa"),
+    (["conditioning", "--seed-choice", "a", "--levels", "2"],
+     "conditioning does not read --seed-choice"),
+    (["verify-basis", "--seed-choice", "b", "--p", "1"], "seed choice must be a for verify-basis"),
+    (["verify-basis", "--quad-n", "8", "--p", "1"], "verify-basis does not read --quad-n"),
+    (["verify-basis", "--levels", "2", "--p", "1"], "verify-basis does not read --levels"),
+    (["conv-p", "--p", "2", "--levels", "1"], "conv-p does not read --p"),
+    (["conv-p", "--global-oracle", "--levels", "1"], "conv-p does not read --global-oracle"),
+    (["singular", "--global-oracle", "--levels", "2"], "singular does not read --global-oracle"),
+    (["singular", "--constant-data", "--levels", "2"], "singular does not read --constant-data"),
+    (["conditioning", "--constant-data", "--levels", "2"],
+     "conditioning does not read --constant-data"),
+    (["conv-h", "--dump-basis", "--levels", "2"], "conv-h does not read --dump-basis"),
 ])
 def test_cli_rejects_unsupported_experiment_settings(tmp_path, capsys, args, message):
     out = tmp_path / "x.json"

@@ -1,8 +1,9 @@
 """CLI outputs against committed golden files.
 
 The files under tests/data/golden were written by the CLI at commit 1976df0,
-before the mesh became array-native.  Numeric cells must agree to 1e-12
-relative, every other cell exactly.
+before the mesh became array-native, except verify_basis_p2.json, written at
+commit 93a905c, before one evaluator replaced the per-polynomial one.
+Numeric cells must agree to 1e-12 relative, every other cell exactly.
 """
 
 import csv
@@ -22,6 +23,7 @@ RUNS = {
     "singular_p1_l3": ["singular", "--p", "1", "--levels", "3"],
     "conditioning_p1_l3": ["conditioning", "--p", "1", "--levels", "3"],
     "conv_p_l2": ["conv-p", "--levels", "2"],
+    "verify_basis_p2": ["verify-basis", "--p", "2"],
 }
 
 
@@ -65,7 +67,8 @@ def assert_same_csv(got: Path, want: Path):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_matches_golden_outputs(name, tmp_path):
-    assert main(RUNS[name] + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+    suffix = ".json" if RUNS[name][0] == "verify-basis" else ".csv"  # as the CLI default
+    assert main(RUNS[name] + ["--out", str(tmp_path / f"{name}{suffix}")]) == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in GOLDEN.glob(f"{name}[._]*"))
     for file in written:

@@ -8,7 +8,7 @@ from schrodg.basis import SpaceKind
 from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
                            dg_norm, dg_plus_norm, exact_field, l2_slice_error)
-from schrodg.poly import extended_taylor_poly
+from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
 from schrodg.solutions import ExpSolution
 from schrodg.quadrature import mapped_interval
 from tests.conftest import constant_field, perturbed_mesh
@@ -165,6 +165,27 @@ def per_facet_norms(field, mesh, n):
             s_dg += alpha * _wsum_sq(wq, field.value(owner, fixed, tq))
             s_plus += _wsum_sq(wq, field.dx(owner, fixed, tq)) / alpha
     return math.sqrt(0.5 * s_dg), math.sqrt(0.5 * (s_dg + s_plus))
+
+
+def test_piecewise_poly_field_matches_eval_poly_many():
+    # two element sizes, and polynomials whose supports differ between elements
+    mesh = perturbed_mesh()
+    arrays = mesh.element_arrays
+    rng = np.random.default_rng(3)
+    polys = []
+    for e in range(mesh.n_elements):
+        terms = {(jx, jt): complex(*rng.standard_normal(2))
+                 for jx in range(4) for jt in range(2) if (jx + jt + e) % 3}
+        polys.append(ScaledPolynomial.from_terms(terms, center=tuple(arrays.center[e]),
+                                                 scales=tuple(arrays.h[e])))
+    field = PiecewisePolyField(polys)
+    eids = np.arange(mesh.n_elements)
+    u = rng.uniform(size=(2, mesh.n_elements, 5))
+    X = arrays.x_range[:, :1] + u[0] * np.diff(arrays.x_range)
+    T = arrays.t_range[:, :1] + u[1] * np.diff(arrays.t_range)
+    for got, deriv in ((field.value(eids, X, T), None), (field.dx(eids, X, T), mi(1, 0))):
+        want = np.stack([eval_poly_many(polys[e], X[e], T[e], deriv) for e in eids])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _field(kind, mesh):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schrodg.poly import (MultiIndex, ScaledPolynomial, apply_schrodinger,
+from schrodg.poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, dense_terms,
                           eval_poly_many, extended_taylor_poly, mi, poly_combination,
                           space_multi_indices, taylor_poly)
 from schrodg.solutions import ExpSolution, ExpSolutionND
@@ -56,6 +56,37 @@ def test_eval_many_matches_scalar():
     vals = eval_poly_many(p, xs, ts)
     for x, t, v in zip(xs, ts, vals):
         assert v == pytest.approx(eval_poly_many(p, x, t)[0])
+
+
+def test_eval_2d_mixed_derivatives_hand_values():
+    # p = 2 + 1.5 xi1^2 xi2 tau + i xi1 xi2^3, xi_l = (x_l - z_l)/h_x, tau = (t - s)/h_t
+    hx, ht = 0.5, 0.25
+    p = P({((0, 0), 0): 2.0, ((2, 1), 1): 1.5, ((1, 3), 0): 1j},
+          center=((0.3, -0.2), 0.1), scales=(hx, ht), d=2)
+    xs = np.array([[0.3, -0.2], [0.7, 0.4], [-0.1, 0.9]])
+    ts = np.array([0.1, 0.35, -0.4])
+    xi1, xi2, tau = (xs[:, 0] - 0.3) / hx, (xs[:, 1] + 0.2) / hx, (ts - 0.1) / ht
+    cases = [
+        (mi((0, 0), 0), 2.0 + 1.5 * xi1 ** 2 * xi2 * tau + 1j * xi1 * xi2 ** 3),
+        (mi((1, 0), 1), 3.0 * xi1 * xi2 / (hx * ht)),
+        (mi((0, 2), 0), 6j * xi1 * xi2 / hx ** 2),
+        (mi((1, 1), 0), (3.0 * xi1 * tau + 3j * xi2 ** 2) / hx ** 2),
+        (mi((0, 0), 2), 0.0 * xi1),
+    ]
+    for deriv, want in cases:
+        assert eval_poly_many(p, xs, ts, deriv) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_dense_terms_union_of_disjoint_supports():
+    a = P({(0, 0): 1.0, (2, 0): 2.0})
+    b = P({(1, 1): 3j})
+    exps, coeffs = dense_terms([a, b])
+    assert exps.tolist() == [[0, 0], [1, 1], [2, 0]]
+    assert coeffs.tolist() == [[1.0, 0.0, 2.0], [0.0, 3j, 0.0]]
+    plane = {"center": ((0.0, 0.0), 0.0), "d": 2}
+    exps, coeffs = dense_terms([P({((0, 2), 1): 1.0}, **plane), P({((1, 0), 0): -1.0}, **plane)])
+    assert exps.tolist() == [[0, 2, 1], [1, 0, 0]]
+    assert coeffs.tolist() == [[1.0, 0.0], [0.0, -1.0]]
 
 
 def test_schrodinger_kernel_members_annihilate():
@@ -201,14 +232,11 @@ def test_degree_bound_enforced():
         ScaledPolynomial(1, ((0.0,), 0.0), (1.0, 1.0), {mi(3, 0): 1.0}, 2)
 
 
-def test_json_round_trip_and_deterministic_order():
+def test_json_dict_deterministic_order():
     p = P({(0, 1): 1j, (2, 0): 1.0, (1, 1): -2.0}, center=(0.25, 0.5), scales=(0.5, 0.1))
     d = p.to_json_dict()
     assert [tuple(e[0]) + (e[1],) for e in d["coeffs"]] == sorted(
         tuple(e[0]) + (e[1],) for e in d["coeffs"])
-    q = ScaledPolynomial.from_json_dict(d)
-    assert q.coeffs == dict(p.coeffs)
-    assert q.center == p.center and q.scales == p.scales
 
 
 def test_combination_requires_common_basis():
