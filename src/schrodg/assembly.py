@@ -39,7 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import ElementBasis, MeshBasis, SpaceKind, element_basis
-from .linalg import COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2
+from .linalg import (COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, from_band,
+                     to_band)
 from .mesh import FacetKind, Mesh
 from .norms import field_points
 from .quadrature import (data_rule_size, mapped_interval, mapped_intervals, poly_rule_size,
@@ -72,7 +73,7 @@ def solution_data(sol) -> BoundaryData:
 
 class SlabSolveError(RuntimeError):
     def __init__(self, slab: int, cond_estimate: float, reason: str = "ill-conditioned"):
-        super().__init__(f"slab {slab}: {reason} (cond2 ~ {cond_estimate:.3e})")
+        super().__init__(f"slab {slab}: {reason} (cond ~ {cond_estimate:.3e})")
         self.slab = slab
         self.cond_estimate = cond_estimate
 
@@ -147,14 +148,19 @@ def _volume_rule(mesh: Mesh, eids: np.ndarray, n: int):
 
 
 def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: int
-                 ) -> np.ndarray:
-    """Dense matrix of one slab: rows test, columns trial, dim dofs per element in slab order."""
+                 ) -> tuple[np.ndarray, int, int]:
+    """Band storage (ab, kl, ku) of one slab's matrix (see `linalg.to_band`): rows
+    test, columns trial, dim dofs per element in slab order.
+
+    Only time-like facets couple elements, and only neighbours in slab order,
+    so the matrix is block tridiagonal with kl = ku = 2 dim - 1.
+    """
     first = mesh.slab_elements[slab][0]
     nx, dim = len(mesh.slab_elements[slab]), basis.dim
     n_facet = n_data if basis.kind.family == "planewave" else n_poly
-    M = np.zeros((nx * dim, nx * dim), dtype=complex)
-    blocks = M.reshape(nx, dim, nx, dim)  # a view: blocks[i, :, j, :] is block (i, j)
     diag = np.zeros((nx, dim, dim), dtype=complex)
+    # off[s][e] is the block of test element e against trial element e + s
+    off = {1: np.zeros_like(diag), -1: np.zeros_like(diag)}
 
     for kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):  # every element's top facet
         fa = mesh.facet_arrays(kind, slab)
@@ -165,6 +171,9 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: i
 
     fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
     if fa is not None:
+        if np.any(fa.right - fa.left != 1):
+            raise ValueError(f"slab {slab}: a time-like facet joins elements that are "
+                             "not neighbours in slab order")
         X, T, W = fa.quadrature(n_facet)
         al, be = fa.alpha[:, None, None], fa.beta[:, None, None]
         sides = [(fa.left - first, *basis.traces(fa.left, X, T), 1.0),
@@ -177,8 +186,8 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: i
                                + 1j * be * na * nb * _pair(ga, gb, W))
                 if ia is ib:
                     np.add.at(diag, ia, block)
-                else:
-                    blocks[ia, :, ib, :] += block
+                else:  # the left element's neighbour is at +1, the right one's at -1
+                    np.add.at(off[na], ia, block)
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
     if fa is not None:
@@ -193,9 +202,15 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: i
         X, T, W = _volume_rule(mesh, elems, n_poly)
         diag += _pair(basis.operator_image(elems, X, T), basis.values(elems, X, T), W)
 
-    i = np.arange(nx)
-    blocks[i, :, i, :] += diag
-    return M
+    # block (e, e + s), entry (a, b) sits at band row kl + ku - s dim + a - b,
+    # column (e + s) dim + b
+    kl = ku = 2 * dim - 1
+    ab = np.zeros((2 * kl + ku + 1, nx * dim), dtype=complex)
+    a, b = np.arange(dim)[:, None], np.arange(dim)[None, :]
+    for s, blocks in ((0, diag), *off.items()):
+        e = np.arange(max(0, -s), nx - max(0, s))
+        ab[kl + ku - s * dim + a - b, ((e + s) * dim)[:, None, None] + b] = blocks[e]
+    return ab, kl, ku
 
 
 def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
@@ -226,15 +241,24 @@ def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
     return rhs.reshape(-1)
 
 
+def _screen(slab: int, cond: float, max_cond: float) -> None:
+    if not np.isfinite(cond) or cond > max_cond:
+        raise SlabSolveError(slab, cond)
+
+
 def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
           n_quad: int | None = None, max_cond: float | None = None) -> DiscreteSolution:
     """Solve slab systems in time order, feeding each top trace downstream.
 
-    On uniform meshes the slab matrix is identical for every slab for the
+    Each slab matrix is assembled and LU-factored in band storage, so its
+    cost and memory grow linearly in the elements per slab.  On uniform
+    meshes the slab matrix is identical for every slab for the
     translation-invariant polynomial families, so a single factorization is
     reused.  Plane-wave systems are screened against ``max_cond`` (default
-    1e14) and rejected with a SlabSolveError when numerically unusable, as
-    is a slab whose right-hand side or solution is not finite.
+    1e14) and rejected with a SlabSolveError when numerically unusable: on
+    the SVD cond2 up to `COND_MAX_N` unknowns, above it on LAPACK's 1-norm
+    estimate 1 / rcond.  A slab whose right-hand side or solution is not
+    finite is rejected too.
     """
     n_poly, n_data = _rule_sizes(space, n_quad)
     if max_cond is None and space.family == "planewave":
@@ -244,15 +268,17 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     factor = None
     for slab in range(mesh.n_slabs):
         if factor is None or not reuse:
-            M = _slab_matrix(mesh, slab, sol.basis, n_poly, n_data)
-            if max_cond is not None and M.shape[0] <= COND_MAX_N:
-                c = cond2(M)
-                if not np.isfinite(c) or c > max_cond:
-                    raise SlabSolveError(slab, c)
+            band = _slab_matrix(mesh, slab, sol.basis, n_poly, n_data)
+            small = band[0].shape[1] <= COND_MAX_N
+            if max_cond is not None and small:
+                _screen(slab, cond2(from_band(*band)), max_cond)
             try:
-                factor = FactoredMatrix(M)
+                factor = FactoredMatrix(*band)
             except SingularMatrixError as exc:
                 raise SlabSolveError(slab, float("inf"), "singular matrix") from exc
+            if max_cond is not None and not small:
+                _screen(slab, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"),
+                        max_cond)
         rhs = _slab_rhs(mesh, slab, sol.basis, data, sol, n_data)
         if not np.all(np.isfinite(rhs)):
             raise SlabSolveError(slab, float("nan"), "non-finite right-hand side")
@@ -383,7 +409,7 @@ def solve_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
                  n_quad: int | None = None) -> DiscreteSolution:
     """Solve the fully coupled system at once (oracle for the marching path)."""
     M, rhs, _ = assemble_global(mesh, space, data, n_quad)
-    x = FactoredMatrix(M).solve(rhs)
+    x = FactoredMatrix(*to_band(M)).solve(rhs)
     sol = DiscreteSolution(mesh, space)
     sol.set_coeffs(np.arange(mesh.n_elements), x.reshape(mesh.n_elements, -1))
     return sol

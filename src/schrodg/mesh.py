@@ -55,10 +55,6 @@ class SpaceTimeDomain:
     def width(self) -> float:
         return self.x_hi - self.x_lo
 
-    @property
-    def area(self) -> float:
-        return self.width * self.t_final
-
 
 @dataclass(frozen=True)
 class Element:

@@ -7,8 +7,8 @@ from schrodg.assembly import (BoundaryData, DiscreteSolution, _rule_sizes, _slab
                               _slab_rhs, apply_form_to_field, assemble_global,
                               constant_data, march, solution_data, solve_global)
 from schrodg.basis import MeshBasis, SpaceKind
-from schrodg.linalg import cond2
-from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
+from schrodg.linalg import cond2, from_band
+from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import DifferenceField, dg_norm, exact_field
 from schrodg.solutions import ExpSolution
 from tests.conftest import constant_field
@@ -30,10 +30,10 @@ def rel_coeff_diff(a: DiscreteSolution, b: DiscreteSolution) -> float:
 
 
 def first_slab(mesh, space, data):
-    """Matrix and right-hand side of slab 0, built as march builds them."""
+    """Dense matrix and right-hand side of slab 0, built as march builds them."""
     basis = MeshBasis(mesh, space)
     n_poly, n_data = _rule_sizes(space, None)
-    return (_slab_matrix(mesh, 0, basis, n_poly, n_data),
+    return (from_band(*_slab_matrix(mesh, 0, basis, n_poly, n_data)),
             _slab_rhs(mesh, 0, basis, data, None, n_data))
 
 
@@ -184,6 +184,59 @@ def test_ill_conditioned_slab_is_flagged():
         march(mesh, SpaceKind.plane_wave(2), data, max_cond=10.0)
     assert exc.value.slab == 0
     assert exc.value.cond_estimate > 10.0
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=str)
+@pytest.mark.parametrize("mesh_name", ["perturbed", "uniform"])
+def test_band_slab_matrix_is_the_global_diagonal_block(space, mesh_name):
+    from tests.conftest import perturbed_mesh
+
+    mesh = perturbed_mesh() if mesh_name == "perturbed" else build_cartesian_mesh(DOM, 4, 3)
+    basis = MeshBasis(mesh, space)
+    n_poly, n_data = _rule_sizes(space, None)
+    m, _, _ = assemble_global(mesh, space, constant_data(1.0))
+    bw = 2 * basis.dim - 1
+    for slab in range(mesh.n_slabs):
+        ab, kl, ku = _slab_matrix(mesh, slab, basis, n_poly, n_data)
+        assert (kl, ku) == (bw, bw)
+        rows = np.concatenate([np.arange(e * basis.dim, (e + 1) * basis.dim)
+                               for e in mesh.slab_elements[slab]])
+        block = m[np.ix_(rows, rows)]
+        assert np.max(np.abs(from_band(ab, kl, ku) - block)) <= 1e-13 * np.max(np.abs(block))
+        i, j = np.indices(block.shape)
+        assert not np.any(block[(j - i > bw) | (i - j > bw)])
+
+
+def test_slab_matrix_rejects_non_neighbour_coupling():
+    import dataclasses
+
+    mesh = build_cartesian_mesh(DOM, 3, 1)
+    groups = dict(mesh.facet_groups)
+    fa = groups[FacetKind.TIME_INTERIOR, 0]
+    groups[FacetKind.TIME_INTERIOR, 0] = dataclasses.replace(
+        fa, right=np.where(fa.left == 0, 2, fa.right))  # element 0 meets element 2
+    broken = dataclasses.replace(mesh, facet_groups=groups)
+    space = SpaceKind.trefftz(1)
+    with pytest.raises(ValueError, match="not neighbours"):
+        _slab_matrix(broken, 0, MeshBasis(broken, space), *_rule_sizes(space, None))
+
+
+def test_plane_wave_screen_above_cond2_cap():
+    import time
+
+    from schrodg.assembly import SlabSolveError
+    from schrodg.linalg import COND_MAX_N
+
+    # one slab of 800 square elements: 1/rcond_1 ~ 3e15, above the 1e14 flag
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0 / 800), 800, 1)
+    space = SpaceKind.plane_wave(2)
+    assert mesh.n_elements * space.dim(1) > COND_MAX_N
+    start = time.perf_counter()
+    with pytest.raises(SlabSolveError) as exc:
+        march(mesh, space, solution_data(ExpSolution(5.0)))
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.slab == 0
+    assert exc.value.cond_estimate > 1e14
 
 
 def test_global_size_cap():

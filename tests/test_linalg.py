@@ -1,34 +1,74 @@
 import numpy as np
 import pytest
 
-from schrodg.linalg import (SingularMatrixError, cond2, relative_residual, solve_lu)
+from schrodg.linalg import (FactoredMatrix, SingularMatrixError, cond2, from_band,
+                            relative_residual, to_band)
+
+
+def band_solve(a, b):
+    return FactoredMatrix(*to_band(a)).solve(b)
+
+
+def random_banded(rng, n, kl, ku):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.triu(np.tril(a, ku), -kl)
 
 
 def test_identity_solve():
     b = np.array([1.0 + 2j, -3.0, 0.5j])
-    assert np.allclose(solve_lu(np.eye(3), b), b)
+    assert np.allclose(band_solve(np.eye(3), b), b)
 
 
 def test_scalar_solve_matches_assembly_example():
-    x = solve_lu(np.array([[2j]]), np.array([2j]))
+    x = band_solve(np.array([[2j]]), np.array([2j]))
     assert x == pytest.approx([1.0])
 
 
 def test_permutation_solve():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(solve_lu(a, np.array([1.0, 2.0])), [2.0, 1.0])
+    assert np.allclose(band_solve(a, np.array([1.0, 2.0])), [2.0, 1.0])
 
 
 def test_singular_matrix_reported():
     with pytest.raises(SingularMatrixError):
-        solve_lu(np.zeros((2, 2)), np.ones(2))
+        band_solve(np.zeros((2, 2)), np.ones(2))
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        solve_lu(np.ones((2, 3)), np.ones(2))
+        band_solve(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
-        solve_lu(np.eye(3), np.ones(2))
+        band_solve(np.eye(3), np.ones(2))
+    with pytest.raises(ValueError):
+        band_solve(np.eye(3), np.ones((3, 2)))  # one right-hand side at a time
+    with pytest.raises(ValueError):
+        FactoredMatrix(np.ones((3, 4)), 1, 1)  # 2 kl + ku + 1 = 4 rows needed
+
+
+def test_non_finite_band_rejected():
+    ab, kl, ku = to_band(np.eye(3))
+    ab[kl + ku, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        FactoredMatrix(ab, kl, ku)
+
+
+@pytest.mark.parametrize("kl, ku", [(0, 0), (2, 1), (1, 3), (5, 5)])
+def test_band_round_trip_is_exact(kl, ku):
+    a = random_banded(np.random.default_rng(kl + 7 * ku), 9, kl, ku)
+    ab, kl_found, ku_found = to_band(a)
+    assert (kl_found, ku_found) == (kl, ku)
+    assert ab.shape == (2 * kl + ku + 1, 9)
+    assert np.array_equal(from_band(ab, kl, ku), a)
+
+
+@pytest.mark.parametrize("n", [8, 60, 300])
+def test_rcond_estimate_bounds_cond1(n):
+    rng = np.random.default_rng(n)
+    a = random_banded(rng, n, 5, 5)
+    a[np.arange(n), np.arange(n)] *= np.geomspace(1.0, 1e-6, n)  # not too well-conditioned
+    cond1 = np.linalg.cond(a, 1)
+    estimate = 1.0 / FactoredMatrix(*to_band(a)).rcond
+    assert cond1 / 10 <= estimate <= cond1 * (1 + 1e-8)
 
 
 def test_cond_identity_and_diag():
@@ -67,5 +107,5 @@ def test_solve_residual_bound(n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert cond2(a) < 1e6
-    x = solve_lu(a, b)
+    x = band_solve(a, b)
     assert relative_residual(a, x, b) <= 1e-10

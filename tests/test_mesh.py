@@ -101,7 +101,8 @@ def test_areas_tile_domain():
     dom = SpaceTimeDomain(-0.5, 2.0, 0.7)
     mesh = build_cartesian_mesh(dom, 7, 5)
     total = sum(el.h_x * el.h_t for el in mesh.elements)
-    assert abs(total - dom.area) <= 1e-13 * dom.area
+    area = dom.width * dom.t_final
+    assert abs(total - area) <= 1e-13 * area
 
 
 def test_neighbor_counts():
