@@ -251,23 +251,22 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     """Solve slab systems in time order, feeding each top trace downstream.
 
     Each slab matrix is assembled and LU-factored in band storage, so its
-    cost and memory grow linearly in the elements per slab.  On uniform
-    meshes the slab matrix is identical for every slab for the
-    translation-invariant polynomial families, so a single factorization is
-    reused.  Plane-wave systems are screened against ``max_cond`` (default
-    1e14) and rejected with a SlabSolveError when numerically unusable: on
-    the SVD cond2 up to `COND_MAX_N` unknowns, above it on LAPACK's 1-norm
-    estimate 1 / rcond.  A slab whose right-hand side or solution is not
-    finite is rejected too.
+    cost and memory grow linearly in the elements per slab.  Every family is
+    evaluated relative to the element center, so on a uniform mesh every
+    slab has the same matrix: it is assembled, screened and factored once
+    and reused for every slab.  Plane-wave systems are screened against
+    ``max_cond`` (default 1e14) and rejected with a SlabSolveError when
+    numerically unusable: on the SVD cond2 up to `COND_MAX_N` unknowns,
+    above it on LAPACK's 1-norm estimate 1 / rcond.  A slab whose right-hand
+    side or solution is not finite is rejected too.
     """
     n_poly, n_data = _rule_sizes(space, n_quad)
     if max_cond is None and space.family == "planewave":
         max_cond = _COND_FLAG_DEFAULT
     sol = DiscreteSolution(mesh, space)
-    reuse = mesh.is_uniform and space.family != "planewave"
     factor = None
     for slab in range(mesh.n_slabs):
-        if factor is None or not reuse:
+        if factor is None or not mesh.is_uniform:
             band = _slab_matrix(mesh, slab, sol.basis, n_poly, n_data)
             small = band[0].shape[1] <= COND_MAX_N
             if max_cond is not None and small:

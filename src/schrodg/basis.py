@@ -14,13 +14,14 @@ Four families are supported:
 * ``quasi-trefftz``: degree-p polynomials whose operator image has a zero
   of order p - 2 at the element center (d = 1 only).
 * ``full``: all scaled monomials of total degree <= p.
-* ``planewave``: exp(i (k x - k^2 t / 2)) with 2p + 1 equispaced
-  wavenumbers k = -2p, -2p + 2, ..., 2p (d = 1 only).
+* ``planewave``: exp(i (k (x - x_K) - k^2 (t - t_K) / 2)) with 2p + 1
+  equispaced wavenumbers k = -2p, -2p + 2, ..., 2p (d = 1 only).
 
-``MeshBasis`` evaluates the basis of many elements of a mesh in one array
-call: a polynomial family is one coefficient table per element size, since
-every element of that size carries the same table, only translated.  Every
-evaluation goes through `poly.scaled_monomials` or the one wave formula.
+Every family is centered at the element center (x_K, t_K), so all elements
+of one size carry the same basis, only translated.  ``MeshBasis`` evaluates
+the basis of many elements in one array call from one `coefficient_table`
+per element size.  Every evaluation goes through `poly.scaled_monomials` or
+the one wave formula.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class SpaceKind:
 
 @dataclass(frozen=True)
 class Wave:
-    """exp(i (k x - k^2 t / 2)); center and scales recorded for provenance."""
+    """exp(i (k (x - x_K) - k^2 (t - t_K) / 2)) about the element center (x_K, t_K)."""
 
     k: float
     center: tuple[float, float]
@@ -123,13 +124,11 @@ def _wave(k, X, T, ax: int = 0, at: int = 0) -> np.ndarray:
 def eval_basis_many(b: BasisFunction, xs, ts, deriv: MultiIndex | None = None) -> np.ndarray:
     """Vectorized D^deriv b at points (order <= 2 for wave functions)."""
     if isinstance(b, Wave):
-        if deriv is None:
-            ax = at = 0
-        else:
-            ax, at = sum(deriv.jx), deriv.jt
+        ax, at = (0, 0) if deriv is None else (sum(deriv.jx), deriv.jt)
         if ax + at > 2:
             raise ValueError("wave derivatives supported up to total order 2")
-        return _wave(b.k, *np.atleast_1d(xs, ts), ax, at)
+        xs, ts = np.atleast_1d(xs, ts)
+        return _wave(b.k, xs - b.center[0], ts - b.center[1], ax, at)
     return eval_poly_many(b, xs, ts, deriv)
 
 
@@ -268,18 +267,22 @@ def element_basis(kind: SpaceKind, center, scales, element_id: int = 0) -> Eleme
 @lru_cache(maxsize=None)
 def coefficient_table(kind: SpaceKind, hx: float, ht: float
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense form of a polynomial family's local basis on elements of size (hx, ht).
+    """Dense form of a family's local basis on elements of size (hx, ht).
 
-    Returns the exponents (jx, jt) of the scaled monomials in use, shape
-    (n_terms, 2), the basis coefficients, shape (dim, n_terms), and the
-    coefficients of the basis' image under i d/dt + (1/2) d^2/dx^2, same
-    shape.  The table does not depend on the element center.
+    Returns the local functions: the exponents (jx, jt) of the scaled
+    monomials in use, (n_local, 2), or the wavenumbers of the plane waves.
+    Then the basis coefficients in them, (dim, n_local), the identity for
+    plane waves, and those of the basis' image under
+    i d/dt + (1/2) d^2/dx^2, same shape: zero for plane waves, which lie in
+    the kernel.  The table does not depend on the element center.
     """
-    if kind.family == "planewave":
-        raise ValueError("plane waves have no coefficient table")
     funcs = element_basis(kind, (0.0, 0.0), (hx, ht)).functions
-    exps, coeffs = dense_terms([*funcs, *(apply_schrodinger(f) for f in funcs)])
-    out = (exps, coeffs[:len(funcs)], coeffs[len(funcs):])
+    if kind.family == "planewave":
+        out = (np.array([f.k for f in funcs]), np.eye(len(funcs), dtype=complex),
+               np.zeros((len(funcs),) * 2, dtype=complex))
+    else:
+        exps, coeffs = dense_terms([*funcs, *(apply_schrodinger(f) for f in funcs)])
+        out = (exps, coeffs[:len(funcs)], coeffs[len(funcs):])
     for a in out:
         a.flags.writeable = False
     return out
@@ -290,23 +293,16 @@ class MeshBasis:
 
     Every method takes element ids ``eids`` (nF,) and points ``X``, ``T``
     that broadcast to (nF, nq); row f of the points lies on element eids[f].
-    Polynomial families go through `coefficient_table`, one table per
-    distinct element size; plane waves are evaluated from absolute
-    coordinates.
+    Every family goes through `coefficient_table`, one table per distinct
+    element size (`Mesh.size_groups`), at coordinates relative to the
+    element center.
     """
 
     def __init__(self, mesh, kind: SpaceKind):
         self.kind = kind
         self.dim = kind.dim(1)
-        arrays = mesh.element_arrays
-        self.center = arrays.center
-        sizes, group = np.unique(arrays.h, axis=0, return_inverse=True)
-        self.size_group = group.reshape(-1)
-        self.sizes = [(float(hx), float(ht)) for hx, ht in sizes]
-        self.k = None
-        if kind.family == "planewave":
-            self.k = np.array([f.k for f in
-                               element_basis(kind, (0.0, 0.0), (1.0, 1.0)).functions])
+        self.center = mesh.element_arrays.center
+        self.sizes, self.size_group = mesh.size_groups
 
     def traces(self, eids, X, T) -> tuple[np.ndarray, np.ndarray]:
         """Values and x-derivatives of every basis function, each (nF, dim, nq)."""
@@ -317,12 +313,7 @@ class MeshBasis:
         return self._evaluate(eids, X, T)
 
     def operator_image(self, eids, X, T) -> np.ndarray:
-        """i d/dt + (1/2) d^2/dx^2 of every basis function, (nF, dim, nq).
-
-        Only for the polynomial families (plane waves lie in the kernel).
-        """
-        if self.k is not None:
-            raise ValueError("plane waves have no operator image table")
+        """i d/dt + (1/2) d^2/dx^2 of every basis function, (nF, dim, nq); 0 for plane waves."""
         return self._evaluate(eids, X, T, image=True)
 
     def combination(self, eids, X, T, weights, dx: bool = False) -> np.ndarray:
@@ -333,25 +324,24 @@ class MeshBasis:
     def _evaluate(self, eids, X, T, dx=False, image=False, weights=None) -> np.ndarray:
         eids = np.asarray(eids, dtype=np.intp)
         X, T = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(T, dtype=float))
-        if self.k is not None:
-            vals = _wave(self.k[:, None, None], X, T, ax=int(dx))
-            if weights is not None:
-                return np.einsum("fd,dfq->fq", weights, vals)
-            return np.moveaxis(vals, 0, 1)
         out = np.empty(((self.dim,) if weights is None else ()) + X.shape, dtype=complex)
         for rows, (hx, ht) in self._size_groups(eids):
-            exps, table, image_table = coefficient_table(self.kind, hx, ht)
+            local, table, image_table = coefficient_table(self.kind, hx, ht)
             e = eids[rows]
-            xi = (X[rows] - self.center[e, 0:1]) / hx
-            tau = (T[rows] - self.center[e, 1:2]) / ht
-            mon = scaled_monomials(exps, (xi, tau), mi(1, 0) if dx else None)
-            if dx:
-                mon /= hx
+            x, t = X[rows] - self.center[e, 0:1], T[rows] - self.center[e, 1:2]
+            if self.kind.family == "planewave":
+                fun = _wave(local[:, None, None], x, t, ax=int(dx))
+            else:
+                x /= hx  # in place: unscaled copies held alive slow the monomial tables
+                t /= ht
+                fun = scaled_monomials(local, (x, t), mi(1, 0) if dx else None)
+                if dx:
+                    fun /= hx
             table = image_table if image else table
             if weights is None:
-                out[:, rows] = np.tensordot(table, mon, 1)
+                out[:, rows] = np.tensordot(table, fun, 1)
             else:
-                out[rows] = np.einsum("fk,kfq->fq", weights[rows] @ table, mon)
+                out[rows] = np.einsum("fk,kfq->fq", weights[rows] @ table, fun)
         return out if weights is not None else np.moveaxis(out, 0, 1)
 
     def _size_groups(self, eids):

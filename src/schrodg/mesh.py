@@ -148,9 +148,15 @@ class Mesh:
                      for e, (c, h, xr, tr) in enumerate(rows))
 
     @cached_property
+    def size_groups(self) -> tuple[list[tuple[float, float]], np.ndarray]:
+        """The distinct element sizes (h_x, h_t), and each element's index among them."""
+        sizes, group = np.unique(self.element_arrays.h, axis=0, return_inverse=True)
+        return [tuple(h) for h in sizes.tolist()], group.reshape(-1)
+
+    @property
     def is_uniform(self) -> bool:
         """Whether every element has the same size (h_x, h_t)."""
-        return len(np.unique(self.element_arrays.h, axis=0)) <= 1
+        return len(self.size_groups[0]) <= 1
 
     def facet_arrays(self, kind: FacetKind, slab: int) -> FacetArrays | None:
         """The facets of ``kind`` in ``slab`` (see FacetArrays), or None if there are none."""

@@ -207,6 +207,44 @@ def test_band_slab_matrix_is_the_global_diagonal_block(space, mesh_name):
         assert not np.any(block[(j - i > bw) | (i - j > bw)])
 
 
+@pytest.mark.parametrize("space", ALL_SPACES, ids=str)
+def test_uniform_mesh_has_one_slab_matrix(space):
+    mesh = build_cartesian_mesh(DOM, 4, 3)
+    basis = MeshBasis(mesh, space)
+    bands = [_slab_matrix(mesh, slab, basis, *_rule_sizes(space, None))[0]
+             for slab in range(mesh.n_slabs)]
+    for band in bands[1:]:
+        assert np.max(np.abs(band - bands[0])) <= 1e-13 * np.max(np.abs(bands[0]))
+
+
+@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
+def test_march_factors_once_per_uniform_mesh(monkeypatch, mesh_name):
+    import schrodg.assembly
+    from tests.conftest import perturbed_mesh
+
+    made = []
+
+    class Counting(schrodg.assembly.FactoredMatrix):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(schrodg.assembly, "FactoredMatrix", Counting)
+    mesh = build_cartesian_mesh(DOM, 4, 4) if mesh_name == "uniform" else perturbed_mesh()
+    march(mesh, SpaceKind.plane_wave(2), solution_data(ExpSolution(5.0)))
+    assert len(made) == (1 if mesh_name == "uniform" else mesh.n_slabs)
+
+
+def test_plane_wave_operator_image_is_zero():
+    mesh = build_cartesian_mesh(DOM, 3, 2)
+    eids = np.arange(mesh.n_elements)
+    X = mesh.element_arrays.center[:, :1] + np.linspace(-0.1, 0.1, 4)
+    T = mesh.element_arrays.center[:, 1:] + np.linspace(-0.2, 0.2, 4)
+    image = MeshBasis(mesh, SpaceKind.plane_wave(2)).operator_image(eids, X, T)
+    assert image.shape == (mesh.n_elements, 5, 4)
+    assert not np.any(image)
+
+
 def test_slab_matrix_rejects_non_neighbour_coupling():
     import dataclasses
 
@@ -245,7 +283,8 @@ def test_global_size_cap():
         assemble_global(mesh, SpaceKind.trefftz(2), constant_data(1.0))
 
 
-@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.full_poly(2)], ids=str)
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.full_poly(2),
+                                   SpaceKind.plane_wave(2)], ids=str)
 def test_non_uniform_mesh_march_matches_global(space):
     from tests.conftest import perturbed_mesh
 

@@ -165,6 +165,16 @@ def test_eval_wave_examples():
     assert got == pytest.approx(cmath.exp(1j))
 
 
+def test_wave_is_centred_at_its_element():
+    w = Wave(2.0, (0.3, 0.7), (0.5, 0.25))
+    assert eval_basis_many(w, 0.3, 0.7)[0] == 1.0
+    xs, ts = np.linspace(0.0, 1.0, 5), np.linspace(0.2, 0.9, 5)
+    at_origin = Wave(2.0, (0.0, 0.0), (0.5, 0.25))
+    for deriv in (None, mi(1, 0), mi(0, 1)):
+        assert np.max(np.abs(eval_basis_many(w, xs, ts, deriv)
+                             - eval_basis_many(at_origin, xs - 0.3, ts - 0.7, deriv))) == 0.0
+
+
 def test_eval_poly_basis_derivative():
     eb = trefftz_basis(1, 1, **UNIT)
     assert eval_basis_many(eb.functions[2], 1.0, 1.0, deriv=mi(1, 0))[0] == pytest.approx(2.0)

@@ -134,6 +134,9 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     (["conditioning", "--constant-data", "--levels", "2"],
      "conditioning does not read --constant-data"),
     (["conv-h", "--dump-basis", "--levels", "2"], "conv-h does not read --dump-basis"),
+    (["conv-h", "--p", "1", "--levels", "4", "--global-oracle"],
+     "--global-oracle is capped at 5000 unknowns and level 3 has 19200: trefftz p = 1 "
+     "allows at most --levels 3"),
 ])
 def test_cli_rejects_unsupported_experiment_settings(tmp_path, capsys, args, message):
     out = tmp_path / "x.json"
@@ -166,6 +169,32 @@ def test_cli_conv_h_runs_and_is_deterministic(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert float(rows[1]["rate"]) > 0.5
+
+
+def test_cli_global_oracle_leaves_outputs_unchanged(tmp_path):
+    args = ["conv-h", "--p", "1", "--levels", "2"]
+    plain, checked = tmp_path / "plain.csv", tmp_path / "checked.csv"
+    assert main(args + ["--out", str(plain)]) == 0
+    assert main(args + ["--global-oracle", "--out", str(checked)]) == 0
+    for suffix in (".csv", ".json"):
+        assert plain.with_suffix(suffix).read_bytes() == checked.with_suffix(suffix).read_bytes()
+    assert "global_oracle" not in json.loads(checked.with_suffix(".json").read_text())["params"]
+
+
+def test_cli_global_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch):
+    import schrodg.experiments
+
+    solve_global = schrodg.experiments.solve_global
+
+    def perturbed(*args, **kwargs):
+        ref = solve_global(*args, **kwargs)
+        ref.coeffs[0] += 1e-3
+        return ref
+
+    monkeypatch.setattr(schrodg.experiments, "solve_global", perturbed)
+    assert main(["conv-h", "--p", "1", "--levels", "2", "--global-oracle",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "marching/global mismatch" in capsys.readouterr().err
 
 
 def test_cli_conv_p(tmp_path):
