@@ -16,7 +16,8 @@ A field exposes one-sided traces via value(eid, xs, ts) and dx(eid, xs, ts).
 ``eid`` is an element id or an int array of ids (nF,); with an array, the
 points broadcast to (nF, nq) and row f lies on element eid[f].  The result
 has the shape of the points.  Jumps are always formed from two one-sided
-traces.  The norms evaluate a whole slab's facets of one kind per call.
+traces.  The norms evaluate a whole slab's facets of one kind per call, and a
+closed-form field, which has no sides, once per interior facet group.
 """
 
 from __future__ import annotations
@@ -110,6 +111,23 @@ def _wsum_sq(w, z) -> float:
     return float(np.sum(w * (z.real * z.real + z.imag * z.imag)))
 
 
+def _sides(field, e1, e2, X, T, dx: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The one-sided traces (value, or dx) of field on elements e1 and e2.
+
+    A closed-form field ignores element ids, so it is evaluated once and its
+    result serves both sides; a difference is split into its parts.
+    """
+    if isinstance(field, DifferenceField):
+        a1, a2 = _sides(field.a, e1, e2, X, T, dx)
+        b1, b2 = _sides(field.b, e1, e2, X, T, dx)
+        return a1 - b1, a2 - b2
+    trace = field.dx if dx else field.value
+    if isinstance(field, ClosedFormField):
+        w = trace(e1, X, T)
+        return w, w
+    return trace(e1, X, T), trace(e2, X, T)
+
+
 def _norm_terms(field, mesh: Mesh, n: int, with_plus: bool) -> tuple[float, float]:
     s_dg = 0.0
     s_plus = 0.0
@@ -120,8 +138,7 @@ def _norm_terms(field, mesh: Mesh, n: int, with_plus: bool) -> tuple[float, floa
                 continue
             X, T, W = fa.quadrature(n)
             if kind is FacetKind.SPACE_INTERIOR:
-                wm = field.value(fa.below, X, T)
-                wp = field.value(fa.above, X, T)
+                wm, wp = _sides(field, fa.below, fa.above, X, T)
                 s_dg += _wsum_sq(W, wm - wp)
                 if with_plus:
                     s_plus += _wsum_sq(W, wm)
@@ -129,10 +146,8 @@ def _norm_terms(field, mesh: Mesh, n: int, with_plus: bool) -> tuple[float, floa
                 s_dg += _wsum_sq(W, field.value(fa.owner, X, T))
             elif kind is FacetKind.TIME_INTERIOR:
                 alpha, beta = fa.alpha[:, None], fa.beta[:, None]
-                v1 = field.value(fa.left, X, T)
-                v2 = field.value(fa.right, X, T)
-                g1 = field.dx(fa.left, X, T)
-                g2 = field.dx(fa.right, X, T)
+                v1, v2 = _sides(field, fa.left, fa.right, X, T)
+                g1, g2 = _sides(field, fa.left, fa.right, X, T, dx=True)
                 s_dg += _wsum_sq(alpha * W, v1 - v2) + _wsum_sq(beta * W, g1 - g2)
                 if with_plus:
                     s_plus += _wsum_sq(W / alpha, 0.5 * (g1 + g2))

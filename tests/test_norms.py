@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from schrodg.assembly import element_bases, march, solution_data, DiscreteSolution
+from schrodg.assembly import (BoundaryData, DiscreteSolution, element_bases, march,
+                              solution_data)
 from schrodg.basis import SpaceKind
 from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
                            dg_norm, dg_plus_norm, exact_field, l2_slice_error)
 from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
-from schrodg.solutions import ExpSolution
+from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
 from schrodg.quadrature import mapped_interval
 from tests.conftest import constant_field, perturbed_mesh
 
@@ -213,3 +214,63 @@ def test_norms_match_per_facet_walk(kind, perturbed):
     ref_dg, ref_plus = per_facet_norms(field, mesh, 12)
     assert dg_norm(field, mesh, n=12) == pytest.approx(ref_dg, rel=1e-12)
     assert dg_plus_norm(field, mesh, n=12) == pytest.approx(ref_plus, rel=1e-12)
+
+
+class CountingSeries:
+    """The square-well series, counting its value and dx calls."""
+
+    def __init__(self):
+        self.series = SquareWellSeries(250)
+        self.calls = {"value": 0, "dx": 0}
+
+    def value(self, x, t):
+        self.calls["value"] += 1
+        return self.series.value(x, t)
+
+    def dx(self, x, t):
+        self.calls["dx"] += 1
+        return self.series.dx(x, t)
+
+
+class DuckField:
+    """A field that forwards to another; not a ClosedFormField."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def value(self, eid, xs, ts):
+        return self.field.value(eid, xs, ts)
+
+    def dx(self, eid, xs, ts):
+        return self.field.dx(eid, xs, ts)
+
+
+def _square_well_solve():
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 4, 3)
+    data = BoundaryData(psi0=square_well_initial,
+                        g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
+    return mesh, march(mesh, SpaceKind.trefftz(1), data)
+
+
+def test_closed_form_field_is_evaluated_once_per_facet_group():
+    mesh, dsol = _square_well_solve()
+    series = CountingSeries()
+    dg_plus_norm(DifferenceField(exact_field(series), dsol), mesh)
+    # one call per (slab, facet kind), plus one dx call per time-like kind;
+    # evaluating each side of an interior facet would double the interior calls
+    want = {"value": 0, "dx": 0}
+    for slab in range(mesh.n_slabs):
+        for kind in FacetKind:
+            if mesh.facet_arrays(kind, slab) is not None:
+                want["value"] += 1
+                want["dx"] += kind in (FacetKind.TIME_INTERIOR, FacetKind.DIRICHLET)
+    assert series.calls == want
+
+
+def test_one_evaluation_per_facet_group_leaves_the_norms_unchanged():
+    mesh, dsol = _square_well_solve()
+    exact = exact_field(SquareWellSeries(250))
+    for norm in (dg_norm, dg_plus_norm):
+        once = norm(DifferenceField(exact, dsol), mesh)
+        per_side = norm(DifferenceField(DuckField(exact), dsol), mesh)
+        assert once == per_side

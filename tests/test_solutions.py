@@ -112,3 +112,63 @@ def test_series_keeps_the_input_shape(method):
     row = getattr(series, method)(x[1], t[1])
     assert np.max(np.abs(row - out[1])) <= 1e-15 * np.max(np.abs(row))
     assert getattr(series, method)(x[:, :1], 0.05).shape == (3, 1)
+
+
+def per_point_series(x, t, dx, n_trunc=250):
+    """The series summed with one sin/cos and one exp per (point, mode) pair."""
+    x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                               np.atleast_1d(np.asarray(t, dtype=float)))
+    n = 2.0 * np.arange(n_trunc) + 1.0
+    amp = math.sqrt(30.0) * (2.0 / math.pi) ** 3 / n ** 3
+    if dx:
+        amp = amp * np.pi * n
+    wave = np.cos if dx else np.sin
+    return (wave(np.pi * x[..., None] * n)
+            * np.exp(-0.5j * np.pi ** 2 * t[..., None] * n * n)) @ amp
+
+
+def _series_inputs():
+    rng = np.random.default_rng(11)
+    levels, nodes = rng.random(3), np.linspace(0.0, 1.0, 7)
+    return {
+        # (nF, nq) rows at one t, as on a slab's space-like facets
+        "rows_one_t": (rng.random((5, 20)), np.full((5, 1), 0.1 * rng.random()), True),
+        # rows with one x each, as on time-like facets; more t than one block
+        "rows_one_x": (rng.random((6, 1)), 0.1 * rng.random((1, 40)), True),
+        "scattered": (rng.random(100), 0.1 * rng.random(100), False),
+        "scalar": (0.3, 0.02, True),
+        "repeated": (rng.choice(nodes, (4, 30)), 0.1 * rng.choice(levels, (4, 30)), True),
+    }
+
+
+@pytest.mark.parametrize("dx", [False, True], ids=["value", "dx"])
+@pytest.mark.parametrize("case", list(_series_inputs()))
+def test_series_matches_per_point_sum(case, dx):
+    x, t, on_grid = _series_inputs()[case]
+    X, T = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(t))
+    # which path the input takes: a tensor grid, or the per-point fallback
+    assert (np.unique(X).size * np.unique(T).size <= X.size) == on_grid
+    series = SquareWellSeries(250)
+    got = series.dx(x, t) if dx else series.value(x, t)
+    want = per_point_series(x, t, dx)
+    assert got.shape == X.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dx", [False, True], ids=["value", "dx"])
+@pytest.mark.parametrize("case, axis", [("rows_one_t", 0), ("rows_one_x", 1),
+                                        ("scattered", 0), ("scattered", 1)])
+def test_series_nan_stays_at_its_points(case, axis, dx):
+    # a NaN x on one point of a grid, a NaN t shared by a grid column, and
+    # a NaN x or t on one scattered point
+    x, t, on_grid = _series_inputs()[case]
+    xt = [np.array(x, dtype=float), np.array(t, dtype=float)]
+    xt[axis].flat[7] = np.nan
+    X, T = np.broadcast_arrays(*xt)
+    assert (np.unique(X).size * np.unique(T).size <= X.size) == on_grid
+    series = SquareWellSeries(250)
+    got = series.dx(*xt) if dx else series.value(*xt)
+    bad = np.isnan(X) | np.isnan(T)
+    assert np.array_equal(np.isnan(got), bad)
+    want = per_point_series(*xt, dx)
+    assert np.max(np.abs(got[~bad] - want[~bad])) <= 1e-13 * np.max(np.abs(want[~bad]))
