@@ -20,15 +20,22 @@ not exactly in the operator kernel the volume term
 
 is added, which restores consistency of the ultra-weak formulation.
 
-The upwind space-like flux makes the global system block lower-triangular
-by time slab, so the default solve marches slab by slab; the assembled
-global system is kept as a testing oracle.
+The upwind space-like flux makes the global system block lower-bidiagonal
+by time slab: slab s couples only to itself and, through its bottom facets,
+to slab s - 1.  The default solve is therefore block forward substitution,
+
+    M_ss c_s = l_s - B_s c_{s-1},
+
+where the slab kernel `_slab_matrix` assembles A: the diagonal block M_ss
+and the coupling B_{s+1} into the next slab.  `_slab_rhs` assembles l
+alone, from psi0 and g_D.  The assembled global system is kept as a
+testing oracle.
 
 The form is implemented twice on purpose: once in the batched slab kernel
-that `march` runs (`_slab_matrix`, `_slab_rhs`), and once in the per-facet
-reference walk `_walk_form` behind `assemble_global` and
-`apply_form_to_field`.  The walk shares no code with the kernel, so that
-marching = global solve compares two independent implementations.
+that `march` runs, and once in the per-facet reference walk `_walk_form`
+behind `assemble_global` and `apply_form_to_field`.  The walk shares no
+code with the kernel, so that marching = global solve compares two
+independent implementations.
 """
 
 from __future__ import annotations
@@ -121,9 +128,14 @@ def element_bases(mesh: Mesh, space: SpaceKind) -> list[ElementBasis]:
 
 
 def _rule_sizes(space: SpaceKind, n_quad: int | None) -> tuple[int, int]:
+    """Gauss nodes of the form's integrals (facets and volume) and of the data's.
+
+    Plane waves integrate the form on the data rule; ``n_quad`` overrides both.
+    """
     if n_quad is not None:
         return n_quad, n_quad
-    return poly_rule_size(space.p), data_rule_size(space.p)
+    n_data = data_rule_size(space.p)
+    return n_data if space.family == "planewave" else poly_rule_size(space.p), n_data
 
 
 # --- slab-wide assembly for march: every facet kind of a slab in one batch ---
@@ -147,34 +159,41 @@ def _volume_rule(mesh: Mesh, eids: np.ndarray, n: int):
             (wx[:, :, None] * wt[:, None, :]).reshape(len(eids), n * n))
 
 
-def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: int
-                 ) -> tuple[np.ndarray, int, int]:
-    """Band storage (ab, kl, ku) of one slab's matrix (see `linalg.to_band`): rows
-    test, columns trial, dim dofs per element in slab order.
+def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
+                 ) -> tuple[tuple[np.ndarray, int, int], np.ndarray]:
+    """One slab's operator: its diagonal block of A and its coupling into the next slab.
 
-    Only time-like facets couple elements, and only neighbours in slab order,
-    so the matrix is block tridiagonal with kl = ku = 2 dim - 1.
+    The diagonal block is returned in band storage (ab, kl, ku) (see
+    `linalg.to_band`): rows test, columns trial, dim dofs per element in slab
+    order.  Only time-like facets couple elements, and only neighbours in
+    slab order, so it is block tridiagonal with kl = ku = 2 dim - 1.  The
+    coupling blocks (nx, dim, dim) hold -i int conj(phi^+) phi^- over the top
+    facet of each element e: test functions of the element above e, trial
+    functions of e.  They are zero on the last slab.
     """
     first = mesh.slab_elements[slab][0]
     nx, dim = len(mesh.slab_elements[slab]), basis.dim
-    n_facet = n_data if basis.kind.family == "planewave" else n_poly
     diag = np.zeros((nx, dim, dim), dtype=complex)
+    coupling = np.zeros_like(diag)
     # off[s][e] is the block of test element e against trial element e + s
     off = {1: np.zeros_like(diag), -1: np.zeros_like(diag)}
 
     for kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):  # every element's top facet
         fa = mesh.facet_arrays(kind, slab)
         if fa is not None:
-            X, T, W = fa.quadrature(n_facet)
+            X, T, W = fa.quadrature(n_form)
             v = basis.values(fa.below, X, T)
             np.add.at(diag, fa.below - first, 1j * _pair(v, v, W))
+            if kind is FacetKind.SPACE_INTERIOR:  # the upwind trace v, tested from above
+                np.add.at(coupling, fa.below - first,
+                          -1j * _pair(basis.values(fa.above, X, T), v, W))
 
     fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
     if fa is not None:
         if np.any(fa.right - fa.left != 1):
             raise ValueError(f"slab {slab}: a time-like facet joins elements that are "
                              "not neighbours in slab order")
-        X, T, W = fa.quadrature(n_facet)
+        X, T, W = fa.quadrature(n_form)
         al, be = fa.alpha[:, None, None], fa.beta[:, None, None]
         sides = [(fa.left - first, *basis.traces(fa.left, X, T), 1.0),
                  (fa.right - first, *basis.traces(fa.right, X, T), -1.0)]
@@ -191,7 +210,7 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: i
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
     if fa is not None:
-        X, T, W = fa.quadrature(n_facet)
+        X, T, W = fa.quadrature(n_form)
         v, g = basis.traces(fa.owner, X, T)
         np.add.at(diag, fa.owner - first,
                   0.5 * (fa.normal_sign[:, None, None] * _pair(v, g, W)
@@ -199,7 +218,7 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: i
 
     if basis.kind.needs_volume_term:
         elems = np.arange(first, first + nx)
-        X, T, W = _volume_rule(mesh, elems, n_poly)
+        X, T, W = _volume_rule(mesh, elems, n_form)
         diag += _pair(basis.operator_image(elems, X, T), basis.values(elems, X, T), W)
 
     # block (e, e + s), entry (a, b) sits at band row kl + ku - s dim + a - b,
@@ -210,25 +229,28 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_poly: int, n_data: i
     for s, blocks in ((0, diag), *off.items()):
         e = np.arange(max(0, -s), nx - max(0, s))
         ab[kl + ku - s * dim + a - b, ((e + s) * dim)[:, None, None] + b] = blocks[e]
-    return ab, kl, ku
+    return (ab, kl, ku), coupling
+
+
+def first_slab_cond2(mesh: Mesh, space: SpaceKind, n_quad: int | None = None) -> float | None:
+    """cond2 of the first slab's matrix; None above `COND_MAX_N` unknowns."""
+    if len(mesh.slab_elements[0]) * space.dim(1) > COND_MAX_N:
+        return None
+    band, _ = _slab_matrix(mesh, 0, MeshBasis(mesh, space), _rule_sizes(space, n_quad)[0])
+    return cond2(from_band(*band))
 
 
 def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
-              below: DiscreteSolution | None, n_data: int) -> np.ndarray:
-    """Right-hand side of one slab: initial datum or the solution below, and g_D."""
+              n_data: int) -> np.ndarray:
+    """l(v) on one slab: psi0 on the initial facets, and g_D."""
     first = mesh.slab_elements[slab][0]
     rhs = np.zeros((len(mesh.slab_elements[slab]), basis.dim), dtype=complex)
 
-    # every element's bottom facet: initial, or space-like above the previous slab
-    for kind, owner_slab in ((FacetKind.INITIAL, slab), (FacetKind.SPACE_INTERIOR, slab - 1)):
-        fa = mesh.facet_arrays(kind, owner_slab)
-        if fa is not None:
-            X, T, W = fa.quadrature(n_data)
-            if kind is FacetKind.INITIAL:
-                vals = np.asarray(data.psi0(X), dtype=complex)
-            else:
-                vals = below.value(fa.below, X, T)
-            np.add.at(rhs, fa.above - first, 1j * _project(basis.values(fa.above, X, T), W, vals))
+    fa = mesh.facet_arrays(FacetKind.INITIAL, slab)
+    if fa is not None:
+        X, T, W = fa.quadrature(n_data)
+        psi0 = np.asarray(data.psi0(X), dtype=complex)
+        np.add.at(rhs, fa.above - first, 1j * _project(basis.values(fa.above, X, T), W, psi0))
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
     if fa is not None:
@@ -248,26 +270,30 @@ def _screen(slab: int, cond: float, max_cond: float) -> None:
 
 def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
           n_quad: int | None = None, max_cond: float | None = None) -> DiscreteSolution:
-    """Solve slab systems in time order, feeding each top trace downstream.
+    """Solve the slab systems in time order by block forward substitution.
 
-    Each slab matrix is assembled and LU-factored in band storage, so its
+    Slab s solves M_ss c_s = l_s - B_s c_{s-1}: `_slab_matrix` gives the
+    diagonal block and the coupling B into the next slab, `_slab_rhs` gives
+    l from the data alone, and the coupling times the coefficients just
+    solved is carried into the next right-hand side; no field is evaluated.
+    Each diagonal block is assembled and LU-factored in band storage, so its
     cost and memory grow linearly in the elements per slab.  Every family is
     evaluated relative to the element center, so on a uniform mesh every
-    slab has the same matrix: it is assembled, screened and factored once
+    slab has the same operator: it is assembled, screened and factored once
     and reused for every slab.  Plane-wave systems are screened against
     ``max_cond`` (default 1e14) and rejected with a SlabSolveError when
     numerically unusable: on the SVD cond2 up to `COND_MAX_N` unknowns,
     above it on LAPACK's 1-norm estimate 1 / rcond.  A slab whose right-hand
     side or solution is not finite is rejected too.
     """
-    n_poly, n_data = _rule_sizes(space, n_quad)
+    n_form, n_data = _rule_sizes(space, n_quad)
     if max_cond is None and space.family == "planewave":
         max_cond = _COND_FLAG_DEFAULT
     sol = DiscreteSolution(mesh, space)
-    factor = None
+    factor, carry = None, 0.0
     for slab in range(mesh.n_slabs):
         if factor is None or not mesh.is_uniform:
-            band = _slab_matrix(mesh, slab, sol.basis, n_poly, n_data)
+            band, coupling = _slab_matrix(mesh, slab, sol.basis, n_form)
             small = band[0].shape[1] <= COND_MAX_N
             if max_cond is not None and small:
                 _screen(slab, cond2(from_band(*band)), max_cond)
@@ -278,13 +304,14 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
             if max_cond is not None and not small:
                 _screen(slab, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"),
                         max_cond)
-        rhs = _slab_rhs(mesh, slab, sol.basis, data, sol, n_data)
+        rhs = _slab_rhs(mesh, slab, sol.basis, data, n_data) - carry
         if not np.all(np.isfinite(rhs)):
             raise SlabSolveError(slab, float("nan"), "non-finite right-hand side")
-        coeffs = factor.solve(rhs)
+        coeffs = factor.solve(rhs).reshape(-1, sol.basis.dim)
         if not np.all(np.isfinite(coeffs)):
             raise SlabSolveError(slab, float("nan"), "non-finite solution")
-        sol.set_coeffs(list(mesh.slab_elements[slab]), coeffs.reshape(-1, sol.basis.dim))
+        sol.set_coeffs(list(mesh.slab_elements[slab]), coeffs)
+        carry = (coupling @ coeffs[:, :, None]).reshape(-1)
     return sol
 
 
@@ -309,10 +336,10 @@ def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.
     return v[0], g[0]
 
 
-def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n_facet: int,
-               n_vol: int) -> None:
+def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> None:
     """Add A(u, phi_a) into out[e * dim + a, cols] for every test function phi_a of
-    every element e, one facet at a time with scalar element ids.
+    every element e, one facet at a time with scalar element ids, on the n-point
+    Gauss rule.
 
     The trial u enters through ``trial(e, xs, ts, v, g) -> (cols, values, dx)``,
     the last two (m, nq): u's traces on element e at the points xs, ts, where
@@ -328,7 +355,7 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n_facet: in
 
     for kind, fa, r in _facets(mesh, (FacetKind.SPACE_INTERIOR, FacetKind.FINAL,
                                       FacetKind.TIME_INTERIOR, FacetKind.DIRICHLET)):
-        q, wq = mapped_interval(fa.lo[r], fa.hi[r], n_facet)
+        q, wq = mapped_interval(fa.lo[r], fa.hi[r], n)
         fixed = fa.fixed[r]
         if kind is FacetKind.TIME_INTERIOR:
             al, be = fa.alpha[r], fa.beta[r]
@@ -359,7 +386,7 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n_facet: in
         arrays = mesh.element_arrays
         for e in range(mesh.n_elements):
             xg, tg, wg = rect_rule(tuple(arrays.x_range[e].tolist()),
-                                   tuple(arrays.t_range[e].tolist()), n_vol)
+                                   tuple(arrays.t_range[e].tolist()), n)
             rows, _, _, cols, u, _ = side(e, xg, tg)
             sv = basis.operator_image([e], xg[None], tg[None])[0]
             out[rows, cols] += (sv.conj() * wg) @ u.T
@@ -377,11 +404,10 @@ def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     n = mesh.n_elements * d
     if n > GLOBAL_DOF_CAP:
         raise ValueError(f"global system of size {n} exceeds cap {GLOBAL_DOF_CAP}")
-    n_poly, n_data = _rule_sizes(space, n_quad)
-    n_facet = n_data if space.family == "planewave" else n_poly
+    n_form, n_data = _rule_sizes(space, n_quad)
     M = np.zeros((n, n), dtype=complex)
     _walk_form(mesh, basis, lambda e, xs, ts, v, g: (slice(e * d, (e + 1) * d), v, g),
-               M, n_facet, n_poly)
+               M, n_form)
 
     rhs = np.zeros(n, dtype=complex)
     for kind, fa, r in _facets(mesh, (FacetKind.INITIAL, FacetKind.DIRICHLET)):
@@ -429,5 +455,5 @@ def apply_form_to_field(mesh: Mesh, space: SpaceKind, field,
         return (slice(0, 1), np.asarray(field.value(e, xs, ts), dtype=complex)[None],
                 np.asarray(field.dx(e, xs, ts), dtype=complex)[None])
 
-    _walk_form(mesh, basis, trial, out, n_data, n_data)
+    _walk_form(mesh, basis, trial, out, n_data)
     return out[:, 0]

@@ -94,7 +94,6 @@ class Wave:
 
     k: float
     center: tuple[float, float]
-    scales: tuple[float, float]
 
 
 BasisFunction = Union[ScaledPolynomial, Wave]
@@ -243,13 +242,16 @@ def full_poly_basis(p: int, center, scales, d: int = 1, element_id: int = 0) -> 
 
 
 def plane_wave_basis(p: int, center, scales, element_id: int = 0) -> ElementBasis:
-    """2p + 1 pseudo-plane waves with wavenumbers -2p, -2p + 2, ..., 2p."""
+    """2p + 1 pseudo-plane waves with wavenumbers -2p, -2p + 2, ..., 2p.
+
+    ``scales`` keeps the builders' common signature; plane waves do not scale.
+    """
     if p < 1:
         raise ValueError("plane-wave space requires p >= 1")
     ks = [-2.0 * p + 2.0 * (ell - 1) for ell in range(1, 2 * p + 2)]
     cx, ct = center
     cx = float(cx[0]) if isinstance(cx, (tuple, list)) else float(cx)
-    funcs = tuple(Wave(k, (cx, float(ct)), (float(scales[0]), float(scales[1]))) for k in ks)
+    funcs = tuple(Wave(k, (cx, float(ct))) for k in ks)
     return ElementBasis(element_id, SpaceKind.plane_wave(p), funcs)
 
 

@@ -102,6 +102,8 @@ def _run(args) -> int:
     _check_options(args)
     config = _make_config(args)
     out = Path(config.out)
+    if not out.parent.is_dir():
+        raise ValueError(f"--out directory {out.parent} does not exist")
     params = {"experiment": config.experiment, "space": config.space.family,
               "p": config.space.p, "seed_choice": config.space.seed_choice,
               "levels": config.levels, "kappa": config.kappa,

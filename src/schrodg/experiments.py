@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_data, march,
-                       solution_data, solve_global, _slab_matrix, _rule_sizes)
-from .basis import FAMILIES, MeshBasis, SpaceKind, trefftz_basis
-from .linalg import COND_MAX_N, cond2, from_band
+from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_data,
+                       first_slab_cond2, march, solution_data, solve_global)
+from .basis import FAMILIES, SpaceKind, trefftz_basis
 from .mesh import SpaceTimeDomain, build_cartesian_mesh
 from .norms import ClosedFormField, DifferenceField, dg_norm, exact_field
 from .poly import apply_schrodinger, eval_poly_many, poly_combination
-from .quadrature import box_rule, data_rule_size
+from .quadrature import MAX_NODES, box_rule, data_rule_size
 from .solutions import ExpSolution, SquareWellSeries, square_well_initial
 
 SMOOTH_DOMAIN = SpaceTimeDomain(0.0, 1.0, 1.0)
@@ -52,6 +51,8 @@ class ExperimentConfig:
         minimum = 1 if self.experiment in ("conv-p", "verify-basis") else 2
         if self.levels < minimum:
             raise ValueError(f"levels must be >= {minimum} for {self.experiment}")
+        if self.quad_n is not None and not 1 <= self.quad_n <= MAX_NODES:
+            raise ValueError(f"quad_n must be in [1, {MAX_NODES}]")
         if self.experiment == "verify-basis" and not 1 <= self.space.p <= 3:
             raise ValueError("p must be 1, 2 or 3 for verify-basis")
         if self.experiment == "verify-basis" and self.space.seed_choice != "a":
@@ -148,14 +149,6 @@ def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) 
     return dg_norm(err, mesh, n=n_norm)
 
 
-def _first_slab_cond2(mesh, space: SpaceKind, quad_n) -> float | None:
-    """cond2 of the first-slab matrix; None above COND_MAX_N unknowns."""
-    if len(mesh.slab_elements[0]) * space.dim(1) > COND_MAX_N:
-        return None
-    return cond2(from_band(*_slab_matrix(mesh, 0, MeshBasis(mesh, space),
-                                         *_rule_sizes(space, quad_n))))
-
-
 def run_conv_h(config: ExperimentConfig) -> list[ConvergenceRow]:
     """DG errors under simultaneous space-time refinement h = 0.1 * 2^-j."""
     space = config.space
@@ -191,7 +184,7 @@ def run_conv_p(config: ExperimentConfig) -> list[ConvergenceRow]:
     for p in range(1, config.levels + 1):
         space = SpaceKind(config.space.family, p, config.space.seed_choice)
         err = _solve_and_error(mesh, space, data, sol_field, config.quad_n)
-        cond = _first_slab_cond2(mesh, space, config.quad_n)
+        cond = first_slab_cond2(mesh, space, config.quad_n)
         rows.append(ConvergenceRow(p, 0.1, 0.1, _total_dofs(mesh, space), err,
                                    _rate(prev, err), cond))
         prev = err
@@ -208,9 +201,9 @@ def run_conditioning(config: ExperimentConfig) -> dict:
         rows: list[ConvergenceRow] = []
         prev = None
         for j in range(config.levels):
-            n = 10 * 2 ** j
+            n = _conv_h_n(j)
             mesh = build_cartesian_mesh(SMOOTH_DOMAIN, n, n)
-            cond = _first_slab_cond2(mesh, space, config.quad_n)
+            cond = first_slab_cond2(mesh, space, config.quad_n)
             rows.append(ConvergenceRow(j, SMOOTH_DOMAIN.width / n,
                                        SMOOTH_DOMAIN.t_final / n,
                                        _total_dofs(mesh, space), None,

@@ -5,7 +5,8 @@ import pytest
 
 from schrodg.assembly import (BoundaryData, DiscreteSolution, _rule_sizes, _slab_matrix,
                               _slab_rhs, apply_form_to_field, assemble_global,
-                              constant_data, march, solution_data, solve_global)
+                              constant_data, first_slab_cond2, march, solution_data,
+                              solve_global)
 from schrodg.basis import MeshBasis, SpaceKind
 from schrodg.linalg import cond2, from_band
 from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
@@ -32,9 +33,9 @@ def rel_coeff_diff(a: DiscreteSolution, b: DiscreteSolution) -> float:
 def first_slab(mesh, space, data):
     """Dense matrix and right-hand side of slab 0, built as march builds them."""
     basis = MeshBasis(mesh, space)
-    n_poly, n_data = _rule_sizes(space, None)
-    return (from_band(*_slab_matrix(mesh, 0, basis, n_poly, n_data)),
-            _slab_rhs(mesh, 0, basis, data, None, n_data))
+    n_form, n_data = _rule_sizes(space, None)
+    band, _ = _slab_matrix(mesh, 0, basis, n_form)
+    return from_band(*band), _slab_rhs(mesh, 0, basis, data, n_data)
 
 
 def test_single_element_p0_matrix_and_rhs():
@@ -175,6 +176,16 @@ def test_first_slab_cond_is_one_for_single_p0_element():
     assert cond2(matrix) == pytest.approx(1.0)
 
 
+def test_first_slab_cond2_is_the_first_slab_matrix_cond2():
+    from schrodg.linalg import COND_MAX_N
+
+    space = SpaceKind.trefftz(2)
+    mesh = build_cartesian_mesh(DOM, 4, 3)
+    assert first_slab_cond2(mesh, space) == cond2(first_slab(mesh, space, constant_data())[0])
+    wide = build_cartesian_mesh(DOM, COND_MAX_N // space.dim(1) + 1, 1)
+    assert first_slab_cond2(wide, space) is None
+
+
 def test_ill_conditioned_slab_is_flagged():
     from schrodg.assembly import SlabSolveError
 
@@ -189,32 +200,49 @@ def test_ill_conditioned_slab_is_flagged():
 @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
 @pytest.mark.parametrize("mesh_name", ["perturbed", "uniform"])
 def test_band_slab_matrix_is_the_global_diagonal_block(space, mesh_name):
+    # the slab operator is the slab's diagonal block and its sub-diagonal block of the
+    # global matrix: the coupling of the next slab's test functions to this slab's trial
+    from scipy.linalg import block_diag
+
     from tests.conftest import perturbed_mesh
 
     mesh = perturbed_mesh() if mesh_name == "perturbed" else build_cartesian_mesh(DOM, 4, 3)
     basis = MeshBasis(mesh, space)
-    n_poly, n_data = _rule_sizes(space, None)
     m, _, _ = assemble_global(mesh, space, constant_data(1.0))
     bw = 2 * basis.dim - 1
-    for slab in range(mesh.n_slabs):
-        ab, kl, ku = _slab_matrix(mesh, slab, basis, n_poly, n_data)
-        assert (kl, ku) == (bw, bw)
-        rows = np.concatenate([np.arange(e * basis.dim, (e + 1) * basis.dim)
+
+    def dofs(slab):
+        return np.concatenate([np.arange(e * basis.dim, (e + 1) * basis.dim)
                                for e in mesh.slab_elements[slab]])
-        block = m[np.ix_(rows, rows)]
+
+    for slab in range(mesh.n_slabs):
+        (ab, kl, ku), coupling = _slab_matrix(mesh, slab, basis, _rule_sizes(space, None)[0])
+        assert (kl, ku) == (bw, bw)
+        block = m[np.ix_(dofs(slab), dofs(slab))]
         assert np.max(np.abs(from_band(ab, kl, ku) - block)) <= 1e-13 * np.max(np.abs(block))
         i, j = np.indices(block.shape)
         assert not np.any(block[(j - i > bw) | (i - j > bw)])
+        assert coupling.shape == (len(mesh.slab_elements[slab]), basis.dim, basis.dim)
+        if slab == mesh.n_slabs - 1:
+            assert not np.any(coupling)
+            continue
+        sub = m[np.ix_(dofs(slab + 1), dofs(slab))]
+        assert np.max(np.abs(block_diag(*coupling) - sub)) <= 1e-13 * np.max(np.abs(sub))
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
 def test_uniform_mesh_has_one_slab_matrix(space):
+    # march reuses slab 0's factor and coupling on every slab of a uniform mesh
     mesh = build_cartesian_mesh(DOM, 4, 3)
     basis = MeshBasis(mesh, space)
-    bands = [_slab_matrix(mesh, slab, basis, *_rule_sizes(space, None))[0]
-             for slab in range(mesh.n_slabs)]
+    ops = [_slab_matrix(mesh, slab, basis, _rule_sizes(space, None)[0])
+           for slab in range(mesh.n_slabs)]
+    bands = [band[0] for band, _ in ops]
     for band in bands[1:]:
         assert np.max(np.abs(band - bands[0])) <= 1e-13 * np.max(np.abs(bands[0]))
+    couplings = [coupling for _, coupling in ops[:-1]]  # the last slab couples to nothing
+    for coupling in couplings[1:]:
+        assert np.max(np.abs(coupling - couplings[0])) <= 1e-13 * np.max(np.abs(couplings[0]))
 
 
 @pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
@@ -233,6 +261,22 @@ def test_march_factors_once_per_uniform_mesh(monkeypatch, mesh_name):
     mesh = build_cartesian_mesh(DOM, 4, 4) if mesh_name == "uniform" else perturbed_mesh()
     march(mesh, SpaceKind.plane_wave(2), solution_data(ExpSolution(5.0)))
     assert len(made) == (1 if mesh_name == "uniform" else mesh.n_slabs)
+
+
+@pytest.mark.parametrize("space", [SpaceKind.full_poly(2), SpaceKind.plane_wave(2)], ids=str)
+@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
+def test_march_evaluates_no_field(monkeypatch, space, mesh_name):
+    # the solution below enters each slab through the coupling blocks alone
+    from tests.conftest import perturbed_mesh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("march evaluated a discrete solution")
+
+    monkeypatch.setattr(DiscreteSolution, "value", refuse)
+    monkeypatch.setattr(DiscreteSolution, "dx", refuse)
+    mesh = build_cartesian_mesh(DOM, 4, 4) if mesh_name == "uniform" else perturbed_mesh()
+    sol = march(mesh, space, solution_data(ExpSolution(5.0)))
+    assert np.all(np.isfinite(sol.coeffs)) and np.any(sol.coeffs[-1])
 
 
 def test_plane_wave_operator_image_is_zero():
@@ -256,7 +300,7 @@ def test_slab_matrix_rejects_non_neighbour_coupling():
     broken = dataclasses.replace(mesh, facet_groups=groups)
     space = SpaceKind.trefftz(1)
     with pytest.raises(ValueError, match="not neighbours"):
-        _slab_matrix(broken, 0, MeshBasis(broken, space), *_rule_sizes(space, None))
+        _slab_matrix(broken, 0, MeshBasis(broken, space), _rule_sizes(space, None)[0])
 
 
 def test_plane_wave_screen_above_cond2_cap():

@@ -137,10 +137,16 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     (["conv-h", "--p", "1", "--levels", "4", "--global-oracle"],
      "--global-oracle is capped at 5000 unknowns and level 3 has 19200: trefftz p = 1 "
      "allows at most --levels 3"),
+    (["conv-h", "--levels", "2", "--out", "{tmp}/missing/x.csv"],
+     "--out directory {tmp}/missing does not exist"),
+    (["conv-h", "--quad-n", "0", "--levels", "2"], "quad_n must be in [1, 64]"),
+    (["singular", "--quad-n", "65", "--levels", "2"], "quad_n must be in [1, 64]"),
 ])
 def test_cli_rejects_unsupported_experiment_settings(tmp_path, capsys, args, message):
-    out = tmp_path / "x.json"
-    assert main(args + ["--out", str(out)]) == 3
+    # "{tmp}" stands for tmp_path; an --out in args wins over the default one before it
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert main(["--out", str(tmp_path / "x.json")] + args) == 3
+    message = message.format(tmp=tmp_path)
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
