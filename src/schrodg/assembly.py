@@ -88,10 +88,11 @@ class SlabSolveError(RuntimeError):
 class DiscreteSolution:
     """Coefficients of a discrete space on every element, one (n_elements, dim) array.
 
-    A field in the sense of `schrodg.norms`: value/dx take an element id, or
-    an id array (nF,) with points (nF, nq), and evaluate through the space's
-    batched `MeshBasis`.  ``bases`` (from `element_bases`) is accepted but not
-    needed.
+    A field in the sense of `schrodg.norms`: value/dx take an element id, or an
+    id array (nF,) with points (nF, nq), local takes offsets from the centres,
+    and each is (coeffs[eids] @ table) @ monomials through the `MeshBasis`.
+    ``bases`` is accepted but not needed.  `march` keeps slab 0's diagonal
+    block in ``first_slab`` if it has at most `COND_MAX_N` rows.
     """
 
     def __init__(self, mesh: Mesh, space: SpaceKind, bases: list[ElementBasis] | None = None):
@@ -100,18 +101,23 @@ class DiscreteSolution:
         self.basis = MeshBasis(mesh, space)
         self.coeffs = np.zeros((mesh.n_elements, self.basis.dim), dtype=complex)
         self._known = np.zeros(mesh.n_elements, dtype=bool)
+        self.first_slab = None
 
     def set_coeffs(self, eid, vec) -> None:
         """Coefficients of element ``eid``, or rows (len(eid), dim) for an id array."""
         self.coeffs[eid] = vec
         self._known[eid] = True
 
-    def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
-        eids, X, T, shape = field_points(eid, xs, ts)
+    def local(self, eids, x, t, dx: bool = False) -> np.ndarray:
         missing = eids[~self._known[eids]]
         if missing.size:
             raise ValueError(f"element {missing[0]} has no coefficients yet")
-        return self.basis.combination(eids, X, T, self.coeffs[eids], dx).reshape(shape)
+        return self.basis.combination(eids, x, t, self.coeffs[eids], dx)
+
+    def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
+        eids, X, T, shape = field_points(eid, xs, ts)
+        c = self.basis.center[eids]
+        return self.local(eids, X - c[:, :1], T - c[:, 1:], dx).reshape(shape)
 
     def value(self, eid, xs, ts) -> np.ndarray:
         return self._eval(eid, xs, ts, dx=False)
@@ -141,20 +147,25 @@ def _rule_sizes(space: SpaceKind, n_quad: int | None) -> tuple[int, int]:
 # --- slab-wide assembly for march: every facet kind of a slab in one batch ---
 
 def _pair(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_q conj(a[f, i, q]) w[f, q] b[f, j, q] for every facet f: (nF, dim, dim)."""
+    """sum_q conj(a[f, i, q]) w[f, q] b[f, j, q] for every facet f: (nF, dim, dim), or one
+    block (1, dim, dim) if every facet shares a, b and w."""
     return (a.conj() * w[:, None, :]) @ np.swapaxes(b, 1, 2)
 
 
-def _project(a: np.ndarray, w: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """sum_q conj(a[f, i, q]) w[f, q] vals[f, q] for every facet f: (nF, dim)."""
-    return np.einsum("fiq,fq->fi", a.conj(), w * vals)
+def _add_at(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """out.flat[index] += values, index broadcast with values and repeats summed: `np.add.at`
+    on flat views, which numpy runs several times faster than on blocks."""
+    index, values = np.broadcast_arrays(index, values)
+    np.add.at(out.reshape(-1), index.reshape(-1), values.reshape(-1))
 
 
 def _volume_rule(mesh: Mesh, eids: np.ndarray, n: int):
-    """The tensor rule of `rect_rule` on every element of ``eids``: X, T, W (len(eids), n * n)."""
+    """The tensor rule of `rect_rule` on every element of ``eids``, as offsets x, t from
+    the element centres, and weights w: each (len(eids), n * n)."""
     arrays = mesh.element_arrays
     xq, wx = mapped_intervals(arrays.x_range[eids, 0], arrays.x_range[eids, 1], n)
     tq, wt = mapped_intervals(arrays.t_range[eids, 0], arrays.t_range[eids, 1], n)
+    xq, tq = xq - arrays.center[eids, :1], tq - arrays.center[eids, 1:]
     return (np.repeat(xq, n, axis=1), np.tile(tq, (1, n)),
             (wx[:, :, None] * wt[:, None, :]).reshape(len(eids), n * n))
 
@@ -173,70 +184,66 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
     """
     first = mesh.slab_elements[slab][0]
     nx, dim = len(mesh.slab_elements[slab]), basis.dim
-    diag = np.zeros((nx, dim, dim), dtype=complex)
-    coupling = np.zeros_like(diag)
-    # off[s][e] is the block of test element e against trial element e + s
-    off = {1: np.zeros_like(diag), -1: np.zeros_like(diag)}
+    kl = ku = 2 * dim - 1
+    ab = np.zeros((2 * kl + ku + 1, nx * dim), dtype=complex)
+    coupling = np.zeros((nx, dim, dim), dtype=complex)
+    a, b = np.arange(dim)[:, None], np.arange(dim)[None, :]
+
+    def add(test, trial, blocks):
+        # entry (a, b) of the block of test element e against trial element e' sits at
+        # band row kl + ku + (e - e') dim + a - b, column e' dim + b
+        e, f = ((ids - first)[:, None, None] for ids in (test, trial))
+        _add_at(ab, (kl + ku + (e - f) * dim + a - b) * ab.shape[1] + f * dim + b, blocks)
 
     for kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):  # every element's top facet
         fa = mesh.facet_arrays(kind, slab)
         if fa is not None:
-            X, T, W = fa.quadrature(n_form)
-            v = basis.values(fa.below, X, T)
-            np.add.at(diag, fa.below - first, 1j * _pair(v, v, W))
+            x, t, W = fa.local_quadrature(n_form, "below")
+            v = basis.values(fa.below, x, t)
+            add(fa.below, fa.below, 1j * _pair(v, v, W))
             if kind is FacetKind.SPACE_INTERIOR:  # the upwind trace v, tested from above
-                np.add.at(coupling, fa.below - first,
-                          -1j * _pair(basis.values(fa.above, X, T), v, W))
+                x, t, _ = fa.local_quadrature(n_form, "above")
+                _add_at(coupling, ((fa.below - first)[:, None, None] * dim + a) * dim + b,
+                        -1j * _pair(basis.values(fa.above, x, t), v, W))
 
     fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
     if fa is not None:
         if np.any(fa.right - fa.left != 1):
             raise ValueError(f"slab {slab}: a time-like facet joins elements that are "
                              "not neighbours in slab order")
-        X, T, W = fa.quadrature(n_form)
+        W = fa.local_quadrature(n_form, "left")[2]
         al, be = fa.alpha[:, None, None], fa.beta[:, None, None]
-        sides = [(fa.left - first, *basis.traces(fa.left, X, T), 1.0),
-                 (fa.right - first, *basis.traces(fa.right, X, T), -1.0)]
-        for ia, va, ga, na in sides:
-            for ib, vb, gb, nb in sides:
-                block = 0.5 * (0.5 * na * _pair(va, gb, W)
-                               + 1j * al * na * nb * _pair(va, vb, W)
-                               - 0.5 * na * _pair(ga, vb, W)
-                               + 1j * be * na * nb * _pair(ga, gb, W))
-                if ia is ib:
-                    np.add.at(diag, ia, block)
-                else:  # the left element's neighbour is at +1, the right one's at -1
-                    np.add.at(off[na], ia, block)
+        sides = [(ids, *basis.traces(ids, *fa.local_quadrature(n_form, s)[:2]), sign)
+                 for s, ids, sign in (("left", fa.left, 1.0), ("right", fa.right, -1.0))]
+        for ea, va, ga, na in sides:
+            for eb, vb, gb, nb in sides:
+                add(ea, eb, 0.5 * (0.5 * na * _pair(va, gb, W)
+                                   + 1j * al * na * nb * _pair(va, vb, W)
+                                   - 0.5 * na * _pair(ga, vb, W)
+                                   + 1j * be * na * nb * _pair(ga, gb, W)))
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
     if fa is not None:
-        X, T, W = fa.quadrature(n_form)
-        v, g = basis.traces(fa.owner, X, T)
-        np.add.at(diag, fa.owner - first,
-                  0.5 * (fa.normal_sign[:, None, None] * _pair(v, g, W)
-                         + 1j * fa.alpha[:, None, None] * _pair(v, v, W)))
+        x, t, W = fa.local_quadrature(n_form, "owner")
+        v, g = basis.traces(fa.owner, x, t)
+        add(fa.owner, fa.owner, 0.5 * (fa.normal_sign[:, None, None] * _pair(v, g, W)
+                                       + 1j * fa.alpha[:, None, None] * _pair(v, v, W)))
 
     if basis.kind.needs_volume_term:
         elems = np.arange(first, first + nx)
-        X, T, W = _volume_rule(mesh, elems, n_form)
-        diag += _pair(basis.operator_image(elems, X, T), basis.values(elems, X, T), W)
-
-    # block (e, e + s), entry (a, b) sits at band row kl + ku - s dim + a - b,
-    # column (e + s) dim + b
-    kl = ku = 2 * dim - 1
-    ab = np.zeros((2 * kl + ku + 1, nx * dim), dtype=complex)
-    a, b = np.arange(dim)[:, None], np.arange(dim)[None, :]
-    for s, blocks in ((0, diag), *off.items()):
-        e = np.arange(max(0, -s), nx - max(0, s))
-        ab[kl + ku - s * dim + a - b, ((e + s) * dim)[:, None, None] + b] = blocks[e]
+        x, t, W = _volume_rule(mesh, elems, n_form)
+        add(elems, elems, _pair(basis.operator_image(elems, x, t), basis.values(elems, x, t), W))
     return (ab, kl, ku), coupling
 
 
-def first_slab_cond2(mesh: Mesh, space: SpaceKind, n_quad: int | None = None) -> float | None:
-    """cond2 of the first slab's matrix; None above `COND_MAX_N` unknowns."""
+def first_slab_cond2(mesh: Mesh, space: SpaceKind, n_quad: int | None = None,
+                     sol: DiscreteSolution | None = None) -> float | None:
+    """cond2 of the first slab's matrix; None above `COND_MAX_N` unknowns.  Given the
+    solution `march` built on the same mesh, space and rule, its ``first_slab``."""
     if len(mesh.slab_elements[0]) * space.dim(1) > COND_MAX_N:
         return None
-    band, _ = _slab_matrix(mesh, 0, MeshBasis(mesh, space), _rule_sizes(space, n_quad)[0])
+    band = sol.first_slab if sol is not None else _slab_matrix(
+        mesh, 0, MeshBasis(mesh, space), _rule_sizes(space, n_quad)[0])[0]
     return cond2(from_band(*band))
 
 
@@ -248,18 +255,19 @@ def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
 
     fa = mesh.facet_arrays(FacetKind.INITIAL, slab)
     if fa is not None:
-        X, T, W = fa.quadrature(n_data)
-        psi0 = np.asarray(data.psi0(X), dtype=complex)
-        np.add.at(rhs, fa.above - first, 1j * _project(basis.values(fa.above, X, T), W, psi0))
+        x, t, W = fa.local_quadrature(n_data, "above")
+        psi0 = np.asarray(data.psi0(fa.quadrature(n_data)[0]), dtype=complex)[:, None]
+        np.add.at(rhs, fa.above - first,
+                  1j * _pair(basis.values(fa.above, x, t), psi0, W)[..., 0])
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
     if fa is not None:
-        X, T, W = fa.quadrature(n_data)
-        v, g = basis.traces(fa.owner, X, T)
-        gv = np.asarray(data.g_D(X, T), dtype=complex)
+        x, t, W = fa.local_quadrature(n_data, "owner")
+        v, g = basis.traces(fa.owner, x, t)
+        gv = np.asarray(data.g_D(*fa.quadrature(n_data)[:2]), dtype=complex)[:, None]
         np.add.at(rhs, fa.owner - first,
-                  0.5 * (fa.normal_sign[:, None] * _project(g, W, gv)
-                         + 1j * fa.alpha[:, None] * _project(v, W, gv)))
+                  0.5 * (fa.normal_sign[:, None] * _pair(g, gv, W)[..., 0]
+                         + 1j * fa.alpha[:, None] * _pair(v, gv, W)[..., 0]))
     return rhs.reshape(-1)
 
 
@@ -295,6 +303,8 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
         if factor is None or not mesh.is_uniform:
             band, coupling = _slab_matrix(mesh, slab, sol.basis, n_form)
             small = band[0].shape[1] <= COND_MAX_N
+            if slab == 0 and small:
+                sol.first_slab = band
             if max_cond is not None and small:
                 _screen(slab, cond2(from_band(*band)), max_cond)
             try:
@@ -332,7 +342,8 @@ def _facets(mesh: Mesh, kinds):
 
 def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.ndarray]:
     """Values and x-derivatives (dim, nq) of element ``eid``'s basis at the points xs, ts."""
-    v, g = basis.traces([eid], np.atleast_1d(xs)[None], np.atleast_1d(ts)[None])
+    xc, tc = basis.center[eid]
+    v, g = basis.traces([eid], np.atleast_1d(xs - xc)[None], np.atleast_1d(ts - tc)[None])
     return v[0], g[0]
 
 
@@ -388,7 +399,8 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> 
             xg, tg, wg = rect_rule(tuple(arrays.x_range[e].tolist()),
                                    tuple(arrays.t_range[e].tolist()), n)
             rows, _, _, cols, u, _ = side(e, xg, tg)
-            sv = basis.operator_image([e], xg[None], tg[None])[0]
+            xc, tc = basis.center[e]
+            sv = basis.operator_image([e], (xg - xc)[None], (tg - tc)[None])[0]
             out[rows, cols] += (sv.conj() * wg) @ u.T
 
 

@@ -19,9 +19,10 @@ Four families are supported:
 
 Every family is centered at the element center (x_K, t_K), so all elements
 of one size carry the same basis, only translated.  ``MeshBasis`` evaluates
-the basis of many elements in one array call from one `coefficient_table`
-per element size.  Every evaluation goes through `poly.scaled_monomials` or
-the one wave formula.
+the basis of many elements in one array call, at offsets from their
+centres, from one `coefficient_table` per element size; at a facet group's
+shared row of offsets that is one table per (size, facet side, rule).  Every
+evaluation goes through `poly.scaled_monomials` or the one wave formula.
 """
 
 from __future__ import annotations
@@ -293,11 +294,13 @@ def coefficient_table(kind: SpaceKind, hx: float, ht: float
 class MeshBasis:
     """The local basis of every element of a mesh, evaluated a batch at a time.
 
-    Every method takes element ids ``eids`` (nF,) and points ``X``, ``T``
-    that broadcast to (nF, nq); row f of the points lies on element eids[f].
-    Every family goes through `coefficient_table`, one table per distinct
-    element size (`Mesh.size_groups`), at coordinates relative to the
-    element center.
+    Every method takes element ids ``eids`` (nF,) and offsets ``x``, ``t`` from
+    each element's centre that broadcast to (nF, nq): row f lies on element
+    eids[f].  Every family goes through `coefficient_table`, one table per
+    distinct element size (`Mesh.size_groups`).  The cost follows the shape of
+    the offsets: a shared (1, nq) row (`FacetArrays.local_quadrature`) is
+    evaluated once per size, and a result equal for every element keeps its
+    leading 1, so results broadcast to the shapes given.
     """
 
     def __init__(self, mesh, kind: SpaceKind):
@@ -306,45 +309,47 @@ class MeshBasis:
         self.center = mesh.element_arrays.center
         self.sizes, self.size_group = mesh.size_groups
 
-    def traces(self, eids, X, T) -> tuple[np.ndarray, np.ndarray]:
+    def traces(self, eids, x, t) -> tuple[np.ndarray, np.ndarray]:
         """Values and x-derivatives of every basis function, each (nF, dim, nq)."""
-        return self._evaluate(eids, X, T), self._evaluate(eids, X, T, dx=True)
+        return self._evaluate(eids, x, t), self._evaluate(eids, x, t, dx=True)
 
-    def values(self, eids, X, T) -> np.ndarray:
+    def values(self, eids, x, t) -> np.ndarray:
         """The values alone of `traces`."""
-        return self._evaluate(eids, X, T)
+        return self._evaluate(eids, x, t)
 
-    def operator_image(self, eids, X, T) -> np.ndarray:
+    def operator_image(self, eids, x, t) -> np.ndarray:
         """i d/dt + (1/2) d^2/dx^2 of every basis function, (nF, dim, nq); 0 for plane waves."""
-        return self._evaluate(eids, X, T, image=True)
+        return self._evaluate(eids, x, t, image=True)
 
-    def combination(self, eids, X, T, weights, dx: bool = False) -> np.ndarray:
-        """sum_d weights[f, d] phi_d at the points of row f (its x-derivative with
+    def combination(self, eids, x, t, weights, dx: bool = False) -> np.ndarray:
+        """sum_d weights[f, d] phi_d at the offsets of row f (its x-derivative with
         ``dx``), shape (nF, nq)."""
-        return self._evaluate(eids, X, T, dx=dx, weights=np.asarray(weights))
+        return self._evaluate(eids, x, t, dx=dx, weights=np.asarray(weights))
 
-    def _evaluate(self, eids, X, T, dx=False, image=False, weights=None) -> np.ndarray:
+    def _evaluate(self, eids, x, t, dx=False, image=False, weights=None) -> np.ndarray:
         eids = np.asarray(eids, dtype=np.intp)
-        X, T = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(T, dtype=float))
-        out = np.empty(((self.dim,) if weights is None else ()) + X.shape, dtype=complex)
+        parts = []
         for rows, (hx, ht) in self._size_groups(eids):
             local, table, image_table = coefficient_table(self.kind, hx, ht)
-            e = eids[rows]
-            x, t = X[rows] - self.center[e, 0:1], T[rows] - self.center[e, 1:2]
+            xr, tr = (a if len(a) == 1 else a[rows] for a in (x, t))
             if self.kind.family == "planewave":
-                fun = _wave(local[:, None, None], x, t, ax=int(dx))
+                fun = _wave(local[:, None, None], xr, tr, ax=int(dx))
             else:
-                x /= hx  # in place: unscaled copies held alive slow the monomial tables
-                t /= ht
-                fun = scaled_monomials(local, (x, t), mi(1, 0) if dx else None)
+                fun = scaled_monomials(local, (xr / hx, tr / ht), mi(1, 0) if dx else None)
                 if dx:
                     fun /= hx
-            table = image_table if image else table
-            if weights is None:
-                out[:, rows] = np.tensordot(table, fun, 1)
-            else:
-                out[rows] = np.einsum("fk,kfq->fq", weights[rows] @ table, fun)
-        return out if weights is not None else np.moveaxis(out, 0, 1)
+            coef = image_table if image else table
+            if weights is not None:  # one combination per row: (rows, 1, n_local)
+                coef = (weights[rows] @ coef)[:, None, :]
+            parts.append((rows, coef @ np.moveaxis(fun, 0, -2)))
+        if len(parts) == 1:  # one element size: the result keeps the offsets' shape
+            out = parts[0][1]
+        else:
+            out = np.empty((len(eids),) + np.broadcast_shapes(*(v.shape[1:] for _, v in parts)),
+                           dtype=complex)
+            for rows, v in parts:
+                out[rows] = v
+        return out if weights is None else out[:, 0]
 
     def _size_groups(self, eids):
         """(rows of eids, element size) for every size present; all rows if one size."""

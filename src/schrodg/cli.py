@@ -104,6 +104,8 @@ def _run(args) -> int:
     out = Path(config.out)
     if not out.parent.is_dir():
         raise ValueError(f"--out directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ValueError(f"--out {out} is a directory")
     params = {"experiment": config.experiment, "space": config.space.family,
               "p": config.space.p, "seed_choice": config.space.seed_choice,
               "levels": config.levels, "kappa": config.kappa,
@@ -121,28 +123,25 @@ def _run(args) -> int:
         summary = {"params": params, "rows": rows_as_dicts(rows),
                    "error_slope": loglog_slope([r.h_x for r in rows],
                                                [r.dg_error for r in rows])}
-        write_json(summary, out.with_suffix(".json"))
     elif config.experiment == "conv-p":
         rows = run_conv_p(config)
         write_rows_csv(rows, out)
         warnings = [r.level for r in rows if r.cond2 is not None and r.cond2 > 1e12]
         summary = {"params": params, "rows": rows_as_dicts(rows),
                    "ill_conditioned_p": warnings}
-        write_json(summary, out.with_suffix(".json"))
     elif config.experiment == "conditioning":
         result = run_conditioning(config)
         for choice, rows in result["tables"].items():
             write_rows_csv(rows, out.with_name(f"{out.stem}_choice_{choice}{out.suffix}"))
         summary = {"params": params, "slopes": result["slopes"],
                    "tables": {c: rows_as_dicts(r) for c, r in result["tables"].items()}}
-        write_json(summary, out.with_suffix(".json"))
-    elif config.experiment == "singular":
+    else:  # singular
         result = run_singular(config)
         for family, rows in result["tables"].items():
             write_rows_csv(rows, out.with_name(f"{out.stem}_{family}{out.suffix}"))
         summary = {"params": params,
                    "tables": {f: rows_as_dicts(r) for f, r in result["tables"].items()}}
-        write_json(summary, out.with_suffix(".json"))
+    write_json(summary, out.with_suffix(".json"))
     print(f"wrote {out}")
     return EXIT_OK
 

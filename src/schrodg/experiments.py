@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +95,7 @@ def write_rows_csv(rows: list[ConvergenceRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow([_fmt(r.level), _fmt(r.h_x), _fmt(r.h_t), _fmt(r.n_dofs),
-                             _fmt(r.dg_error), _fmt(r.rate), _fmt(r.cond2)])
+        writer.writerows([_fmt(getattr(r, c)) for c in CSV_COLUMNS] for r in rows)
 
 
 def write_json(payload: dict, path) -> None:
@@ -125,19 +123,14 @@ def loglog_slope(hs, vals) -> float | None:
 
 
 def rows_as_dicts(rows: list[ConvergenceRow]) -> list[dict]:
-    return [{"level": r.level, "h_x": r.h_x, "h_t": r.h_t, "n_dofs": r.n_dofs,
-             "dg_error": r.dg_error, "rate": r.rate, "cond2": r.cond2} for r in rows]
-
-
-def _total_dofs(mesh, space: SpaceKind) -> int:
-    return mesh.n_elements * space.dim(1)
+    return [asdict(r) for r in rows]
 
 
 def _conv_h_n(level: int) -> int:
     return 10 * 2 ** level  # elements per direction of conv-h's mesh at ``level``
 
 
-def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) -> float:
+def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) -> tuple:
     sol = march(mesh, space, data, n_quad=quad_n)
     if global_oracle:
         ref = solve_global(mesh, space, data, n_quad=quad_n)
@@ -145,8 +138,7 @@ def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) 
         if num > 1e-10 * max(den, 1.0):
             raise OracleMismatchError(f"marching/global mismatch {num / max(den, 1e-300):.3e}")
     n_norm = quad_n if quad_n is not None else data_rule_size(space.p)
-    err = DifferenceField(sol_field, sol)
-    return dg_norm(err, mesh, n=n_norm)
+    return dg_norm(DifferenceField(sol_field, sol), mesh, n=n_norm), sol
 
 
 def run_conv_h(config: ExperimentConfig) -> list[ConvergenceRow]:
@@ -166,9 +158,9 @@ def run_conv_h(config: ExperimentConfig) -> list[ConvergenceRow]:
         n = _conv_h_n(j)
         mesh = build_cartesian_mesh(SMOOTH_DOMAIN, n, n)
         err = _solve_and_error(mesh, space, data, sol_field, config.quad_n,
-                               config.global_oracle)
+                               config.global_oracle)[0]
         rows.append(ConvergenceRow(j, SMOOTH_DOMAIN.width / n, SMOOTH_DOMAIN.t_final / n,
-                                   _total_dofs(mesh, space), err, _rate(prev, err), None))
+                                   mesh.n_elements * space.dim(1), err, _rate(prev, err), None))
         prev = err
     return rows
 
@@ -183,9 +175,9 @@ def run_conv_p(config: ExperimentConfig) -> list[ConvergenceRow]:
     prev = None
     for p in range(1, config.levels + 1):
         space = SpaceKind(config.space.family, p, config.space.seed_choice)
-        err = _solve_and_error(mesh, space, data, sol_field, config.quad_n)
-        cond = first_slab_cond2(mesh, space, config.quad_n)
-        rows.append(ConvergenceRow(p, 0.1, 0.1, _total_dofs(mesh, space), err,
+        err, psi = _solve_and_error(mesh, space, data, sol_field, config.quad_n)
+        cond = first_slab_cond2(mesh, space, config.quad_n, sol=psi)
+        rows.append(ConvergenceRow(p, 0.1, 0.1, mesh.n_elements * space.dim(1), err,
                                    _rate(prev, err), cond))
         prev = err
     return rows
@@ -206,7 +198,7 @@ def run_conditioning(config: ExperimentConfig) -> dict:
             cond = first_slab_cond2(mesh, space, config.quad_n)
             rows.append(ConvergenceRow(j, SMOOTH_DOMAIN.width / n,
                                        SMOOTH_DOMAIN.t_final / n,
-                                       _total_dofs(mesh, space), None,
+                                       mesh.n_elements * space.dim(1), None,
                                        _rate(prev, cond), cond))
             prev = cond
         tables[choice] = rows
@@ -231,12 +223,12 @@ def run_singular(config: ExperimentConfig) -> dict:
             n = 2 * 2 ** j
             mesh = build_cartesian_mesh(SINGULAR_DOMAIN, n, n)
             try:
-                err = _solve_and_error(mesh, space, data, sol_field, config.quad_n)
+                err = _solve_and_error(mesh, space, data, sol_field, config.quad_n)[0]
             except SlabSolveError:
                 err = None  # the documented plane-wave breakdown at fine levels: an empty row
             rows.append(ConvergenceRow(j, SINGULAR_DOMAIN.width / n,
                                        SINGULAR_DOMAIN.t_final / n,
-                                       _total_dofs(mesh, space), err,
+                                       mesh.n_elements * space.dim(1), err,
                                        _rate(prev, err), None))
             prev = err
         out[family] = rows
@@ -287,8 +279,6 @@ def verify_basis(p_max: int = 3, dims: tuple[int, ...] = (1, 2, 3),
             trace_err = max((abs(member.coeffs.get(k, 0.0) - rebuilt.get(k, 0.0))
                              for k in keys), default=0.0) / scale
 
-            residual = float(residual)
-            trace_err = float(trace_err)
             ok = bool(eb.dim == expected and residual <= 1e-13
                       and sv_ratio > 1e-10 and trace_err <= 1e-12)
             entries.append({

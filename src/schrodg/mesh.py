@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .quadrature import mapped_intervals
+from .quadrature import gauss_legendre, mapped_intervals
 
 
 class FacetKind(Enum):
@@ -91,6 +91,10 @@ class FacetArrays:
     x-component of the unit normal seen from the left element (+1) on
     interior vertical facets, and the owner's outward normal sign on
     Dirichlet facets.
+
+    Each facet spans a side of each neighbour: ``half`` is half its length, and
+    ``offset[slot]`` the signed distance from that neighbour's centre to its line;
+    each is an (n_facets,) array or a (1,) one that the group shares.
     """
 
     kind: FacetKind
@@ -105,14 +109,22 @@ class FacetArrays:
     normal_sign: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
+    half: np.ndarray
+    offset: Mapping[str, np.ndarray]
 
     def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Points X, T and weights W, each (n_facets, n): the n-point Gauss rule on every facet."""
         pts, wts = mapped_intervals(self.lo, self.hi, n)
         fixed = np.broadcast_to(self.fixed[:, None], pts.shape)
-        if self.kind.is_horizontal:
-            return pts, fixed, wts
-        return fixed, pts, wts
+        return (pts, fixed, wts) if self.kind.is_horizontal else (fixed, pts, wts)
+
+    def local_quadrature(self, n: int, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rule of `quadrature` as offsets x, t from the centre of each facet's ``side``
+        neighbour, and weights w, broadcasting to (n_facets, n): (1, n) where shared."""
+        rule = gauss_legendre(n)
+        along, wts = self.half[:, None] * rule.nodes, self.half[:, None] * rule.weights
+        across = self.offset[side][:, None]
+        return (along, across, wts) if self.kind.is_horizontal else (across, along, wts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +181,8 @@ def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
     Every element stores the exact sizes h_x = width / nx and
     h_t = t_final / nt, not differences of the grid points, so all elements
     share one size, and h_Fx = h_x on every time-like facet.  Within a slab
-    the facets of a kind are ordered by x.
+    the facets of a kind are ordered by x; the Dirichlet owners' offsets are
+    (n_facets,) = (2,), and every other ``offset`` and ``half`` is shared.
     """
     if nx < 1 or nt < 1:
         raise ValueError("nx and nt must be >= 1")
@@ -185,7 +198,7 @@ def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
                                       t_range[:, 0] + t_range[:, 1])),
         h=np.full((nx * nt, 2), (h_x, h_t)), x_range=x_range, t_range=t_range)
     return Mesh(domain=domain, nx=nx, nt=nt, element_arrays=elements,
-                facet_groups=MappingProxyType(_build_facets(xs, ts, h_x)))
+                facet_groups=MappingProxyType(_build_facets(xs, ts, h_x, h_t)))
 
 
 _IDS = ("owner", "below", "above", "left", "right")
@@ -197,7 +210,7 @@ def _table(shape, **fields) -> dict[str, np.ndarray]:
                                   shape) for name, v in fields.items()}
 
 
-def _build_facets(xs: np.ndarray, ts: np.ndarray, h_x: float
+def _build_facets(xs: np.ndarray, ts: np.ndarray, h_x: float, h_t: float
                   ) -> dict[tuple[FacetKind, int], FacetArrays]:
     """The FacetArrays of every (kind, slab) of the tensor grid xs x ts."""
     nx, nt = len(xs) - 1, len(ts) - 1
@@ -217,15 +230,20 @@ def _build_facets(xs: np.ndarray, ts: np.ndarray, h_x: float
                       normal_sign=np.where(k > 0, 1.0, -1.0), alpha=1.0 / h_x,
                       beta=np.where((k > 0) & (k < nx), h_x, 0.0))
 
+    up, side = {"below": h_t / 2, "above": -h_t / 2}, {"left": h_x / 2, "right": -h_x / 2}
     groups = {}
-    for kind, table, rows, slabs in (
-            (FacetKind.INITIAL, horizontal, np.s_[:1], [0]),
-            (FacetKind.SPACE_INTERIOR, horizontal, np.s_[1:nt], range(nt - 1)),
-            (FacetKind.FINAL, horizontal, np.s_[nt:], [nt - 1]),
-            (FacetKind.TIME_INTERIOR, vertical, np.s_[:, 1:nx], range(nt)),
-            (FacetKind.DIRICHLET, vertical, np.s_[:, [0, nx]], range(nt))):
+    for kind, table, rows, slabs, across, owner in (
+            (FacetKind.INITIAL, horizontal, np.s_[:1], [0], up, up["above"]),
+            (FacetKind.SPACE_INTERIOR, horizontal, np.s_[1:nt], range(nt - 1), up, up["below"]),
+            (FacetKind.FINAL, horizontal, np.s_[nt:], [nt - 1], up, up["below"]),
+            (FacetKind.TIME_INTERIOR, vertical, np.s_[:, 1:nx], range(nt), side, side["left"]),
+            (FacetKind.DIRICHLET, vertical, np.s_[:, [0, nx]], range(nt), side,
+             [side["right"], side["left"]])):
         part = {name: a[rows] for name, a in table.items()}
+        half = np.array([(h_x if kind.is_horizontal else h_t) / 2])
+        offset = {name: np.atleast_1d(v) for name, v in (*across.items(), ("owner", owner))}
         for r, s in enumerate(slabs):
             if part["owner"].shape[1]:
-                groups[(kind, s)] = FacetArrays(kind, **{name: a[r] for name, a in part.items()})
+                groups[(kind, s)] = FacetArrays(kind, **{name: a[r] for name, a in part.items()},
+                                                half=half, offset=MappingProxyType(offset))
     return groups

@@ -17,7 +17,10 @@ A field exposes one-sided traces via value(eid, xs, ts) and dx(eid, xs, ts).
 points broadcast to (nF, nq) and row f lies on element eid[f].  The result
 has the shape of the points.  Jumps are always formed from two one-sided
 traces.  The norms evaluate a whole slab's facets of one kind per call, and a
-closed-form field, which has no sides, once per interior facet group.
+closed-form field, which has no sides, once per interior facet group.  A
+field may also expose local(eids, x, t, dx) at offsets from the element
+centres, as a discrete solution does; the norms pass it each facet group's
+shared offsets (`FacetArrays.local_quadrature`).
 """
 
 from __future__ import annotations
@@ -111,52 +114,47 @@ def _wsum_sq(w, z) -> float:
     return float(np.sum(w * (z.real * z.real + z.imag * z.imag)))
 
 
-def _sides(field, e1, e2, X, T, dx: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The one-sided traces (value, or dx) of field on elements e1 and e2.
+def _sides(field, fa, n: int, sides, dx: bool = False) -> list[np.ndarray]:
+    """The one-sided traces (value, or dx) of field on the facets of ``fa`` from each
+    neighbour slot in ``sides``, on the n-point rule.
 
-    A closed-form field ignores element ids, so it is evaluated once and its
-    result serves both sides; a difference is split into its parts.
+    A field with ``local`` is evaluated at the group's offsets; a closed-form
+    field ignores element ids, so it is evaluated once and its result serves
+    every side; a difference is split into its parts.
     """
     if isinstance(field, DifferenceField):
-        a1, a2 = _sides(field.a, e1, e2, X, T, dx)
-        b1, b2 = _sides(field.b, e1, e2, X, T, dx)
-        return a1 - b1, a2 - b2
+        return [a - b for a, b in zip(_sides(field.a, fa, n, sides, dx),
+                                      _sides(field.b, fa, n, sides, dx))]
+    if hasattr(field, "local"):
+        return [field.local(getattr(fa, s), *fa.local_quadrature(n, s)[:2], dx) for s in sides]
+    X, T, _ = fa.quadrature(n)
     trace = field.dx if dx else field.value
     if isinstance(field, ClosedFormField):
-        w = trace(e1, X, T)
-        return w, w
-    return trace(e1, X, T), trace(e2, X, T)
+        return [trace(fa.owner, X, T)] * len(sides)
+    return [trace(getattr(fa, s), X, T) for s in sides]
 
 
 def _norm_terms(field, mesh: Mesh, n: int, with_plus: bool) -> tuple[float, float]:
-    s_dg = 0.0
-    s_plus = 0.0
-    for slab in range(mesh.n_slabs):
-        for kind in FacetKind:
-            fa = mesh.facet_arrays(kind, slab)
-            if fa is None:
-                continue
-            X, T, W = fa.quadrature(n)
-            if kind is FacetKind.SPACE_INTERIOR:
-                wm, wp = _sides(field, fa.below, fa.above, X, T)
-                s_dg += _wsum_sq(W, wm - wp)
-                if with_plus:
-                    s_plus += _wsum_sq(W, wm)
-            elif kind in (FacetKind.INITIAL, FacetKind.FINAL):
-                s_dg += _wsum_sq(W, field.value(fa.owner, X, T))
-            elif kind is FacetKind.TIME_INTERIOR:
-                alpha, beta = fa.alpha[:, None], fa.beta[:, None]
-                v1, v2 = _sides(field, fa.left, fa.right, X, T)
-                g1, g2 = _sides(field, fa.left, fa.right, X, T, dx=True)
-                s_dg += _wsum_sq(alpha * W, v1 - v2) + _wsum_sq(beta * W, g1 - g2)
-                if with_plus:
-                    s_plus += _wsum_sq(W / alpha, 0.5 * (g1 + g2))
-                    s_plus += _wsum_sq(W / beta, 0.5 * (v1 + v2))
-            elif kind is FacetKind.DIRICHLET:
-                alpha = fa.alpha[:, None]
-                s_dg += _wsum_sq(alpha * W, field.value(fa.owner, X, T))
-                if with_plus:
-                    s_plus += _wsum_sq(W / alpha, field.dx(fa.owner, X, T))
+    s_dg = s_plus = 0.0
+    for (kind, _), fa in mesh.facet_groups.items():
+        W = fa.local_quadrature(n, "owner")[2]
+        if kind is FacetKind.SPACE_INTERIOR:
+            wm, wp = _sides(field, fa, n, ("below", "above"))
+            s_dg += _wsum_sq(W, wm - wp)
+            s_plus += _wsum_sq(W, wm) if with_plus else 0.0
+        elif kind is FacetKind.TIME_INTERIOR:
+            alpha, beta = fa.alpha[:, None], fa.beta[:, None]
+            v1, v2 = _sides(field, fa, n, ("left", "right"))
+            g1, g2 = _sides(field, fa, n, ("left", "right"), dx=True)
+            s_dg += _wsum_sq(alpha * W, v1 - v2) + _wsum_sq(beta * W, g1 - g2)
+            if with_plus:
+                s_plus += (_wsum_sq(W / alpha, 0.5 * (g1 + g2))
+                           + _wsum_sq(W / beta, 0.5 * (v1 + v2)))
+        else:  # initial, final and Dirichlet facets: the owner's trace alone
+            alpha = fa.alpha[:, None] if kind is FacetKind.DIRICHLET else 1.0
+            s_dg += _wsum_sq(alpha * W, _sides(field, fa, n, ("owner",))[0])
+            if with_plus and kind is FacetKind.DIRICHLET:
+                s_plus += _wsum_sq(W / alpha, _sides(field, fa, n, ("owner",), dx=True)[0])
     return s_dg, s_plus
 
 
@@ -177,14 +175,8 @@ def l2_slice_error(field, t: float, mesh: Mesh, n: int = 20) -> float:
     """
     if not 0.0 <= t <= mesh.domain.t_final:
         raise ValueError("t outside the time interval")
-    slab = 0
-    t_range = mesh.element_arrays.t_range
-    for s in range(mesh.n_slabs):
-        t0, t1 = t_range[mesh.slab_elements[s][0]]
-        if t0 < t <= t1 or (s == 0 and t <= t0):
-            slab = s
-            break
-    elems = np.asarray(mesh.slab_elements[slab], dtype=np.intp)
+    tops = mesh.element_arrays.t_range[::mesh.nx, 1]  # the top of every slab, in order
+    elems = np.asarray(mesh.slab_elements[int(np.searchsorted(tops, t))], dtype=np.intp)
     x_range = mesh.element_arrays.x_range[elems]
     X, W = mapped_intervals(x_range[:, 0], x_range[:, 1], n)
     return math.sqrt(_wsum_sq(W, field.value(elems, X, t)))

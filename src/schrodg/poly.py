@@ -158,10 +158,11 @@ def scaled_monomials(exps: np.ndarray, coords, deriv: MultiIndex | None = None
                      ) -> np.ndarray:
     """D^deriv of xi_1**j_1 ... xi_d**j_d * tau**j_t for every row of ``exps``.
 
-    ``coords`` are the d + 1 scaled coordinates (xi_1, ..., xi_d, tau), arrays of
-    one shape; the result has shape (len(exps),) + that shape.  Derivatives are
-    in the scaled coordinates: the caller divides by h_x**|a_x| * h_t**a_t.
-    Powers come from tables of cumulative products, time multiplied first.
+    ``coords`` are the d + 1 scaled coordinates (xi_1, ..., xi_d, tau), arrays
+    that broadcast together; the result has shape (len(exps),) + their broadcast
+    shape.  Derivatives are in the scaled coordinates: the caller divides by
+    h_x**|a_x| * h_t**a_t.  Powers come from tables of cumulative products, each
+    of its coordinate's own shape, time multiplied first.
     """
     a = (0,) * exps.shape[1] if deriv is None else (*deriv.jx, deriv.jt)
     out = None
@@ -236,21 +237,22 @@ def _taylor_coeff(oracle: DerivativeOracle, j: MultiIndex, z, s, hx, ht, d) -> c
     return val * hx ** sum(j.jx) * ht ** j.jt / fact
 
 
+def _taylor(oracle: DerivativeOracle, indices, center, scales, d: int, bound: int
+            ) -> ScaledPolynomial:
+    """The polynomial with the Taylor coefficients of ``indices`` (zeros dropped)."""
+    z, s = _normalize_center(center, d)
+    hx, ht = float(scales[0]), float(scales[1])
+    terms = {j: c for j in indices if (c := _taylor_coeff(oracle, j, z, s, hx, ht, d)) != 0}
+    return ScaledPolynomial(d, (z, s), (hx, ht), terms, bound)
+
+
 def taylor_poly(oracle: DerivativeOracle, order: int, center, scales, d: int = 1
                 ) -> ScaledPolynomial:
     """Taylor polynomial of order m (degree m - 1) about the center."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    z, s = _normalize_center(center, d)
-    hx, ht = float(scales[0]), float(scales[1])
-    terms: dict[MultiIndex, complex] = {}
-    for jx in space_multi_indices(d, order - 1):
-        for jt in range(order - sum(jx)):
-            j = MultiIndex(jx, jt)
-            c = _taylor_coeff(oracle, j, z, s, hx, ht, d)
-            if c != 0:
-                terms[j] = c
-    return ScaledPolynomial(d, (z, s), (hx, ht), terms, order - 1)
+    return _taylor(oracle, [MultiIndex(jx, jt) for jx in space_multi_indices(d, order - 1)
+                            for jt in range(order - sum(jx))], center, scales, d, order - 1)
 
 
 def extended_taylor_poly(oracle: DerivativeOracle, p: int, center, scales, d: int = 1
@@ -263,13 +265,5 @@ def extended_taylor_poly(oracle: DerivativeOracle, p: int, center, scales, d: in
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    z, s = _normalize_center(center, d)
-    hx, ht = float(scales[0]), float(scales[1])
-    terms: dict[MultiIndex, complex] = {}
-    for jx in space_multi_indices(d, 2 * p):
-        for jt in range((2 * p - sum(jx)) // 2 + 1):
-            j = MultiIndex(jx, jt)
-            c = _taylor_coeff(oracle, j, z, s, hx, ht, d)
-            if c != 0:
-                terms[j] = c
-    return ScaledPolynomial(d, (z, s), (hx, ht), terms, 2 * p)
+    return _taylor(oracle, [MultiIndex(jx, jt) for jx in space_multi_indices(d, 2 * p)
+                            for jt in range((2 * p - sum(jx)) // 2 + 1)], center, scales, d, 2 * p)

@@ -31,12 +31,8 @@ def gauss_legendre(n: int) -> QuadratureRule:
 @lru_cache(maxsize=8192)
 def mapped_interval(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule mapped affinely to (lo, hi); cached since meshes reuse few spans."""
-    rule = gauss_legendre(n)
-    half = 0.5 * (hi - lo)
-    pts = 0.5 * (lo + hi) + half * rule.nodes
-    wts = half * rule.weights
-    pts.flags.writeable = False
-    wts.flags.writeable = False
+    pts, wts = (a[0] for a in mapped_intervals(np.array([lo]), np.array([hi]), n))
+    pts.flags.writeable = wts.flags.writeable = False
     return pts, wts
 
 
@@ -66,15 +62,9 @@ def rect_rule(x_range: tuple[float, float], t_range: tuple[float, float], n: int
 def box_rule(ranges, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor rule on a d-dimensional box; returns points (nq, d) and weights."""
     axes = [mapped_interval(lo, hi, n) for lo, hi in ranges]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(pts.shape[0])
-    d = len(axes)
-    for k, (_, w) in enumerate(axes):
-        shape = [1] * d
-        shape[k] = len(w)
-        wts = wts * np.broadcast_to(w.reshape(shape), [len(a[0]) for a in axes]).ravel()
-    return pts, wts
+    pts, wts = (np.stack(np.meshgrid(*part, indexing="ij"), axis=-1).reshape(-1, len(axes))
+                for part in zip(*axes))
+    return pts, np.prod(wts, axis=1)
 
 
 def poly_rule_size(p: int) -> int:

@@ -404,3 +404,55 @@ def test_element_without_coefficients_raises():
         sol.value(np.array([1, 2]), np.full((2, 1), 0.25), 0.6)
     with pytest.raises(ValueError, match="element 3"):
         sol.dx(3, 0.75, 0.6)
+
+
+def _largest_evaluation(monkeypatch, run):
+    """run() and the size of the largest coordinate array it passed to scaled_monomials
+    or _wave."""
+    import schrodg.basis
+
+    sizes = []
+
+    def record(fn, coords):
+        def wrapped(*args, **kwargs):
+            sizes.append(np.broadcast(*coords(*args)).size)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schrodg.basis, "scaled_monomials",
+                      record(schrodg.basis.scaled_monomials, lambda exps, c, *rest: c))
+        patch.setattr(schrodg.basis, "_wave",
+                      record(schrodg.basis._wave, lambda k, x, t, *rest: (x, t)))
+        out = run()
+    return max(sizes), out
+
+
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.plane_wave(2)], ids=str)
+def test_basis_evaluation_does_not_grow_with_nx(monkeypatch, space):
+    # every facet group is evaluated on its one shared row of offsets, so the work per
+    # basis evaluation in march and dg_norm is the same for 4 and 32 elements per slab
+    sol = ExpSolution(5.0)
+
+    def solve_and_norm(nx):
+        mesh = build_cartesian_mesh(DOM, nx, 4)
+        psi = march(mesh, space, solution_data(sol))
+        return dg_norm(DifferenceField(exact_field(sol), psi), mesh, n=20)
+
+    narrow, _ = _largest_evaluation(monkeypatch, lambda: solve_and_norm(4))
+    wide, _ = _largest_evaluation(monkeypatch, lambda: solve_and_norm(32))
+    assert narrow == wide
+
+
+def test_reference_walk_evaluates_at_global_points(monkeypatch):
+    # the global oracle walks the facets one at a time at global quadrature points
+    # and never reads the shared facet offsets that the slab kernel uses
+    from schrodg.mesh import FacetArrays
+
+    mesh, space = build_cartesian_mesh(DOM, 4, 3), SpaceKind.full_poly(2)
+    m, rhs, _ = assemble_global(mesh, space, constant_data(1.0))
+    monkeypatch.setattr(FacetArrays, "local_quadrature", lambda *a: pytest.fail("table used"))
+    largest, (m_walk, rhs_walk, _) = _largest_evaluation(
+        monkeypatch, lambda: assemble_global(mesh, space, constant_data(1.0)))
+    assert largest == _rule_sizes(space, None)[0] ** 2  # one element's volume rule
+    assert np.array_equal(m, m_walk) and np.array_equal(rhs, rhs_walk)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from schrodg.basis import (SpaceKind, Wave, eval_basis_many, full_poly_basis,
-                           plane_wave_basis, quasi_trefftz_basis, trefftz_basis)
+from schrodg.basis import (MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
+                           full_poly_basis, plane_wave_basis, quasi_trefftz_basis,
+                           trefftz_basis)
+from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
 from schrodg.poly import apply_schrodinger, mi, poly_combination
 
 UNIT = dict(center=(0.0, 0.0), scales=(1.0, 1.0))
@@ -210,3 +212,50 @@ def test_gram_rank_certifies_independence():
         g = _gram_time_slice(eb.functions, d, p, eb.functions[0].center, (0.5, 0.7))
         sv = np.linalg.svd(g, compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0]
+
+
+TABLE_SPACES = [SpaceKind.trefftz(1), SpaceKind.trefftz(2),
+                SpaceKind.quasi_trefftz(1), SpaceKind.quasi_trefftz(2),
+                SpaceKind.full_poly(1), SpaceKind.full_poly(2),
+                SpaceKind.plane_wave(1), SpaceKind.plane_wave(2)]
+FACET_SIDES = {"space_interior": ("below", "above", "owner"), "final": ("below", "owner"),
+               "initial": ("above", "owner"), "time_interior": ("left", "right", "owner"),
+               "dirichlet": ("owner",)}
+
+
+def _pointwise(mesh, space, eid, X, T):
+    """Values, x-derivatives and operator image (dim, nq) of element eid's basis at the
+    global points X, T, one function at a time."""
+    arrays = mesh.element_arrays
+    funcs = element_basis(space, tuple(arrays.center[eid]), tuple(arrays.h[eid])).functions
+    value = np.array([eval_basis_many(f, X, T) for f in funcs])
+    dx = np.array([eval_basis_many(f, X, T, mi(1, 0)) for f in funcs])
+    image = (np.zeros_like(value) if space.family == "planewave" else
+             np.array([eval_basis_many(apply_schrodinger(f), X, T) for f in funcs]))
+    return value, dx, image
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES, ids=str)
+@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
+def test_facet_tables_equal_pointwise_evaluation(space, mesh_name):
+    # the shared offsets of every facet group and side give the basis values,
+    # x-derivatives and operator image of each neighbour at the global facet nodes
+    from tests.conftest import perturbed_mesh
+
+    mesh = (perturbed_mesh() if mesh_name == "perturbed"
+            else build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 4, 3))
+    basis, n = MeshBasis(mesh, space), 6
+    checked = set()
+    for (kind, _), fa in mesh.facet_groups.items():
+        X, T, _ = fa.quadrature(n)
+        for side in FACET_SIDES[kind.value]:
+            eids = getattr(fa, side)
+            x, t, _ = fa.local_quadrature(n, side)
+            shape = (len(eids), basis.dim, n)
+            tables = [np.broadcast_to(a, shape) for a in
+                      (*basis.traces(eids, x, t), basis.operator_image(eids, x, t))]
+            for f, e in enumerate(eids):
+                for table, ref in zip(tables, _pointwise(mesh, space, e, X[f], T[f])):
+                    assert np.max(np.abs(table[f] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            checked.add((kind, side))
+    assert len(checked) == sum(map(len, FACET_SIDES.values()))

@@ -139,6 +139,8 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
      "allows at most --levels 3"),
     (["conv-h", "--levels", "2", "--out", "{tmp}/missing/x.csv"],
      "--out directory {tmp}/missing does not exist"),
+    (["conv-h", "--p", "1", "--levels", "2", "--out", "{tmp}"], "--out {tmp} is a directory"),
+    (["singular", "--p", "1", "--levels", "2", "--out", "{tmp}"], "--out {tmp} is a directory"),
     (["conv-h", "--quad-n", "0", "--levels", "2"], "quad_n must be in [1, 64]"),
     (["singular", "--quad-n", "65", "--levels", "2"], "quad_n must be in [1, 64]"),
 ])
@@ -270,3 +272,24 @@ def test_cli_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(schrodg.cli, "run_conv_h", out_of_memory)
     assert main(["conv-h", "--levels", "2", "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == "schrodg: solver failure: out of memory\n"
+
+
+def test_conv_p_assembles_each_first_slab_once(monkeypatch):
+    # cond2 comes from the slab-0 matrix that march assembled and factored
+    import schrodg.assembly
+    from schrodg.assembly import first_slab_cond2
+    from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
+
+    calls = []
+    slab_matrix = schrodg.assembly._slab_matrix
+
+    def counting(mesh, slab, *args):
+        calls.append(slab)
+        return slab_matrix(mesh, slab, *args)
+
+    monkeypatch.setattr(schrodg.assembly, "_slab_matrix", counting)
+    rows = run_conv_p(ExperimentConfig("conv-p", levels=3))
+    assert calls == [0, 0, 0]
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 10, 10)
+    assert [r.cond2 for r in rows] == [first_slab_cond2(mesh, SpaceKind.trefftz(p))
+                                       for p in (1, 2, 3)]
