@@ -4,7 +4,7 @@ from .assembly import (BoundaryData, DiscreteSolution, SlabSolveError, apply_for
                        assemble_global, constant_data, element_bases, march,
                        solution_data, solve_global)
 from .basis import (ElementBasis, MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
-                    full_poly_basis, plane_wave_basis, quasi_trefftz_basis, trefftz_basis)
+                    trefftz_basis)
 from .linalg import SingularMatrixError, cond2
 from .mesh import Element, FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
 from .norms import (ClosedFormField, DifferenceField, PiecewisePolyField, dg_norm,

@@ -112,7 +112,7 @@ class DiscreteSolution:
         missing = eids[~self._known[eids]]
         if missing.size:
             raise ValueError(f"element {missing[0]} has no coefficients yet")
-        return self.basis.combination(eids, x, t, self.coeffs[eids], dx)
+        return self.basis.evaluate(eids, x, t, dx=dx, weights=self.coeffs[eids])
 
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
         eids, X, T, shape = field_points(eid, xs, ts)
@@ -129,8 +129,8 @@ class DiscreteSolution:
 def element_bases(mesh: Mesh, space: SpaceKind) -> list[ElementBasis]:
     """Local bases for every element (coefficient maps shared across congruent ones)."""
     arrays = mesh.element_arrays
-    return [element_basis(space, tuple(center), tuple(h), eid) for eid, (center, h)
-            in enumerate(zip(arrays.center.tolist(), arrays.h.tolist()))]
+    return [element_basis(space, tuple(center), tuple(h))
+            for center, h in zip(arrays.center.tolist(), arrays.h.tolist())]
 
 
 def _rule_sizes(space: SpaceKind, n_quad: int | None) -> tuple[int, int]:
@@ -199,12 +199,12 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
         fa = mesh.facet_arrays(kind, slab)
         if fa is not None:
             x, t, W = fa.local_quadrature(n_form, "below")
-            v = basis.values(fa.below, x, t)
+            v = basis.evaluate(fa.below, x, t)
             add(fa.below, fa.below, 1j * _pair(v, v, W))
             if kind is FacetKind.SPACE_INTERIOR:  # the upwind trace v, tested from above
                 x, t, _ = fa.local_quadrature(n_form, "above")
                 _add_at(coupling, ((fa.below - first)[:, None, None] * dim + a) * dim + b,
-                        -1j * _pair(basis.values(fa.above, x, t), v, W))
+                        -1j * _pair(basis.evaluate(fa.above, x, t), v, W))
 
     fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
     if fa is not None:
@@ -232,7 +232,8 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
     if basis.kind.needs_volume_term:
         elems = np.arange(first, first + nx)
         x, t, W = _volume_rule(mesh, elems, n_form)
-        add(elems, elems, _pair(basis.operator_image(elems, x, t), basis.values(elems, x, t), W))
+        add(elems, elems,
+            _pair(basis.evaluate(elems, x, t, image=True), basis.evaluate(elems, x, t), W))
     return (ab, kl, ku), coupling
 
 
@@ -258,7 +259,7 @@ def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
         x, t, W = fa.local_quadrature(n_data, "above")
         psi0 = np.asarray(data.psi0(fa.quadrature(n_data)[0]), dtype=complex)[:, None]
         np.add.at(rhs, fa.above - first,
-                  1j * _pair(basis.values(fa.above, x, t), psi0, W)[..., 0])
+                  1j * _pair(basis.evaluate(fa.above, x, t), psi0, W)[..., 0])
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
     if fa is not None:
@@ -400,7 +401,7 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> 
                                    tuple(arrays.t_range[e].tolist()), n)
             rows, _, _, cols, u, _ = side(e, xg, tg)
             xc, tc = basis.center[e]
-            sv = basis.operator_image([e], (xg - xc)[None], (tg - tc)[None])[0]
+            sv = basis.evaluate([e], (xg - xc)[None], (tg - tc)[None], image=True)[0]
             out[rows, cols] += (sv.conj() * wg) @ u.T
 
 

@@ -18,7 +18,9 @@ Four families are supported:
   equispaced wavenumbers k = -2p, -2p + 2, ..., 2p (d = 1 only).
 
 Every family is centered at the element center (x_K, t_K), so all elements
-of one size carry the same basis, only translated.  ``MeshBasis`` evaluates
+of one size carry the same basis, only translated.  `element_basis` builds
+the basis of any family on a d = 1 element; `trefftz_basis(d, ...)` builds
+the Trefftz family in any space dimension d.  `MeshBasis.evaluate` evaluates
 the basis of many elements in one array call, at offsets from their
 centres, from one `coefficient_table` per element size; at a facet group's
 shared row of offsets that is one table per (size, facet side, rule).  Every
@@ -34,8 +36,8 @@ from typing import Union
 
 import numpy as np
 
-from .poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, dense_terms, eval_poly_many,
-                   mi, scaled_monomials, space_multi_indices)
+from .poly import (MultiIndex, ScaledPolynomial, _normalize_center, apply_schrodinger, dense_terms,
+                   eval_poly_many, mi, scaled_monomials, space_multi_indices)
 
 FAMILIES = ("trefftz", "quasi-trefftz", "full", "planewave")
 
@@ -102,7 +104,6 @@ BasisFunction = Union[ScaledPolynomial, Wave]
 
 @dataclass(frozen=True)
 class ElementBasis:
-    element_id: int
     kind: SpaceKind
     functions: tuple[BasisFunction, ...]
 
@@ -181,8 +182,7 @@ def _trefftz_local_coeffs(d: int, p: int, hx: float, ht: float, seed_choice: str
                  for seed in _trefftz_seeds(d, p, hx, seed_choice))
 
 
-def trefftz_basis(d: int, p: int, center, scales, seed_choice: str = "a",
-                  element_id: int = 0) -> ElementBasis:
+def trefftz_basis(d: int, p: int, center, scales, seed_choice: str = "a") -> ElementBasis:
     """Kernel polynomials of degree <= 2p; dimension C(2p + d, d)."""
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -192,7 +192,7 @@ def trefftz_basis(d: int, p: int, center, scales, seed_choice: str = "a",
                                     degree_bound=2 * p)
         for coeffs in _trefftz_local_coeffs(d, p, hx, ht, seed_choice)
     ]
-    return ElementBasis(element_id, SpaceKind.trefftz(p, seed_choice), tuple(funcs))
+    return ElementBasis(SpaceKind.trefftz(p, seed_choice), tuple(funcs))
 
 
 @lru_cache(maxsize=None)
@@ -216,55 +216,24 @@ def _quasi_trefftz_local_coeffs(p: int, hx: float, ht: float) -> tuple[dict, ...
     return tuple(out)
 
 
-def quasi_trefftz_basis(p: int, center, scales, element_id: int = 0) -> ElementBasis:
-    """Degree-p quasi-kernel polynomials centered at the element center (d = 1)."""
-    if p < 1:
-        raise ValueError("quasi-Trefftz space requires p >= 1")
-    hx, ht = float(scales[0]), float(scales[1])
-    funcs = [
-        ScaledPolynomial.from_terms(coeffs, center=center, scales=(hx, ht), d=1,
-                                    degree_bound=p)
-        for coeffs in _quasi_trefftz_local_coeffs(p, hx, ht)
-    ]
-    return ElementBasis(element_id, SpaceKind.quasi_trefftz(p), tuple(funcs))
+def element_basis(kind: SpaceKind, center, scales) -> ElementBasis:
+    """The local basis of ``kind`` on a d = 1 element of size ``scales`` about ``center``.
 
-
-def full_poly_basis(p: int, center, scales, d: int = 1, element_id: int = 0) -> ElementBasis:
-    """All scaled monomials of total degree <= p."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    funcs = []
-    indices = [mi(jx, jt) for jx in space_multi_indices(d, p)
-               for jt in range(p - sum(jx) + 1)]
-    for j in sorted(indices):
-        funcs.append(ScaledPolynomial.from_terms({j: 1.0}, center=center, scales=scales,
-                                                 d=d, degree_bound=p))
-    return ElementBasis(element_id, SpaceKind.full_poly(p), tuple(funcs))
-
-
-def plane_wave_basis(p: int, center, scales, element_id: int = 0) -> ElementBasis:
-    """2p + 1 pseudo-plane waves with wavenumbers -2p, -2p + 2, ..., 2p.
-
-    ``scales`` keeps the builders' common signature; plane waves do not scale.
+    Plane waves do not scale; every other family is in scaled monomials.
     """
-    if p < 1:
-        raise ValueError("plane-wave space requires p >= 1")
-    ks = [-2.0 * p + 2.0 * (ell - 1) for ell in range(1, 2 * p + 2)]
-    cx, ct = center
-    cx = float(cx[0]) if isinstance(cx, (tuple, list)) else float(cx)
-    funcs = tuple(Wave(k, (cx, float(ct))) for k in ks)
-    return ElementBasis(element_id, SpaceKind.plane_wave(p), funcs)
-
-
-def element_basis(kind: SpaceKind, center, scales, element_id: int = 0) -> ElementBasis:
-    """Dispatch to the family builder (d = 1 element geometry)."""
+    p = kind.p
     if kind.family == "trefftz":
-        return trefftz_basis(1, kind.p, center, scales, kind.seed_choice, element_id)
-    if kind.family == "quasi-trefftz":
-        return quasi_trefftz_basis(kind.p, center, scales, element_id)
-    if kind.family == "full":
-        return full_poly_basis(kind.p, center, scales, d=1, element_id=element_id)
-    return plane_wave_basis(kind.p, center, scales, element_id)
+        return trefftz_basis(1, p, center, scales, kind.seed_choice)
+    if kind.family == "planewave":
+        z, s = _normalize_center(center, 1)
+        return ElementBasis(kind, tuple(Wave(-2.0 * p + 2.0 * ell, (z[0], s))
+                                        for ell in range(2 * p + 1)))
+    hx, ht = float(scales[0]), float(scales[1])
+    terms = (_quasi_trefftz_local_coeffs(p, hx, ht) if kind.family == "quasi-trefftz" else
+             [{mi(jx, jt): 1.0} for jx in range(p + 1) for jt in range(p - jx + 1)])  # full
+    return ElementBasis(kind, tuple(ScaledPolynomial.from_terms(c, center=center, scales=(hx, ht),
+                                                                d=1, degree_bound=p)
+                                    for c in terms))
 
 
 @lru_cache(maxsize=None)
@@ -294,8 +263,8 @@ def coefficient_table(kind: SpaceKind, hx: float, ht: float
 class MeshBasis:
     """The local basis of every element of a mesh, evaluated a batch at a time.
 
-    Every method takes element ids ``eids`` (nF,) and offsets ``x``, ``t`` from
-    each element's centre that broadcast to (nF, nq): row f lies on element
+    `evaluate` and `traces` take element ids ``eids`` (nF,) and offsets ``x``, ``t``
+    from each element's centre that broadcast to (nF, nq): row f lies on element
     eids[f].  Every family goes through `coefficient_table`, one table per
     distinct element size (`Mesh.size_groups`).  The cost follows the shape of
     the offsets: a shared (1, nq) row (`FacetArrays.local_quadrature`) is
@@ -311,22 +280,13 @@ class MeshBasis:
 
     def traces(self, eids, x, t) -> tuple[np.ndarray, np.ndarray]:
         """Values and x-derivatives of every basis function, each (nF, dim, nq)."""
-        return self._evaluate(eids, x, t), self._evaluate(eids, x, t, dx=True)
+        return self.evaluate(eids, x, t), self.evaluate(eids, x, t, dx=True)
 
-    def values(self, eids, x, t) -> np.ndarray:
-        """The values alone of `traces`."""
-        return self._evaluate(eids, x, t)
-
-    def operator_image(self, eids, x, t) -> np.ndarray:
-        """i d/dt + (1/2) d^2/dx^2 of every basis function, (nF, dim, nq); 0 for plane waves."""
-        return self._evaluate(eids, x, t, image=True)
-
-    def combination(self, eids, x, t, weights, dx: bool = False) -> np.ndarray:
-        """sum_d weights[f, d] phi_d at the offsets of row f (its x-derivative with
-        ``dx``), shape (nF, nq)."""
-        return self._evaluate(eids, x, t, dx=dx, weights=np.asarray(weights))
-
-    def _evaluate(self, eids, x, t, dx=False, image=False, weights=None) -> np.ndarray:
+    def evaluate(self, eids, x, t, dx=False, image=False, weights=None) -> np.ndarray:
+        """Every basis function at the offsets of row f, (nF, dim, nq): its x-derivative
+        with ``dx``, its image under i d/dt + (1/2) d^2/dx^2 (0 for plane waves) with
+        ``image``.  With ``weights`` (nF, dim), sum_d weights[f, d] phi_d instead, (nF, nq).
+        """
         eids = np.asarray(eids, dtype=np.intp)
         parts = []
         for rows, (hx, ht) in self._size_groups(eids):

@@ -55,6 +55,11 @@ class ExperimentConfig:
             raise ValueError(f"quad_n must be in [1, {MAX_NODES}]")
         if self.experiment == "verify-basis" and not 1 <= self.space.p <= 3:
             raise ValueError("p must be 1, 2 or 3 for verify-basis")
+        name, top = ("levels", self.levels) if self.experiment == "conv-p" else ("p", self.space.p)
+        if self.quad_n is None and data_rule_size(top) > MAX_NODES:  # 2p + 2 nodes for degree p
+            raise ValueError(f"degree {top} needs {data_rule_size(top)} Gauss nodes, more than "
+                             f"{MAX_NODES}: at most --{name} {(MAX_NODES - 2) // 2} "
+                             "without --quad-n")
         if self.experiment == "verify-basis" and self.space.seed_choice != "a":
             raise ValueError("seed choice must be a for verify-basis (b is d = 1 only)")
         # both study the trefftz space only (conditioning: its seed scalings a and b)
@@ -141,46 +146,47 @@ def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) 
     return dg_norm(DifferenceField(sol_field, sol), mesh, n=n_norm), sol
 
 
+def _table(levels, case, rate_of: str = "dg_error") -> list[ConvergenceRow]:
+    """One row per level of ``case(level) -> (mesh, space, dg_error, cond2)``, rated on
+    consecutive ``rate_of`` values."""
+    rows: list[ConvergenceRow] = []
+    for level in levels:
+        mesh, space, err, cond = case(level)
+        row = ConvergenceRow(level, mesh.domain.width / mesh.nx, mesh.domain.t_final / mesh.nt,
+                             mesh.n_elements * space.dim(1), err, None, cond)
+        row.rate = _rate(getattr(rows[-1], rate_of) if rows else None, getattr(row, rate_of))
+        rows.append(row)
+    return rows
+
+
 def run_conv_h(config: ExperimentConfig) -> list[ConvergenceRow]:
     """DG errors under simultaneous space-time refinement h = 0.1 * 2^-j."""
-    space = config.space
     if config.constant_data:
         data = constant_data(1.0)
         sol_field = ClosedFormField(lambda x, t: np.ones_like(np.asarray(x), dtype=complex),
                                     lambda x, t: np.zeros_like(np.asarray(x), dtype=complex))
     else:
         sol = ExpSolution(config.kappa)
-        data = solution_data(sol)
-        sol_field = exact_field(sol)
-    rows: list[ConvergenceRow] = []
-    prev = None
-    for j in range(config.levels):
-        n = _conv_h_n(j)
-        mesh = build_cartesian_mesh(SMOOTH_DOMAIN, n, n)
-        err = _solve_and_error(mesh, space, data, sol_field, config.quad_n,
-                               config.global_oracle)[0]
-        rows.append(ConvergenceRow(j, SMOOTH_DOMAIN.width / n, SMOOTH_DOMAIN.t_final / n,
-                                   mesh.n_elements * space.dim(1), err, _rate(prev, err), None))
-        prev = err
-    return rows
+        data, sol_field = solution_data(sol), exact_field(sol)
+
+    def case(j):
+        mesh = build_cartesian_mesh(SMOOTH_DOMAIN, _conv_h_n(j), _conv_h_n(j))
+        return mesh, config.space, _solve_and_error(mesh, config.space, data, sol_field,
+                                                    config.quad_n, config.global_oracle)[0], None
+    return _table(range(config.levels), case)
 
 
 def run_conv_p(config: ExperimentConfig) -> list[ConvergenceRow]:
     """DG errors on the fixed h = 0.1 mesh for p = 1..levels."""
     sol = ExpSolution(config.kappa)
-    data = solution_data(sol)
-    sol_field = exact_field(sol)
+    data, sol_field = solution_data(sol), exact_field(sol)
     mesh = build_cartesian_mesh(SMOOTH_DOMAIN, 10, 10)
-    rows: list[ConvergenceRow] = []
-    prev = None
-    for p in range(1, config.levels + 1):
+
+    def case(p):
         space = SpaceKind(config.space.family, p, config.space.seed_choice)
         err, psi = _solve_and_error(mesh, space, data, sol_field, config.quad_n)
-        cond = first_slab_cond2(mesh, space, config.quad_n, sol=psi)
-        rows.append(ConvergenceRow(p, 0.1, 0.1, mesh.n_elements * space.dim(1), err,
-                                   _rate(prev, err), cond))
-        prev = err
-    return rows
+        return mesh, space, err, first_slab_cond2(mesh, space, config.quad_n, sol=psi)
+    return _table(range(1, config.levels + 1), case)
 
 
 def run_conditioning(config: ExperimentConfig) -> dict:
@@ -190,18 +196,11 @@ def run_conditioning(config: ExperimentConfig) -> dict:
     slopes: dict[str, float | None] = {}
     for choice in ("a", "b"):
         space = SpaceKind.trefftz(p, choice)
-        rows: list[ConvergenceRow] = []
-        prev = None
-        for j in range(config.levels):
-            n = _conv_h_n(j)
-            mesh = build_cartesian_mesh(SMOOTH_DOMAIN, n, n)
-            cond = first_slab_cond2(mesh, space, config.quad_n)
-            rows.append(ConvergenceRow(j, SMOOTH_DOMAIN.width / n,
-                                       SMOOTH_DOMAIN.t_final / n,
-                                       mesh.n_elements * space.dim(1), None,
-                                       _rate(prev, cond), cond))
-            prev = cond
-        tables[choice] = rows
+
+        def case(j):
+            mesh = build_cartesian_mesh(SMOOTH_DOMAIN, _conv_h_n(j), _conv_h_n(j))
+            return mesh, space, None, first_slab_cond2(mesh, space, config.quad_n)
+        rows = tables[choice] = _table(range(config.levels), case, rate_of="cond2")
         slopes[choice] = loglog_slope([r.h_x for r in rows], [r.cond2 for r in rows])
     return {"p": p, "tables": tables, "slopes": slopes}
 
@@ -209,29 +208,22 @@ def run_conditioning(config: ExperimentConfig) -> dict:
 def run_singular(config: ExperimentConfig) -> dict:
     """Square-well problem on (0,1) x (0,0.1) with h_t = 0.1 h_x = 0.05 * 2^-j."""
     p = config.space.p
-    series = SquareWellSeries(250)
     data = BoundaryData(psi0=square_well_initial,
                         g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
-    sol_field = exact_field(series)
+    sol_field = exact_field(SquareWellSeries(250))
     families = FAMILIES if config.all_spaces else (config.space.family,)
     out: dict[str, list[ConvergenceRow]] = {}
     for family in families:
         space = SpaceKind(family, p, config.space.seed_choice)
-        rows: list[ConvergenceRow] = []
-        prev = None
-        for j in range(config.levels):
-            n = 2 * 2 ** j
-            mesh = build_cartesian_mesh(SINGULAR_DOMAIN, n, n)
+
+        def case(j):
+            mesh = build_cartesian_mesh(SINGULAR_DOMAIN, 2 * 2 ** j, 2 * 2 ** j)
             try:
                 err = _solve_and_error(mesh, space, data, sol_field, config.quad_n)[0]
             except SlabSolveError:
                 err = None  # the documented plane-wave breakdown at fine levels: an empty row
-            rows.append(ConvergenceRow(j, SINGULAR_DOMAIN.width / n,
-                                       SINGULAR_DOMAIN.t_final / n,
-                                       mesh.n_elements * space.dim(1), err,
-                                       _rate(prev, err), None))
-            prev = err
-        out[family] = rows
+            return mesh, space, err, None
+        out[family] = _table(range(config.levels), case)
     return {"p": p, "tables": out}
 
 

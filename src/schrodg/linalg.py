@@ -107,13 +107,6 @@ class FactoredMatrix:
         return float(rcond)
 
 
-def relative_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """||a x - b|| / (||a||_F ||x|| + ||b||)."""
-    num = np.linalg.norm(a @ x - b)
-    den = np.linalg.norm(a, "fro") * np.linalg.norm(x) + np.linalg.norm(b)
-    return float(num / den) if den > 0 else float(num)
-
-
 def cond2(a: np.ndarray) -> float:
     """2-norm condition number via full SVD; +inf when singular."""
     a = np.asarray(a, dtype=complex)

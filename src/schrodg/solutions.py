@@ -8,13 +8,13 @@ Both families solve i psi_t + (1/2) psi_xx = 0 exactly:
   initial profile sqrt(30) x (1 - x) on (0, 1) with homogeneous Dirichlet
   data, truncated to a fixed number of odd modes.
 
-The series factors each call's points.  When they lie on a tensor grid, as
-every facet row of a tensor mesh does (one t on a space-like row, the slab's
-t nodes on time-like rows), it evaluates sin/cos once per distinct x and the
-time phase once per distinct t, and sums the modes by one matrix product.
-Any other input falls back to one sin/cos and one exp per (point, mode) pair.
-Both paths work in blocks of SERIES_BLOCK coordinates, so their temporaries
-stay bounded.
+The series factors each call's points into blocks of SERIES_BLOCK distinct
+t.  In a block it evaluates the time phase once per distinct t and sin/cos
+once per distinct x of the block's points, and sums the modes by one matrix
+product per SERIES_BLOCK of those x.  A facet row of a tensor mesh (one t on
+a space-like row, the slab's t nodes on time-like rows) is a tensor grid of
+at most SERIES_BLOCK t, so it is one block and costs one sin/cos per distinct
+x; scattered points cost one sin/cos and one exp per (point, mode) pair.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class ExpSolutionND:
 
 
 SQUARE_WELL_AMPLITUDE = math.sqrt(30.0)
-# Coordinates per block, on both paths of SquareWellSeries: a temporary holds
-# at most 32 x 250 modes x 16 B = 128 kB, whatever the number of points.
+# Distinct coordinates per block of SquareWellSeries: a sin/cos or phase temporary
+# holds at most 32 x 250 modes x 16 B = 128 kB, whatever the number of points, and
+# a block's table of sums is its distinct x by at most 32 t.
 SERIES_BLOCK = 32
 
 
@@ -103,24 +104,19 @@ class SquareWellSeries:
             amp = amp * (np.pi * n)
         wave = np.cos if dx else np.sin
         xf, tf = x.reshape(-1), t.reshape(-1)
-        xu, ix = np.unique(xf, return_inverse=True)
         tu, it = np.unique(tf, return_inverse=True)
-        if xu.size * tu.size <= xf.size:
-            # a tensor grid: sin/cos per distinct x, the phase per distinct t
-            grid = np.empty((xu.size, tu.size), dtype=complex)
-            for j in range(0, tu.size, SERIES_BLOCK):
-                phase = amp[:, None] * np.exp(-0.5j * np.pi ** 2
-                                              * np.outer(n * n, tu[j:j + SERIES_BLOCK]))
-                for i in range(0, xu.size, SERIES_BLOCK):
-                    grid[i:i + SERIES_BLOCK, j:j + SERIES_BLOCK] = (
-                        wave(np.pi * np.outer(xu[i:i + SERIES_BLOCK], n)) @ phase)
-            return grid[ix, it].reshape(x.shape)
-        # scattered points: one sin/cos and one exp per (point, mode) pair
+        by_t = np.argsort(it, kind="stable")  # the points, in blocks of distinct t
+        cuts = np.searchsorted(it[by_t], np.arange(0, tu.size + SERIES_BLOCK, SERIES_BLOCK))
         out = np.empty(xf.shape, dtype=complex)
-        for i in range(0, xf.size, SERIES_BLOCK):
-            xb, tb = xf[i:i + SERIES_BLOCK], tf[i:i + SERIES_BLOCK]
-            phase = np.exp(-0.5j * np.pi ** 2 * np.outer(tb, n * n))
-            out[i:i + SERIES_BLOCK] = (wave(np.pi * np.outer(xb, n)) * phase) @ amp
+        for k, j in enumerate(range(0, tu.size, SERIES_BLOCK)):
+            pts = by_t[cuts[k]:cuts[k + 1]]
+            phase = amp[:, None] * np.exp(-0.5j * np.pi ** 2
+                                          * np.outer(n * n, tu[j:j + SERIES_BLOCK]))
+            xu, ix = np.unique(xf[pts], return_inverse=True)
+            grid = np.empty((xu.size, phase.shape[1]), dtype=complex)
+            for i in range(0, xu.size, SERIES_BLOCK):
+                grid[i:i + SERIES_BLOCK] = wave(np.pi * np.outer(xu[i:i + SERIES_BLOCK], n)) @ phase
+            out[pts] = grid[ix, it[pts] - j]
         return out.reshape(x.shape)
 
     def value(self, x, t):

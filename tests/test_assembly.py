@@ -284,7 +284,7 @@ def test_plane_wave_operator_image_is_zero():
     eids = np.arange(mesh.n_elements)
     X = mesh.element_arrays.center[:, :1] + np.linspace(-0.1, 0.1, 4)
     T = mesh.element_arrays.center[:, 1:] + np.linspace(-0.2, 0.2, 4)
-    image = MeshBasis(mesh, SpaceKind.plane_wave(2)).operator_image(eids, X, T)
+    image = MeshBasis(mesh, SpaceKind.plane_wave(2)).evaluate(eids, X, T, image=True)
     assert image.shape == (mesh.n_elements, 5, 4)
     assert not np.any(image)
 

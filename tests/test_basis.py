@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from schrodg.basis import (MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
-                           full_poly_basis, plane_wave_basis, quasi_trefftz_basis,
                            trefftz_basis)
 from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
 from schrodg.poly import apply_schrodinger, mi, poly_combination
@@ -92,12 +91,12 @@ def test_trefftz_seed_b_rejected_above_1d():
 
 
 def test_quasi_trefftz_p1_span():
-    eb = quasi_trefftz_basis(1, **UNIT)
+    eb = element_basis(SpaceKind.quasi_trefftz(1), **UNIT)
     assert coeff_dicts(eb) == [{mi(0, 0): 1.0}, {mi(1, 0): 1.0}, {mi(0, 1): 1.0}]
 
 
 def test_quasi_trefftz_p2_span():
-    eb = quasi_trefftz_basis(2, **UNIT)
+    eb = element_basis(SpaceKind.quasi_trefftz(2), **UNIT)
     assert coeff_dicts(eb) == [
         {mi(0, 0): 1.0},
         {mi(1, 0): 1.0},
@@ -109,14 +108,14 @@ def test_quasi_trefftz_p2_span():
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_quasi_trefftz_dimension(p):
-    eb = quasi_trefftz_basis(p, center=(0.2, 0.1), scales=(0.5, 0.25))
+    eb = element_basis(SpaceKind.quasi_trefftz(p), center=(0.2, 0.1), scales=(0.5, 0.25))
     assert eb.dim == 2 * p + 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_quasi_trefftz_operator_zero_of_order(p):
     # D^j (S q)(center) = 0 for |j| <= p - 2, read off exactly from coefficients
-    eb = quasi_trefftz_basis(p, center=(0.2, 0.1), scales=(0.5, 0.25))
+    eb = element_basis(SpaceKind.quasi_trefftz(p), center=(0.2, 0.1), scales=(0.5, 0.25))
     for f in eb.functions:
         res = apply_schrodinger(f)
         for j, c in res.coeffs.items():
@@ -126,30 +125,28 @@ def test_quasi_trefftz_operator_zero_of_order(p):
 
 def test_quasi_trefftz_rejects_p0():
     with pytest.raises(ValueError):
-        quasi_trefftz_basis(0, **UNIT)
+        element_basis(SpaceKind.quasi_trefftz(0), **UNIT)
 
 
 def test_full_poly_spans():
-    assert coeff_dicts(full_poly_basis(0, **UNIT)) == [{mi(0, 0): 1.0}]
-    assert coeff_dicts(full_poly_basis(1, **UNIT)) == [
+    assert coeff_dicts(element_basis(SpaceKind.full_poly(0), **UNIT)) == [{mi(0, 0): 1.0}]
+    assert coeff_dicts(element_basis(SpaceKind.full_poly(1), **UNIT)) == [
         {mi(0, 0): 1.0}, {mi(0, 1): 1.0}, {mi(1, 0): 1.0}]
-    assert full_poly_basis(2, **UNIT).dim == 6
+    assert element_basis(SpaceKind.full_poly(2), **UNIT).dim == 6
 
 
 def test_full_poly_dimension_formula():
-    for d, p in [(1, 3), (2, 2), (3, 2)]:
-        center = (0.0, 0.0) if d == 1 else (tuple([0.0] * d), 0.0)
-        eb = full_poly_basis(p, center=center, scales=(1.0, 1.0), d=d)
-        assert eb.dim == math.comb(p + d + 1, d + 1) == SpaceKind.full_poly(p).dim(d)
+    eb = element_basis(SpaceKind.full_poly(3), **UNIT)
+    assert eb.dim == math.comb(3 + 2, 2) == SpaceKind.full_poly(3).dim(1)
 
 
 def test_plane_wave_wavenumbers():
-    eb = plane_wave_basis(1, **UNIT)
+    eb = element_basis(SpaceKind.plane_wave(1), **UNIT)
     assert [w.k for w in eb.functions] == [-2.0, 0.0, 2.0]
-    eb2 = plane_wave_basis(2, **UNIT)
+    eb2 = element_basis(SpaceKind.plane_wave(2), **UNIT)
     assert [w.k for w in eb2.functions] == [-4.0, -2.0, 0.0, 2.0, 4.0]
     with pytest.raises(ValueError):
-        plane_wave_basis(0, **UNIT)
+        element_basis(SpaceKind.plane_wave(0), **UNIT)
 
 
 def test_wave_satisfies_equation_identically():
@@ -253,7 +250,7 @@ def test_facet_tables_equal_pointwise_evaluation(space, mesh_name):
             x, t, _ = fa.local_quadrature(n, side)
             shape = (len(eids), basis.dim, n)
             tables = [np.broadcast_to(a, shape) for a in
-                      (*basis.traces(eids, x, t), basis.operator_image(eids, x, t))]
+                      (*basis.traces(eids, x, t), basis.evaluate(eids, x, t, image=True))]
             for f, e in enumerate(eids):
                 for table, ref in zip(tables, _pointwise(mesh, space, e, X[f], T[f])):
                     assert np.max(np.abs(table[f] - ref)) <= 1e-13 * np.max(np.abs(ref))

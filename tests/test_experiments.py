@@ -143,6 +143,10 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     (["singular", "--p", "1", "--levels", "2", "--out", "{tmp}"], "--out {tmp} is a directory"),
     (["conv-h", "--quad-n", "0", "--levels", "2"], "quad_n must be in [1, 64]"),
     (["singular", "--quad-n", "65", "--levels", "2"], "quad_n must be in [1, 64]"),
+    (["conv-p", "--levels", "32"],
+     "degree 32 needs 66 Gauss nodes, more than 64: at most --levels 31 without --quad-n"),
+    (["conv-h", "--p", "32", "--levels", "2"],
+     "degree 32 needs 66 Gauss nodes, more than 64: at most --p 31 without --quad-n"),
 ])
 def test_cli_rejects_unsupported_experiment_settings(tmp_path, capsys, args, message):
     # "{tmp}" stands for tmp_path; an --out in args wins over the default one before it
