@@ -92,7 +92,8 @@ class DiscreteSolution:
     id array (nF,) with points (nF, nq), local takes offsets from the centres,
     and each is (coeffs[eids] @ table) @ monomials through the `MeshBasis`.
     ``bases`` is accepted but not needed.  `march` keeps slab 0's diagonal
-    block in ``first_slab`` if it has at most `COND_MAX_N` rows.
+    block in ``first_slab`` if it has at most `COND_MAX_N` rows, and the cond2
+    its plane-wave screen took of that block in ``screen_cond2``.
     """
 
     def __init__(self, mesh: Mesh, space: SpaceKind, bases: list[ElementBasis] | None = None):
@@ -101,7 +102,7 @@ class DiscreteSolution:
         self.basis = MeshBasis(mesh, space)
         self.coeffs = np.zeros((mesh.n_elements, self.basis.dim), dtype=complex)
         self._known = np.zeros(mesh.n_elements, dtype=bool)
-        self.first_slab = None
+        self.first_slab = self.screen_cond2 = None
 
     def set_coeffs(self, eid, vec) -> None:
         """Coefficients of element ``eid``, or rows (len(eid), dim) for an id array."""
@@ -240,9 +241,12 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
 def first_slab_cond2(mesh: Mesh, space: SpaceKind, n_quad: int | None = None,
                      sol: DiscreteSolution | None = None) -> float | None:
     """cond2 of the first slab's matrix; None above `COND_MAX_N` unknowns.  Given the
-    solution `march` built on the same mesh, space and rule, its ``first_slab``."""
+    solution `march` built on the same mesh, space and rule, its screen's cond2, or
+    that of its ``first_slab``."""
     if len(mesh.slab_elements[0]) * space.dim(1) > COND_MAX_N:
         return None
+    if sol is not None and sol.screen_cond2 is not None:
+        return sol.screen_cond2
     band = sol.first_slab if sol is not None else _slab_matrix(
         mesh, 0, MeshBasis(mesh, space), _rule_sizes(space, n_quad)[0])[0]
     return cond2(from_band(*band))
@@ -307,7 +311,10 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
             if slab == 0 and small:
                 sol.first_slab = band
             if max_cond is not None and small:
-                _screen(slab, cond2(from_band(*band)), max_cond)
+                cond = cond2(from_band(*band))
+                if slab == 0:
+                    sol.screen_cond2 = cond
+                _screen(slab, cond, max_cond)
             try:
                 factor = FactoredMatrix(*band)
             except SingularMatrixError as exc:

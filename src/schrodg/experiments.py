@@ -19,7 +19,7 @@ from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_da
                        first_slab_cond2, march, solution_data, solve_global)
 from .basis import FAMILIES, SpaceKind, trefftz_basis
 from .mesh import SpaceTimeDomain, build_cartesian_mesh
-from .norms import ClosedFormField, DifferenceField, dg_norm, exact_field
+from .norms import DifferenceField, dg_norm, exact_field
 from .poly import apply_schrodinger, eval_poly_many, poly_combination
 from .quadrature import MAX_NODES, box_rule, data_rule_size
 from .solutions import ExpSolution, SquareWellSeries, square_well_initial
@@ -161,10 +161,8 @@ def _table(levels, case, rate_of: str = "dg_error") -> list[ConvergenceRow]:
 
 def run_conv_h(config: ExperimentConfig) -> list[ConvergenceRow]:
     """DG errors under simultaneous space-time refinement h = 0.1 * 2^-j."""
-    if config.constant_data:
-        data = constant_data(1.0)
-        sol_field = ClosedFormField(lambda x, t: np.ones_like(np.asarray(x), dtype=complex),
-                                    lambda x, t: np.zeros_like(np.asarray(x), dtype=complex))
+    if config.constant_data:  # psi = 1: the exponential with kappa = 0
+        data, sol_field = constant_data(1.0), exact_field(ExpSolution(0.0))
     else:
         sol = ExpSolution(config.kappa)
         data, sol_field = solution_data(sol), exact_field(sol)

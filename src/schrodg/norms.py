@@ -16,11 +16,17 @@ A field exposes one-sided traces via value(eid, xs, ts) and dx(eid, xs, ts).
 ``eid`` is an element id or an int array of ids (nF,); with an array, the
 points broadcast to (nF, nq) and row f lies on element eid[f].  The result
 has the shape of the points.  Jumps are always formed from two one-sided
-traces.  The norms evaluate a whole slab's facets of one kind per call, and a
-closed-form field, which has no sides, once per interior facet group.  A
+traces.  The norms evaluate a whole slab's facets of one kind per call.  A
 field may also expose local(eids, x, t, dx) at offsets from the element
 centres, as a discrete solution does; the norms pass it each facet group's
 shared offsets (`FacetArrays.local_quadrature`).
+
+A closed-form field has no sides: one trace serves both.  One built from
+callables is called once per facet group.  One built from a separable
+solution (with ``factors``) is read off tables made once per norm call: X
+over the space-like Gauss nodes and the grid lines, T over each space-like
+time and each slab's Gauss times; a group's trace is rows of X times a block
+of T, equal to value(x, t) at its points to the last bit (`mode_sum`).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import numpy as np
 from .mesh import FacetKind, Mesh
 from .poly import ScaledPolynomial, dense_terms, mi, scaled_monomials
 from .quadrature import mapped_intervals
+from .solutions import mode_sum
 
 
 def field_points(eid, xs, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
@@ -54,11 +61,13 @@ def field_points(eid, xs, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple
 
 
 class ClosedFormField:
-    """A globally defined field; element ids are ignored."""
+    """A globally defined field; element ids are ignored.  The norms read one with
+    ``factors`` (a separable solution's, see `schrodg.solutions`) off factor tables."""
 
-    def __init__(self, value_fn, dx_fn):
+    def __init__(self, value_fn, dx_fn, factors=None):
         self._value = value_fn
         self._dx = dx_fn
+        self.factors = factors
 
     def value(self, eid, xs, ts):
         xs, ts = np.broadcast_arrays(np.atleast_1d(xs), np.atleast_1d(ts))
@@ -70,8 +79,8 @@ class ClosedFormField:
 
 
 def exact_field(sol) -> ClosedFormField:
-    """Field view of a solution object with value/dx methods."""
-    return ClosedFormField(sol.value, sol.dx)
+    """Field view of a solution object with value/dx methods, and factors if it has them."""
+    return ClosedFormField(sol.value, sol.dx, getattr(sol, "factors", None))
 
 
 class PiecewisePolyField:
@@ -109,6 +118,74 @@ class DifferenceField:
         return self.a.dx(eid, xs, ts) - self.b.dx(eid, xs, ts)
 
 
+def _distinct(arrays: list[np.ndarray]) -> np.ndarray:
+    """The sorted distinct values of 1-D arrays, most of which repeat each other."""
+    return np.unique(np.concatenate(list({a.tobytes(): a for a in arrays}.values())))
+
+
+class _FactorTables:
+    """A separable field's factor tables on one mesh and n-point rule.
+
+    X is built over the Gauss nodes of the distinct spans (lo, hi) of the
+    space-like facets, or over the distinct lines of the time-like ones; T at a
+    space-like group's time, or at the Gauss nodes of a time-like group's span,
+    one of each per group as on a tensor mesh.  Only one orientation's X and
+    the last T are kept, so a walk over the space-like groups, then the
+    time-like ones slab by slab, evaluates every table once.
+    """
+
+    def __init__(self, factors, mesh: Mesh, n: int):
+        self.factors, self.n = factors, n
+        self._horizontal, self._x = None, {}  # the orientation of the X tables kept, by dx
+        self._t = (None,)  # the last times and their T
+        groups = mesh.facet_groups.values()
+        # a span (lo, hi) is the complex lo + i hi, so that one sort orders the pairs
+        self.spans = _distinct([fa.lo + 1j * fa.hi for fa in groups if fa.kind.is_horizontal])
+        self.lines = _distinct([fa.fixed for fa in groups if not fa.kind.is_horizontal])
+
+    def _x_table(self, horizontal: bool, dx: bool) -> np.ndarray:
+        if horizontal is not self._horizontal:
+            self._x, self._horizontal = {}, horizontal
+        if dx not in self._x:
+            x = (mapped_intervals(self.spans.real, self.spans.imag, self.n)[0]
+                 if horizontal else self.lines)
+            self._x[dx] = self.factors(x.reshape(-1), np.empty(0), dx)[0]
+        return self._x[dx]
+
+    def _t_rows(self, t: np.ndarray) -> np.ndarray:
+        """T at the times t, transposed: (t.size, m)."""
+        if not np.array_equal(self._t[0], t):
+            self._t = (None,)  # freed before the next one is built
+            self._t = t, self.factors(np.empty(0), t.reshape(-1))[1].T
+        return self._t[1]
+
+    def trace(self, fa, dx: bool) -> np.ndarray:
+        """The value (or dx) on every facet of ``fa`` at the n-point rule, (nF, n)."""
+        X = self._x_table(fa.kind.is_horizontal, dx)
+        if fa.kind.is_horizontal:  # rows of X: (span, node), times the group's T column
+            grid = mode_sum(X[:, None, :], self._t_rows(_shared(fa.fixed))[None])
+            return grid.reshape(len(self.spans), self.n)[
+                np.searchsorted(self.spans, fa.lo + 1j * fa.hi)]
+        Tt = self._t_rows(mapped_intervals(_shared(fa.lo), _shared(fa.hi), self.n)[0])
+        return mode_sum(X[np.searchsorted(self.lines, fa.fixed), None, :], Tt[None])
+
+
+def _shared(a: np.ndarray) -> np.ndarray:
+    """a[:1], the one value that every facet of a group has in ``a``."""
+    if np.any(a != a[0]):
+        raise ValueError("the facets of a group differ in their fixed time or time span")
+    return a[:1]
+
+
+def _tabulate(field, mesh: Mesh, n: int):
+    """``field`` with every separable closed-form part replaced by its `_FactorTables`."""
+    if isinstance(field, DifferenceField):
+        return DifferenceField(_tabulate(field.a, mesh, n), _tabulate(field.b, mesh, n))
+    if isinstance(field, ClosedFormField) and field.factors is not None:
+        return _FactorTables(field.factors, mesh, n)
+    return field
+
+
 def _wsum_sq(w, z) -> float:
     z = np.asarray(z)
     return float(np.sum(w * (z.real * z.real + z.imag * z.imag)))
@@ -125,6 +202,8 @@ def _sides(field, fa, n: int, sides, dx: bool = False) -> list[np.ndarray]:
     if isinstance(field, DifferenceField):
         return [a - b for a, b in zip(_sides(field.a, fa, n, sides, dx),
                                       _sides(field.b, fa, n, sides, dx))]
+    if isinstance(field, _FactorTables):
+        return [field.trace(fa, dx)] * len(sides)
     if hasattr(field, "local"):
         return [field.local(getattr(fa, s), *fa.local_quadrature(n, s)[:2], dx) for s in sides]
     X, T, _ = fa.quadrature(n)
@@ -135,8 +214,11 @@ def _sides(field, fa, n: int, sides, dx: bool = False) -> list[np.ndarray]:
 
 
 def _norm_terms(field, mesh: Mesh, n: int, with_plus: bool) -> tuple[float, float]:
+    field = _tabulate(field, mesh, n)
     s_dg = s_plus = 0.0
-    for (kind, _), fa in mesh.facet_groups.items():
+    # the space-like groups first, then the time-like ones slab by slab (see _FactorTables)
+    for (kind, _), fa in sorted(mesh.facet_groups.items(),
+                                key=lambda group: (not group[0][0].is_horizontal, group[0][1])):
         W = fa.local_quadrature(n, "owner")[2]
         if kind is FacetKind.SPACE_INTERIOR:
             wm, wp = _sides(field, fa, n, ("below", "above"))

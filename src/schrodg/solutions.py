@@ -8,13 +8,11 @@ Both families solve i psi_t + (1/2) psi_xx = 0 exactly:
   initial profile sqrt(30) x (1 - x) on (0, 1) with homogeneous Dirichlet
   data, truncated to a fixed number of odd modes.
 
-The series factors each call's points into blocks of SERIES_BLOCK distinct
-t.  In a block it evaluates the time phase once per distinct t and sin/cos
-once per distinct x of the block's points, and sums the modes by one matrix
-product per SERIES_BLOCK of those x.  A facet row of a tensor mesh (one t on
-a space-like row, the slab's t nodes on time-like rows) is a tensor grid of
-at most SERIES_BLOCK t, so it is one block and costs one sin/cos per distinct
-x; scattered points cost one sin/cos and one exp per (point, mode) pair.
+Both are sums of m products X(x) T(t): ``factors(x, t, dx)`` returns the
+tables X (len(x), m) and T (m, len(t)), psi(x_i, t_j) = (X @ T)[i, j], with
+m = 1 for the exponential and one term per mode for the series.  The DG
+norms build X once per norm call (see `schrodg.norms`).  The series' value and dx
+take the same sums point by point (`mode_sum`), so they agree to the last bit.
 """
 
 from __future__ import annotations
@@ -38,6 +36,12 @@ class ExpSolution:
 
     def dx(self, x, t):
         return self.kappa * self.value(x, t)
+
+    def factors(self, x, t, dx: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """X = kappa^dx exp(kappa x) (len(x), 1) and T = exp(i kappa^2 t / 2) (1, len(t))."""
+        X = np.exp(self.kappa * np.asarray(x, dtype=float).reshape(-1, 1))
+        return (self.kappa * X if dx else X), np.exp(
+            0.5j * self.kappa ** 2 * np.asarray(t, dtype=float).reshape(1, -1))
 
     def derivative(self, j: MultiIndex, point) -> complex:
         x, t = point
@@ -66,11 +70,19 @@ class ExpSolutionND:
         return fac * self.value(x, t)
 
 
+def mode_sum(X: np.ndarray, Tt: np.ndarray) -> np.ndarray:
+    """sum_m X[..., m] Tt[..., m] over the broadcast leading axes, for a real X and a
+    complex Tt (rows of T.T), both contiguous in m.  Each entry is one product, or one
+    BLAS dot of two contiguous vectors per part, whatever else the call computes."""
+    if X.shape[-1] == 1:
+        return X[..., 0] * Tt[..., 0]
+    out = np.empty(np.broadcast_shapes(X.shape[:-1], Tt.shape[:-1]), dtype=complex)
+    out.real = np.vecdot(X, np.ascontiguousarray(Tt.real))
+    out.imag = np.vecdot(X, np.ascontiguousarray(Tt.imag))
+    return out
+
+
 SQUARE_WELL_AMPLITUDE = math.sqrt(30.0)
-# Distinct coordinates per block of SquareWellSeries: a sin/cos or phase temporary
-# holds at most 32 x 250 modes x 16 B = 128 kB, whatever the number of points, and
-# a block's table of sums is its distinct x by at most 32 t.
-SERIES_BLOCK = 32
 
 
 def square_well_initial(x):
@@ -92,35 +104,29 @@ class SquareWellSeries:
 
     n_trunc: int = 250
 
-    def _modes(self) -> np.ndarray:
-        return 2.0 * np.arange(self.n_trunc) + 1.0
+    def factors(self, x, t, dx: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """X = a_m sin(n_m pi x) (len(x), n_trunc), or its x-derivative a_m n_m pi
+        cos(n_m pi x), and T = exp(-i n_m^2 pi^2 t / 2) (n_trunc, len(t)), where
+        n_m = 2m + 1 and a_m = sqrt(30) (2/pi)^3 / n_m^3."""
+        n = 2.0 * np.arange(self.n_trunc) + 1.0
+        amp = SQUARE_WELL_AMPLITUDE * (2.0 / math.pi) ** 3 / n ** 3
+        X = np.outer(np.asarray(x, dtype=float), np.pi * n)  # in place: X is the largest table
+        (np.cos if dx else np.sin)(X, out=X)
+        X *= amp * (np.pi * n) if dx else amp
+        T = np.empty((n.size, np.size(t)), dtype=complex)  # in place too, with no temporary
+        np.multiply.outer(n * n, np.asarray(t, dtype=float).reshape(-1), out=T.imag)
+        T.imag *= -0.5 * np.pi ** 2
+        np.multiply(T.imag, 0.0, out=T.real)  # so that a NaN t gives NaN + NaN i: exp is quiet
+        return X, np.exp(T, out=T)
 
-    def _sum(self, x, t, dx: bool) -> np.ndarray:
+    def _pointwise(self, x, t, dx: bool) -> np.ndarray:
         x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                    np.atleast_1d(np.asarray(t, dtype=float)))
-        n = self._modes()
-        amp = SQUARE_WELL_AMPLITUDE * (2.0 / math.pi) ** 3 / n ** 3
-        if dx:
-            amp = amp * (np.pi * n)
-        wave = np.cos if dx else np.sin
-        xf, tf = x.reshape(-1), t.reshape(-1)
-        tu, it = np.unique(tf, return_inverse=True)
-        by_t = np.argsort(it, kind="stable")  # the points, in blocks of distinct t
-        cuts = np.searchsorted(it[by_t], np.arange(0, tu.size + SERIES_BLOCK, SERIES_BLOCK))
-        out = np.empty(xf.shape, dtype=complex)
-        for k, j in enumerate(range(0, tu.size, SERIES_BLOCK)):
-            pts = by_t[cuts[k]:cuts[k + 1]]
-            phase = amp[:, None] * np.exp(-0.5j * np.pi ** 2
-                                          * np.outer(n * n, tu[j:j + SERIES_BLOCK]))
-            xu, ix = np.unique(xf[pts], return_inverse=True)
-            grid = np.empty((xu.size, phase.shape[1]), dtype=complex)
-            for i in range(0, xu.size, SERIES_BLOCK):
-                grid[i:i + SERIES_BLOCK] = wave(np.pi * np.outer(xu[i:i + SERIES_BLOCK], n)) @ phase
-            out[pts] = grid[ix, it[pts] - j]
-        return out.reshape(x.shape)
+        X, T = self.factors(x.reshape(-1), t.reshape(-1), dx)
+        return mode_sum(X, T.T).reshape(x.shape)
 
     def value(self, x, t):
-        return self._sum(x, t, dx=False)
+        return self._pointwise(x, t, dx=False)
 
     def dx(self, x, t):
-        return self._sum(x, t, dx=True)
+        return self._pointwise(x, t, dx=True)

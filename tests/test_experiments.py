@@ -297,3 +297,29 @@ def test_conv_p_assembles_each_first_slab_once(monkeypatch):
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 10, 10)
     assert [r.cond2 for r in rows] == [first_slab_cond2(mesh, SpaceKind.trefftz(p))
                                        for p in (1, 2, 3)]
+
+
+def test_plane_wave_conv_p_takes_each_cond2_once(tmp_path, monkeypatch):
+    # the first slab's cond2 is the one march's plane-wave screen took
+    import schrodg.assembly
+    from schrodg.assembly import first_slab_cond2
+    from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
+
+    calls = []
+    cond2 = schrodg.assembly.cond2
+
+    def counting(a):
+        calls.append(a.shape)
+        return cond2(a)
+
+    monkeypatch.setattr(schrodg.assembly, "cond2", counting)
+    out = tmp_path / "pw.csv"
+    assert main(["conv-p", "--space", "planewave", "--levels", "3", "--out", str(out)]) == 0
+    assert len(calls) == 3
+    monkeypatch.undo()
+    # the same bytes as a cond2 taken afresh from a newly assembled first slab
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 10, 10)
+    with open(out, newline="") as fh:
+        cells = [row["cond2"] for row in csv.DictReader(fh)]
+    assert cells == [format(first_slab_cond2(mesh, SpaceKind("planewave", p)), ".16g")
+                     for p in (1, 2, 3)]

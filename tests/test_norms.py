@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +195,8 @@ def _field(kind, mesh):
     sol = ExpSolution(3.0)
     if kind == "closed":
         return exact_field(sol)
+    if kind == "series":  # minus a discrete field, so that every trace must sit on its facet
+        return DifferenceField(exact_field(SquareWellSeries(250)), _field("discrete", mesh))
     if kind == "piecewise":
         return PiecewisePolyField([extended_taylor_poly(sol.derivative, 2, el.center,
                                                         (el.h_x, el.h_t))
@@ -207,7 +211,7 @@ def _field(kind, mesh):
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["uniform", "perturbed"])
-@pytest.mark.parametrize("kind", ["discrete", "piecewise", "closed"])
+@pytest.mark.parametrize("kind", ["discrete", "piecewise", "closed", "series"])
 def test_norms_match_per_facet_walk(kind, perturbed):
     mesh = perturbed_mesh(5, 4) if perturbed else build_cartesian_mesh(DOM, 5, 4)
     field = _field(kind, mesh)
@@ -274,3 +278,58 @@ def test_one_evaluation_per_facet_group_leaves_the_norms_unchanged():
         once = norm(DifferenceField(exact, dsol), mesh)
         per_side = norm(DifferenceField(DuckField(exact), dsol), mesh)
         assert once == per_side
+
+
+class CountingFactors(CountingSeries):
+    """The square-well series, recording the sizes (len(x), len(t)) of its factors calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.factor_calls = []
+
+    def factors(self, x, t, dx=False):
+        self.factor_calls.append((np.size(x), np.size(t)))
+        return self.series.factors(x, t, dx)
+
+
+@pytest.mark.parametrize("nx, nt", [(4, 3), (16, 16)])
+def test_factor_tables_are_built_once_per_norm(nx, nt):
+    # sin/cos once per space-like Gauss node and per grid line, whatever the number
+    # of time levels: 3 calls with x on both meshes (value on the nodes, value and
+    # dx on the lines); exp once per space-like time and once per slab's Gauss time
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), nx, nt)
+    series = CountingFactors()
+    dg_plus_norm(exact_field(series), mesh, n=20)
+    assert sorted(c for c in series.factor_calls if c[0]) == [(nx + 1, 0), (nx + 1, 0),
+                                                              (20 * nx, 0)]
+    assert sorted(c for c in series.factor_calls if not c[0]) == ([(0, 1)] * (nt + 1)
+                                                                  + [(0, 20)] * nt)
+    assert series.calls == {"value": 0, "dx": 0}
+
+
+def test_separable_norm_keeps_only_the_factor_tables():
+    # 16 x 16 square-well mesh, n = 20: the space-like X table alone is 320 x 250
+    # doubles (0.64 MB); a T over every slab's times (1.28 MB), or the traces of
+    # every group kept at once, would not fit
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 16, 16)
+    data = BoundaryData(psi0=square_well_initial,
+                        g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
+    err = DifferenceField(exact_field(SquareWellSeries(250)),
+                          march(mesh, SpaceKind.trefftz(1), data))
+    tracemalloc.start()
+    try:
+        dg_plus_norm(err, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
+def test_separable_norm_needs_one_time_per_facet_group():
+    mesh = build_cartesian_mesh(DOM, 3, 2)
+    groups = dict(mesh.facet_groups)
+    key = (FacetKind.SPACE_INTERIOR, 0)
+    groups[key] = dataclasses.replace(groups[key], fixed=groups[key].fixed + [0.0, 0.1, 0.0])
+    bent = dataclasses.replace(mesh, facet_groups=groups)
+    with pytest.raises(ValueError, match="differ in their fixed time or time span"):
+        dg_norm(exact_field(ExpSolution(1.0)), bent)
