@@ -53,7 +53,7 @@ from .norms import field_points
 from .quadrature import (data_rule_size, mapped_interval, mapped_intervals, poly_rule_size,
                          rect_rule)
 
-_COND_FLAG_DEFAULT = 1e14
+COND_FLAG = 1e14  # plane-wave slabs above this condition number are rejected
 
 
 @dataclass(frozen=True)
@@ -276,13 +276,13 @@ def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
     return rhs.reshape(-1)
 
 
-def _screen(slab: int, cond: float, max_cond: float) -> None:
-    if not np.isfinite(cond) or cond > max_cond:
+def _screen(slab: int, cond: float) -> None:
+    if not np.isfinite(cond) or cond > COND_FLAG:
         raise SlabSolveError(slab, cond)
 
 
 def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
-          n_quad: int | None = None, max_cond: float | None = None) -> DiscreteSolution:
+          n_quad: int | None = None) -> DiscreteSolution:
     """Solve the slab systems in time order by block forward substitution.
 
     Slab s solves M_ss c_s = l_s - B_s c_{s-1}: `_slab_matrix` gives the
@@ -293,15 +293,12 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     cost and memory grow linearly in the elements per slab.  Every family is
     evaluated relative to the element center, so on a uniform mesh every
     slab has the same operator: it is assembled, screened and factored once
-    and reused for every slab.  Plane-wave systems are screened against
-    ``max_cond`` (default 1e14) and rejected with a SlabSolveError when
-    numerically unusable: on the SVD cond2 up to `COND_MAX_N` unknowns,
-    above it on LAPACK's 1-norm estimate 1 / rcond.  A slab whose right-hand
-    side or solution is not finite is rejected too.
+    and reused for every slab.  A plane-wave slab above `COND_FLAG` fails with
+    a SlabSolveError: on the SVD cond2 up to `COND_MAX_N` unknowns, above it
+    on LAPACK's 1-norm estimate 1 / rcond.  A slab whose right-hand side or
+    solution is not finite fails too.
     """
     n_form, n_data = _rule_sizes(space, n_quad)
-    if max_cond is None and space.family == "planewave":
-        max_cond = _COND_FLAG_DEFAULT
     sol = DiscreteSolution(mesh, space)
     factor, carry = None, 0.0
     for slab in range(mesh.n_slabs):
@@ -310,18 +307,17 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
             small = band[0].shape[1] <= COND_MAX_N
             if slab == 0 and small:
                 sol.first_slab = band
-            if max_cond is not None and small:
+            if space.family == "planewave" and small:
                 cond = cond2(from_band(*band))
                 if slab == 0:
                     sol.screen_cond2 = cond
-                _screen(slab, cond, max_cond)
+                _screen(slab, cond)
             try:
                 factor = FactoredMatrix(*band)
             except SingularMatrixError as exc:
                 raise SlabSolveError(slab, float("inf"), "singular matrix") from exc
-            if max_cond is not None and not small:
-                _screen(slab, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"),
-                        max_cond)
+            if space.family == "planewave" and not small:
+                _screen(slab, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"))
         rhs = _slab_rhs(mesh, slab, sol.basis, data, n_data) - carry
         if not np.all(np.isfinite(rhs)):
             raise SlabSolveError(slab, float("nan"), "non-finite right-hand side")
@@ -460,20 +456,18 @@ def solve_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     return sol
 
 
-def apply_form_to_field(mesh: Mesh, space: SpaceKind, field,
-                        n_quad: int | None = None) -> np.ndarray:
+def apply_form_to_field(mesh: Mesh, space: SpaceKind, field) -> np.ndarray:
     """A(field, phi_a) for every global test dof, with the field's one-sided traces.
 
     The field must expose value(elem_id, xs, ts) and dx(elem_id, xs, ts).
     Used for consistency and Galerkin-orthogonality checks.
     """
     basis = MeshBasis(mesh, space)
-    _, n_data = _rule_sizes(space, n_quad)
     out = np.zeros((mesh.n_elements * basis.dim, 1), dtype=complex)
 
     def trial(e, xs, ts, v, g):
         return (slice(0, 1), np.asarray(field.value(e, xs, ts), dtype=complex)[None],
                 np.asarray(field.dx(e, xs, ts), dtype=complex)[None])
 
-    _walk_form(mesh, basis, trial, out, n_data)
+    _walk_form(mesh, basis, trial, out, data_rule_size(space.p))
     return out[:, 0]

@@ -82,13 +82,9 @@ class SpaceKind:
         return self.family not in ("trefftz", "planewave")
 
     def dim(self, d: int = 1) -> int:
-        if self.family == "trefftz":
-            return math.comb(2 * self.p + d, d)
-        if self.family == "full":
-            return math.comb(self.p + d + 1, d + 1)
         if d != 1:
-            raise ValueError(f"{self.family} space is defined for d = 1 only")
-        return 2 * self.p + 1
+            raise ValueError(f"{self.family} space dimension is defined for d = 1 only")
+        return (self.p + 1) * (self.p + 2) // 2 if self.family == "full" else 2 * self.p + 1
 
 
 @dataclass(frozen=True)

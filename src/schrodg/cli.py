@@ -81,17 +81,12 @@ def _check_options(args) -> None:
 def _make_config(args) -> ExperimentConfig:
     p = args.p if args.p is not None else (3 if args.experiment == "verify-basis" else 1)
     space = SpaceKind(args.space or "trefftz", p, args.seed_choice or "a")
-    out = args.out
-    if out is None:
-        ext = ".json" if args.experiment == "verify-basis" else ".csv"
-        out = args.experiment.replace("-", "_") + ext
     return ExperimentConfig(
         experiment=args.experiment,
         space=space,
         levels=5 if args.levels is None else args.levels,
         kappa=5.0 if args.kappa is None else args.kappa,
         quad_n=args.quad_n,
-        out=out,
         constant_data=args.constant_data,
         global_oracle=args.global_oracle,
         all_spaces=args.space is None,
@@ -101,11 +96,15 @@ def _make_config(args) -> ExperimentConfig:
 def _run(args) -> int:
     _check_options(args)
     config = _make_config(args)
-    out = Path(config.out)
+    writes_csv = config.experiment != "verify-basis"
+    default = config.experiment.replace("-", "_") + (".csv" if writes_csv else ".json")
+    out = Path(default if args.out is None else args.out)
     if not out.parent.is_dir():
         raise ValueError(f"--out directory {out.parent} does not exist")
     if out.is_dir():
         raise ValueError(f"--out {out} is a directory")
+    if writes_csv and out.suffix == ".json":  # the JSON summary goes to out.with_suffix(".json")
+        raise ValueError(f"--out {out} ends in .json: {config.experiment} takes a CSV path")
     params = {"experiment": config.experiment, "space": config.space.family,
               "p": config.space.p, "seed_choice": config.space.seed_choice,
               "levels": config.levels, "kappa": config.kappa,
@@ -119,30 +118,32 @@ def _run(args) -> int:
 
     if config.experiment == "conv-h":
         rows = run_conv_h(config)
-        write_rows_csv(rows, out)
+        tables = {"": rows}
         summary = {"params": params, "rows": rows_as_dicts(rows),
                    "error_slope": loglog_slope([r.h_x for r in rows],
                                                [r.dg_error for r in rows])}
     elif config.experiment == "conv-p":
         rows = run_conv_p(config)
-        write_rows_csv(rows, out)
+        tables = {"": rows}
         warnings = [r.level for r in rows if r.cond2 is not None and r.cond2 > 1e12]
         summary = {"params": params, "rows": rows_as_dicts(rows),
                    "ill_conditioned_p": warnings}
     elif config.experiment == "conditioning":
         result = run_conditioning(config)
-        for choice, rows in result["tables"].items():
-            write_rows_csv(rows, out.with_name(f"{out.stem}_choice_{choice}{out.suffix}"))
+        tables = {f"_choice_{c}": rows for c, rows in result["tables"].items()}
         summary = {"params": params, "slopes": result["slopes"],
                    "tables": {c: rows_as_dicts(r) for c, r in result["tables"].items()}}
     else:  # singular
         result = run_singular(config)
-        for family, rows in result["tables"].items():
-            write_rows_csv(rows, out.with_name(f"{out.stem}_{family}{out.suffix}"))
+        tables = {f"_{family}": rows for family, rows in result["tables"].items()}
         summary = {"params": params,
                    "tables": {f: rows_as_dicts(r) for f, r in result["tables"].items()}}
+    for tag, rows in tables.items():  # one CSV per table, its tag appended to the stem of out
+        path = out.with_name(f"{out.stem}{tag}{out.suffix}")
+        write_rows_csv(rows, path)
+        print(f"wrote {path}")
     write_json(summary, out.with_suffix(".json"))
-    print(f"wrote {out}")
+    print(f"wrote {out.with_suffix('.json')}")
     return EXIT_OK
 
 

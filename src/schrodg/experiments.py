@@ -11,7 +11,6 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class ExperimentConfig:
     levels: int = 5
     kappa: float = 5.0
     quad_n: int | None = None
-    out: str | Path = ""
     constant_data: bool = False
     global_oracle: bool = False
     all_spaces: bool = True  # singular experiment: run all four families

@@ -21,9 +21,9 @@ field may also expose local(eids, x, t, dx) at offsets from the element
 centres, as a discrete solution does; the norms pass it each facet group's
 shared offsets (`FacetArrays.local_quadrature`).
 
-A closed-form field has no sides: one trace serves both.  One built from
-callables is called once per facet group.  One built from a separable
-solution (with ``factors``) is read off tables made once per norm call: X
+A closed-form field built from callables is called like any other field,
+once per side.  One built from a separable solution (with ``factors``) has
+no sides: one trace serves both, read off tables made once per norm call: X
 over the space-like Gauss nodes and the grid lines, T over each space-like
 time and each slab's Gauss times; a group's trace is rows of X times a block
 of T, equal to value(x, t) at its points to the last bit (`mode_sum`).
@@ -195,9 +195,9 @@ def _sides(field, fa, n: int, sides, dx: bool = False) -> list[np.ndarray]:
     """The one-sided traces (value, or dx) of field on the facets of ``fa`` from each
     neighbour slot in ``sides``, on the n-point rule.
 
-    A field with ``local`` is evaluated at the group's offsets; a closed-form
-    field ignores element ids, so it is evaluated once and its result serves
-    every side; a difference is split into its parts.
+    A field with ``local`` is evaluated at the group's offsets; factor tables
+    ignore element ids, so one trace serves every side; a difference is split
+    into its parts.
     """
     if isinstance(field, DifferenceField):
         return [a - b for a, b in zip(_sides(field.a, fa, n, sides, dx),
@@ -208,8 +208,6 @@ def _sides(field, fa, n: int, sides, dx: bool = False) -> list[np.ndarray]:
         return [field.local(getattr(fa, s), *fa.local_quadrature(n, s)[:2], dx) for s in sides]
     X, T, _ = fa.quadrature(n)
     trace = field.dx if dx else field.value
-    if isinstance(field, ClosedFormField):
-        return [trace(fa.owner, X, T)] * len(sides)
     return [trace(getattr(fa, s), X, T) for s in sides]
 
 

@@ -45,26 +45,19 @@ def mapped_intervals(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray
     return 0.5 * (lo + hi) + half * rule.nodes, half * rule.weights
 
 
-@lru_cache(maxsize=8192)
-def rect_rule(x_range: tuple[float, float], t_range: tuple[float, float], n: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tensor rule on a rectangle, flattened to (xg, tg, wg)."""
-    xq, wx = mapped_interval(x_range[0], x_range[1], n)
-    tq, wt = mapped_interval(t_range[0], t_range[1], n)
-    xg, tg = np.meshgrid(xq, tq, indexing="ij")
-    wg = np.outer(wx, wt)
-    out = (xg.ravel(), tg.ravel(), wg.ravel())
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def box_rule(ranges, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor rule on a d-dimensional box; returns points (nq, d) and weights."""
     axes = [mapped_interval(lo, hi, n) for lo, hi in ranges]
     pts, wts = (np.stack(np.meshgrid(*part, indexing="ij"), axis=-1).reshape(-1, len(axes))
                 for part in zip(*axes))
     return pts, np.prod(wts, axis=1)
+
+
+def rect_rule(x_range: tuple[float, float], t_range: tuple[float, float], n: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`box_rule` on a rectangle, flattened to (xg, tg, wg)."""
+    pts, wg = box_rule((x_range, t_range), n)
+    return pts[:, 0], pts[:, 1], wg
 
 
 def poly_rule_size(p: int) -> int:

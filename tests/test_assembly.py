@@ -186,13 +186,15 @@ def test_first_slab_cond2_is_the_first_slab_matrix_cond2():
     assert first_slab_cond2(wide, space) is None
 
 
-def test_ill_conditioned_slab_is_flagged():
+def test_ill_conditioned_slab_is_flagged(monkeypatch):
+    import schrodg.assembly
     from schrodg.assembly import SlabSolveError
 
+    monkeypatch.setattr(schrodg.assembly, "COND_FLAG", 10.0)
     mesh = build_cartesian_mesh(DOM, 4, 4)
     data = solution_data(ExpSolution(5.0))
     with pytest.raises(SlabSolveError) as exc:
-        march(mesh, SpaceKind.plane_wave(2), data, max_cond=10.0)
+        march(mesh, SpaceKind.plane_wave(2), data)
     assert exc.value.slab == 0
     assert exc.value.cond_estimate > 10.0
 
@@ -336,6 +338,44 @@ def test_non_uniform_mesh_march_matches_global(space):
     assert not mesh.is_uniform
     data = solution_data(ExpSolution(5.0))
     assert rel_coeff_diff(march(mesh, space, data), solve_global(mesh, space, data)) <= 1e-10
+
+
+def test_singular_slab_matrix_fails_with_its_slab(tmp_path, capsys, monkeypatch):
+    import schrodg.assembly
+    from schrodg.assembly import SlabSolveError
+    from schrodg.cli import main
+    from schrodg.linalg import SingularMatrixError
+
+    def singular(*band):
+        raise SingularMatrixError("zero pivot after partial pivoting")
+
+    monkeypatch.setattr(schrodg.assembly, "FactoredMatrix", singular)
+    mesh = build_cartesian_mesh(DOM, 3, 4)
+    with pytest.raises(SlabSolveError, match="singular matrix") as exc:
+        march(mesh, SpaceKind.trefftz(1), solution_data(ExpSolution(5.0)))
+    assert exc.value.slab == 0 and exc.value.cond_estimate == float("inf")
+    assert main(["conv-h", "--levels", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "slab 0: singular matrix" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_solution_fails_with_its_slab(monkeypatch):
+    import schrodg.assembly
+    from schrodg.assembly import SlabSolveError
+
+    solves = []
+
+    class NanOnSecondSolve(schrodg.assembly.FactoredMatrix):
+        def solve(self, b):
+            solves.append(b)
+            x = super().solve(b)
+            return np.full_like(x, np.nan) if len(solves) == 2 else x
+
+    monkeypatch.setattr(schrodg.assembly, "FactoredMatrix", NanOnSecondSolve)
+    mesh = build_cartesian_mesh(DOM, 3, 4)
+    with pytest.raises(SlabSolveError, match="non-finite solution") as exc:
+        march(mesh, SpaceKind.trefftz(1), solution_data(ExpSolution(5.0)))
+    assert exc.value.slab == 1
 
 
 def test_nan_initial_datum_fails_on_slab_0():

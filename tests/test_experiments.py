@@ -68,6 +68,12 @@ def test_loglog_slope_recovers_power():
     assert loglog_slope(hs, vals) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_loglog_slope_needs_two_positive_values():
+    assert loglog_slope([], []) is None
+    assert loglog_slope([0.1, 0.05], [1.0, None]) is None
+    assert loglog_slope([0.1, 0.05, 0.025], [0.0, -1.0, 2.0]) is None
+
+
 def test_singular_explicit_space_restricts_families():
     cfg = ExperimentConfig("singular", space=SpaceKind.quasi_trefftz(1), levels=2,
                            all_spaces=False)
@@ -141,6 +147,10 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
      "--out directory {tmp}/missing does not exist"),
     (["conv-h", "--p", "1", "--levels", "2", "--out", "{tmp}"], "--out {tmp} is a directory"),
     (["singular", "--p", "1", "--levels", "2", "--out", "{tmp}"], "--out {tmp} is a directory"),
+    (["conv-h", "--p", "1", "--levels", "2", "--out", "{tmp}/r.json"],
+     "--out {tmp}/r.json ends in .json: conv-h takes a CSV path"),
+    (["singular", "--p", "1", "--levels", "2", "--out", "{tmp}/s.json"],
+     "--out {tmp}/s.json ends in .json: singular takes a CSV path"),
     (["conv-h", "--quad-n", "0", "--levels", "2"], "quad_n must be in [1, 64]"),
     (["singular", "--quad-n", "65", "--levels", "2"], "quad_n must be in [1, 64]"),
     (["conv-p", "--levels", "32"],
@@ -161,6 +171,22 @@ def test_cli_unknown_experiment_exits_3(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 3
+
+
+def test_cli_default_out_names(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["conv-h", "--levels", "2"]) == 0
+    assert main(["verify-basis", "--p", "1"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conv_h.csv", "conv_h.json",
+                                                          "verify_basis.json"]
+
+
+def test_cli_prints_each_file_written(tmp_path, capsys):
+    assert main(["conditioning", "--p", "1", "--levels", "2",
+                 "--out", str(tmp_path / "cond.csv")]) == 0
+    names = ["cond_choice_a.csv", "cond_choice_b.csv", "cond.json"]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {tmp_path / n}" for n in names]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 def test_cli_verify_basis(tmp_path):
@@ -234,6 +260,33 @@ def test_cli_singular_writes_per_space(tmp_path):
     assert main(["singular", "--p", "1", "--levels", "2", "--out", str(out)]) == 0
     for family in ("trefftz", "quasi-trefftz", "full", "planewave"):
         assert (tmp_path / f"sing_{family}.csv").exists()
+
+
+def test_cli_singular_plane_wave_breakdown_leaves_empty_cells(tmp_path, monkeypatch):
+    import schrodg.experiments
+    from schrodg.assembly import SlabSolveError
+
+    args = ["singular", "--p", "1", "--levels", "3"]
+    plain, broken = tmp_path / "plain", tmp_path / "broken"
+    plain.mkdir()
+    broken.mkdir()
+    assert main(args + ["--out", str(plain / "s.csv")]) == 0
+    march = schrodg.experiments.march
+
+    def breaks_down(mesh, space, *rest, **kwargs):
+        if space.family == "planewave" and mesh.nx > 2:  # level j has 2 * 2^j elements
+            raise SlabSolveError(0, 1e16)
+        return march(mesh, space, *rest, **kwargs)
+
+    monkeypatch.setattr(schrodg.experiments, "march", breaks_down)
+    assert main(args + ["--out", str(broken / "s.csv")]) == 0
+    with open(broken / "s_planewave.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["dg_error"] != ""
+    assert [(r["dg_error"], r["rate"]) for r in rows[1:]] == [("", "")] * 2
+    for family in ("trefftz", "quasi-trefftz", "full"):
+        name = f"s_{family}.csv"
+        assert (broken / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_cli_nan_initial_datum_exits_2(tmp_path, capsys):

@@ -256,21 +256,6 @@ def _square_well_solve():
     return mesh, march(mesh, SpaceKind.trefftz(1), data)
 
 
-def test_closed_form_field_is_evaluated_once_per_facet_group():
-    mesh, dsol = _square_well_solve()
-    series = CountingSeries()
-    dg_plus_norm(DifferenceField(exact_field(series), dsol), mesh)
-    # one call per (slab, facet kind), plus one dx call per time-like kind;
-    # evaluating each side of an interior facet would double the interior calls
-    want = {"value": 0, "dx": 0}
-    for slab in range(mesh.n_slabs):
-        for kind in FacetKind:
-            if mesh.facet_arrays(kind, slab) is not None:
-                want["value"] += 1
-                want["dx"] += kind in (FacetKind.TIME_INTERIOR, FacetKind.DIRICHLET)
-    assert series.calls == want
-
-
 def test_one_evaluation_per_facet_group_leaves_the_norms_unchanged():
     mesh, dsol = _square_well_solve()
     exact = exact_field(SquareWellSeries(250))
