@@ -50,7 +50,7 @@ from .linalg import (COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, fro
                      to_band)
 from .mesh import FacetKind, Mesh
 from .norms import field_points
-from .quadrature import (data_rule_size, mapped_interval, mapped_intervals, poly_rule_size,
+from .quadrature import (data_rule_size, gauss_legendre, mapped_interval, poly_rule_size,
                          rect_rule)
 
 COND_FLAG = 1e14  # plane-wave slabs above this condition number are rejected
@@ -90,7 +90,7 @@ class DiscreteSolution:
 
     A field in the sense of `schrodg.norms`: value/dx take an element id, or an
     id array (nF,) with points (nF, nq), local takes offsets from the centres,
-    and each is (coeffs[eids] @ table) @ monomials through the `MeshBasis`.
+    and each contracts coeffs[eids] with the `MeshBasis` values (table @ monomials).
     ``bases`` is accepted but not needed.  `march` keeps slab 0's diagonal
     block in ``first_slab`` if it has at most `COND_MAX_N` rows, and the cond2
     its plane-wave screen took of that block in ``screen_cond2``.
@@ -113,7 +113,7 @@ class DiscreteSolution:
         missing = eids[~self._known[eids]]
         if missing.size:
             raise ValueError(f"element {missing[0]} has no coefficients yet")
-        return self.basis.evaluate(eids, x, t, dx=dx, weights=self.coeffs[eids])
+        return (self.coeffs[eids][:, None, :] @ self.basis.evaluate(eids, x, t, dx=dx))[:, 0]
 
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
         eids, X, T, shape = field_points(eid, xs, ts)
@@ -160,15 +160,13 @@ def _add_at(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
     np.add.at(out.reshape(-1), index.reshape(-1), values.reshape(-1))
 
 
-def _volume_rule(mesh: Mesh, eids: np.ndarray, n: int):
-    """The tensor rule of `rect_rule` on every element of ``eids``, as offsets x, t from
-    the element centres, and weights w: each (len(eids), n * n)."""
-    arrays = mesh.element_arrays
-    xq, wx = mapped_intervals(arrays.x_range[eids, 0], arrays.x_range[eids, 1], n)
-    tq, wt = mapped_intervals(arrays.t_range[eids, 0], arrays.t_range[eids, 1], n)
-    xq, tq = xq - arrays.center[eids, :1], tq - arrays.center[eids, 1:]
-    return (np.repeat(xq, n, axis=1), np.tile(tq, (1, n)),
-            (wx[:, :, None] * wt[:, None, :]).reshape(len(eids), n * n))
+def _volume_rule(mesh: Mesh, n: int):
+    """The tensor rule of `rect_rule` on an element of the mesh's grid, as offsets x, t
+    from its centre, and weights w: each one row (1, n * n) that every element shares."""
+    rule = gauss_legendre(n)
+    hx, ht = 0.5 * mesh.domain.width / mesh.nx, 0.5 * mesh.domain.t_final / mesh.nt
+    return (np.repeat(hx * rule.nodes, n)[None], np.tile(ht * rule.nodes, n)[None],
+            np.outer(hx * rule.weights, ht * rule.weights).reshape(1, n * n))
 
 
 def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
@@ -232,7 +230,7 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
 
     if basis.kind.needs_volume_term:
         elems = np.arange(first, first + nx)
-        x, t, W = _volume_rule(mesh, elems, n_form)
+        x, t, W = _volume_rule(mesh, n_form)
         add(elems, elems,
             _pair(basis.evaluate(elems, x, t, image=True), basis.evaluate(elems, x, t), W))
     return (ab, kl, ku), coupling

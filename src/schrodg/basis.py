@@ -261,11 +261,11 @@ class MeshBasis:
 
     `evaluate` and `traces` take element ids ``eids`` (nF,) and offsets ``x``, ``t``
     from each element's centre that broadcast to (nF, nq): row f lies on element
-    eids[f].  Every family goes through `coefficient_table`, one table per
-    distinct element size (`Mesh.size_groups`).  The cost follows the shape of
-    the offsets: a shared (1, nq) row (`FacetArrays.local_quadrature`) is
-    evaluated once per size, and a result equal for every element keeps its
-    leading 1, so results broadcast to the shapes given.
+    eids[f]; they return basis values alone, for the caller to contract.  Every
+    family goes through `coefficient_table`, one table per distinct element size
+    (`Mesh.size_groups`).  The cost follows the shape of the offsets: a shared (1, nq)
+    row (`FacetArrays.local_quadrature`, the volume rule) is evaluated once per size,
+    and a result equal for every element keeps its leading 1, (1, dim, nq), to broadcast.
     """
 
     def __init__(self, mesh, kind: SpaceKind):
@@ -278,11 +278,9 @@ class MeshBasis:
         """Values and x-derivatives of every basis function, each (nF, dim, nq)."""
         return self.evaluate(eids, x, t), self.evaluate(eids, x, t, dx=True)
 
-    def evaluate(self, eids, x, t, dx=False, image=False, weights=None) -> np.ndarray:
+    def evaluate(self, eids, x, t, dx=False, image=False) -> np.ndarray:
         """Every basis function at the offsets of row f, (nF, dim, nq): its x-derivative
-        with ``dx``, its image under i d/dt + (1/2) d^2/dx^2 (0 for plane waves) with
-        ``image``.  With ``weights`` (nF, dim), sum_d weights[f, d] phi_d instead, (nF, nq).
-        """
+        with ``dx``, its image under i d/dt + (1/2) d^2/dx^2 (0 for plane waves) with ``image``."""
         eids = np.asarray(eids, dtype=np.intp)
         parts = []
         for rows, (hx, ht) in self._size_groups(eids):
@@ -294,10 +292,7 @@ class MeshBasis:
                 fun = scaled_monomials(local, (xr / hx, tr / ht), mi(1, 0) if dx else None)
                 if dx:
                     fun /= hx
-            coef = image_table if image else table
-            if weights is not None:  # one combination per row: (rows, 1, n_local)
-                coef = (weights[rows] @ coef)[:, None, :]
-            parts.append((rows, coef @ np.moveaxis(fun, 0, -2)))
+            parts.append((rows, (image_table if image else table) @ np.moveaxis(fun, 0, -2)))
         if len(parts) == 1:  # one element size: the result keeps the offsets' shape
             out = parts[0][1]
         else:
@@ -305,7 +300,7 @@ class MeshBasis:
                            dtype=complex)
             for rows, v in parts:
                 out[rows] = v
-        return out if weights is None else out[:, 0]
+        return out
 
     def _size_groups(self, eids):
         """(rows of eids, element size) for every size present; all rows if one size."""

@@ -49,6 +49,8 @@ class ExperimentConfig:
         minimum = 1 if self.experiment in ("conv-p", "verify-basis") else 2
         if self.levels < minimum:
             raise ValueError(f"levels must be >= {minimum} for {self.experiment}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, not {self.kappa}")
         if self.quad_n is not None and not 1 <= self.quad_n <= MAX_NODES:
             raise ValueError(f"quad_n must be in [1, {MAX_NODES}]")
         if self.experiment == "verify-basis" and not 1 <= self.space.p <= 3:

@@ -24,9 +24,10 @@ shared offsets (`FacetArrays.local_quadrature`).
 A closed-form field built from callables is called like any other field,
 once per side.  One built from a separable solution (with ``factors``) has
 no sides: one trace serves both, read off tables made once per norm call: X
-over the space-like Gauss nodes and the grid lines, T over each space-like
-time and each slab's Gauss times; a group's trace is rows of X times a block
-of T, equal to value(x, t) at its points to the last bit (`mode_sum`).
+over the Gauss nodes of the mesh's columns and over its lines, T over each
+space-like time and each slab's Gauss times; a group's trace is rows of X
+times a block of T, equal to value(x, t) at its points to the last bit
+(`mode_sum`).
 """
 
 from __future__ import annotations
@@ -118,39 +119,24 @@ class DifferenceField:
         return self.a.dx(eid, xs, ts) - self.b.dx(eid, xs, ts)
 
 
-def _distinct(arrays: list[np.ndarray]) -> np.ndarray:
-    """The sorted distinct values of 1-D arrays, most of which repeat each other."""
-    return np.unique(np.concatenate(list({a.tobytes(): a for a in arrays}.values())))
-
-
 class _FactorTables:
-    """A separable field's factor tables on one mesh and n-point rule.
+    """A separable field's factor tables on one mesh's grid and n-point rule.
 
-    X is built over the Gauss nodes of the distinct spans (lo, hi) of the
-    space-like facets, or over the distinct lines of the time-like ones; T at a
-    space-like group's time, or at the Gauss nodes of a time-like group's span,
-    one of each per group as on a tensor mesh.  Only one orientation's X and
-    the last T are kept, so a walk over the space-like groups, then the
-    time-like ones slab by slab, evaluates every table once.
+    X over the Gauss nodes of the grid's columns, and value and dx over its
+    lines; a group finds its columns by ``lo``, its line by ``fixed``.  T at a
+    space-like group's time, or at the Gauss nodes of a time-like group's span.
+    Only the last T is kept and the node X goes at the first time-like group,
+    so a walk over the space-like groups, then the time-like ones slab by slab,
+    evaluates every table once.
     """
 
     def __init__(self, factors, mesh: Mesh, n: int):
         self.factors, self.n = factors, n
-        self._horizontal, self._x = None, {}  # the orientation of the X tables kept, by dx
+        columns = mesh.element_arrays.x_range[:mesh.nx]
+        self.lines = np.append(columns[:, 0], columns[-1, 1])
+        self._nodes = factors(mapped_intervals(*columns.T, n)[0].reshape(-1), np.empty(0))[0]
+        self._lines = {dx: factors(self.lines, np.empty(0), dx)[0] for dx in (False, True)}
         self._t = (None,)  # the last times and their T
-        groups = mesh.facet_groups.values()
-        # a span (lo, hi) is the complex lo + i hi, so that one sort orders the pairs
-        self.spans = _distinct([fa.lo + 1j * fa.hi for fa in groups if fa.kind.is_horizontal])
-        self.lines = _distinct([fa.fixed for fa in groups if not fa.kind.is_horizontal])
-
-    def _x_table(self, horizontal: bool, dx: bool) -> np.ndarray:
-        if horizontal is not self._horizontal:
-            self._x, self._horizontal = {}, horizontal
-        if dx not in self._x:
-            x = (mapped_intervals(self.spans.real, self.spans.imag, self.n)[0]
-                 if horizontal else self.lines)
-            self._x[dx] = self.factors(x.reshape(-1), np.empty(0), dx)[0]
-        return self._x[dx]
 
     def _t_rows(self, t: np.ndarray) -> np.ndarray:
         """T at the times t, transposed: (t.size, m)."""
@@ -161,13 +147,12 @@ class _FactorTables:
 
     def trace(self, fa, dx: bool) -> np.ndarray:
         """The value (or dx) on every facet of ``fa`` at the n-point rule, (nF, n)."""
-        X = self._x_table(fa.kind.is_horizontal, dx)
-        if fa.kind.is_horizontal:  # rows of X: (span, node), times the group's T column
-            grid = mode_sum(X[:, None, :], self._t_rows(_shared(fa.fixed))[None])
-            return grid.reshape(len(self.spans), self.n)[
-                np.searchsorted(self.spans, fa.lo + 1j * fa.hi)]
+        if fa.kind.is_horizontal:  # rows of X: (column, node), times the group's T column
+            grid = mode_sum(self._nodes[:, None, :], self._t_rows(_shared(fa.fixed))[None])
+            return grid.reshape(-1, self.n)[np.searchsorted(self.lines, fa.lo)]
+        self._nodes = None
         Tt = self._t_rows(mapped_intervals(_shared(fa.lo), _shared(fa.hi), self.n)[0])
-        return mode_sum(X[np.searchsorted(self.lines, fa.fixed), None, :], Tt[None])
+        return mode_sum(self._lines[dx][np.searchsorted(self.lines, fa.fixed), None, :], Tt[None])
 
 
 def _shared(a: np.ndarray) -> np.ndarray:

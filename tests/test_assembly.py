@@ -468,10 +468,11 @@ def _largest_evaluation(monkeypatch, run):
     return max(sizes), out
 
 
-@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.plane_wave(2)], ids=str)
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.plane_wave(2),
+                                   SpaceKind.full_poly(2), SpaceKind.quasi_trefftz(2)], ids=str)
 def test_basis_evaluation_does_not_grow_with_nx(monkeypatch, space):
-    # every facet group is evaluated on its one shared row of offsets, so the work per
-    # basis evaluation in march and dg_norm is the same for 4 and 32 elements per slab
+    # every facet group and the volume rule are evaluated on one shared row of offsets,
+    # so the work per basis evaluation in march and dg_norm is the same for 4 and 32 columns
     sol = ExpSolution(5.0)
 
     def solve_and_norm(nx):

@@ -157,6 +157,8 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
      "degree 32 needs 66 Gauss nodes, more than 64: at most --levels 31 without --quad-n"),
     (["conv-h", "--p", "32", "--levels", "2"],
      "degree 32 needs 66 Gauss nodes, more than 64: at most --p 31 without --quad-n"),
+    (["conv-h", "--kappa", "nan", "--levels", "2"], "kappa must be finite, not nan"),
+    (["conv-p", "--kappa", "inf", "--levels", "2"], "kappa must be finite, not inf"),
 ])
 def test_cli_rejects_unsupported_experiment_settings(tmp_path, capsys, args, message):
     # "{tmp}" stands for tmp_path; an --out in args wins over the default one before it
@@ -289,9 +291,16 @@ def test_cli_singular_plane_wave_breakdown_leaves_empty_cells(tmp_path, monkeypa
         assert (broken / name).read_bytes() == (plain / name).read_bytes()
 
 
-def test_cli_nan_initial_datum_exits_2(tmp_path, capsys):
-    assert main(["conv-h", "--levels", "2", "--kappa", "nan",
-                 "--out", str(tmp_path / "x.csv")]) == 2
+def test_cli_nan_initial_datum_exits_2(tmp_path, capsys, monkeypatch):
+    import schrodg.experiments
+    from schrodg.assembly import BoundaryData
+
+    def nan_initial(sol):
+        return BoundaryData(psi0=lambda x: np.full(np.shape(x), np.nan, dtype=complex),
+                            g_D=lambda x, t: sol.value(x, t))
+
+    monkeypatch.setattr(schrodg.experiments, "solution_data", nan_initial)
+    assert main(["conv-h", "--levels", "2", "--out", str(tmp_path / "x.csv")]) == 2
     assert "slab 0: non-finite" in capsys.readouterr().err
 
 

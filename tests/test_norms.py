@@ -210,10 +210,14 @@ def _field(kind, mesh):
     return dsol
 
 
-@pytest.mark.parametrize("perturbed", [False, True], ids=["uniform", "perturbed"])
+@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed", "offset"])
 @pytest.mark.parametrize("kind", ["discrete", "piecewise", "closed", "series"])
-def test_norms_match_per_facet_walk(kind, perturbed):
-    mesh = perturbed_mesh(5, 4) if perturbed else build_cartesian_mesh(DOM, 5, 4)
+def test_norms_match_per_facet_walk(kind, mesh_name):
+    mesh = {"uniform": lambda: build_cartesian_mesh(DOM, 5, 4),
+            "perturbed": lambda: perturbed_mesh(5, 4),
+            # grid lines away from x = 0 and 2/7 apart, which the factor tables look up
+            "offset": lambda: build_cartesian_mesh(SpaceTimeDomain(-0.5, 1.5, 0.3), 7, 4),
+            }[mesh_name]()
     field = _field(kind, mesh)
     ref_dg, ref_plus = per_facet_norms(field, mesh, 12)
     assert dg_norm(field, mesh, n=12) == pytest.approx(ref_dg, rel=1e-12)
