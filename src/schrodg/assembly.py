@@ -27,9 +27,9 @@ to slab s - 1.  The default solve is therefore block forward substitution,
     M_ss c_s = l_s - B_s c_{s-1},
 
 where the slab kernel `_slab_matrix` assembles A: the diagonal block M_ss
-and the coupling B_{s+1} into the next slab.  `_slab_rhs` assembles l
-alone, from psi0 and g_D.  The assembled global system is kept as a
-testing oracle.
+and the coupling B_{s+1} into the next slab.  `_data_rhs` assembles l,
+from psi0 and g_D alone, for every slab in one batch.  The assembled
+global system is kept as a testing oracle.
 
 The form is implemented twice on purpose: once in the batched slab kernel
 that `march` runs, and once in the per-facet reference walk `_walk_form`
@@ -113,7 +113,10 @@ class DiscreteSolution:
         missing = eids[~self._known[eids]]
         if missing.size:
             raise ValueError(f"element {missing[0]} has no coefficients yet")
-        return (self.coeffs[eids][:, None, :] @ self.basis.evaluate(eids, x, t, dx=dx))[:, 0]
+        values = self.basis.evaluate(eids, x, t, dx=dx)
+        if len(values) == 1:  # one row that every element shares: a single product
+            return self.coeffs[eids] @ values[0]
+        return (self.coeffs[eids][:, None, :] @ values)[:, 0]
 
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
         eids, X, T, shape = field_points(eid, xs, ts)
@@ -250,28 +253,24 @@ def first_slab_cond2(mesh: Mesh, space: SpaceKind, n_quad: int | None = None,
     return cond2(from_band(*band))
 
 
-def _slab_rhs(mesh: Mesh, slab: int, basis: MeshBasis, data: BoundaryData,
-              n_data: int) -> np.ndarray:
-    """l(v) on one slab: psi0 on the initial facets, and g_D."""
-    first = mesh.slab_elements[slab][0]
-    rhs = np.zeros((len(mesh.slab_elements[slab]), basis.dim), dtype=complex)
+def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
+              n_data: int) -> None:
+    """Add l(v) of every slab into ``out`` (n_elements, dim) in one batch: psi0 on the
+    initial facets, and g_D on the Dirichlet facets."""
+    fa = mesh.facets[FacetKind.INITIAL]
+    x, t, W = fa.local_quadrature(n_data, "above")
+    psi0 = np.asarray(data.psi0(fa.quadrature(n_data)[0]), dtype=complex)[:, None]
+    np.add.at(out, fa.above, 1j * _pair(basis.evaluate(fa.above, x, t), psi0, W)[..., 0])
 
-    fa = mesh.facet_arrays(FacetKind.INITIAL, slab)
-    if fa is not None:
-        x, t, W = fa.local_quadrature(n_data, "above")
-        psi0 = np.asarray(data.psi0(fa.quadrature(n_data)[0]), dtype=complex)[:, None]
-        np.add.at(rhs, fa.above - first,
-                  1j * _pair(basis.evaluate(fa.above, x, t), psi0, W)[..., 0])
-
-    fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
-    if fa is not None:
-        x, t, W = fa.local_quadrature(n_data, "owner")
-        v, g = basis.traces(fa.owner, x, t)
-        gv = np.asarray(data.g_D(*fa.quadrature(n_data)[:2]), dtype=complex)[:, None]
-        np.add.at(rhs, fa.owner - first,
-                  0.5 * (fa.normal_sign[:, None] * _pair(g, gv, W)[..., 0]
-                         + 1j * fa.alpha[:, None] * _pair(v, gv, W)[..., 0]))
-    return rhs.reshape(-1)
+    fa = mesh.facets[FacetKind.DIRICHLET]
+    gv = np.asarray(data.g_D(*fa.quadrature(n_data)[:2]), dtype=complex)[:, None]
+    for side in ("left", "right"):  # the owner, a facet's one neighbour, side by side: the
+        ids = getattr(fa, side)       # facets with a neighbour there share its offsets
+        has = ids >= 0
+        x, t, W = fa.local_quadrature(n_data, side)
+        v, g = basis.traces(ids[has], x, t)
+        np.add.at(out, ids[has], 0.5 * (fa.normal_sign[has, None] * _pair(g, gv[has], W)[..., 0]
+                                        + 1j * fa.alpha[has, None] * _pair(v, gv[has], W)[..., 0]))
 
 
 def _screen(slab: int, cond: float) -> None:
@@ -284,9 +283,11 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     """Solve the slab systems in time order by block forward substitution.
 
     Slab s solves M_ss c_s = l_s - B_s c_{s-1}: `_slab_matrix` gives the
-    diagonal block and the coupling B into the next slab, `_slab_rhs` gives
-    l from the data alone, and the coupling times the coefficients just
-    solved is carried into the next right-hand side; no field is evaluated.
+    diagonal block and the coupling B into the next slab, and the coupling
+    times the coefficients just solved is carried into the next right-hand
+    side; no field is evaluated.  l depends on the data alone, so
+    `_data_rhs` assembles it for every slab in one batch before the loop,
+    into the coefficient array whose rows each slab's solve then overwrites.
     Each diagonal block is assembled and LU-factored in band storage, so its
     cost and memory grow linearly in the elements per slab.  Every family is
     evaluated relative to the element center, so on a uniform mesh every
@@ -298,6 +299,8 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     """
     n_form, n_data = _rule_sizes(space, n_quad)
     sol = DiscreteSolution(mesh, space)
+    data_rhs = sol.coeffs  # l of every slab, until the slab's solve overwrites its rows
+    _data_rhs(data_rhs, mesh, sol.basis, data, n_data)
     factor, carry = None, 0.0
     for slab in range(mesh.n_slabs):
         if factor is None or not mesh.is_uniform:
@@ -316,13 +319,14 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
                 raise SlabSolveError(slab, float("inf"), "singular matrix") from exc
             if space.family == "planewave" and not small:
                 _screen(slab, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"))
-        rhs = _slab_rhs(mesh, slab, sol.basis, data, n_data) - carry
+        elems = list(mesh.slab_elements[slab])
+        rhs = data_rhs[elems].reshape(-1) - carry
         if not np.all(np.isfinite(rhs)):
             raise SlabSolveError(slab, float("nan"), "non-finite right-hand side")
         coeffs = factor.solve(rhs).reshape(-1, sol.basis.dim)
         if not np.all(np.isfinite(coeffs)):
             raise SlabSolveError(slab, float("nan"), "non-finite solution")
-        sol.set_coeffs(list(mesh.slab_elements[slab]), coeffs)
+        sol.set_coeffs(elems, coeffs)
         carry = (coupling @ coeffs[:, :, None]).reshape(-1)
     return sol
 
@@ -336,10 +340,8 @@ def _facets(mesh: Mesh, kinds):
     """Every facet of ``kinds`` as (kind, its FacetArrays, its row), kind by kind and
     slab by slab."""
     for kind in kinds:
-        for slab in range(mesh.n_slabs):
-            fa = mesh.facet_arrays(kind, slab)
-            for r in range(0 if fa is None else len(fa.owner)):
-                yield kind, fa, r
+        for r in range(len(mesh.facets[kind].owner)):
+            yield kind, mesh.facets[kind], r
 
 
 def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.ndarray]:

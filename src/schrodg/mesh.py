@@ -2,10 +2,11 @@
 
 Elements are axis-aligned rectangles K = K_x x K_t grouped into time slabs;
 element s * nx + ix is column ix of slab s.  `ElementArrays` holds their
-geometry, one row per element id.  The facets are stored per kind and slab
-as `FacetArrays`, one entry per facet.  Every facet is either horizontal
-(space-like: constant t) or vertical (time-like: constant x) and carries the
-stabilization weights
+geometry, one row per element id.  The facets are stored once per kind as
+`FacetArrays`, one entry per facet, slab by slab; the facets of one slab, or
+of a range of consecutive slabs, are views of them.  Every facet is either
+horizontal (space-like: constant t) or vertical (time-like: constant x) and
+carries the stabilization weights
 
     alpha = 1 / h_Fx   on time-like interior and Dirichlet facets,
     beta  = h_Fx       on time-like interior facets,
@@ -16,6 +17,7 @@ construction and safe for concurrent read access.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -81,7 +83,7 @@ class ElementArrays(NamedTuple):
 
 @dataclass(frozen=True)
 class FacetArrays:
-    """The facets of one kind in one slab, as parallel arrays (one entry per facet).
+    """The facets of one kind over one or more slabs, as parallel arrays (one entry per facet).
 
     ``lo``, ``hi`` bound the varying coordinate (x on horizontal facets, t on
     vertical ones) and ``fixed`` is the constant one.  Neighbor ids are -1
@@ -94,7 +96,7 @@ class FacetArrays:
 
     Each facet spans a side of each neighbour: ``half`` is half its length, and
     ``offset[slot]`` the signed distance from that neighbour's centre to its line;
-    each is an (n_facets,) array or a (1,) one that the group shares.
+    each is an (n_facets,) array or a (1,) one that the facets share.
     """
 
     kind: FacetKind
@@ -129,13 +131,13 @@ class FacetArrays:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """An nx-by-nt mesh: element geometry plus the facets of every (kind, slab)."""
+    """An nx-by-nt mesh: element geometry plus the facets of each kind, in owner order."""
 
     domain: SpaceTimeDomain
     nx: int
     nt: int
     element_arrays: ElementArrays
-    facet_groups: Mapping[tuple[FacetKind, int], FacetArrays]
+    facets: Mapping[FacetKind, FacetArrays]
 
     @property
     def n_slabs(self) -> int:
@@ -170,9 +172,21 @@ class Mesh:
         """Whether every element has the same size (h_x, h_t)."""
         return len(self.size_groups[0]) <= 1
 
-    def facet_arrays(self, kind: FacetKind, slab: int) -> FacetArrays | None:
-        """The facets of ``kind`` in ``slab`` (see FacetArrays), or None if there are none."""
-        return self.facet_groups.get((kind, slab))
+    def facet_arrays(self, kind: FacetKind, slabs: int | range) -> FacetArrays | None:
+        """The facets of ``kind`` in a slab, or a range of consecutive slabs: the rows of
+        ``facets[kind]`` whose owners lie there, each array a view of its array there or
+        the shared (1,) one itself; None if there are none."""
+        fa = self.facets[kind]
+        slabs = slabs if isinstance(slabs, range) else range(slabs, slabs + 1)
+        rows = slice(*np.searchsorted(fa.owner, (slabs.start * self.nx, slabs.stop * self.nx)))
+        if rows.stop == rows.start:
+            return None
+
+        def cut(a):
+            return a[rows] if len(a) == len(fa.owner) else a
+        return dataclasses.replace(
+            fa, **{f.name: cut(getattr(fa, f.name)) for f in dataclasses.fields(fa)[1:-1]},
+            offset=MappingProxyType({slot: cut(a) for slot, a in fa.offset.items()}))
 
 
 def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
@@ -182,7 +196,7 @@ def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
     h_t = t_final / nt, not differences of the grid points, so all elements
     share one size, and h_Fx = h_x on every time-like facet.  Within a slab
     the facets of a kind are ordered by x; the Dirichlet owners' offsets are
-    (n_facets,) = (2,), and every other ``offset`` and ``half`` is shared.
+    (n_facets,), and every other ``offset`` and ``half`` is shared.
     """
     if nx < 1 or nt < 1:
         raise ValueError("nx and nt must be >= 1")
@@ -198,7 +212,7 @@ def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
                                       t_range[:, 0] + t_range[:, 1])),
         h=np.full((nx * nt, 2), (h_x, h_t)), x_range=x_range, t_range=t_range)
     return Mesh(domain=domain, nx=nx, nt=nt, element_arrays=elements,
-                facet_groups=MappingProxyType(_build_facets(xs, ts, h_x, h_t)))
+                facets=MappingProxyType(_build_facets(xs, ts, h_x, h_t)))
 
 
 _IDS = ("owner", "below", "above", "left", "right")
@@ -211,39 +225,36 @@ def _table(shape, **fields) -> dict[str, np.ndarray]:
 
 
 def _build_facets(xs: np.ndarray, ts: np.ndarray, h_x: float, h_t: float
-                  ) -> dict[tuple[FacetKind, int], FacetArrays]:
-    """The FacetArrays of every (kind, slab) of the tensor grid xs x ts."""
+                  ) -> dict[FacetKind, FacetArrays]:
+    """The FacetArrays of every kind of the tensor grid xs x ts."""
     nx, nt = len(xs) - 1, len(ts) - 1
-    # horizontal facets: row l lies on the line t = ts[l], column ix over (xs[ix], xs[ix + 1])
-    line, ix = np.ogrid[:nt + 1, :nx]
-    below = np.where(line > 0, (line - 1) * nx + ix, -1)
-    above = np.where(line < nt, line * nx + ix, -1)
-    horizontal = _table((nt + 1, nx), owner=np.where(line > 0, below, above), below=below,
-                        above=above, left=-1, right=-1, lo=xs[:-1], hi=xs[1:],
-                        fixed=ts[:, None], normal_sign=0.0, alpha=0.0, beta=0.0)
-    # vertical facets: row s lies in slab s, column k on the line x = xs[k]
-    slab, k = np.ogrid[:nt, :nx + 1]
-    left = np.where(k > 0, slab * nx + k - 1, -1)
-    right = np.where(k < nx, slab * nx + k, -1)
-    vertical = _table((nt, nx + 1), owner=np.where(k > 0, left, right), below=-1, above=-1,
-                      left=left, right=right, lo=ts[:-1, None], hi=ts[1:, None], fixed=xs,
-                      normal_sign=np.where(k > 0, 1.0, -1.0), alpha=1.0 / h_x,
-                      beta=np.where((k > 0) & (k < nx), h_x, 0.0))
-
     up, side = {"below": h_t / 2, "above": -h_t / 2}, {"left": h_x / 2, "right": -h_x / 2}
-    groups = {}
-    for kind, table, rows, slabs, across, owner in (
-            (FacetKind.INITIAL, horizontal, np.s_[:1], [0], up, up["above"]),
-            (FacetKind.SPACE_INTERIOR, horizontal, np.s_[1:nt], range(nt - 1), up, up["below"]),
-            (FacetKind.FINAL, horizontal, np.s_[nt:], [nt - 1], up, up["below"]),
-            (FacetKind.TIME_INTERIOR, vertical, np.s_[:, 1:nx], range(nt), side, side["left"]),
-            (FacetKind.DIRICHLET, vertical, np.s_[:, [0, nx]], range(nt), side,
-             [side["right"], side["left"]])):
-        part = {name: a[rows] for name, a in table.items()}
-        half = np.array([(h_x if kind.is_horizontal else h_t) / 2])
-        offset = {name: np.atleast_1d(v) for name, v in (*across.items(), ("owner", owner))}
-        for r, s in enumerate(slabs):
-            if part["owner"].shape[1]:
-                groups[(kind, s)] = FacetArrays(kind, **{name: a[r] for name, a in part.items()},
-                                                half=half, offset=MappingProxyType(offset))
-    return groups
+    facets = {}
+    for kind, lines, across, owner, sign, beta in (
+            (FacetKind.INITIAL, [0], up, up["above"], 0.0, 0.0),
+            (FacetKind.SPACE_INTERIOR, range(1, nt), up, up["below"], 0.0, 0.0),
+            (FacetKind.FINAL, [nt], up, up["below"], 0.0, 0.0),
+            (FacetKind.TIME_INTERIOR, range(1, nx), side, side["left"], 1.0, h_x),
+            (FacetKind.DIRICHLET, [0, nx], side, [side["right"], side["left"]], [-1.0, 1.0],
+             0.0)):
+        if kind.is_horizontal:  # row r on the line t = ts[lines[r]], column ix over xs[ix:ix + 2]
+            line, ix = np.array(lines, dtype=int)[:, None], np.arange(nx)
+            first = np.where(line > 0, (line - 1) * nx + ix, -1)
+            second = np.where(line < nt, line * nx + ix, -1)
+            table = _table(first.shape, below=first, above=second, left=-1, right=-1,
+                           lo=xs[:-1], hi=xs[1:], fixed=ts[line], alpha=0.0)
+        else:  # row s in slab s, column c on the line x = xs[lines[c]]
+            slab, k = np.arange(nt)[:, None], np.array(lines, dtype=int)
+            first = np.where(k > 0, slab * nx + k - 1, -1)
+            second = np.where(k < nx, slab * nx + k, -1)
+            table = _table(first.shape, below=-1, above=-1, left=first, right=second,
+                           lo=ts[:-1, None], hi=ts[1:, None], fixed=xs[k], alpha=1.0 / h_x)
+        # the first neighbour where there is one: that array itself where there always is
+        table.update(_table(first.shape, normal_sign=sign, beta=beta, owner=(
+            first if np.all(first >= 0) else np.where(first >= 0, first, second))))
+        offset = {name: np.tile(v, len(first)) if np.ndim(v) else np.array([v])
+                  for name, v in (*across.items(), ("owner", owner))}
+        facets[kind] = FacetArrays(kind, **{name: a.reshape(-1) for name, a in table.items()},
+                                   half=np.array([(h_x if kind.is_horizontal else h_t) / 2]),
+                                   offset=MappingProxyType(offset))
+    return facets

@@ -16,23 +16,24 @@ A field exposes one-sided traces via value(eid, xs, ts) and dx(eid, xs, ts).
 ``eid`` is an element id or an int array of ids (nF,); with an array, the
 points broadcast to (nF, nq) and row f lies on element eid[f].  The result
 has the shape of the points.  Jumps are always formed from two one-sided
-traces.  The norms evaluate a whole slab's facets of one kind per call.  A
-field may also expose local(eids, x, t, dx) at offsets from the element
-centres, as a discrete solution does; the norms pass it each facet group's
-shared offsets (`FacetArrays.local_quadrature`).
+traces.  The norms walk each facet kind over chunks of consecutive slabs,
+at most `_CHUNK_POINTS` points or T entries each, and evaluate a field once
+per chunk and kind (and side).  A field may also expose local(eids, x, t, dx)
+at offsets from the element centres, as a discrete solution does; the norms
+pass it the chunk's shared offsets (`FacetArrays.local_quadrature`).
 
-A closed-form field built from callables is called like any other field,
-once per side.  One built from a separable solution (with ``factors``) has
-no sides: one trace serves both, read off tables made once per norm call: X
-over the Gauss nodes of the mesh's columns and over its lines, T over each
-space-like time and each slab's Gauss times; a group's trace is rows of X
-times a block of T, equal to value(x, t) at its points to the last bit
-(`mode_sum`).
+A closed-form field built from a separable solution (with ``factors``) has
+no sides: one trace serves both, read off tables: X once per norm call over
+the Gauss nodes of the mesh's columns and over its x-lines, T once per chunk
+over the t-lines or the slabs' Gauss times that its facets lie on.  Each
+trace is rows of X times rows of T, equal to value(x, t) at its points to
+the last bit (`mode_sum`).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -120,54 +121,73 @@ class DifferenceField:
 
 
 class _FactorTables:
-    """A separable field's factor tables on one mesh's grid and n-point rule.
-
-    X over the Gauss nodes of the grid's columns, and value and dx over its
-    lines; a group finds its columns by ``lo``, its line by ``fixed``.  T at a
-    space-like group's time, or at the Gauss nodes of a time-like group's span.
-    Only the last T is kept and the node X goes at the first time-like group,
-    so a walk over the space-like groups, then the time-like ones slab by slab,
-    evaluates every table once.
+    """A separable field's factor tables on one mesh's grid and n-point rule: X over
+    the Gauss nodes of the grid's columns, and value and dx over its x-lines; T at the
+    t-lines of a group of space-like facets, or at the Gauss nodes of a group of
+    time-like facets' slabs.  Each facet finds its column or x-line, and its t-line or
+    slab, on the grid, and reads its trace off rows of X times rows of T.  Only the last
+    T is kept, reused while the groups ask for the same lines or slabs, and the node X
+    goes at the first time-like group: a walk over the space-like groups, then the
+    time-like ones chunk by chunk, evaluates every table once.
     """
 
     def __init__(self, factors, mesh: Mesh, n: int):
         self.factors, self.n = factors, n
-        columns = mesh.element_arrays.x_range[:mesh.nx]
-        self.lines = np.append(columns[:, 0], columns[-1, 1])
+        grid = mesh.element_arrays
+        columns, slabs = grid.x_range[:mesh.nx], grid.t_range[::mesh.nx]
+        self.x_lines = np.append(columns[:, 0], columns[-1, 1])
+        self.t_lines = np.append(slabs[:, 0], slabs[-1, 1])
         self._nodes = factors(mapped_intervals(*columns.T, n)[0].reshape(-1), np.empty(0))[0]
-        self._lines = {dx: factors(self.lines, np.empty(0), dx)[0] for dx in (False, True)}
-        self._t = (None,)  # the last times and their T
+        self._lines = {dx: factors(self.x_lines, np.empty(0), dx)[0] for dx in (False, True)}
+        self.modes = self._nodes.shape[1]
+        self._t = (None,)  # which t-lines or slabs the last T is at, and its rows (T.T)
 
-    def _t_rows(self, t: np.ndarray) -> np.ndarray:
-        """T at the times t, transposed: (t.size, m)."""
-        if not np.array_equal(self._t[0], t):
+    def _t_rows(self, fa) -> tuple[np.ndarray, np.ndarray]:
+        """T.T for the facets of ``fa``, and each facet's row (or block of n rows) in it."""
+        lines = fa.kind.is_horizontal
+        used, row = _on_grid(self.t_lines, fa.kind, *((fa.fixed,) if lines else (fa.lo, fa.hi)))
+        if self._t[0] != (lines, used.tobytes()):
             self._t = (None,)  # freed before the next one is built
-            self._t = t, self.factors(np.empty(0), t.reshape(-1))[1].T
-        return self._t[1]
+            self._nodes = self._nodes if lines else None
+            t = self.t_lines[used] if lines else mapped_intervals(
+                self.t_lines[used], self.t_lines[used + 1], self.n)[0]
+            self._t = (lines, used.tobytes()), self.factors(np.empty(0), t.reshape(-1))[1].T
+        return self._t[1], row
 
     def trace(self, fa, dx: bool) -> np.ndarray:
-        """The value (or dx) on every facet of ``fa`` at the n-point rule, (nF, n)."""
-        if fa.kind.is_horizontal:  # rows of X: (column, node), times the group's T column
-            grid = mode_sum(self._nodes[:, None, :], self._t_rows(_shared(fa.fixed))[None])
-            return grid.reshape(-1, self.n)[np.searchsorted(self.lines, fa.lo)]
-        self._nodes = None
-        Tt = self._t_rows(mapped_intervals(_shared(fa.lo), _shared(fa.hi), self.n)[0])
-        return mode_sum(self._lines[dx][np.searchsorted(self.lines, fa.fixed), None, :], Tt[None])
+        """The value (or dx) on every facet of ``fa`` at the n-point rule, (nF, n): the
+        product of every X row and T row in use, then each facet's own."""
+        Tt, row = self._t_rows(fa)
+        if fa.kind.is_horizontal:  # rows of X: (column, node)
+            cols, at = _on_grid(self.x_lines, fa.kind, fa.lo, fa.hi)
+            grid = mode_sum(self._nodes[None], Tt[:, None]).reshape(len(Tt), -1, self.n)
+            return grid[row, cols[at]]
+        lines, at = _on_grid(self.x_lines, fa.kind, fa.fixed)
+        grid = mode_sum(self._lines[dx][lines, None], Tt[None])
+        return grid.reshape(len(lines), -1, self.n)[at, row]
 
 
-def _shared(a: np.ndarray) -> np.ndarray:
-    """a[:1], the one value that every facet of a group has in ``a``."""
-    if np.any(a != a[0]):
-        raise ValueError("the facets of a group differ in their fixed time or time span")
-    return a[:1]
+def _on_grid(grid: np.ndarray, kind: FacetKind, at: np.ndarray, upto=None):
+    """The distinct indices i on the sorted ``grid`` of the values ``at``, sorted, and the
+    place of each value among them.  Each value must equal grid[i] exactly and, with
+    ``upto``, each span (at, upto) must be (grid[i], grid[i + 1])."""
+    i = np.minimum(np.searchsorted(grid, at), len(grid) - (1 if upto is None else 2))
+    if not (np.array_equal(grid[i], at) and (upto is None or np.array_equal(grid[i + 1], upto))):
+        raise ValueError(f"a {kind.value} facet lies off the mesh grid")
+    used = np.zeros(len(grid), dtype=bool)
+    used[i] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[i]
 
 
-def _tabulate(field, mesh: Mesh, n: int):
-    """``field`` with every separable closed-form part replaced by its `_FactorTables`."""
+def _tabulate(field, mesh: Mesh, n: int, tables: list):
+    """``field`` with every separable closed-form part replaced by its `_FactorTables`,
+    each also appended to ``tables``."""
     if isinstance(field, DifferenceField):
-        return DifferenceField(_tabulate(field.a, mesh, n), _tabulate(field.b, mesh, n))
+        return DifferenceField(_tabulate(field.a, mesh, n, tables),
+                               _tabulate(field.b, mesh, n, tables))
     if isinstance(field, ClosedFormField) and field.factors is not None:
-        return _FactorTables(field.factors, mesh, n)
+        tables.append(_FactorTables(field.factors, mesh, n))
+        return tables[-1]
     return field
 
 
@@ -196,13 +216,19 @@ def _sides(field, fa, n: int, sides, dx: bool = False) -> list[np.ndarray]:
     return [trace(getattr(fa, s), X, T) for s in sides]
 
 
+_CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one facet kind, or T
+
+
 def _norm_terms(field, mesh: Mesh, n: int, with_plus: bool) -> tuple[float, float]:
-    field = _tabulate(field, mesh, n)
+    tables = []
+    field = _tabulate(field, mesh, n, tables)
+    step = max(1, _CHUNK_POINTS // (n * max([mesh.nx + 1] + [t.modes for t in tables])))
+    chunks = [range(s, min(s + step, mesh.n_slabs)) for s in range(0, mesh.n_slabs, step)]
+    # every kind chunk by chunk, the space-like kinds first (see _FactorTables)
+    walk = sorted(product(chunks, FacetKind), key=lambda pair: not pair[1].is_horizontal)
     s_dg = s_plus = 0.0
-    # the space-like groups first, then the time-like ones slab by slab (see _FactorTables)
-    for (kind, _), fa in sorted(mesh.facet_groups.items(),
-                                key=lambda group: (not group[0][0].is_horizontal, group[0][1])):
-        W = fa.local_quadrature(n, "owner")[2]
+    for fa in filter(None, (mesh.facet_arrays(kind, slabs) for slabs, kind in walk)):
+        kind, W = fa.kind, fa.local_quadrature(n, "owner")[2]
         if kind is FacetKind.SPACE_INTERIOR:
             wm, wp = _sides(field, fa, n, ("below", "above"))
             s_dg += _wsum_sq(W, wm - wp)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from schrodg.assembly import (BoundaryData, DiscreteSolution, _rule_sizes, _slab_matrix,
-                              _slab_rhs, apply_form_to_field, assemble_global,
+from schrodg.assembly import (BoundaryData, DiscreteSolution, _data_rhs, _rule_sizes,
+                              _slab_matrix, apply_form_to_field, assemble_global,
                               constant_data, first_slab_cond2, march, solution_data,
                               solve_global)
 from schrodg.basis import MeshBasis, SpaceKind
@@ -35,7 +35,9 @@ def first_slab(mesh, space, data):
     basis = MeshBasis(mesh, space)
     n_form, n_data = _rule_sizes(space, None)
     band, _ = _slab_matrix(mesh, 0, basis, n_form)
-    return from_band(*band), _slab_rhs(mesh, 0, basis, data, n_data)
+    rhs = np.zeros((mesh.n_elements, basis.dim), dtype=complex)
+    _data_rhs(rhs, mesh, basis, data, n_data)
+    return from_band(*band), rhs[:mesh.nx].reshape(-1)
 
 
 def test_single_element_p0_matrix_and_rhs():
@@ -295,11 +297,11 @@ def test_slab_matrix_rejects_non_neighbour_coupling():
     import dataclasses
 
     mesh = build_cartesian_mesh(DOM, 3, 1)
-    groups = dict(mesh.facet_groups)
-    fa = groups[FacetKind.TIME_INTERIOR, 0]
-    groups[FacetKind.TIME_INTERIOR, 0] = dataclasses.replace(
+    facets = dict(mesh.facets)
+    fa = facets[FacetKind.TIME_INTERIOR]
+    facets[FacetKind.TIME_INTERIOR] = dataclasses.replace(
         fa, right=np.where(fa.left == 0, 2, fa.right))  # element 0 meets element 2
-    broken = dataclasses.replace(mesh, facet_groups=groups)
+    broken = dataclasses.replace(mesh, facets=facets)
     space = SpaceKind.trefftz(1)
     with pytest.raises(ValueError, match="not neighbours"):
         _slab_matrix(broken, 0, MeshBasis(broken, space), _rule_sizes(space, None)[0])

@@ -243,7 +243,7 @@ def test_facet_tables_equal_pointwise_evaluation(space, mesh_name):
             else build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 4, 3))
     basis, n = MeshBasis(mesh, space), 6
     checked = set()
-    for (kind, _), fa in mesh.facet_groups.items():
+    for kind, fa in mesh.facets.items():
         X, T, _ = fa.quadrature(n)
         for side in FACET_SIDES[kind.value]:
             eids = getattr(fa, side)

@@ -188,3 +188,24 @@ def test_facet_arrays_cover_every_facet_once():
     assert X.shape == T.shape == W.shape == (2, 5)
     assert np.allclose(X, [[1 / 3], [2 / 3]]) and np.all((0.5 < T) & (T < 0.75))
     assert np.allclose(W.sum(axis=1), 0.25)
+
+
+@pytest.mark.parametrize("nx, nt", [(3, 5), (1, 1)])
+def test_facet_arrays_of_a_slab_range_are_views_of_the_kind(nx, nt):
+    # each kind is stored once; a range of slabs reads its rows with no copy, and they
+    # are the facets of those slabs one after the other
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, nt)
+    slabs = range(1, nt - 1) if nt > 2 else range(nt)
+    for kind in FacetKind:
+        fa = mesh.facet_arrays(kind, slabs)
+        groups = [g for s in slabs if (g := mesh.facet_arrays(kind, s)) is not None]
+        if fa is None:
+            assert not groups
+            continue
+        for name in ("owner", "below", "above", "left", "right", "lo", "fixed", "beta"):
+            assert np.shares_memory(getattr(fa, name), getattr(mesh.facets[kind], name))
+            assert np.array_equal(getattr(fa, name),
+                                  np.concatenate([getattr(g, name) for g in groups]))
+        for slot, offset in fa.offset.items():
+            assert np.array_equal(np.broadcast_to(offset, fa.owner.shape), np.concatenate(
+                [np.broadcast_to(g.offset[slot], g.owner.shape) for g in groups]))

@@ -210,18 +210,24 @@ def _field(kind, mesh):
     return dsol
 
 
-@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed", "offset"])
+@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed", "offset", "chunked"])
 @pytest.mark.parametrize("kind", ["discrete", "piecewise", "closed", "series"])
 def test_norms_match_per_facet_walk(kind, mesh_name):
     mesh = {"uniform": lambda: build_cartesian_mesh(DOM, 5, 4),
             "perturbed": lambda: perturbed_mesh(5, 4),
             # grid lines away from x = 0 and 2/7 apart, which the factor tables look up
             "offset": lambda: build_cartesian_mesh(SpaceTimeDomain(-0.5, 1.5, 0.3), 7, 4),
+            # the series' T tables cap a chunk at a few of these 16 slabs
+            "chunked": lambda: build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 16, 16),
             }[mesh_name]()
     field = _field(kind, mesh)
     ref_dg, ref_plus = per_facet_norms(field, mesh, 12)
     assert dg_norm(field, mesh, n=12) == pytest.approx(ref_dg, rel=1e-12)
     assert dg_plus_norm(field, mesh, n=12) == pytest.approx(ref_plus, rel=1e-12)
+    if mesh_name == "chunked" and kind == "series":  # at least 2 chunks of each orientation
+        series = CountingFactors()
+        dg_norm(exact_field(series), mesh, n=12)
+        assert sum(1 for c in series.factor_calls if not c[0]) >= 4
 
 
 class CountingSeries:
@@ -270,14 +276,16 @@ def test_one_evaluation_per_facet_group_leaves_the_norms_unchanged():
 
 
 class CountingFactors(CountingSeries):
-    """The square-well series, recording the sizes (len(x), len(t)) of its factors calls."""
+    """The square-well series, recording the sizes (len(x), len(t)) of its factors calls
+    and the times t of each."""
 
     def __init__(self):
         super().__init__()
-        self.factor_calls = []
+        self.factor_calls, self.times = [], []
 
     def factors(self, x, t, dx=False):
         self.factor_calls.append((np.size(x), np.size(t)))
+        self.times.append(np.asarray(t, dtype=float).reshape(-1))
         return self.series.factors(x, t, dx)
 
 
@@ -285,14 +293,15 @@ class CountingFactors(CountingSeries):
 def test_factor_tables_are_built_once_per_norm(nx, nt):
     # sin/cos once per space-like Gauss node and per grid line, whatever the number
     # of time levels: 3 calls with x on both meshes (value on the nodes, value and
-    # dx on the lines); exp once per space-like time and once per slab's Gauss time
+    # dx on the lines); exp once per distinct time, however the slabs are chunked:
+    # every t-line and every slab's Gauss time, and none of them twice
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), nx, nt)
     series = CountingFactors()
     dg_plus_norm(exact_field(series), mesh, n=20)
     assert sorted(c for c in series.factor_calls if c[0]) == [(nx + 1, 0), (nx + 1, 0),
                                                               (20 * nx, 0)]
-    assert sorted(c for c in series.factor_calls if not c[0]) == ([(0, 1)] * (nt + 1)
-                                                                  + [(0, 20)] * nt)
+    times = np.concatenate(series.times)
+    assert len(np.unique(times)) == len(times) == (nt + 1) + 20 * nt
     assert series.calls == {"value": 0, "dx": 0}
 
 
@@ -314,11 +323,81 @@ def test_separable_norm_keeps_only_the_factor_tables():
     assert peak <= 1_000_000
 
 
-def test_separable_norm_needs_one_time_per_facet_group():
-    mesh = build_cartesian_mesh(DOM, 3, 2)
-    groups = dict(mesh.facet_groups)
-    key = (FacetKind.SPACE_INTERIOR, 0)
-    groups[key] = dataclasses.replace(groups[key], fixed=groups[key].fixed + [0.0, 0.1, 0.0])
-    bent = dataclasses.replace(mesh, facet_groups=groups)
-    with pytest.raises(ValueError, match="differ in their fixed time or time span"):
-        dg_norm(exact_field(ExpSolution(1.0)), bent)
+def _first_row(mesh, kind, slab):
+    """The row of the first facet of ``kind`` in ``slab`` among all facets of the kind."""
+    return int(np.searchsorted(mesh.facets[kind].owner, slab * mesh.nx))
+
+
+def _moved(mesh, kind, row, **values):
+    """``mesh`` with new ``values`` of the fields of facet ``row`` of ``kind``."""
+    fa, changed = mesh.facets[kind], {}
+    for name, value in values.items():
+        changed[name] = getattr(fa, name).copy()
+        changed[name][row] = value
+    return dataclasses.replace(mesh, facets={**mesh.facets,
+                                             kind: dataclasses.replace(fa, **changed)})
+
+
+def test_separable_norm_reads_each_facets_own_time():
+    # the second space-like and time-like interior facets of slab 1 move to the times of
+    # those of slab 4, so that the chunk of slabs 0-2 holds a facet on t-line 5 and one
+    # over slab 4; each facet reads its own time off the tables all the same
+    mesh = base = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 4, 6)
+    for kind, fields in ((FacetKind.SPACE_INTERIOR, ("fixed",)),
+                         (FacetKind.TIME_INTERIOR, ("lo", "hi"))):
+        a, b = (_first_row(mesh, kind, s) + 1 for s in (1, 4))
+        mesh = _moved(mesh, kind, a, **{f: getattr(mesh.facets[kind], f)[b] for f in fields})
+    exact, dsol = exact_field(SquareWellSeries(250)), _field("discrete", base)
+    for norm in (dg_norm, dg_plus_norm):
+        tables = norm(DifferenceField(exact, dsol), mesh)
+        assert tables == norm(DifferenceField(DuckField(exact), dsol), mesh)
+    # the one-sided and averaged traces of the DG+ norm read the moved times
+    assert tables != dg_plus_norm(DifferenceField(exact, dsol), base)
+
+
+@pytest.mark.parametrize("kind, slab, field", [
+    (FacetKind.FINAL, 2, "lo"), (FacetKind.DIRICHLET, 1, "fixed"),
+    (FacetKind.SPACE_INTERIOR, 0, "fixed"), (FacetKind.TIME_INTERIOR, 1, "hi")])
+def test_separable_norm_rejects_off_grid_facets(kind, slab, field):
+    # a facet moved by 0.01 off the grid cannot be read off the factor tables
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 4, 3)
+    row = _first_row(mesh, kind, slab)
+    mesh = _moved(mesh, kind, row, **{field: getattr(mesh.facets[kind], field)[row] + 0.01})
+    with pytest.raises(ValueError, match=f"a {kind.value} facet lies off the mesh grid"):
+        dg_norm(exact_field(SquareWellSeries(250)), mesh)
+
+
+def test_norm_memory_does_not_grow_with_the_number_of_slabs():
+    # a chunk of the 40-column meshes holds at most 19 slabs (the point budget over
+    # 41 x 20 points per slab): the 10-slab norm is one chunk, and the 80-slab one peaks
+    # at about 19 / 10 of it (2.0 measured); a walk over every slab at once would hold 8
+    # times as much
+    sol, space = ExpSolution(3.0), SpaceKind.trefftz(3)
+
+    def peak(nt):
+        mesh = build_cartesian_mesh(DOM, 40, nt)
+        err = DifferenceField(exact_field(sol), march(mesh, space, solution_data(sol)))
+        tracemalloc.start()
+        try:
+            dg_norm(err, mesh, n=20)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(80) <= 2.5 * peak(10)
+
+
+@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
+def test_discrete_local_matches_value_at_global_points(mesh_name):
+    # one shared row of offsets: one product on the uniform mesh, where every element
+    # has the same basis values, and one per element on the mesh with two sizes
+    mesh = perturbed_mesh() if mesh_name == "perturbed" else build_cartesian_mesh(DOM, 4, 4)
+    dsol, eids = _field("discrete", mesh), np.arange(mesh.n_elements)
+    x, t = np.linspace(-0.1, 0.12, 5)[None], np.linspace(-0.11, 0.1, 5)[None]
+    shared = len(dsol.basis.evaluate(eids, x, t)) == 1
+    assert shared == (mesh_name == "uniform")
+    center = mesh.element_arrays.center
+    for dx, trace in ((False, dsol.value), (True, dsol.dx)):
+        want = trace(eids, center[:, :1] + x, center[:, 1:] + t)
+        got = dsol.local(eids, x, t, dx)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
