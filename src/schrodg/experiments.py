@@ -18,7 +18,7 @@ from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_da
                        first_slab_cond2, march, solution_data, solve_global)
 from .basis import FAMILIES, SpaceKind, trefftz_basis
 from .mesh import SpaceTimeDomain, build_cartesian_mesh
-from .norms import DifferenceField, dg_norm, exact_field
+from .norms import DifferenceField, dg_norm, dg_norms, exact_field
 from .poly import apply_schrodinger, eval_poly_many, poly_combination
 from .quadrature import MAX_NODES, box_rule, data_rule_size
 from .solutions import ExpSolution, SquareWellSeries, square_well_initial
@@ -146,17 +146,21 @@ def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) 
     return dg_norm(DifferenceField(sol_field, sol), mesh, n=n_norm), sol
 
 
+def _row(level: int, mesh, space, err, cond) -> ConvergenceRow:
+    return ConvergenceRow(level, mesh.domain.width / mesh.nx, mesh.domain.t_final / mesh.nt,
+                          mesh.n_elements * space.dim(1), err, None, cond)
+
+
+def _rated(rows: list[ConvergenceRow], rate_of: str = "dg_error") -> list[ConvergenceRow]:
+    for prev, row in zip([None] + rows, rows):
+        row.rate = _rate(getattr(prev, rate_of) if prev else None, getattr(row, rate_of))
+    return rows
+
+
 def _table(levels, case, rate_of: str = "dg_error") -> list[ConvergenceRow]:
     """One row per level of ``case(level) -> (mesh, space, dg_error, cond2)``, rated on
     consecutive ``rate_of`` values."""
-    rows: list[ConvergenceRow] = []
-    for level in levels:
-        mesh, space, err, cond = case(level)
-        row = ConvergenceRow(level, mesh.domain.width / mesh.nx, mesh.domain.t_final / mesh.nt,
-                             mesh.n_elements * space.dim(1), err, None, cond)
-        row.rate = _rate(getattr(rows[-1], rate_of) if rows else None, getattr(row, rate_of))
-        rows.append(row)
-    return rows
+    return _rated([_row(level, *case(level)) for level in levels], rate_of)
 
 
 def run_conv_h(config: ExperimentConfig) -> list[ConvergenceRow]:
@@ -204,25 +208,32 @@ def run_conditioning(config: ExperimentConfig) -> dict:
 
 
 def run_singular(config: ExperimentConfig) -> dict:
-    """Square-well problem on (0,1) x (0,0.1) with h_t = 0.1 h_x = 0.05 * 2^-j."""
+    """Square-well problem on (0,1) x (0,0.1) with h_t = 0.1 h_x = 0.05 * 2^-j: one mesh
+    per level, every family marched on it and scored in one norm walk (`dg_norms`), which
+    traces the shared series once per chunk and facet kind; a family whose march breaks
+    down keeps an empty row at that level."""
     p = config.space.p
     data = BoundaryData(psi0=square_well_initial,
                         g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
     sol_field = exact_field(SquareWellSeries(250))
     families = FAMILIES if config.all_spaces else (config.space.family,)
-    out: dict[str, list[ConvergenceRow]] = {}
-    for family in families:
-        space = SpaceKind(family, p, config.space.seed_choice)
+    spaces = [SpaceKind(family, p, config.space.seed_choice) for family in families]
+    n_norm = config.quad_n if config.quad_n is not None else data_rule_size(p)
 
-        def case(j):
-            mesh = build_cartesian_mesh(SINGULAR_DOMAIN, 2 * 2 ** j, 2 * 2 ** j)
+    def level(j) -> list[ConvergenceRow]:
+        mesh = build_cartesian_mesh(SINGULAR_DOMAIN, 2 * 2 ** j, 2 * 2 ** j)
+        sols = {}
+        for space in spaces:
             try:
-                err = _solve_and_error(mesh, space, data, sol_field, config.quad_n)[0]
+                sols[space.family] = march(mesh, space, data, n_quad=config.quad_n)
             except SlabSolveError:
-                err = None  # the documented plane-wave breakdown at fine levels: an empty row
-            return mesh, space, err, None
-        out[family] = _table(range(config.levels), case)
-    return {"p": p, "tables": out}
+                pass  # the documented plane-wave breakdown at fine levels: an empty row
+        errs = dict(zip(sols, dg_norms([DifferenceField(sol_field, s) for s in sols.values()],
+                                       mesh, n=n_norm)))
+        return [_row(j, mesh, space, errs.get(space.family), None) for space in spaces]
+    by_level = [level(j) for j in range(config.levels)]
+    return {"p": p, "tables": {space.family: _rated(list(rows))
+                               for space, rows in zip(spaces, zip(*by_level))}}
 
 
 def _gram_time_slice(funcs, d: int, p_for_rule: int, center, scales) -> np.ndarray:

@@ -164,7 +164,10 @@ class Mesh:
     @cached_property
     def size_groups(self) -> tuple[list[tuple[float, float]], np.ndarray]:
         """The distinct element sizes (h_x, h_t), and each element's index among them."""
-        sizes, group = np.unique(self.element_arrays.h, axis=0, return_inverse=True)
+        h = self.element_arrays.h
+        if np.all(h == h[0]):  # one size, as on every built mesh: no sort
+            return [tuple(h[0].tolist())], np.zeros(len(h), dtype=np.intp)
+        sizes, group = np.unique(h, axis=0, return_inverse=True)
         return [tuple(h) for h in sizes.tolist()], group.reshape(-1)
 
     @property

@@ -21,6 +21,9 @@ at most `_CHUNK_POINTS` points or T entries each, and evaluate a field once
 per chunk and kind (and side).  A field may also expose local(eids, x, t, dx)
 at offsets from the element centres, as a discrete solution does; the norms
 pass it the chunk's shared offsets (`FacetArrays.local_quadrature`).
+`dg_norms` sums several fields in one walk, each as in a walk of its own; the
+rule at each side's offsets, and the trace of a closed-form part that the
+fields share, are taken once per chunk and kind.
 
 A closed-form field built from a separable solution (with ``factors``) has
 no sides: one trace serves both, read off tables: X once per norm call over
@@ -32,8 +35,10 @@ the last bit (`mode_sum`).
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -179,15 +184,15 @@ def _on_grid(grid: np.ndarray, kind: FacetKind, at: np.ndarray, upto=None):
     return np.flatnonzero(used), (np.cumsum(used) - 1)[i]
 
 
-def _tabulate(field, mesh: Mesh, n: int, tables: list):
+def _tabulate(field, mesh: Mesh, n: int, tables: dict):
     """``field`` with every separable closed-form part replaced by its `_FactorTables`,
-    each also appended to ``tables``."""
+    kept in ``tables`` by part: a part that several fields share gets one."""
     if isinstance(field, DifferenceField):
         return DifferenceField(_tabulate(field.a, mesh, n, tables),
                                _tabulate(field.b, mesh, n, tables))
     if isinstance(field, ClosedFormField) and field.factors is not None:
-        tables.append(_FactorTables(field.factors, mesh, n))
-        return tables[-1]
+        tables[field] = tables.get(field) or _FactorTables(field.factors, mesh, n)
+        return tables[field]
     return field
 
 
@@ -196,8 +201,8 @@ def _wsum_sq(w, z) -> float:
     return float(np.sum(w * (z.real * z.real + z.imag * z.imag)))
 
 
-def _sides(field, fa, n: int, sides, dx: bool = False) -> list[np.ndarray]:
-    """The one-sided traces (value, or dx) of field on the facets of ``fa`` from each
+def _sides(field, at: SimpleNamespace, sides, dx: bool = False) -> list[np.ndarray]:
+    """The one-sided traces (value, or dx) of field on the facets of ``at.fa`` from each
     neighbour slot in ``sides``, on the n-point rule.
 
     A field with ``local`` is evaluated at the group's offsets; factor tables
@@ -205,57 +210,68 @@ def _sides(field, fa, n: int, sides, dx: bool = False) -> list[np.ndarray]:
     into its parts.
     """
     if isinstance(field, DifferenceField):
-        return [a - b for a, b in zip(_sides(field.a, fa, n, sides, dx),
-                                      _sides(field.b, fa, n, sides, dx))]
+        return [a - b for a, b in zip(_sides(field.a, at, sides, dx),
+                                      _sides(field.b, at, sides, dx))]
     if isinstance(field, _FactorTables):
-        return [field.trace(fa, dx)] * len(sides)
+        return [at.trace(field, dx)] * len(sides)
     if hasattr(field, "local"):
-        return [field.local(getattr(fa, s), *fa.local_quadrature(n, s)[:2], dx) for s in sides]
-    X, T, _ = fa.quadrature(n)
+        return [field.local(getattr(at.fa, s), *at.rule(s)[:2], dx) for s in sides]
+    X, T, _ = at.fa.quadrature(at.n)
     trace = field.dx if dx else field.value
-    return [trace(getattr(fa, s), X, T) for s in sides]
+    return [trace(getattr(at.fa, s), X, T) for s in sides]
 
 
 _CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one facet kind, or T
 
 
-def _norm_terms(field, mesh: Mesh, n: int, with_plus: bool) -> tuple[float, float]:
-    tables = []
-    field = _tabulate(field, mesh, n, tables)
-    step = max(1, _CHUNK_POINTS // (n * max([mesh.nx + 1] + [t.modes for t in tables])))
+def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> list[tuple[float, float]]:
+    tables = {}
+    fields = [_tabulate(field, mesh, n, tables) for field in fields]
+    step = max(1, _CHUNK_POINTS // (n * max([mesh.nx + 1] + [t.modes for t in tables.values()])))
     chunks = [range(s, min(s + step, mesh.n_slabs)) for s in range(0, mesh.n_slabs, step)]
     # every kind chunk by chunk, the space-like kinds first (see _FactorTables)
     walk = sorted(product(chunks, FacetKind), key=lambda pair: not pair[1].is_horizontal)
-    s_dg = s_plus = 0.0
+    sums = [[0.0, 0.0] for _ in fields]
     for fa in filter(None, (mesh.facet_arrays(kind, slabs) for slabs, kind in walk)):
-        kind, W = fa.kind, fa.local_quadrature(n, "owner")[2]
-        if kind is FacetKind.SPACE_INTERIOR:
-            wm, wp = _sides(field, fa, n, ("below", "above"))
-            s_dg += _wsum_sq(W, wm - wp)
-            s_plus += _wsum_sq(W, wm) if with_plus else 0.0
-        elif kind is FacetKind.TIME_INTERIOR:
-            alpha, beta = fa.alpha[:, None], fa.beta[:, None]
-            v1, v2 = _sides(field, fa, n, ("left", "right"))
-            g1, g2 = _sides(field, fa, n, ("left", "right"), dx=True)
-            s_dg += _wsum_sq(alpha * W, v1 - v2) + _wsum_sq(beta * W, g1 - g2)
-            if with_plus:
-                s_plus += (_wsum_sq(W / alpha, 0.5 * (g1 + g2))
-                           + _wsum_sq(W / beta, 0.5 * (v1 + v2)))
-        else:  # initial, final and Dirichlet facets: the owner's trace alone
-            alpha = fa.alpha[:, None] if kind is FacetKind.DIRICHLET else 1.0
-            s_dg += _wsum_sq(alpha * W, _sides(field, fa, n, ("owner",))[0])
-            if with_plus and kind is FacetKind.DIRICHLET:
-                s_plus += _wsum_sq(W / alpha, _sides(field, fa, n, ("owner",), dx=True)[0])
-    return s_dg, s_plus
+        # what every field reads the same on this (chunk, kind), and holds no longer: the
+        # rule at each side's offsets, and each factor table's traces
+        at = SimpleNamespace(fa=fa, n=n,
+                             rule=functools.cache(functools.partial(fa.local_quadrature, n)),
+                             trace=functools.cache(lambda t, dx, fa=fa: t.trace(fa, dx)))
+        kind, W = fa.kind, at.rule("owner")[2]
+        for field, s in zip(fields, sums):
+            if kind is FacetKind.SPACE_INTERIOR:
+                wm, wp = _sides(field, at, ("below", "above"))
+                s[0] += _wsum_sq(W, wm - wp)
+                s[1] += _wsum_sq(W, wm) if with_plus else 0.0
+            elif kind is FacetKind.TIME_INTERIOR:
+                alpha, beta = fa.alpha[:, None], fa.beta[:, None]
+                v1, v2 = _sides(field, at, ("left", "right"))
+                g1, g2 = _sides(field, at, ("left", "right"), dx=True)
+                s[0] += _wsum_sq(alpha * W, v1 - v2) + _wsum_sq(beta * W, g1 - g2)
+                if with_plus:
+                    s[1] += (_wsum_sq(W / alpha, 0.5 * (g1 + g2))
+                             + _wsum_sq(W / beta, 0.5 * (v1 + v2)))
+            else:  # initial, final and Dirichlet facets: the owner's trace alone
+                alpha = fa.alpha[:, None] if kind is FacetKind.DIRICHLET else 1.0
+                s[0] += _wsum_sq(alpha * W, _sides(field, at, ("owner",))[0])
+                if with_plus and kind is FacetKind.DIRICHLET:
+                    s[1] += _wsum_sq(W / alpha, _sides(field, at, ("owner",), dx=True)[0])
+    return [tuple(s) for s in sums]
+
+
+def dg_norms(fields, mesh: Mesh, n: int = 20) -> list[float]:
+    """`dg_norm` of each field, in one walk.  The chunks are sized by the largest factor
+    table, so a value equals `dg_norm`'s to the bit where each field has one that large."""
+    return [math.sqrt(0.5 * s_dg) for s_dg, _ in _norm_terms(fields, mesh, n, with_plus=False)]
 
 
 def dg_norm(field, mesh: Mesh, n: int = 20) -> float:
-    s_dg, _ = _norm_terms(field, mesh, n, with_plus=False)
-    return math.sqrt(0.5 * s_dg)
+    return dg_norms([field], mesh, n)[0]
 
 
 def dg_plus_norm(field, mesh: Mesh, n: int = 20) -> float:
-    s_dg, s_plus = _norm_terms(field, mesh, n, with_plus=True)
+    s_dg, s_plus = _norm_terms([field], mesh, n, with_plus=True)[0]
     return math.sqrt(0.5 * (s_dg + s_plus))
 
 

@@ -83,6 +83,19 @@ def test_singular_explicit_space_restricts_families():
     assert all(e is not None for e in errs)
 
 
+def test_singular_rows_do_not_depend_on_the_other_families():
+    # every family marches on each level's shared mesh and is scored in one norm walk:
+    # its rows are, to the bit, those of a run of that family alone
+    both = run_singular(ExperimentConfig("singular", space=SpaceKind.trefftz(2), levels=3))
+    assert list(both["tables"]) == ["trefftz", "quasi-trefftz", "full", "planewave"]
+    for family, rows in both["tables"].items():
+        alone = run_singular(ExperimentConfig("singular", space=SpaceKind(family, 2),
+                                              levels=3, all_spaces=False))
+        assert list(alone["tables"]) == [family]
+        assert alone["tables"][family] == rows
+        assert all(r.dg_error is not None for r in rows)
+
+
 def test_verify_basis_report_shape():
     rep = verify_basis(p_max=2, dims=(1, 2))
     assert rep["all_pass"]

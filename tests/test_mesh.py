@@ -171,6 +171,18 @@ def test_is_uniform_is_derived_from_element_sizes():
     assert not perturbed_mesh().is_uniform
 
 
+def test_size_groups_index_every_element():
+    from tests.conftest import perturbed_mesh
+
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.5), 4, 2)
+    sizes, group = mesh.size_groups
+    assert sizes == [(0.25, 0.25)] and group.tolist() == [0] * 8
+    # element 5 has a 30% larger h_x: the second of two sizes, and the only one there
+    sizes, group = perturbed_mesh().size_groups
+    assert sizes == [(0.25, 0.25), (0.325, 0.25)]
+    assert np.flatnonzero(group).tolist() == [5] and len(group) == 16
+
+
 def test_facet_arrays_cover_every_facet_once():
     nx, nt = 3, 4
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, nt)

@@ -8,9 +8,9 @@ import pytest
 from schrodg.assembly import (BoundaryData, DiscreteSolution, element_bases, march,
                               solution_data)
 from schrodg.basis import SpaceKind
-from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import FacetArrays, FacetKind, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
-                           dg_norm, dg_plus_norm, exact_field, l2_slice_error)
+                           dg_norm, dg_norms, dg_plus_norm, exact_field, l2_slice_error)
 from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
 from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
 from schrodg.quadrature import mapped_interval
@@ -303,6 +303,59 @@ def test_factor_tables_are_built_once_per_norm(nx, nt):
     times = np.concatenate(series.times)
     assert len(np.unique(times)) == len(times) == (nt + 1) + 20 * nt
     assert series.calls == {"value": 0, "dx": 0}
+
+
+def _square_well_solutions(nx, nt):
+    """The square-well mesh of nx x nt elements and the trefftz, full and plane-wave
+    p = 1 solutions on it."""
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), nx, nt)
+    data = BoundaryData(psi0=square_well_initial,
+                        g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
+    return mesh, [march(mesh, SpaceKind(family, 1), data)
+                  for family in ("trefftz", "full", "planewave")]
+
+
+def test_dg_norms_equal_each_dg_norm():
+    # 16 x 16 at n = 20: chunks of 3 slabs, so the shared traces are kept per chunk
+    mesh, sols = _square_well_solutions(16, 16)
+    exact = exact_field(SquareWellSeries(250))
+    fields = [DifferenceField(exact, s) for s in sols]
+    together = dg_norms(fields, mesh)
+    assert together == [dg_norm(f, mesh) for f in fields]
+    assert len(set(together)) == 3
+    # a series of its own gets tables of its own, with chunks of the same size
+    mixed = fields + [DifferenceField(exact_field(SquareWellSeries(250)), sols[0])]
+    assert dg_norms(mixed, mesh) == [dg_norm(f, mesh) for f in mixed]
+    assert dg_norms([], mesh) == []
+
+
+def test_fields_that_share_an_exact_field_trace_it_once(monkeypatch):
+    # the factors calls, the trace products and the rules of one field's walk serve
+    # every field of the walk
+    import schrodg.norms
+
+    mesh, sols = _square_well_solutions(16, 16)
+    rules, products = [], []
+    local_quadrature, mode_sum = FacetArrays.local_quadrature, schrodg.norms.mode_sum
+    monkeypatch.setattr(FacetArrays, "local_quadrature",
+                        lambda fa, n, side: rules.append(side) or local_quadrature(fa, n, side))
+    monkeypatch.setattr(schrodg.norms, "mode_sum",
+                        lambda X, Tt: products.append(X.shape) or mode_sum(X, Tt))
+    calls = []
+    for fields in (sols[:1], sols):
+        series = CountingFactors()
+        exact = exact_field(series)
+        rules.clear()
+        products.clear()
+        dg_norms([DifferenceField(exact, s) for s in fields], mesh)
+        calls.append((series.factor_calls, [t.tolist() for t in series.times], list(rules),
+                      list(products)))
+    assert calls[0] == calls[1]
+    # one rule per side of each (chunk, kind), in 6 chunks of at most 3 slabs: owner, left
+    # and right on the time-like interior facets and the owner on the Dirichlet ones of
+    # each, owner, below and above on the space-like interior ones of 5 (slab 15 owns
+    # none), and the owner on the initial and the final facets
+    assert len(calls[0][2]) == 6 * 3 + 6 + 5 * 3 + 2
 
 
 def test_separable_norm_keeps_only_the_factor_tables():
