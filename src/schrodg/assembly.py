@@ -110,9 +110,8 @@ class DiscreteSolution:
         self._known[eid] = True
 
     def local(self, eids, x, t, dx: bool = False) -> np.ndarray:
-        missing = eids[~self._known[eids]]
-        if missing.size:
-            raise ValueError(f"element {missing[0]} has no coefficients yet")
+        if not self._known[eids].all():
+            raise ValueError(f"element {eids[~self._known[eids]][0]} has no coefficients yet")
         values = self.basis.evaluate(eids, x, t, dx=dx)
         if len(values) == 1:  # one row that every element shares: a single product
             return self.coeffs[eids] @ values[0]
@@ -184,8 +183,7 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
     facet of each element e: test functions of the element above e, trial
     functions of e.  They are zero on the last slab.
     """
-    first = mesh.slab_elements[slab][0]
-    nx, dim = len(mesh.slab_elements[slab]), basis.dim
+    nx, dim, first = mesh.nx, basis.dim, slab * mesh.nx
     kl = ku = 2 * dim - 1
     ab = np.zeros((2 * kl + ku + 1, nx * dim), dtype=complex)
     coupling = np.zeros((nx, dim, dim), dtype=complex)
@@ -244,7 +242,7 @@ def first_slab_cond2(mesh: Mesh, space: SpaceKind, n_quad: int | None = None,
     """cond2 of the first slab's matrix; None above `COND_MAX_N` unknowns.  Given the
     solution `march` built on the same mesh, space and rule, its screen's cond2, or
     that of its ``first_slab``."""
-    if len(mesh.slab_elements[0]) * space.dim(1) > COND_MAX_N:
+    if mesh.nx * space.dim(1) > COND_MAX_N:
         return None
     if sol is not None and sol.screen_cond2 is not None:
         return sol.screen_cond2
@@ -319,14 +317,14 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
                 raise SlabSolveError(slab, float("inf"), "singular matrix") from exc
             if space.family == "planewave" and not small:
                 _screen(slab, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"))
-        elems = list(mesh.slab_elements[slab])
-        rhs = data_rhs[elems].reshape(-1) - carry
+        rows = slice(slab * mesh.nx, (slab + 1) * mesh.nx)
+        rhs = data_rhs[rows].reshape(-1) - carry
         if not np.all(np.isfinite(rhs)):
             raise SlabSolveError(slab, float("nan"), "non-finite right-hand side")
         coeffs = factor.solve(rhs).reshape(-1, sol.basis.dim)
         if not np.all(np.isfinite(coeffs)):
             raise SlabSolveError(slab, float("nan"), "non-finite solution")
-        sol.set_coeffs(elems, coeffs)
+        sol.set_coeffs(rows, coeffs)
         carry = (coupling @ coeffs[:, :, None]).reshape(-1)
     return sol
 

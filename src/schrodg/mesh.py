@@ -148,9 +148,9 @@ class Mesh:
         return self.nx * self.nt
 
     @cached_property
-    def slab_elements(self) -> tuple[tuple[int, ...], ...]:
+    def slab_elements(self) -> tuple[range, ...]:
         """The element ids of every slab, in x order."""
-        return tuple(tuple(range(s * self.nx, (s + 1) * self.nx)) for s in range(self.nt))
+        return tuple(range(s * self.nx, (s + 1) * self.nx) for s in range(self.nt))
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:

@@ -17,10 +17,10 @@ A field exposes one-sided traces via value(eid, xs, ts) and dx(eid, xs, ts).
 points broadcast to (nF, nq) and row f lies on element eid[f].  The result
 has the shape of the points.  Jumps are always formed from two one-sided
 traces.  The norms walk each facet kind over chunks of consecutive slabs,
-at most `_CHUNK_POINTS` points or T entries each, and evaluate a field once
-per chunk and kind (and side).  A field may also expose local(eids, x, t, dx)
-at offsets from the element centres, as a discrete solution does; the norms
-pass it the chunk's shared offsets (`FacetArrays.local_quadrature`).
+at most `_CHUNK_POINTS` points or T entries each, and call a field once per
+chunk and kind (and side).  A field may also expose local(eids, x, t, dx) at
+offsets from the element centres; the norms pass it each chunk's shared offsets,
+where a discrete solution reads its basis' trace table (one for all chunks).
 `dg_norms` sums several fields in one walk, each as in a walk of its own; the
 rule at each side's offsets, and the trace of a closed-form part that the
 fields share, are taken once per chunk and kind.

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from schrodg.assembly import (BoundaryData, DiscreteSolution, _data_rhs, _rule_sizes,
-                              _slab_matrix, apply_form_to_field, assemble_global,
+                              _slab_matrix, _volume_rule, apply_form_to_field, assemble_global,
                               constant_data, first_slab_cond2, march, solution_data,
                               solve_global)
 from schrodg.basis import MeshBasis, SpaceKind
 from schrodg.linalg import cond2, from_band
 from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import DifferenceField, dg_norm, exact_field
-from schrodg.solutions import ExpSolution
+from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
 from tests.conftest import constant_field
 
 DOM = SpaceTimeDomain(0.0, 1.0, 1.0)
@@ -448,16 +448,18 @@ def test_element_without_coefficients_raises():
         sol.dx(3, 0.75, 0.6)
 
 
-def _largest_evaluation(monkeypatch, run):
-    """run() and the size of the largest coordinate array it passed to scaled_monomials
-    or _wave."""
+def _evaluations(monkeypatch, run):
+    """run(), and every call it made to scaled_monomials or _wave: the size of its
+    coordinate arrays, and its inputs (coordinates and derivative) to the bit."""
     import schrodg.basis
 
-    sizes = []
+    calls = []
 
     def record(fn, coords):
         def wrapped(*args, **kwargs):
-            sizes.append(np.broadcast(*coords(*args)).size)
+            arrays = [np.asarray(c, dtype=float) for c in coords(*args)]
+            inputs = tuple((a.shape, a.tobytes()) for a in arrays) + (repr(args[2:]), repr(kwargs))
+            calls.append((np.broadcast(*arrays).size, inputs))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -467,7 +469,14 @@ def _largest_evaluation(monkeypatch, run):
         patch.setattr(schrodg.basis, "_wave",
                       record(schrodg.basis._wave, lambda k, x, t, *rest: (x, t)))
         out = run()
-    return max(sizes), out
+    return calls, out
+
+
+def _largest_evaluation(monkeypatch, run):
+    """run() and the size of the largest coordinate array it passed to scaled_monomials
+    or _wave."""
+    calls, out = _evaluations(monkeypatch, run)
+    return max(size for size, _ in calls), out
 
 
 @pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.plane_wave(2),
@@ -485,6 +494,48 @@ def test_basis_evaluation_does_not_grow_with_nx(monkeypatch, space):
     narrow, _ = _largest_evaluation(monkeypatch, lambda: solve_and_norm(4))
     wide, _ = _largest_evaluation(monkeypatch, lambda: solve_and_norm(32))
     assert narrow == wide
+
+
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(1), SpaceKind.plane_wave(1)], ids=str)
+def test_basis_evaluations_do_not_grow_with_chunks_or_repeat(monkeypatch, space):
+    # march and the square-well norm read every (rule, place, dx) trace of the solution's
+    # basis at a shared row off one table: the norm walks 16 slabs in 6 chunks and 4 slabs
+    # in 2 with the same such evaluations, and none repeats the input of another.  The
+    # Dirichlet owners' per-facet offsets are evaluated as given: twice in march (value
+    # and dx, one slab operator), then once per chunk of the norm
+    data = BoundaryData(psi0=square_well_initial,
+                        g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
+
+    def solve_and_norm(nt):
+        mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 8, nt)
+        psi = march(mesh, space, data)
+        return dg_norm(DifferenceField(exact_field(SquareWellSeries(250)), psi), mesh)
+
+    shared, per_facet = [], []
+    for nt in (4, 16):
+        calls = [inputs for _, inputs in _evaluations(monkeypatch, lambda: solve_and_norm(nt))[0]]
+        shared.append([c for c in calls if all(shape[0] == 1 for shape, _ in c[:2])])
+        per_facet.append(len(calls) - len(shared[-1]))
+    assert len(shared[0]) == len(shared[1])
+    assert len(set(shared[1])) == len(shared[1])
+    assert per_facet == [2 + 2, 2 + 6]
+
+
+def test_trace_tables_are_read_only_and_kept_per_basis():
+    # a place's rule row gives the same read-only table however often it is asked for,
+    # from the basis that evaluated it; a new basis evaluates its own
+    mesh, space = build_cartesian_mesh(DOM, 4, 3), SpaceKind.full_poly(2)
+    basis, fa = MeshBasis(mesh, space), mesh.facets[FacetKind.FINAL]
+    x, t, _ = fa.local_quadrature(6, "below")
+    volume = _volume_rule(mesh, 6)[:2]
+    for rows in ((x, t), volume):
+        for kw in ({}, {"dx": True}, {"image": True}):
+            table = basis.evaluate(fa.below, *rows, **kw)
+            assert basis.evaluate(np.arange(2), *(a.copy() for a in rows), **kw) is table
+            with pytest.raises(ValueError):
+                table[...] = 0.0
+            fresh = MeshBasis(mesh, space).evaluate(fa.below, *rows, **kw)
+            assert fresh is not table and np.array_equal(fresh, table)
 
 
 def test_reference_walk_evaluates_at_global_points(monkeypatch):

@@ -83,6 +83,13 @@ def test_singular_explicit_space_restricts_families():
     assert all(e is not None for e in errs)
 
 
+def test_singular_rows_do_not_depend_on_an_earlier_run():
+    # the basis trace tables live with each solution: a second run in the same process
+    # gives the same rows to the bit
+    cfg = ExperimentConfig("singular", space=SpaceKind.trefftz(1), levels=3)
+    assert run_singular(cfg) == run_singular(cfg)
+
+
 def test_singular_rows_do_not_depend_on_the_other_families():
     # every family marches on each level's shared mesh and is scored in one norm walk:
     # its rows are, to the bit, those of a run of that family alone

@@ -443,14 +443,19 @@ def test_norm_memory_does_not_grow_with_the_number_of_slabs():
 @pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
 def test_discrete_local_matches_value_at_global_points(mesh_name):
     # one shared row of offsets: one product on the uniform mesh, where every element
-    # has the same basis values, and one per element on the mesh with two sizes
+    # has the same basis values, and one per element on the mesh with two sizes; a row
+    # that is a facet side's rule is read off the basis' trace table on the uniform mesh
     mesh = perturbed_mesh() if mesh_name == "perturbed" else build_cartesian_mesh(DOM, 4, 4)
     dsol, eids = _field("discrete", mesh), np.arange(mesh.n_elements)
-    x, t = np.linspace(-0.1, 0.12, 5)[None], np.linspace(-0.11, 0.1, 5)[None]
-    shared = len(dsol.basis.evaluate(eids, x, t)) == 1
-    assert shared == (mesh_name == "uniform")
-    center = mesh.element_arrays.center
-    for dx, trace in ((False, dsol.value), (True, dsol.dx)):
-        want = trace(eids, center[:, :1] + x, center[:, 1:] + t)
-        got = dsol.local(eids, x, t, dx)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    side_rule = mesh.facets[FacetKind.TIME_INTERIOR].local_quadrature(5, "right")[:2]
+    for x, t in ((np.linspace(-0.1, 0.12, 5)[None], np.linspace(-0.11, 0.1, 5)[None]),
+                 side_rule):
+        values = dsol.basis.evaluate(eids, x, t)
+        assert (len(values) == 1) == (mesh_name == "uniform")
+        assert (dsol.basis.evaluate(eids, x, t) is values) == (
+            mesh_name == "uniform" and x is side_rule[0])
+        center = mesh.element_arrays.center
+        for dx, trace in ((False, dsol.value), (True, dsol.dx)):
+            want = trace(eids, center[:, :1] + x, center[:, 1:] + t)
+            got = dsol.local(eids, x, t, dx)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
