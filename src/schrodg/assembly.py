@@ -29,7 +29,8 @@ to slab s - 1.  The default solve is therefore block forward substitution,
 where the slab kernel `_slab_matrix` assembles A: the diagonal block M_ss
 and the coupling B_{s+1} into the next slab.  `_data_rhs` assembles l,
 from psi0 and g_D alone, for every slab in one batch.  The assembled
-global system is kept as a testing oracle.
+global system is kept as a testing oracle, solved by a dense LU rather than
+the band LU of `march`.
 
 The form is implemented twice on purpose: once in the batched slab kernel
 that `march` runs, and once in the per-facet reference walk `_walk_form`
@@ -44,10 +45,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .basis import ElementBasis, MeshBasis, SpaceKind, element_basis
-from .linalg import (COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, from_band,
-                     to_band)
+from .linalg import COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, from_band
 from .mesh import FacetKind, Mesh
 from .norms import field_points
 from .quadrature import (data_rule_size, gauss_legendre, mapped_interval, poly_rule_size,
@@ -176,7 +177,7 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
     """One slab's operator: its diagonal block of A and its coupling into the next slab.
 
     The diagonal block is returned in band storage (ab, kl, ku) (see
-    `linalg.to_band`): rows test, columns trial, dim dofs per element in slab
+    `linalg.FactoredMatrix`): rows test, columns trial, dim dofs per element in slab
     order.  Only time-like facets couple elements, and only neighbours in
     slab order, so it is block tridiagonal with kl = ku = 2 dim - 1.  The
     coupling blocks (nx, dim, dim) hold -i int conj(phi^+) phi^- over the top
@@ -208,9 +209,6 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
 
     fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
     if fa is not None:
-        if np.any(fa.right - fa.left != 1):
-            raise ValueError(f"slab {slab}: a time-like facet joins elements that are "
-                             "not neighbours in slab order")
         W = fa.local_quadrature(n_form, "left")[2]
         al, be = fa.alpha[:, None, None], fa.beta[:, None, None]
         sides = [(ids, *basis.traces(ids, *fa.local_quadrature(n_form, s)[:2]), sign)
@@ -255,12 +253,12 @@ def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
               n_data: int) -> None:
     """Add l(v) of every slab into ``out`` (n_elements, dim) in one batch: psi0 on the
     initial facets, and g_D on the Dirichlet facets."""
-    fa = mesh.facets[FacetKind.INITIAL]
+    fa = mesh.facet_arrays(FacetKind.INITIAL, range(mesh.n_slabs))
     x, t, W = fa.local_quadrature(n_data, "above")
     psi0 = np.asarray(data.psi0(fa.quadrature(n_data)[0]), dtype=complex)[:, None]
     np.add.at(out, fa.above, 1j * _pair(basis.evaluate(fa.above, x, t), psi0, W)[..., 0])
 
-    fa = mesh.facets[FacetKind.DIRICHLET]
+    fa = mesh.facet_arrays(FacetKind.DIRICHLET, range(mesh.n_slabs))
     gv = np.asarray(data.g_D(*fa.quadrature(n_data)[:2]), dtype=complex)[:, None]
     for side in ("left", "right"):  # the owner, a facet's one neighbour, side by side: the
         ids = getattr(fa, side)       # facets with a neighbour there share its offsets
@@ -292,8 +290,8 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     slab has the same operator: it is assembled, screened and factored once
     and reused for every slab.  A plane-wave slab above `COND_FLAG` fails with
     a SlabSolveError: on the SVD cond2 up to `COND_MAX_N` unknowns, above it
-    on LAPACK's 1-norm estimate 1 / rcond.  A slab whose right-hand side or
-    solution is not finite fails too.
+    on LAPACK's 1-norm estimate 1 / rcond.  A slab whose matrix, right-hand
+    side or solution is not finite fails too.
     """
     n_form, n_data = _rule_sizes(space, n_quad)
     sol = DiscreteSolution(mesh, space)
@@ -303,6 +301,8 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     for slab in range(mesh.n_slabs):
         if factor is None or not mesh.is_uniform:
             band, coupling = _slab_matrix(mesh, slab, sol.basis, n_form)
+            if not np.all(np.isfinite(band[0])):
+                raise SlabSolveError(slab, float("nan"), "non-finite matrix")
             small = band[0].shape[1] <= COND_MAX_N
             if slab == 0 and small:
                 sol.first_slab = band
@@ -338,8 +338,8 @@ def _facets(mesh: Mesh, kinds):
     """Every facet of ``kinds`` as (kind, its FacetArrays, its row), kind by kind and
     slab by slab."""
     for kind in kinds:
-        for r in range(len(mesh.facets[kind].owner)):
-            yield kind, mesh.facets[kind], r
+        if (fa := mesh.facet_arrays(kind, range(mesh.n_slabs))) is not None:
+            yield from ((kind, fa, r) for r in range(len(fa.owner)))
 
 
 def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -396,10 +396,10 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> 
                 out[up * d:(up + 1) * d, cols] -= 1j * ((vu.conj() * wq) @ u.T)
 
     if basis.kind.needs_volume_term:
-        arrays = mesh.element_arrays
+        xs, ts = mesh.xs.tolist(), mesh.ts.tolist()
         for e in range(mesh.n_elements):
-            xg, tg, wg = rect_rule(tuple(arrays.x_range[e].tolist()),
-                                   tuple(arrays.t_range[e].tolist()), n)
+            s, ix = divmod(e, mesh.nx)
+            xg, tg, wg = rect_rule((xs[ix], xs[ix + 1]), (ts[s], ts[s + 1]), n)
             rows, _, _, cols, u, _ = side(e, xg, tg)
             xc, tc = basis.center[e]
             sv = basis.evaluate([e], (xg - xc)[None], (tg - tc)[None], image=True)[0]
@@ -446,9 +446,11 @@ def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
 
 def solve_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
                  n_quad: int | None = None) -> DiscreteSolution:
-    """Solve the fully coupled system at once (oracle for the marching path)."""
+    """Solve the fully coupled system at once (oracle for the marching path): a dense
+    LU with partial pivoting, so that it shares no solver code with `march` either."""
     M, rhs, _ = assemble_global(mesh, space, data, n_quad)
-    x = FactoredMatrix(*to_band(M)).solve(rhs)
+    # dense LU of M.T, a Fortran-ordered view factored in place, solved transposed
+    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(M.T, overwrite_a=True), rhs, trans=1)
     sol = DiscreteSolution(mesh, space)
     sol.set_coeffs(np.arange(mesh.n_elements), x.reshape(mesh.n_elements, -1))
     return sol

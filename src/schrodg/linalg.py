@@ -1,12 +1,12 @@
 """Complex linear algebra: band LU solves and SVD 2-norm condition numbers.
 
-Every solve goes through `FactoredMatrix`, an LU factorisation with partial
+Every slab solve goes through `FactoredMatrix`, an LU factorisation with partial
 pivoting of a matrix in LAPACK band storage (``zgbtrf``/``zgbtrs``) plus one
 step of iterative refinement, which keeps the relative residual near machine
 precision even for moderately ill-conditioned systems.  Its ``rcond`` is
 LAPACK's 1-norm estimate (``zgbcon``), computed on first use only: it costs
-more than the factorisation on long slabs.  `to_band` and `from_band` convert
-between dense and band storage.
+more than the factorisation on long slabs.  `from_band` gives the dense
+matrix held in band storage.
 
 `cond2` is the exact 2-norm condition number by full SVD, kept for the
 paper's conditioning slopes, which are 2-norm slopes; it is capped at
@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import zgbmv
 from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
 
@@ -30,25 +29,10 @@ class SingularMatrixError(RuntimeError):
 
 
 def _diagonals(n: int, kl: int, ku: int):
-    """(offset k = j - i, band row, row slice, column slice) of every stored diagonal."""
+    """(band row, row slice, column slice) of every stored diagonal j - i = k."""
     for k in range(-kl, ku + 1):
         if abs(k) < n:
-            yield (k, kl + ku - k, slice(max(0, -k), n - max(0, k)),
-                   slice(max(0, k), n + min(0, k)))
-
-
-def to_band(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """A square matrix in ``zgbtrf`` band storage: (ab, kl, ku) with
-    a[i, j] = ab[kl + ku + i - j, j]; the first kl rows are LU workspace."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    kl, ku = scipy.linalg.bandwidth(a)
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-    for k, row, _, cols in _diagonals(n, kl, ku):
-        ab[row, cols] = np.diagonal(a, k)
-    return ab, kl, ku
+            yield kl + ku - k, slice(max(0, -k), n - max(0, k)), slice(max(0, k), n + min(0, k))
 
 
 def from_band(ab: np.ndarray, kl: int, ku: int) -> np.ndarray:
@@ -56,7 +40,7 @@ def from_band(ab: np.ndarray, kl: int, ku: int) -> np.ndarray:
     n = ab.shape[1]
     a = np.zeros((n, n), dtype=complex)
     ids = np.arange(n)
-    for _, row, rows, cols in _diagonals(n, kl, ku):
+    for row, rows, cols in _diagonals(n, kl, ku):
         a[ids[rows], ids[cols]] = ab[row, cols]
     return a
 
@@ -65,7 +49,8 @@ class FactoredMatrix:
     """Band LU factorization with partial pivoting, reusable across right-hand sides.
 
     ``ab`` is the matrix in ``zgbtrf`` band storage with ``kl`` sub- and
-    ``ku`` super-diagonals (see `to_band`).
+    ``ku`` super-diagonals: a[i, j] = ab[kl + ku + i - j, j], and the first kl rows
+    are LU workspace.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int):

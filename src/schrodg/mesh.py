@@ -1,11 +1,13 @@
-"""Tensor-product space-time meshes of (a, b) x (0, T), stored as arrays.
+"""Tensor-product space-time meshes of (a, b) x (0, T), held as their grid lines.
 
-Elements are axis-aligned rectangles K = K_x x K_t grouped into time slabs;
-element s * nx + ix is column ix of slab s.  `ElementArrays` holds their
-geometry, one row per element id.  The facets are stored once per kind as
-`FacetArrays`, one entry per facet, slab by slab; the facets of one slab, or
-of a range of consecutive slabs, are views of them.  Every facet is either
-horizontal (space-like: constant t) or vertical (time-like: constant x) and
+A mesh is the grid xs x ts: elements are the axis-aligned rectangles
+K = (xs[ix], xs[ix + 1]) x (ts[s], ts[s + 1]), grouped into time slabs, and
+element s * nx + ix is column ix of slab s.  `ElementArrays` holds each
+element's centre and size, the scales of its local basis.  Every facet lies
+on a grid line: horizontal (space-like: constant t) on a t-line, or vertical
+(time-like: constant x) on an x-line, and `Mesh.lines` names the lines of
+each kind.  `Mesh.facet_arrays` builds the facets of one kind over a slab,
+or a range of slabs, as `FacetArrays` from the grid by index.  Each facet
 carries the stabilization weights
 
     alpha = 1 / h_Fx   on time-like interior and Dirichlet facets,
@@ -17,7 +19,6 @@ construction and safe for concurrent read access.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -75,10 +76,8 @@ class Element:
 class ElementArrays(NamedTuple):
     """Element geometry as arrays, one row per element id."""
 
-    center: np.ndarray   # (n, 2): x_K, t_K
-    h: np.ndarray        # (n, 2): h_x, h_t
-    x_range: np.ndarray  # (n, 2)
-    t_range: np.ndarray  # (n, 2)
+    center: np.ndarray  # (n, 2): x_K, t_K
+    h: np.ndarray       # (n, 2): h_x, h_t
 
 
 @dataclass(frozen=True)
@@ -131,13 +130,20 @@ class FacetArrays:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """An nx-by-nt mesh: element geometry plus the facets of each kind, in owner order."""
+    """The mesh of the grid xs x ts: element geometry, with the facets derived from the grid."""
 
     domain: SpaceTimeDomain
-    nx: int
-    nt: int
+    xs: np.ndarray  # (nx + 1,): the x-lines, increasing
+    ts: np.ndarray  # (nt + 1,): the t-lines, increasing from 0
     element_arrays: ElementArrays
-    facets: Mapping[FacetKind, FacetArrays]
+
+    @property
+    def nx(self) -> int:
+        return len(self.xs) - 1
+
+    @property
+    def nt(self) -> int:
+        return len(self.ts) - 1
 
     @property
     def n_slabs(self) -> int:
@@ -154,12 +160,12 @@ class Mesh:
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        """Every element as a record, built from `element_arrays` on first use."""
-        a = self.element_arrays
-        rows = zip(a.center.tolist(), a.h.tolist(), a.x_range.tolist(), a.t_range.tolist())
-        return tuple(Element(id=e, ix=e % self.nx, slab=e // self.nx, x_range=tuple(xr),
-                             t_range=tuple(tr), h_x=h[0], h_t=h[1], center=tuple(c))
-                     for e, (c, h, xr, tr) in enumerate(rows))
+        """Every element as a record, built from the grid and `element_arrays` on first use."""
+        a, nx, xs, ts = self.element_arrays, self.nx, self.xs.tolist(), self.ts.tolist()
+        return tuple(Element(id=e, ix=e % nx, slab=e // nx, x_range=(xs[e % nx], xs[e % nx + 1]),
+                             t_range=(ts[e // nx], ts[e // nx + 1]), h_x=h[0], h_t=h[1],
+                             center=tuple(c))
+                     for e, (c, h) in enumerate(zip(a.center.tolist(), a.h.tolist())))
 
     @cached_property
     def size_groups(self) -> tuple[list[tuple[float, float]], np.ndarray]:
@@ -175,89 +181,85 @@ class Mesh:
         """Whether every element has the same size (h_x, h_t)."""
         return len(self.size_groups[0]) <= 1
 
-    def facet_arrays(self, kind: FacetKind, slabs: int | range) -> FacetArrays | None:
-        """The facets of ``kind`` in a slab, or a range of consecutive slabs: the rows of
-        ``facets[kind]`` whose owners lie there, each array a view of its array there or
-        the shared (1,) one itself; None if there are none."""
-        fa = self.facets[kind]
-        slabs = slabs if isinstance(slabs, range) else range(slabs, slabs + 1)
-        rows = slice(*np.searchsorted(fa.owner, (slabs.start * self.nx, slabs.stop * self.nx)))
-        if rows.stop == rows.start:
-            return None
+    def lines(self, kind: FacetKind) -> range:
+        """The grid lines that the facets of ``kind`` lie on: indices into ``ts`` for a
+        space-like kind, into ``xs`` for a time-like one."""
+        nx, nt = self.nx, self.nt
+        return {FacetKind.INITIAL: range(0, 1), FacetKind.SPACE_INTERIOR: range(1, nt),
+                FacetKind.FINAL: range(nt, nt + 1), FacetKind.TIME_INTERIOR: range(1, nx),
+                FacetKind.DIRICHLET: range(0, nx + 1, nx)}[kind]
 
-        def cut(a):
-            return a[rows] if len(a) == len(fa.owner) else a
-        return dataclasses.replace(
-            fa, **{f.name: cut(getattr(fa, f.name)) for f in dataclasses.fields(fa)[1:-1]},
-            offset=MappingProxyType({slot: cut(a) for slot, a in fa.offset.items()}))
+    def facet_arrays(self, kind: FacetKind, slabs: int | range) -> FacetArrays | None:
+        """The facets of ``kind`` in a slab, or a range of consecutive slabs (None if none).
+
+        A facet belongs to its owner's slab: a slab owns the t-line at its top, and slab 0
+        the one at its bottom too.  The facets come slab by slab, and by x within a slab.
+        The elements share one size, h_x = width / nx and h_t = t_final / nt, so h_Fx = h_x
+        on every time-like facet.  The Dirichlet owners' offsets are (n_facets,), and every
+        other ``offset`` and ``half`` is shared.
+        """
+        slabs = slabs if isinstance(slabs, range) else range(slabs, slabs + 1)
+        nx, nt, xs, ts, lines = self.nx, self.nt, self.xs, self.ts, self.lines(kind)
+        h_x, h_t = self.domain.width / nx, self.domain.t_final / nt
+        if kind.is_horizontal:  # the kind's t-lines that the slabs own
+            lines = range(max(lines.start, slabs.start + (slabs.start > 0)),
+                          min(lines.stop, slabs.stop + 1))
+        if not (len(lines) and len(slabs)):
+            return None
+        up, side = {"below": h_t / 2, "above": -h_t / 2}, {"left": h_x / 2, "right": -h_x / 2}
+        if kind.is_horizontal:  # row r on the line t = ts[lines[r]], column ix over xs[ix:ix + 2]
+            line, ix = np.array(lines)[:, None], np.arange(nx)
+            first = np.where(line > 0, (line - 1) * nx + ix, -1)
+            second = np.where(line < nt, line * nx + ix, -1)
+            table = _table(first.shape, below=first, above=second, left=-1, right=-1,
+                           lo=xs[:-1], hi=xs[1:], fixed=ts[line], alpha=0.0,
+                           normal_sign=0.0, beta=0.0)
+            across, owner = up, up["above" if kind is FacetKind.INITIAL else "below"]
+        else:  # row s in slab s, column c on the line x = xs[lines[c]]
+            slab, k = np.array(slabs)[:, None], np.array(lines)
+            first = np.where(k > 0, slab * nx + k - 1, -1)
+            second = np.where(k < nx, slab * nx + k, -1)
+            dirichlet = kind is FacetKind.DIRICHLET
+            table = _table(first.shape, below=-1, above=-1, left=first, right=second,
+                           lo=ts[slab], hi=ts[slab + 1], fixed=xs[k], alpha=1.0 / h_x,
+                           normal_sign=[-1.0, 1.0] if dirichlet else 1.0,
+                           beta=0.0 if dirichlet else h_x)
+            across, owner = side, [side["right"], side["left"]] if dirichlet else side["left"]
+        # the owner: the first neighbour where there is one
+        table.update(_table(first.shape, owner=np.where(first >= 0, first, second)))
+        offset = {name: np.tile(v, len(first)) if np.ndim(v) else np.array([v])
+                  for name, v in (*across.items(), ("owner", owner))}
+        return FacetArrays(kind, **table,
+                           half=np.array([(h_x if kind.is_horizontal else h_t) / 2]),
+                           offset=MappingProxyType(offset))
 
 
 def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
-    """Uniform nx-by-nt tensor mesh with complete facet taxonomy.
+    """Uniform nx-by-nt tensor mesh.
 
     Every element stores the exact sizes h_x = width / nx and
     h_t = t_final / nt, not differences of the grid points, so all elements
-    share one size, and h_Fx = h_x on every time-like facet.  Within a slab
-    the facets of a kind are ordered by x; the Dirichlet owners' offsets are
-    (n_facets,), and every other ``offset`` and ``half`` is shared.
+    share one size.
     """
     if nx < 1 or nt < 1:
         raise ValueError("nx and nt must be >= 1")
     xs = np.linspace(domain.x_lo, domain.x_hi, nx + 1)
     ts = np.linspace(0.0, domain.t_final, nt + 1)
-    h_x = domain.width / nx
-    h_t = domain.t_final / nt
-
-    x_range = np.column_stack((np.tile(xs[:-1], nt), np.tile(xs[1:], nt)))
-    t_range = np.column_stack((np.repeat(ts[:-1], nx), np.repeat(ts[1:], nx)))
     elements = ElementArrays(
-        center=0.5 * np.column_stack((x_range[:, 0] + x_range[:, 1],
-                                      t_range[:, 0] + t_range[:, 1])),
-        h=np.full((nx * nt, 2), (h_x, h_t)), x_range=x_range, t_range=t_range)
-    return Mesh(domain=domain, nx=nx, nt=nt, element_arrays=elements,
-                facets=MappingProxyType(_build_facets(xs, ts, h_x, h_t)))
+        center=0.5 * np.column_stack((np.tile(xs[:-1] + xs[1:], nt),
+                                      np.repeat(ts[:-1] + ts[1:], nx))),
+        h=np.full((nx * nt, 2), (domain.width / nx, domain.t_final / nt)))
+    return Mesh(domain=domain, xs=xs, ts=ts, element_arrays=elements)
 
 
 _IDS = ("owner", "below", "above", "left", "right")
 
 
 def _table(shape, **fields) -> dict[str, np.ndarray]:
-    """Every field broadcast to ``shape``: ids as intp, the rest as float."""
-    return {name: np.broadcast_to(np.asarray(v, dtype=np.intp if name in _IDS else float),
-                                  shape) for name, v in fields.items()}
-
-
-def _build_facets(xs: np.ndarray, ts: np.ndarray, h_x: float, h_t: float
-                  ) -> dict[FacetKind, FacetArrays]:
-    """The FacetArrays of every kind of the tensor grid xs x ts."""
-    nx, nt = len(xs) - 1, len(ts) - 1
-    up, side = {"below": h_t / 2, "above": -h_t / 2}, {"left": h_x / 2, "right": -h_x / 2}
-    facets = {}
-    for kind, lines, across, owner, sign, beta in (
-            (FacetKind.INITIAL, [0], up, up["above"], 0.0, 0.0),
-            (FacetKind.SPACE_INTERIOR, range(1, nt), up, up["below"], 0.0, 0.0),
-            (FacetKind.FINAL, [nt], up, up["below"], 0.0, 0.0),
-            (FacetKind.TIME_INTERIOR, range(1, nx), side, side["left"], 1.0, h_x),
-            (FacetKind.DIRICHLET, [0, nx], side, [side["right"], side["left"]], [-1.0, 1.0],
-             0.0)):
-        if kind.is_horizontal:  # row r on the line t = ts[lines[r]], column ix over xs[ix:ix + 2]
-            line, ix = np.array(lines, dtype=int)[:, None], np.arange(nx)
-            first = np.where(line > 0, (line - 1) * nx + ix, -1)
-            second = np.where(line < nt, line * nx + ix, -1)
-            table = _table(first.shape, below=first, above=second, left=-1, right=-1,
-                           lo=xs[:-1], hi=xs[1:], fixed=ts[line], alpha=0.0)
-        else:  # row s in slab s, column c on the line x = xs[lines[c]]
-            slab, k = np.arange(nt)[:, None], np.array(lines, dtype=int)
-            first = np.where(k > 0, slab * nx + k - 1, -1)
-            second = np.where(k < nx, slab * nx + k, -1)
-            table = _table(first.shape, below=-1, above=-1, left=first, right=second,
-                           lo=ts[:-1, None], hi=ts[1:, None], fixed=xs[k], alpha=1.0 / h_x)
-        # the first neighbour where there is one: that array itself where there always is
-        table.update(_table(first.shape, normal_sign=sign, beta=beta, owner=(
-            first if np.all(first >= 0) else np.where(first >= 0, first, second))))
-        offset = {name: np.tile(v, len(first)) if np.ndim(v) else np.array([v])
-                  for name, v in (*across.items(), ("owner", owner))}
-        facets[kind] = FacetArrays(kind, **{name: a.reshape(-1) for name, a in table.items()},
-                                   half=np.array([(h_x if kind.is_horizontal else h_t) / 2]),
-                                   offset=MappingProxyType(offset))
-    return facets
+    """Every field broadcast to ``shape`` and flattened: ids as intp, the rest as float."""
+    table = {}
+    for name, v in fields.items():
+        a = np.empty(shape, dtype=np.intp if name in _IDS else float)
+        a[...] = v
+        table[name] = a.reshape(-1)
+    return table

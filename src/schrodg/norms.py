@@ -129,59 +129,41 @@ class _FactorTables:
     """A separable field's factor tables on one mesh's grid and n-point rule: X over
     the Gauss nodes of the grid's columns, and value and dx over its x-lines; T at the
     t-lines of a group of space-like facets, or at the Gauss nodes of a group of
-    time-like facets' slabs.  Each facet finds its column or x-line, and its t-line or
-    slab, on the grid, and reads its trace off rows of X times rows of T.  Only the last
-    T is kept, reused while the groups ask for the same lines or slabs, and the node X
+    time-like facets' slabs.  The facets of a group are whole grid rows in a known
+    order, so their traces are rows of X times rows of T, reshaped to facet order.  Only
+    the last T is kept, reused while the groups ask for the same times, and the node X
     goes at the first time-like group: a walk over the space-like groups, then the
     time-like ones chunk by chunk, evaluates every table once.
     """
 
     def __init__(self, factors, mesh: Mesh, n: int):
-        self.factors, self.n = factors, n
-        grid = mesh.element_arrays
-        columns, slabs = grid.x_range[:mesh.nx], grid.t_range[::mesh.nx]
-        self.x_lines = np.append(columns[:, 0], columns[-1, 1])
-        self.t_lines = np.append(slabs[:, 0], slabs[-1, 1])
-        self._nodes = factors(mapped_intervals(*columns.T, n)[0].reshape(-1), np.empty(0))[0]
-        self._lines = {dx: factors(self.x_lines, np.empty(0), dx)[0] for dx in (False, True)}
+        self.factors, self.mesh, self.n = factors, mesh, n
+        xs = mesh.xs
+        self._nodes = factors(mapped_intervals(xs[:-1], xs[1:], n)[0].reshape(-1),
+                              np.empty(0))[0]
+        self._lines = {dx: factors(xs, np.empty(0), dx)[0] for dx in (False, True)}
         self.modes = self._nodes.shape[1]
-        self._t = (None,)  # which t-lines or slabs the last T is at, and its rows (T.T)
+        self._t = (None,)  # the times of the last T, and its rows (T.T)
 
-    def _t_rows(self, fa) -> tuple[np.ndarray, np.ndarray]:
-        """T.T for the facets of ``fa``, and each facet's row (or block of n rows) in it."""
-        lines = fa.kind.is_horizontal
-        used, row = _on_grid(self.t_lines, fa.kind, *((fa.fixed,) if lines else (fa.lo, fa.hi)))
-        if self._t[0] != (lines, used.tobytes()):
+    def _t_rows(self, t: np.ndarray) -> np.ndarray:
+        """T.T at the times ``t``."""
+        if self._t[0] != t.tobytes():
             self._t = (None,)  # freed before the next one is built
-            self._nodes = self._nodes if lines else None
-            t = self.t_lines[used] if lines else mapped_intervals(
-                self.t_lines[used], self.t_lines[used + 1], self.n)[0]
-            self._t = (lines, used.tobytes()), self.factors(np.empty(0), t.reshape(-1))[1].T
-        return self._t[1], row
+            self._t = t.tobytes(), self.factors(np.empty(0), t)[1].T
+        return self._t[1]
 
     def trace(self, fa, dx: bool) -> np.ndarray:
-        """The value (or dx) on every facet of ``fa`` at the n-point rule, (nF, n): the
-        product of every X row and T row in use, then each facet's own."""
-        Tt, row = self._t_rows(fa)
-        if fa.kind.is_horizontal:  # rows of X: (column, node)
-            cols, at = _on_grid(self.x_lines, fa.kind, fa.lo, fa.hi)
-            grid = mode_sum(self._nodes[None], Tt[:, None]).reshape(len(Tt), -1, self.n)
-            return grid[row, cols[at]]
-        lines, at = _on_grid(self.x_lines, fa.kind, fa.fixed)
-        grid = mode_sum(self._lines[dx][lines, None], Tt[None])
-        return grid.reshape(len(lines), -1, self.n)[at, row]
-
-
-def _on_grid(grid: np.ndarray, kind: FacetKind, at: np.ndarray, upto=None):
-    """The distinct indices i on the sorted ``grid`` of the values ``at``, sorted, and the
-    place of each value among them.  Each value must equal grid[i] exactly and, with
-    ``upto``, each span (at, upto) must be (grid[i], grid[i + 1])."""
-    i = np.minimum(np.searchsorted(grid, at), len(grid) - (1 if upto is None else 2))
-    if not (np.array_equal(grid[i], at) and (upto is None or np.array_equal(grid[i + 1], upto))):
-        raise ValueError(f"a {kind.value} facet lies off the mesh grid")
-    used = np.zeros(len(grid), dtype=bool)
-    used[i] = True
-    return np.flatnonzero(used), (np.cumsum(used) - 1)[i]
+        """The value (or dx) on every facet of ``fa`` at the n-point rule, (nF, n)."""
+        n = self.n
+        if fa.kind.is_horizontal:  # t-line by t-line, then column by column
+            Tt = self._t_rows(fa.fixed[::self.mesh.nx])
+            return mode_sum(self._nodes[None], Tt[:, None]).reshape(-1, n)
+        self._nodes = None
+        lines = self.mesh.lines(fa.kind)  # slab by slab, then x-line by x-line
+        k = len(lines)
+        Tt = self._t_rows(mapped_intervals(fa.lo[::k], fa.hi[::k], n)[0].reshape(-1))
+        grid = mode_sum(self._lines[dx][lines, None], Tt[None])  # (x-line, slab node)
+        return grid.reshape(k, -1, n).swapaxes(0, 1).reshape(-1, n)
 
 
 def _tabulate(field, mesh: Mesh, n: int, tables: dict):
@@ -282,8 +264,6 @@ def l2_slice_error(field, t: float, mesh: Mesh, n: int = 20) -> float:
     """
     if not 0.0 <= t <= mesh.domain.t_final:
         raise ValueError("t outside the time interval")
-    tops = mesh.element_arrays.t_range[::mesh.nx, 1]  # the top of every slab, in order
-    elems = np.asarray(mesh.slab_elements[int(np.searchsorted(tops, t))], dtype=np.intp)
-    x_range = mesh.element_arrays.x_range[elems]
-    X, W = mapped_intervals(x_range[:, 0], x_range[:, 1], n)
+    elems = np.asarray(mesh.slab_elements[int(np.searchsorted(mesh.ts[1:], t))], dtype=np.intp)
+    X, W = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n)
     return math.sqrt(_wsum_sq(W, field.value(elems, X, t)))

@@ -293,20 +293,6 @@ def test_plane_wave_operator_image_is_zero():
     assert not np.any(image)
 
 
-def test_slab_matrix_rejects_non_neighbour_coupling():
-    import dataclasses
-
-    mesh = build_cartesian_mesh(DOM, 3, 1)
-    facets = dict(mesh.facets)
-    fa = facets[FacetKind.TIME_INTERIOR]
-    facets[FacetKind.TIME_INTERIOR] = dataclasses.replace(
-        fa, right=np.where(fa.left == 0, 2, fa.right))  # element 0 meets element 2
-    broken = dataclasses.replace(mesh, facets=facets)
-    space = SpaceKind.trefftz(1)
-    with pytest.raises(ValueError, match="not neighbours"):
-        _slab_matrix(broken, 0, MeshBasis(broken, space), _rule_sizes(space, None)[0])
-
-
 def test_plane_wave_screen_above_cond2_cap():
     import time
 
@@ -378,6 +364,17 @@ def test_non_finite_solution_fails_with_its_slab(monkeypatch):
     with pytest.raises(SlabSolveError, match="non-finite solution") as exc:
         march(mesh, SpaceKind.trefftz(1), solution_data(ExpSolution(5.0)))
     assert exc.value.slab == 1
+
+
+def test_non_finite_slab_matrix_fails_with_its_slab():
+    from schrodg.assembly import SlabSolveError
+
+    # elements 5e-7 wide and 1 long: the degree-12 Trefftz slab matrix overflows
+    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1e-6, 1.0), 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SlabSolveError, match="non-finite matrix") as exc:
+            march(mesh, SpaceKind.trefftz(12), constant_data())
+    assert exc.value.slab == 0
 
 
 def test_nan_initial_datum_fails_on_slab_0():
@@ -525,7 +522,7 @@ def test_trace_tables_are_read_only_and_kept_per_basis():
     # a place's rule row gives the same read-only table however often it is asked for,
     # from the basis that evaluated it; a new basis evaluates its own
     mesh, space = build_cartesian_mesh(DOM, 4, 3), SpaceKind.full_poly(2)
-    basis, fa = MeshBasis(mesh, space), mesh.facets[FacetKind.FINAL]
+    basis, fa = MeshBasis(mesh, space), mesh.facet_arrays(FacetKind.FINAL, range(3))
     x, t, _ = fa.local_quadrature(6, "below")
     volume = _volume_rule(mesh, 6)[:2]
     for rows in ((x, t), volume):

@@ -6,7 +6,7 @@ import pytest
 
 from schrodg.basis import (MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
                            trefftz_basis)
-from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.poly import apply_schrodinger, mi, poly_combination
 
 UNIT = dict(center=(0.0, 0.0), scales=(1.0, 1.0))
@@ -243,7 +243,8 @@ def test_facet_tables_equal_pointwise_evaluation(space, mesh_name):
             else build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 4, 3))
     basis, n = MeshBasis(mesh, space), 6
     checked = set()
-    for kind, fa in mesh.facets.items():
+    for kind in FacetKind:
+        fa = mesh.facet_arrays(kind, range(mesh.nt))
         X, T, _ = fa.quadrature(n)
         for side in FACET_SIDES[kind.value]:
             eids = getattr(fa, side)

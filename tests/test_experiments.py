@@ -241,14 +241,15 @@ def test_cli_global_oracle_leaves_outputs_unchanged(tmp_path):
     assert "global_oracle" not in json.loads(checked.with_suffix(".json").read_text())["params"]
 
 
-def test_cli_global_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("delta", [1e-3, float("nan")])
+def test_cli_global_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch, delta):
     import schrodg.experiments
 
     solve_global = schrodg.experiments.solve_global
 
     def perturbed(*args, **kwargs):
         ref = solve_global(*args, **kwargs)
-        ref.coeffs[0] += 1e-3
+        ref.coeffs[0] += delta
         return ref
 
     monkeypatch.setattr(schrodg.experiments, "solve_global", perturbed)

@@ -2,7 +2,9 @@
 
 The files under tests/data/golden were written by the CLI at commit 1976df0,
 before the mesh became array-native, except verify_basis_p2.json, written at
-commit 93a905c, before one evaluator replaced the per-polynomial one.
+commit 93a905c, before one evaluator replaced the per-polynomial one, and
+conv_h_planewave_p2_l3.* and singular_p2_l3*, written at commit 0f709ac, before
+the mesh kept only its grid lines.
 Numeric cells must agree to 1e-12 relative, every other cell exactly.
 """
 
@@ -20,7 +22,9 @@ RTOL = 1e-12
 
 RUNS = {
     "conv_h_p2_l3": ["conv-h", "--p", "2", "--levels", "3"],
+    "conv_h_planewave_p2_l3": ["conv-h", "--space", "planewave", "--p", "2", "--levels", "3"],
     "singular_p1_l3": ["singular", "--p", "1", "--levels", "3"],
+    "singular_p2_l3": ["singular", "--p", "2", "--levels", "3"],
     "conditioning_p1_l3": ["conditioning", "--p", "1", "--levels", "3"],
     "conv_p_l2": ["conv-p", "--levels", "2"],
     "verify_basis_p2": ["verify-basis", "--p", "2"],

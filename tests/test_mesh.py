@@ -203,21 +203,25 @@ def test_facet_arrays_cover_every_facet_once():
 
 
 @pytest.mark.parametrize("nx, nt", [(3, 5), (1, 1)])
-def test_facet_arrays_of_a_slab_range_are_views_of_the_kind(nx, nt):
-    # each kind is stored once; a range of slabs reads its rows with no copy, and they
-    # are the facets of those slabs one after the other
+def test_facet_arrays_of_a_slab_range_concatenate_its_slabs(nx, nt):
+    # a range of slabs gives the facets of those slabs one after the other, with the
+    # offsets and half-lengths that the facets share still stored once
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, nt)
-    slabs = range(1, nt - 1) if nt > 2 else range(nt)
-    for kind in FacetKind:
-        fa = mesh.facet_arrays(kind, slabs)
-        groups = [g for s in slabs if (g := mesh.facet_arrays(kind, s)) is not None]
-        if fa is None:
-            assert not groups
-            continue
-        for name in ("owner", "below", "above", "left", "right", "lo", "fixed", "beta"):
-            assert np.shares_memory(getattr(fa, name), getattr(mesh.facets[kind], name))
-            assert np.array_equal(getattr(fa, name),
-                                  np.concatenate([getattr(g, name) for g in groups]))
-        for slot, offset in fa.offset.items():
-            assert np.array_equal(np.broadcast_to(offset, fa.owner.shape), np.concatenate(
-                [np.broadcast_to(g.offset[slot], g.owner.shape) for g in groups]))
+    for slabs in (range(1, nt - 1) if nt > 2 else range(nt), range(nt)):
+        for kind in FacetKind:
+            fa = mesh.facet_arrays(kind, slabs)
+            groups = [g for s in slabs if (g := mesh.facet_arrays(kind, s)) is not None]
+            if fa is None:
+                assert not groups
+                continue
+            for name in ("owner", "below", "above", "left", "right", "lo", "hi", "fixed",
+                         "normal_sign", "alpha", "beta"):
+                want = np.concatenate([getattr(g, name) for g in groups])
+                assert getattr(fa, name).dtype == want.dtype
+                assert np.array_equal(getattr(fa, name), want)
+            assert fa.half.shape == (1,) and all(g.half == fa.half for g in groups)
+            for slot, offset in fa.offset.items():
+                per_facet = kind is FacetKind.DIRICHLET and slot == "owner"
+                assert offset.shape == (fa.owner.shape if per_facet else (1,))
+                assert np.array_equal(np.broadcast_to(offset, fa.owner.shape), np.concatenate(
+                    [np.broadcast_to(g.offset[slot], g.owner.shape) for g in groups]))

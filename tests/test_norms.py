@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -184,8 +183,9 @@ def test_piecewise_poly_field_matches_eval_poly_many():
     field = PiecewisePolyField(polys)
     eids = np.arange(mesh.n_elements)
     u = rng.uniform(size=(2, mesh.n_elements, 5))
-    X = arrays.x_range[:, :1] + u[0] * np.diff(arrays.x_range)
-    T = arrays.t_range[:, :1] + u[1] * np.diff(arrays.t_range)
+    ix, s = eids % mesh.nx, eids // mesh.nx
+    X = mesh.xs[ix, None] + u[0] * np.diff(mesh.xs)[ix, None]
+    T = mesh.ts[s, None] + u[1] * np.diff(mesh.ts)[s, None]
     for got, deriv in ((field.value(eids, X, T), None), (field.dx(eids, X, T), mi(1, 0))):
         want = np.stack([eval_poly_many(polys[e], X[e], T[e], deriv) for e in eids])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -376,50 +376,6 @@ def test_separable_norm_keeps_only_the_factor_tables():
     assert peak <= 1_000_000
 
 
-def _first_row(mesh, kind, slab):
-    """The row of the first facet of ``kind`` in ``slab`` among all facets of the kind."""
-    return int(np.searchsorted(mesh.facets[kind].owner, slab * mesh.nx))
-
-
-def _moved(mesh, kind, row, **values):
-    """``mesh`` with new ``values`` of the fields of facet ``row`` of ``kind``."""
-    fa, changed = mesh.facets[kind], {}
-    for name, value in values.items():
-        changed[name] = getattr(fa, name).copy()
-        changed[name][row] = value
-    return dataclasses.replace(mesh, facets={**mesh.facets,
-                                             kind: dataclasses.replace(fa, **changed)})
-
-
-def test_separable_norm_reads_each_facets_own_time():
-    # the second space-like and time-like interior facets of slab 1 move to the times of
-    # those of slab 4, so that the chunk of slabs 0-2 holds a facet on t-line 5 and one
-    # over slab 4; each facet reads its own time off the tables all the same
-    mesh = base = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 4, 6)
-    for kind, fields in ((FacetKind.SPACE_INTERIOR, ("fixed",)),
-                         (FacetKind.TIME_INTERIOR, ("lo", "hi"))):
-        a, b = (_first_row(mesh, kind, s) + 1 for s in (1, 4))
-        mesh = _moved(mesh, kind, a, **{f: getattr(mesh.facets[kind], f)[b] for f in fields})
-    exact, dsol = exact_field(SquareWellSeries(250)), _field("discrete", base)
-    for norm in (dg_norm, dg_plus_norm):
-        tables = norm(DifferenceField(exact, dsol), mesh)
-        assert tables == norm(DifferenceField(DuckField(exact), dsol), mesh)
-    # the one-sided and averaged traces of the DG+ norm read the moved times
-    assert tables != dg_plus_norm(DifferenceField(exact, dsol), base)
-
-
-@pytest.mark.parametrize("kind, slab, field", [
-    (FacetKind.FINAL, 2, "lo"), (FacetKind.DIRICHLET, 1, "fixed"),
-    (FacetKind.SPACE_INTERIOR, 0, "fixed"), (FacetKind.TIME_INTERIOR, 1, "hi")])
-def test_separable_norm_rejects_off_grid_facets(kind, slab, field):
-    # a facet moved by 0.01 off the grid cannot be read off the factor tables
-    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 4, 3)
-    row = _first_row(mesh, kind, slab)
-    mesh = _moved(mesh, kind, row, **{field: getattr(mesh.facets[kind], field)[row] + 0.01})
-    with pytest.raises(ValueError, match=f"a {kind.value} facet lies off the mesh grid"):
-        dg_norm(exact_field(SquareWellSeries(250)), mesh)
-
-
 def test_norm_memory_does_not_grow_with_the_number_of_slabs():
     # a chunk of the 40-column meshes holds at most 19 slabs (the point budget over
     # 41 x 20 points per slab): the 10-slab norm is one chunk, and the 80-slab one peaks
@@ -447,7 +403,8 @@ def test_discrete_local_matches_value_at_global_points(mesh_name):
     # that is a facet side's rule is read off the basis' trace table on the uniform mesh
     mesh = perturbed_mesh() if mesh_name == "perturbed" else build_cartesian_mesh(DOM, 4, 4)
     dsol, eids = _field("discrete", mesh), np.arange(mesh.n_elements)
-    side_rule = mesh.facets[FacetKind.TIME_INTERIOR].local_quadrature(5, "right")[:2]
+    side_rule = mesh.facet_arrays(FacetKind.TIME_INTERIOR, range(mesh.nt)).local_quadrature(
+        5, "right")[:2]
     for x, t in ((np.linspace(-0.1, 0.12, 5)[None], np.linspace(-0.11, 0.1, 5)[None]),
                  side_rule):
         values = dsol.basis.evaluate(eids, x, t)
