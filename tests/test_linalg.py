@@ -5,7 +5,7 @@ import scipy.linalg
 from schrodg.linalg import FactoredMatrix, SingularMatrixError, cond2, from_band
 
 
-def to_band(a):
+def band_storage(a):
     """The square matrix ``a`` in ``zgbtrf`` band storage (ab, kl, ku), with its bandwidths:
     a[i, j] = ab[kl + ku + i - j, j], and the first kl rows are LU workspace."""
     a = np.asarray(a, dtype=complex)
@@ -17,7 +17,7 @@ def to_band(a):
 
 
 def band_solve(a, b):
-    return FactoredMatrix(*to_band(a)).solve(b)
+    return FactoredMatrix(*band_storage(a)).solve(b)
 
 
 def random_banded(rng, n, kl, ku):
@@ -55,7 +55,7 @@ def test_shape_validation():
 
 
 def test_non_finite_band_rejected():
-    ab, kl, ku = to_band(np.eye(3))
+    ab, kl, ku = band_storage(np.eye(3))
     ab[kl + ku, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         FactoredMatrix(ab, kl, ku)
@@ -64,7 +64,7 @@ def test_non_finite_band_rejected():
 @pytest.mark.parametrize("kl, ku", [(0, 0), (2, 1), (1, 3), (5, 5)])
 def test_band_round_trip_is_exact(kl, ku):
     a = random_banded(np.random.default_rng(kl + 7 * ku), 9, kl, ku)
-    ab, kl_found, ku_found = to_band(a)
+    ab, kl_found, ku_found = band_storage(a)
     assert (kl_found, ku_found) == (kl, ku)
     assert ab.shape == (2 * kl + ku + 1, 9)
     assert np.array_equal(from_band(ab, kl, ku), a)
@@ -76,7 +76,7 @@ def test_rcond_estimate_bounds_cond1(n):
     a = random_banded(rng, n, 5, 5)
     a[np.arange(n), np.arange(n)] *= np.geomspace(1.0, 1e-6, n)  # not too well-conditioned
     cond1 = np.linalg.cond(a, 1)
-    estimate = 1.0 / FactoredMatrix(*to_band(a)).rcond
+    estimate = 1.0 / FactoredMatrix(*band_storage(a)).rcond
     assert cond1 / 10 <= estimate <= cond1 * (1 + 1e-8)
 
 
