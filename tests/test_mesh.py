@@ -225,3 +225,85 @@ def test_facet_arrays_of_a_slab_range_concatenate_its_slabs(nx, nt):
                 assert offset.shape == (fa.owner.shape if per_facet else (1,))
                 assert np.array_equal(np.broadcast_to(offset, fa.owner.shape), np.concatenate(
                     [np.broadcast_to(g.offset[slot], g.owner.shape) for g in groups]))
+
+
+@pytest.mark.parametrize("nx, nt", [(1, 1), (1, 3), (4, 2)])
+def test_lines_name_each_kinds_grid_lines(nx, nt):
+    # the space-like kinds split the t-lines and the time-like ones the x-lines, in order,
+    # and every facet of a kind lies on one of its lines
+    mesh = build_cartesian_mesh(SpaceTimeDomain(-0.5, 2.0, 0.7), nx, nt)
+    lines = {kind: list(mesh.lines(kind)) for kind in FacetKind}
+    assert (lines[FacetKind.INITIAL] + lines[FacetKind.SPACE_INTERIOR]
+            + lines[FacetKind.FINAL]) == list(range(nt + 1))
+    assert sorted(lines[FacetKind.TIME_INTERIOR] + lines[FacetKind.DIRICHLET]) == list(
+        range(nx + 1))
+    assert lines[FacetKind.DIRICHLET] == [0, nx]
+    for kind in FacetKind:
+        fa = mesh.facet_arrays(kind, range(nt))
+        if fa is None:
+            assert not lines[kind]
+            continue
+        grid = mesh.ts if kind.is_horizontal else mesh.xs
+        assert np.array_equal(np.unique(fa.fixed), grid[lines[kind]])
+
+
+def element_sides(mesh, kind):
+    """The facets of ``kind`` built side by side from the element records, as
+    {field: array} in `facet_arrays` order: by the owner's slab, then by x."""
+    nx, nt, rows = mesh.nx, mesh.nt, []
+    centre = mesh.element_arrays.center
+    for el in mesh.elements:
+        (x0, x1), (t0, t1), e = el.x_range, el.t_range, el.id
+        if kind.is_horizontal:  # the bottom side, and the top one in the last slab
+            sides = [(t0, e - nx if el.slab else -1, e)]
+            if el.slab == nt - 1:
+                sides.append((t1, e, -1))
+            for t, below, above in sides:
+                found = (FacetKind.INITIAL if below < 0 else
+                         FacetKind.FINAL if above < 0 else FacetKind.SPACE_INTERIOR)
+                if found is kind:
+                    owner = below if below >= 0 else above
+                    rows.append(dict(owner=owner, below=below, above=above, left=-1, right=-1,
+                                     lo=x0, hi=x1, fixed=t, normal_sign=0.0, alpha=0.0,
+                                     beta=0.0, half=el.h_x / 2, slab=owner // nx, x=x0,
+                                     owner_offset=t - centre[owner, 1]))
+        else:  # the left side, and the right one at the right boundary
+            sides = [(x0, e - 1 if el.ix else -1, e)]
+            if el.ix == nx - 1:
+                sides.append((x1, e, -1))
+            for x, left, right in sides:
+                dirichlet = left < 0 or right < 0
+                if dirichlet is (kind is FacetKind.DIRICHLET):
+                    owner = left if left >= 0 else right
+                    sign = (1.0 if left >= 0 else -1.0) if dirichlet else 1.0
+                    rows.append(dict(owner=owner, below=-1, above=-1, left=left, right=right,
+                                     lo=t0, hi=t1, fixed=x, normal_sign=sign,
+                                     alpha=1.0 / el.h_x, beta=0.0 if dirichlet else el.h_x,
+                                     half=el.h_t / 2, slab=el.slab, x=x,
+                                     owner_offset=x - centre[owner, 0]))
+    rows.sort(key=lambda r: (r["slab"], r["x"]))
+    return {name: np.array([r[name] for r in rows]) for name in rows[0]}
+
+
+@pytest.mark.parametrize("kind", list(FacetKind))
+def test_facet_arrays_match_the_element_sides(kind):
+    # the index arithmetic of facet_arrays gives the facets that the elements' own sides
+    # name, field by field and in the same order
+    mesh = build_cartesian_mesh(SpaceTimeDomain(-0.5, 2.0, 0.7), 3, 4)
+    fa, want = mesh.facet_arrays(kind, range(mesh.nt)), element_sides(mesh, kind)
+    for name in ("owner", "below", "above", "left", "right"):
+        assert getattr(fa, name).dtype == np.intp
+        assert getattr(fa, name).tolist() == want[name].tolist()
+    for name in ("lo", "hi", "fixed", "normal_sign", "alpha", "beta"):
+        assert getattr(fa, name).dtype == float
+        assert np.array_equal(getattr(fa, name), want[name])
+    assert np.allclose(np.broadcast_to(fa.half, fa.owner.shape), want["half"],
+                       rtol=1e-14, atol=0)
+    # each neighbour's offset is the signed distance from its centre to the facet's line
+    assert np.allclose(np.broadcast_to(fa.offset["owner"], fa.owner.shape),
+                       want["owner_offset"], rtol=0, atol=1e-14)
+    centre = mesh.element_arrays.center[:, 1 if kind.is_horizontal else 0]
+    for slot, ids in ((s, getattr(fa, s)) for s in fa.offset if s != "owner"):
+        has = ids >= 0
+        assert np.allclose(np.broadcast_to(fa.offset[slot], ids.shape)[has],
+                           fa.fixed[has] - centre[ids[has]], rtol=0, atol=1e-14)
