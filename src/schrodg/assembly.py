@@ -113,7 +113,7 @@ class DiscreteSolution:
     def local(self, eids, x, t, dx: bool = False) -> np.ndarray:
         if not self._known[eids].all():
             raise ValueError(f"element {eids[~self._known[eids]][0]} has no coefficients yet")
-        values = self.basis.evaluate(eids, x, t, dx=dx)
+        values = self.basis.evaluate(x, t, dx=dx)
         if len(values) == 1:  # one row that every element shares: a single product
             return self.coeffs[eids] @ values[0]
         return (self.coeffs[eids][:, None, :] @ values)[:, 0]
@@ -131,10 +131,8 @@ class DiscreteSolution:
 
 
 def element_bases(mesh: Mesh, space: SpaceKind) -> list[ElementBasis]:
-    """Local bases for every element (coefficient maps shared across congruent ones)."""
-    arrays = mesh.element_arrays
-    return [element_basis(space, tuple(center), tuple(h))
-            for center, h in zip(arrays.center.tolist(), arrays.h.tolist())]
+    """Local bases for every element (coefficient maps shared, as the elements share a size)."""
+    return [element_basis(space, tuple(center), mesh.h) for center in mesh.centers.tolist()]
 
 
 def _rule_sizes(space: SpaceKind, n_quad: int | None) -> tuple[int, int]:
@@ -167,7 +165,7 @@ def _volume_rule(mesh: Mesh, n: int):
     """The tensor rule of `rect_rule` on an element of the mesh's grid, as offsets x, t
     from its centre, and weights w: each one row (1, n * n) that every element shares."""
     rule = gauss_legendre(n)
-    hx, ht = 0.5 * mesh.domain.width / mesh.nx, 0.5 * mesh.domain.t_final / mesh.nt
+    hx, ht = 0.5 * mesh.h[0], 0.5 * mesh.h[1]
     return (np.repeat(hx * rule.nodes, n)[None], np.tile(ht * rule.nodes, n)[None],
             np.outer(hx * rule.weights, ht * rule.weights).reshape(1, n * n))
 
@@ -200,18 +198,18 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
         fa = mesh.facet_arrays(kind, slab)
         if fa is not None:
             x, t, W = fa.local_quadrature(n_form, "below")
-            v = basis.evaluate(fa.below, x, t)
+            v = basis.evaluate(x, t)
             add(fa.below, fa.below, 1j * _pair(v, v, W))
             if kind is FacetKind.SPACE_INTERIOR:  # the upwind trace v, tested from above
                 x, t, _ = fa.local_quadrature(n_form, "above")
                 _add_at(coupling, ((fa.below - first)[:, None, None] * dim + a) * dim + b,
-                        -1j * _pair(basis.evaluate(fa.above, x, t), v, W))
+                        -1j * _pair(basis.evaluate(x, t), v, W))
 
     fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
     if fa is not None:
         W = fa.local_quadrature(n_form, "left")[2]
         al, be = fa.alpha[:, None, None], fa.beta[:, None, None]
-        sides = [(ids, *basis.traces(ids, *fa.local_quadrature(n_form, s)[:2]), sign)
+        sides = [(ids, *basis.traces(*fa.local_quadrature(n_form, s)[:2]), sign)
                  for s, ids, sign in (("left", fa.left, 1.0), ("right", fa.right, -1.0))]
         for ea, va, ga, na in sides:
             for eb, vb, gb, nb in sides:
@@ -223,7 +221,7 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
     if fa is not None:
         x, t, W = fa.local_quadrature(n_form, "owner")
-        v, g = basis.traces(fa.owner, x, t)
+        v, g = basis.traces(x, t)
         add(fa.owner, fa.owner, 0.5 * (fa.normal_sign[:, None, None] * _pair(v, g, W)
                                        + 1j * fa.alpha[:, None, None] * _pair(v, v, W)))
 
@@ -231,7 +229,7 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
         elems = np.arange(first, first + nx)
         x, t, W = _volume_rule(mesh, n_form)
         add(elems, elems,
-            _pair(basis.evaluate(elems, x, t, image=True), basis.evaluate(elems, x, t), W))
+            _pair(basis.evaluate(x, t, image=True), basis.evaluate(x, t), W))
     return (ab, kl, ku), coupling
 
 
@@ -256,7 +254,7 @@ def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
     fa = mesh.facet_arrays(FacetKind.INITIAL, range(mesh.n_slabs))
     x, t, W = fa.local_quadrature(n_data, "above")
     psi0 = np.asarray(data.psi0(fa.quadrature(n_data)[0]), dtype=complex)[:, None]
-    np.add.at(out, fa.above, 1j * _pair(basis.evaluate(fa.above, x, t), psi0, W)[..., 0])
+    np.add.at(out, fa.above, 1j * _pair(basis.evaluate(x, t), psi0, W)[..., 0])
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, range(mesh.n_slabs))
     gv = np.asarray(data.g_D(*fa.quadrature(n_data)[:2]), dtype=complex)[:, None]
@@ -264,7 +262,7 @@ def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
         ids = getattr(fa, side)       # facets with a neighbour there share its offsets
         has = ids >= 0
         x, t, W = fa.local_quadrature(n_data, side)
-        v, g = basis.traces(ids[has], x, t)
+        v, g = basis.traces(x, t)
         np.add.at(out, ids[has], 0.5 * (fa.normal_sign[has, None] * _pair(g, gv[has], W)[..., 0]
                                         + 1j * fa.alpha[has, None] * _pair(v, gv[has], W)[..., 0]))
 
@@ -278,45 +276,42 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
           n_quad: int | None = None) -> DiscreteSolution:
     """Solve the slab systems in time order by block forward substitution.
 
-    Slab s solves M_ss c_s = l_s - B_s c_{s-1}: `_slab_matrix` gives the
-    diagonal block and the coupling B into the next slab, and the coupling
-    times the coefficients just solved is carried into the next right-hand
-    side; no field is evaluated.  l depends on the data alone, so
-    `_data_rhs` assembles it for every slab in one batch before the loop,
-    into the coefficient array whose rows each slab's solve then overwrites.
-    Each diagonal block is assembled and LU-factored in band storage, so its
-    cost and memory grow linearly in the elements per slab.  Every family is
-    evaluated relative to the element center, so on a uniform mesh every
-    slab has the same operator: it is assembled, screened and factored once
-    and reused for every slab.  A plane-wave slab above `COND_FLAG` fails with
-    a SlabSolveError: on the SVD cond2 up to `COND_MAX_N` unknowns, above it
-    on LAPACK's 1-norm estimate 1 / rcond.  A slab whose matrix, right-hand
-    side or solution is not finite fails too.
+    Slab s solves M_ss c_s = l_s - B_s c_{s-1}, with the diagonal block M and
+    the coupling B into the next slab from `_slab_matrix`.  Every element has
+    the mesh's one size and every family is evaluated relative to the element
+    centre, so every slab has the same operator: slab 0's is assembled,
+    screened and LU-factored in band storage once, before the loop, at a cost
+    and memory linear in the elements per slab.  l depends on the data alone,
+    so `_data_rhs` assembles it for every slab in one batch, into the
+    coefficient array whose rows each slab's solve then overwrites.  The loop
+    only solves, and carries the coupling times the coefficients just solved
+    into the next right-hand side; no field is evaluated.  A plane-wave
+    operator above `COND_FLAG` fails with a SlabSolveError naming slab 0: on
+    the SVD cond2 up to `COND_MAX_N` unknowns, above it on LAPACK's 1-norm
+    estimate 1 / rcond.  A matrix, right-hand side or solution that is not
+    finite fails too, naming its slab.
     """
     n_form, n_data = _rule_sizes(space, n_quad)
     sol = DiscreteSolution(mesh, space)
     data_rhs = sol.coeffs  # l of every slab, until the slab's solve overwrites its rows
     _data_rhs(data_rhs, mesh, sol.basis, data, n_data)
-    factor, carry = None, 0.0
+    band, coupling = _slab_matrix(mesh, 0, sol.basis, n_form)
+    if not np.all(np.isfinite(band[0])):
+        raise SlabSolveError(0, float("nan"), "non-finite matrix")
+    small = band[0].shape[1] <= COND_MAX_N
+    if small:
+        sol.first_slab = band
+    if space.family == "planewave" and small:
+        sol.screen_cond2 = cond2(from_band(*band))
+        _screen(0, sol.screen_cond2)
+    try:
+        factor = FactoredMatrix(*band)
+    except SingularMatrixError as exc:
+        raise SlabSolveError(0, float("inf"), "singular matrix") from exc
+    if space.family == "planewave" and not small:
+        _screen(0, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"))
+    carry = 0.0
     for slab in range(mesh.n_slabs):
-        if factor is None or not mesh.is_uniform:
-            band, coupling = _slab_matrix(mesh, slab, sol.basis, n_form)
-            if not np.all(np.isfinite(band[0])):
-                raise SlabSolveError(slab, float("nan"), "non-finite matrix")
-            small = band[0].shape[1] <= COND_MAX_N
-            if slab == 0 and small:
-                sol.first_slab = band
-            if space.family == "planewave" and small:
-                cond = cond2(from_band(*band))
-                if slab == 0:
-                    sol.screen_cond2 = cond
-                _screen(slab, cond)
-            try:
-                factor = FactoredMatrix(*band)
-            except SingularMatrixError as exc:
-                raise SlabSolveError(slab, float("inf"), "singular matrix") from exc
-            if space.family == "planewave" and not small:
-                _screen(slab, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"))
         rows = slice(slab * mesh.nx, (slab + 1) * mesh.nx)
         rhs = data_rhs[rows].reshape(-1) - carry
         if not np.all(np.isfinite(rhs)):
@@ -345,7 +340,7 @@ def _facets(mesh: Mesh, kinds):
 def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.ndarray]:
     """Values and x-derivatives (dim, nq) of element ``eid``'s basis at the points xs, ts."""
     xc, tc = basis.center[eid]
-    v, g = basis.traces([eid], np.atleast_1d(xs - xc)[None], np.atleast_1d(ts - tc)[None])
+    v, g = basis.traces(np.atleast_1d(xs - xc)[None], np.atleast_1d(ts - tc)[None])
     return v[0], g[0]
 
 
@@ -402,7 +397,7 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> 
             xg, tg, wg = rect_rule((xs[ix], xs[ix + 1]), (ts[s], ts[s + 1]), n)
             rows, _, _, cols, u, _ = side(e, xg, tg)
             xc, tc = basis.center[e]
-            sv = basis.evaluate([e], (xg - xc)[None], (tg - tc)[None], image=True)[0]
+            sv = basis.evaluate((xg - xc)[None], (tg - tc)[None], image=True)[0]
             out[rows, cols] += (sv.conj() * wg) @ u.T
 
 

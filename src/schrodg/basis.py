@@ -21,10 +21,10 @@ Every family is centered at the element center (x_K, t_K), so all elements
 of one size carry the same basis, only translated.  `element_basis` builds
 the basis of any family on a d = 1 element; `trefftz_basis(d, ...)` builds
 the Trefftz family in any space dimension d.  `MeshBasis.evaluate` evaluates
-the basis of many elements in one array call, at offsets from their
-centres, from one `coefficient_table` per element size, and on a one-size mesh
-keeps each rule row along a side or over the volume as a trace table.  Every
-evaluation goes through `poly.scaled_monomials` or the one wave formula.
+the basis of a mesh's elements, which share the one size `Mesh.h`, in one array
+call at offsets from their centres, from one `coefficient_table`, and keeps each
+rule row along a side or over the volume as a trace table.  Every evaluation
+goes through `poly.scaled_monomials` or the one wave formula.
 """
 
 from __future__ import annotations
@@ -260,73 +260,54 @@ def coefficient_table(kind: SpaceKind, hx: float, ht: float
 class MeshBasis:
     """The local basis of every element of a mesh, evaluated a batch at a time.
 
-    `evaluate` and `traces` take element ids ``eids`` (nF,) and offsets ``x``, ``t``
-    from each element's centre that broadcast to (nF, nq): row f lies on element
-    eids[f]; they return basis values alone, for the caller to contract.  Every
-    family goes through `coefficient_table`, one table per distinct element size
-    (`Mesh.size_groups`).  A shared (1, nq) row of offsets is evaluated once per size, and
-    on a one-size mesh a reference place's rule row (`_place`) once per basis, then read
-    off a read-only trace table; a result equal for every element keeps its leading 1.
+    `evaluate` and `traces` take offsets ``x``, ``t`` from element centres that
+    broadcast to (nF, nq), row f on one element; they return basis values alone, for
+    the caller to contract.  Every element has the mesh's one size `Mesh.h`, so the
+    basis is one `coefficient_table`, the same at every centre.  A reference place's
+    rule row (`_place`) is evaluated once per basis and then read off a read-only trace
+    table; a result equal for every element keeps its leading 1.
     """
 
     def __init__(self, mesh, kind: SpaceKind):
         self.kind = kind
         self.dim = kind.dim(1)
-        self.center = mesh.element_arrays.center
-        self.sizes, self.size_group = mesh.size_groups
+        self.center, self.h = mesh.centers, mesh.h
         self._rules, self._tables = {}, {}  # n -> {row: (n, place)}; key -> trace table
 
-    def traces(self, eids, x, t) -> tuple[np.ndarray, np.ndarray]:
+    def traces(self, x, t) -> tuple[np.ndarray, np.ndarray]:
         """Values and x-derivatives of every basis function, each (nF, dim, nq)."""
-        return self.evaluate(eids, x, t), self.evaluate(eids, x, t, dx=True)
+        return self.evaluate(x, t), self.evaluate(x, t, dx=True)
 
-    def evaluate(self, eids, x, t, dx=False, image=False) -> np.ndarray:
+    def evaluate(self, x, t, dx=False, image=False) -> np.ndarray:
         """Every basis function at the offsets of row f, (nF, dim, nq): its x-derivative
         with ``dx``, its image under i d/dt + (1/2) d^2/dx^2 (0 for plane waves) with ``image``."""
         key = (self._place(x, t), dx, image)
         if key in self._tables:
             return self._tables[key]
-        eids = np.asarray(eids, dtype=np.intp)
-        parts = []
-        for rows, (hx, ht) in self._size_groups(eids):
-            local, table, image_table = coefficient_table(self.kind, hx, ht)
-            xr, tr = (a if len(a) == 1 else a[rows] for a in (x, t))
-            if self.kind.family == "planewave":
-                fun = _wave(local[:, None, None], xr, tr, ax=int(dx))
-            else:
-                fun = scaled_monomials(local, (xr / hx, tr / ht), mi(1, 0) if dx else None)
-                if dx:
-                    fun /= hx
-            parts.append((rows, (image_table if image else table) @ fun.swapaxes(0, -2)))
-        if len(parts) == 1:  # one element size: the result keeps the offsets' shape
-            out = parts[0][1]
+        hx, ht = self.h
+        local, table, image_table = coefficient_table(self.kind, hx, ht)
+        if self.kind.family == "planewave":
+            fun = _wave(local[:, None, None], x, t, ax=int(dx))
         else:
-            out = np.empty((len(eids),) + np.broadcast_shapes(*(v.shape[1:] for _, v in parts)),
-                           dtype=complex)
-            for rows, v in parts:
-                out[rows] = v
+            fun = scaled_monomials(local, (x / hx, t / ht), mi(1, 0) if dx else None)
+            if dx:
+                fun /= hx
+        out = (image_table if image else table) @ fun.swapaxes(0, -2)
         if key[0] is not None:
             out.flags.writeable = False
             self._tables[key] = out
         return out
 
     def _place(self, x, t) -> tuple[int, str] | None:
-        """(n, place) if x, t are, to the bit, the n-point rule row along a side of this one-size
-        mesh's elements (`FacetArrays.local_quadrature`) or over them (`assembly._volume_rule`);
-        None for any other offsets, which are evaluated as given."""
+        """(n, place) if x, t are, to the bit, the n-point rule row along a side of the
+        mesh's elements (`FacetArrays.local_quadrature`) or over them
+        (`assembly._volume_rule`); None for any other offsets, which are evaluated as given."""
         n = math.isqrt(x.size) if x.shape == t.shape else max(x.shape[-1], t.shape[-1])
-        if len(self.sizes) == 1 and len(x) == len(t) == 1 and 1 <= n <= MAX_NODES:
+        if len(x) == len(t) == 1 and 1 <= n <= MAX_NODES:
             if n not in self._rules:
-                nodes, (hx, ht) = gauss_legendre(n).nodes, np.divide(self.sizes[0], 2)
+                nodes, (hx, ht) = gauss_legendre(n).nodes, np.divide(self.h, 2)
                 rows = {"top": (hx * nodes, ht), "bottom": (hx * nodes, -ht),
                         "right": (hx, ht * nodes), "left": (-hx, ht * nodes),
                         "volume": (np.repeat(hx * nodes, n), np.tile(ht * nodes, n))}
                 self._rules[n] = {(a.tobytes(), b.tobytes()): (n, k) for k, (a, b) in rows.items()}
             return self._rules[n].get((x.tobytes(), t.tobytes()))
-
-    def _size_groups(self, eids):
-        """(rows of eids, element size) for every size present; all rows if one size."""
-        if len(self.sizes) == 1:
-            return [(slice(None), self.sizes[0])]
-        group = self.size_group[eids]
-        return [(np.flatnonzero(group == g), self.sizes[g]) for g in np.unique(group)]

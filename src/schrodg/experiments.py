@@ -147,8 +147,7 @@ def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) 
 
 
 def _row(level: int, mesh, space, err, cond) -> ConvergenceRow:
-    return ConvergenceRow(level, mesh.domain.width / mesh.nx, mesh.domain.t_final / mesh.nt,
-                          mesh.n_elements * space.dim(1), err, None, cond)
+    return ConvergenceRow(level, *mesh.h, mesh.n_elements * space.dim(1), err, None, cond)
 
 
 def _rated(rows: list[ConvergenceRow], rate_of: str = "dg_error") -> list[ConvergenceRow]:

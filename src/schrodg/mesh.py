@@ -2,8 +2,9 @@
 
 A mesh is the grid xs x ts: elements are the axis-aligned rectangles
 K = (xs[ix], xs[ix + 1]) x (ts[s], ts[s + 1]), grouped into time slabs, and
-element s * nx + ix is column ix of slab s.  `ElementArrays` holds each
-element's centre and size, the scales of its local basis.  Every facet lies
+element s * nx + ix is column ix of slab s.  The grid is uniform, so every
+element has the one size `Mesh.h` = (width / nx, t_final / nt), the scales of
+its local basis, and `Mesh.centers` holds the element centres.  Every facet lies
 on a grid line: horizontal (space-like: constant t) on a t-line, or vertical
 (time-like: constant x) on an x-line, and `Mesh.lines` names the lines of
 each kind.  `Mesh.facet_arrays` builds the facets of one kind over a slab,
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class SpaceTimeDomain:
 
 @dataclass(frozen=True)
 class Element:
-    """One element, read from a mesh's `ElementArrays` (see `Mesh.elements`)."""
+    """One element, read from a mesh's grid (see `Mesh.elements`)."""
 
     id: int
     ix: int
@@ -71,13 +72,6 @@ class Element:
     h_x: float
     h_t: float
     center: tuple[float, float]
-
-
-class ElementArrays(NamedTuple):
-    """Element geometry as arrays, one row per element id."""
-
-    center: np.ndarray  # (n, 2): x_K, t_K
-    h: np.ndarray       # (n, 2): h_x, h_t
 
 
 @dataclass(frozen=True)
@@ -130,12 +124,22 @@ class FacetArrays:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """The mesh of the grid xs x ts: element geometry, with the facets derived from the grid."""
+    """The mesh of the grid xs x ts, with elements and facets derived from the grid.
+
+    The grid lines must be, to the bit, np.linspace(x_lo, x_hi, nx + 1) and
+    np.linspace(0, t_final, nt + 1) with nx, nt >= 1 (as `build_cartesian_mesh` makes
+    them): every size, weight and offset is read off `h`, so other lines raise.
+    """
 
     domain: SpaceTimeDomain
-    xs: np.ndarray  # (nx + 1,): the x-lines, increasing
-    ts: np.ndarray  # (nt + 1,): the t-lines, increasing from 0
-    element_arrays: ElementArrays
+    xs: np.ndarray  # (nx + 1,): the x-lines
+    ts: np.ndarray  # (nt + 1,): the t-lines
+
+    def __post_init__(self):
+        d = self.domain
+        if not (_is_linspace(self.xs, d.x_lo, d.x_hi) and _is_linspace(self.ts, 0.0, d.t_final)):
+            raise ValueError("the grid lines must be np.linspace(x_lo, x_hi, nx + 1) and "
+                             "np.linspace(0, t_final, nt + 1), with nx, nt >= 1")
 
     @property
     def nx(self) -> int:
@@ -153,6 +157,20 @@ class Mesh:
     def n_elements(self) -> int:
         return self.nx * self.nt
 
+    @property
+    def h(self) -> tuple[float, float]:
+        """The one element size (h_x, h_t) = (width / nx, t_final / nt)."""
+        return self.domain.width / self.nx, self.domain.t_final / self.nt
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """Every element's centre (x_K, t_K), (n_elements, 2), read-only."""
+        xs, ts = self.xs, self.ts
+        centers = 0.5 * np.column_stack((np.tile(xs[:-1] + xs[1:], self.nt),
+                                         np.repeat(ts[:-1] + ts[1:], self.nx)))
+        centers.flags.writeable = False
+        return centers
+
     @cached_property
     def slab_elements(self) -> tuple[range, ...]:
         """The element ids of every slab, in x order."""
@@ -160,26 +178,12 @@ class Mesh:
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        """Every element as a record, built from the grid and `element_arrays` on first use."""
-        a, nx, xs, ts = self.element_arrays, self.nx, self.xs.tolist(), self.ts.tolist()
+        """Every element as a record, built from the grid on first use."""
+        nx, xs, ts, (h_x, h_t) = self.nx, self.xs.tolist(), self.ts.tolist(), self.h
         return tuple(Element(id=e, ix=e % nx, slab=e // nx, x_range=(xs[e % nx], xs[e % nx + 1]),
-                             t_range=(ts[e // nx], ts[e // nx + 1]), h_x=h[0], h_t=h[1],
+                             t_range=(ts[e // nx], ts[e // nx + 1]), h_x=h_x, h_t=h_t,
                              center=tuple(c))
-                     for e, (c, h) in enumerate(zip(a.center.tolist(), a.h.tolist())))
-
-    @cached_property
-    def size_groups(self) -> tuple[list[tuple[float, float]], np.ndarray]:
-        """The distinct element sizes (h_x, h_t), and each element's index among them."""
-        h = self.element_arrays.h
-        if np.all(h == h[0]):  # one size, as on every built mesh: no sort
-            return [tuple(h[0].tolist())], np.zeros(len(h), dtype=np.intp)
-        sizes, group = np.unique(h, axis=0, return_inverse=True)
-        return [tuple(h) for h in sizes.tolist()], group.reshape(-1)
-
-    @property
-    def is_uniform(self) -> bool:
-        """Whether every element has the same size (h_x, h_t)."""
-        return len(self.size_groups[0]) <= 1
+                     for e, c in enumerate(self.centers.tolist()))
 
     def lines(self, kind: FacetKind) -> range:
         """The grid lines that the facets of ``kind`` lie on: indices into ``ts`` for a
@@ -194,13 +198,12 @@ class Mesh:
 
         A facet belongs to its owner's slab: a slab owns the t-line at its top, and slab 0
         the one at its bottom too.  The facets come slab by slab, and by x within a slab.
-        The elements share one size, h_x = width / nx and h_t = t_final / nt, so h_Fx = h_x
-        on every time-like facet.  The Dirichlet owners' offsets are (n_facets,), and every
+        Every element has the size `h`, so h_Fx = h_x on every time-like facet.  The Dirichlet owners' offsets are (n_facets,), and every
         other ``offset`` and ``half`` is shared.
         """
         slabs = slabs if isinstance(slabs, range) else range(slabs, slabs + 1)
         nx, nt, xs, ts, lines = self.nx, self.nt, self.xs, self.ts, self.lines(kind)
-        h_x, h_t = self.domain.width / nx, self.domain.t_final / nt
+        h_x, h_t = self.h
         if kind.is_horizontal:  # the kind's t-lines that the slabs own
             lines = range(max(lines.start, slabs.start + (slabs.start > 0)),
                           min(lines.stop, slabs.stop + 1))
@@ -235,21 +238,15 @@ class Mesh:
 
 
 def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:
-    """Uniform nx-by-nt tensor mesh.
+    """Uniform nx-by-nt tensor mesh, of elements of the size h = (width / nx, t_final / nt)."""
+    return Mesh(domain, np.linspace(domain.x_lo, domain.x_hi, nx + 1),
+                np.linspace(0.0, domain.t_final, nt + 1))
 
-    Every element stores the exact sizes h_x = width / nx and
-    h_t = t_final / nt, not differences of the grid points, so all elements
-    share one size.
-    """
-    if nx < 1 or nt < 1:
-        raise ValueError("nx and nt must be >= 1")
-    xs = np.linspace(domain.x_lo, domain.x_hi, nx + 1)
-    ts = np.linspace(0.0, domain.t_final, nt + 1)
-    elements = ElementArrays(
-        center=0.5 * np.column_stack((np.tile(xs[:-1] + xs[1:], nt),
-                                      np.repeat(ts[:-1] + ts[1:], nx))),
-        h=np.full((nx * nt, 2), (domain.width / nx, domain.t_final / nt)))
-    return Mesh(domain=domain, xs=xs, ts=ts, element_arrays=elements)
+
+def _is_linspace(lines, lo: float, hi: float) -> bool:
+    """Whether ``lines`` is, to the bit, np.linspace(lo, hi, n) for some n >= 2."""
+    ref = np.linspace(lo, hi, max(len(lines), 2))
+    return isinstance(lines, np.ndarray) and lines.dtype == ref.dtype and np.array_equal(lines, ref)
 
 
 _IDS = ("owner", "below", "above", "left", "right")

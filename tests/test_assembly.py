@@ -202,15 +202,12 @@ def test_ill_conditioned_slab_is_flagged(monkeypatch):
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
-@pytest.mark.parametrize("mesh_name", ["perturbed", "uniform"])
-def test_band_slab_matrix_is_the_global_diagonal_block(space, mesh_name):
+def test_band_slab_matrix_is_the_global_diagonal_block(space):
     # the slab operator is the slab's diagonal block and its sub-diagonal block of the
     # global matrix: the coupling of the next slab's test functions to this slab's trial
     from scipy.linalg import block_diag
 
-    from tests.conftest import perturbed_mesh
-
-    mesh = perturbed_mesh() if mesh_name == "perturbed" else build_cartesian_mesh(DOM, 4, 3)
+    mesh = build_cartesian_mesh(DOM, 4, 3)
     basis = MeshBasis(mesh, space)
     m, _, _ = assemble_global(mesh, space, constant_data(1.0))
     bw = 2 * basis.dim - 1
@@ -249,46 +246,45 @@ def test_uniform_mesh_has_one_slab_matrix(space):
         assert np.max(np.abs(coupling - couplings[0])) <= 1e-13 * np.max(np.abs(couplings[0]))
 
 
-@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
-def test_march_factors_once_per_uniform_mesh(monkeypatch, mesh_name):
+def test_march_factors_once_per_uniform_mesh(monkeypatch):
+    # every slab has slab 0's operator: march assembles, screens and factors it once
     import schrodg.assembly
-    from tests.conftest import perturbed_mesh
 
-    made = []
+    made, assembled = [], []
 
     class Counting(schrodg.assembly.FactoredMatrix):
         def __init__(self, *args):
             made.append(args)
             super().__init__(*args)
 
+    def counting_slab_matrix(mesh, slab, *args):
+        assembled.append(slab)
+        return _slab_matrix(mesh, slab, *args)
+
     monkeypatch.setattr(schrodg.assembly, "FactoredMatrix", Counting)
-    mesh = build_cartesian_mesh(DOM, 4, 4) if mesh_name == "uniform" else perturbed_mesh()
-    march(mesh, SpaceKind.plane_wave(2), solution_data(ExpSolution(5.0)))
-    assert len(made) == (1 if mesh_name == "uniform" else mesh.n_slabs)
+    monkeypatch.setattr(schrodg.assembly, "_slab_matrix", counting_slab_matrix)
+    sol = march(build_cartesian_mesh(DOM, 4, 4), SpaceKind.plane_wave(2),
+                solution_data(ExpSolution(5.0)))
+    assert len(made) == 1 and assembled == [0] and sol.screen_cond2 is not None
 
 
 @pytest.mark.parametrize("space", [SpaceKind.full_poly(2), SpaceKind.plane_wave(2)], ids=str)
-@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
-def test_march_evaluates_no_field(monkeypatch, space, mesh_name):
+def test_march_evaluates_no_field(monkeypatch, space):
     # the solution below enters each slab through the coupling blocks alone
-    from tests.conftest import perturbed_mesh
-
     def refuse(*args, **kwargs):
         raise AssertionError("march evaluated a discrete solution")
 
     monkeypatch.setattr(DiscreteSolution, "value", refuse)
     monkeypatch.setattr(DiscreteSolution, "dx", refuse)
-    mesh = build_cartesian_mesh(DOM, 4, 4) if mesh_name == "uniform" else perturbed_mesh()
-    sol = march(mesh, space, solution_data(ExpSolution(5.0)))
+    sol = march(build_cartesian_mesh(DOM, 4, 4), space, solution_data(ExpSolution(5.0)))
     assert np.all(np.isfinite(sol.coeffs)) and np.any(sol.coeffs[-1])
 
 
 def test_plane_wave_operator_image_is_zero():
     mesh = build_cartesian_mesh(DOM, 3, 2)
-    eids = np.arange(mesh.n_elements)
-    X = mesh.element_arrays.center[:, :1] + np.linspace(-0.1, 0.1, 4)
-    T = mesh.element_arrays.center[:, 1:] + np.linspace(-0.2, 0.2, 4)
-    image = MeshBasis(mesh, SpaceKind.plane_wave(2)).evaluate(eids, X, T, image=True)
+    X = mesh.centers[:, :1] + np.linspace(-0.1, 0.1, 4)
+    T = mesh.centers[:, 1:] + np.linspace(-0.2, 0.2, 4)
+    image = MeshBasis(mesh, SpaceKind.plane_wave(2)).evaluate(X, T, image=True)
     assert image.shape == (mesh.n_elements, 5, 4)
     assert not np.any(image)
 
@@ -315,17 +311,6 @@ def test_global_size_cap():
     mesh = build_cartesian_mesh(DOM, 40, 40)
     with pytest.raises(ValueError):
         assemble_global(mesh, SpaceKind.trefftz(2), constant_data(1.0))
-
-
-@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.full_poly(2),
-                                   SpaceKind.plane_wave(2)], ids=str)
-def test_non_uniform_mesh_march_matches_global(space):
-    from tests.conftest import perturbed_mesh
-
-    mesh = perturbed_mesh()
-    assert not mesh.is_uniform
-    data = solution_data(ExpSolution(5.0))
-    assert rel_coeff_diff(march(mesh, space, data), solve_global(mesh, space, data)) <= 1e-10
 
 
 def test_singular_slab_matrix_fails_with_its_slab(tmp_path, capsys, monkeypatch):
@@ -407,9 +392,10 @@ BATCH_SPACES = [SpaceKind.trefftz(2, "a"), SpaceKind.trefftz(2, "b"),
 def test_batched_solution_matches_per_element_calls(space):
     from schrodg.basis import element_basis, eval_basis_many
     from schrodg.poly import mi
-    from tests.conftest import perturbed_mesh
 
-    mesh = perturbed_mesh()  # two element sizes, so two coefficient tables
+    # distinct global points on each element, not a trace table: the local branch that
+    # evaluates the offsets as given, row by row
+    mesh = build_cartesian_mesh(DOM, 4, 4)
     rng = np.random.default_rng(5)
     sol = DiscreteSolution(mesh, space)
     d = space.dim(1)
@@ -527,11 +513,11 @@ def test_trace_tables_are_read_only_and_kept_per_basis():
     volume = _volume_rule(mesh, 6)[:2]
     for rows in ((x, t), volume):
         for kw in ({}, {"dx": True}, {"image": True}):
-            table = basis.evaluate(fa.below, *rows, **kw)
-            assert basis.evaluate(np.arange(2), *(a.copy() for a in rows), **kw) is table
+            table = basis.evaluate(*rows, **kw)
+            assert basis.evaluate(*(a.copy() for a in rows), **kw) is table
             with pytest.raises(ValueError):
                 table[...] = 0.0
-            fresh = MeshBasis(mesh, space).evaluate(fa.below, *rows, **kw)
+            fresh = MeshBasis(mesh, space).evaluate(*rows, **kw)
             assert fresh is not table and np.array_equal(fresh, table)
 
 

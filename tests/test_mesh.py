@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
 
 SIDES = ("below", "above", "left", "right")
 
@@ -62,9 +62,9 @@ def test_2x3_counts_by_enumeration():
 def test_experiment_mesh_family_spacing(j):
     n = 10 * 2 ** j
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), n, n)
-    for h_x, h_t in mesh.element_arrays.h:
-        assert math.isclose(h_x, 0.1 * 2.0 ** (-j), rel_tol=1e-15)
-        assert math.isclose(h_t, 0.1 * 2.0 ** (-j), rel_tol=1e-15)
+    h_x, h_t = mesh.h
+    assert math.isclose(h_x, 0.1 * 2.0 ** (-j), rel_tol=1e-15)
+    assert math.isclose(h_t, 0.1 * 2.0 ** (-j), rel_tol=1e-15)
 
 
 def test_every_element_has_four_facets():
@@ -115,7 +115,7 @@ def test_neighbor_counts():
 
 def test_stabilization_values_exact():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 4, 3)
-    h_x = mesh.element_arrays.h[:, 0]
+    h_x = np.array([el.h_x for el in mesh.elements])
     for kind, _, fa in facet_groups(mesh):
         if kind is FacetKind.DIRICHLET:  # h_Fx is the owner's width
             assert np.all(fa.alpha * h_x[fa.owner] == 1.0)
@@ -149,7 +149,7 @@ def test_horizontal_partition_property():
 def test_lqu_uniform_is_one():
     # local quasi-uniformity: the largest width ratio of two elements sharing a facet
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 5, 4)
-    h_x = mesh.element_arrays.h[:, 0]
+    h_x = np.array([el.h_x for el in mesh.elements])
     lqu = 1.0
     for kind, _, fa in facet_groups(mesh):
         a, b = (fa.below, fa.above) if kind.is_horizontal else (fa.left, fa.right)
@@ -161,26 +161,38 @@ def test_lqu_uniform_is_one():
 
 def test_exact_spacing_gives_one_element_size():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 80, 80)
-    assert {(el.h_x, el.h_t) for el in mesh.elements} == {(1.0 / 80, 1.0 / 80)}
-    assert mesh.is_uniform
+    assert {(el.h_x, el.h_t) for el in mesh.elements} == {mesh.h} == {(1.0 / 80, 1.0 / 80)}
 
 
-def test_is_uniform_is_derived_from_element_sizes():
-    from tests.conftest import perturbed_mesh
-
-    assert not perturbed_mesh().is_uniform
+GRID_CASES = [(SpaceTimeDomain(0.0, 1.0, 1.0), 1, 1), (SpaceTimeDomain(-0.5, 2.0, 0.7), 7, 5),
+              (SpaceTimeDomain(0.0, 1.0, 0.1), 80, 16)]
 
 
-def test_size_groups_index_every_element():
-    from tests.conftest import perturbed_mesh
+@pytest.mark.parametrize("dom, nx, nt", GRID_CASES)
+def test_built_meshes_are_their_grid(dom, nx, nt):
+    # a built mesh passes the grid check, and its size and centres are the elements'
+    mesh = build_cartesian_mesh(dom, nx, nt)
+    assert Mesh(dom, mesh.xs, mesh.ts).h == mesh.h == (dom.width / nx, dom.t_final / nt)
+    assert mesh.centers.shape == (nx * nt, 2) and not mesh.centers.flags.writeable
+    assert mesh.centers.tolist() == [list(el.center) for el in mesh.elements]
+    assert all((el.h_x, el.h_t) == mesh.h for el in mesh.elements)
 
-    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.5), 4, 2)
-    sizes, group = mesh.size_groups
-    assert sizes == [(0.25, 0.25)] and group.tolist() == [0] * 8
-    # element 5 has a 30% larger h_x: the second of two sizes, and the only one there
-    sizes, group = perturbed_mesh().size_groups
-    assert sizes == [(0.25, 0.25), (0.325, 0.25)]
-    assert np.flatnonzero(group).tolist() == [5] and len(group) == 16
+
+@pytest.mark.parametrize("fault", ["xs moved one ulp", "ts reversed", "one x-line"])
+def test_mesh_rejects_lines_that_are_not_its_grid(fault):
+    # every size and offset is read off the domain and the line counts, so lines that are
+    # not, to the bit, the uniform grid would get the wrong alpha, beta and offsets
+    dom = SpaceTimeDomain(-0.5, 2.0, 0.7)
+    mesh = build_cartesian_mesh(dom, 4, 3)
+    xs, ts = mesh.xs.copy(), mesh.ts.copy()
+    if fault == "xs moved one ulp":
+        xs[2] = np.nextafter(xs[2], np.inf)
+    elif fault == "ts reversed":
+        ts = ts[::-1].copy()
+    else:
+        xs = xs[:1]
+    with pytest.raises(ValueError, match="grid lines"):
+        Mesh(dom, xs, ts)
 
 
 def test_facet_arrays_cover_every_facet_once():
@@ -251,7 +263,7 @@ def element_sides(mesh, kind):
     """The facets of ``kind`` built side by side from the element records, as
     {field: array} in `facet_arrays` order: by the owner's slab, then by x."""
     nx, nt, rows = mesh.nx, mesh.nt, []
-    centre = mesh.element_arrays.center
+    centre = mesh.centers
     for el in mesh.elements:
         (x0, x1), (t0, t1), e = el.x_range, el.t_range, el.id
         if kind.is_horizontal:  # the bottom side, and the top one in the last slab
@@ -302,7 +314,7 @@ def test_facet_arrays_match_the_element_sides(kind):
     # each neighbour's offset is the signed distance from its centre to the facet's line
     assert np.allclose(np.broadcast_to(fa.offset["owner"], fa.owner.shape),
                        want["owner_offset"], rtol=0, atol=1e-14)
-    centre = mesh.element_arrays.center[:, 1 if kind.is_horizontal else 0]
+    centre = mesh.centers[:, 1 if kind.is_horizontal else 0]
     for slot, ids in ((s, getattr(fa, s)) for s in fa.offset if s != "owner"):
         has = ids >= 0
         assert np.allclose(np.broadcast_to(fa.offset[slot], ids.shape)[has],

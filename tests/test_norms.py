@@ -13,7 +13,7 @@ from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
 from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
 from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
 from schrodg.quadrature import mapped_interval
-from tests.conftest import constant_field, perturbed_mesh
+from tests.conftest import constant_field
 
 DOM = SpaceTimeDomain(0.0, 1.0, 1.0)
 
@@ -170,16 +170,17 @@ def per_facet_norms(field, mesh, n):
 
 
 def test_piecewise_poly_field_matches_eval_poly_many():
-    # two element sizes, and polynomials whose supports differ between elements
-    mesh = perturbed_mesh()
-    arrays = mesh.element_arrays
+    # two scales (element 5's polynomial has a 1.3x h_x: the field does not read the
+    # mesh), and polynomials whose supports differ between elements
+    mesh = build_cartesian_mesh(DOM, 4, 4)
     rng = np.random.default_rng(3)
     polys = []
     for e in range(mesh.n_elements):
         terms = {(jx, jt): complex(*rng.standard_normal(2))
                  for jx in range(4) for jt in range(2) if (jx + jt + e) % 3}
-        polys.append(ScaledPolynomial.from_terms(terms, center=tuple(arrays.center[e]),
-                                                 scales=tuple(arrays.h[e])))
+        h_x, h_t = mesh.h
+        polys.append(ScaledPolynomial.from_terms(terms, center=tuple(mesh.centers[e]),
+                                                 scales=(1.3 * h_x if e == 5 else h_x, h_t)))
     field = PiecewisePolyField(polys)
     eids = np.arange(mesh.n_elements)
     u = rng.uniform(size=(2, mesh.n_elements, 5))
@@ -210,11 +211,10 @@ def _field(kind, mesh):
     return dsol
 
 
-@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed", "offset", "chunked"])
+@pytest.mark.parametrize("mesh_name", ["uniform", "offset", "chunked"])
 @pytest.mark.parametrize("kind", ["discrete", "piecewise", "closed", "series"])
 def test_norms_match_per_facet_walk(kind, mesh_name):
     mesh = {"uniform": lambda: build_cartesian_mesh(DOM, 5, 4),
-            "perturbed": lambda: perturbed_mesh(5, 4),
             # grid lines away from x = 0 and 2/7 apart, which the factor tables look up
             "offset": lambda: build_cartesian_mesh(SpaceTimeDomain(-0.5, 1.5, 0.3), 7, 4),
             # the series' T tables cap a chunk at a few of these 16 slabs
@@ -396,22 +396,19 @@ def test_norm_memory_does_not_grow_with_the_number_of_slabs():
     assert peak(80) <= 2.5 * peak(10)
 
 
-@pytest.mark.parametrize("mesh_name", ["uniform", "perturbed"])
-def test_discrete_local_matches_value_at_global_points(mesh_name):
-    # one shared row of offsets: one product on the uniform mesh, where every element
-    # has the same basis values, and one per element on the mesh with two sizes; a row
-    # that is a facet side's rule is read off the basis' trace table on the uniform mesh
-    mesh = perturbed_mesh() if mesh_name == "perturbed" else build_cartesian_mesh(DOM, 4, 4)
+def test_discrete_local_matches_value_at_global_points():
+    # one shared row of offsets: one product, as every element has the same basis values;
+    # a row that is a facet side's rule is read off the basis' trace table
+    mesh = build_cartesian_mesh(DOM, 4, 4)
     dsol, eids = _field("discrete", mesh), np.arange(mesh.n_elements)
     side_rule = mesh.facet_arrays(FacetKind.TIME_INTERIOR, range(mesh.nt)).local_quadrature(
         5, "right")[:2]
     for x, t in ((np.linspace(-0.1, 0.12, 5)[None], np.linspace(-0.11, 0.1, 5)[None]),
                  side_rule):
-        values = dsol.basis.evaluate(eids, x, t)
-        assert (len(values) == 1) == (mesh_name == "uniform")
-        assert (dsol.basis.evaluate(eids, x, t) is values) == (
-            mesh_name == "uniform" and x is side_rule[0])
-        center = mesh.element_arrays.center
+        values = dsol.basis.evaluate(x, t)
+        assert len(values) == 1
+        assert (dsol.basis.evaluate(x, t) is values) == (x is side_rule[0])
+        center = mesh.centers
         for dx, trace in ((False, dsol.value), (True, dsol.dx)):
             want = trace(eids, center[:, :1] + x, center[:, 1:] + t)
             got = dsol.local(eids, x, t, dx)
