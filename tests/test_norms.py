@@ -173,12 +173,11 @@ def test_piecewise_poly_field_matches_eval_poly_many():
     # two scales (element 5's polynomial has a 1.3x h_x: the field does not read the
     # mesh), and polynomials whose supports differ between elements
     mesh = build_cartesian_mesh(DOM, 4, 4)
-    rng = np.random.default_rng(3)
+    rng, (h_x, h_t) = np.random.default_rng(3), mesh.h
     polys = []
     for e in range(mesh.n_elements):
         terms = {(jx, jt): complex(*rng.standard_normal(2))
                  for jx in range(4) for jt in range(2) if (jx + jt + e) % 3}
-        h_x, h_t = mesh.h
         polys.append(ScaledPolynomial.from_terms(terms, center=tuple(mesh.centers[e]),
                                                  scales=(1.3 * h_x if e == 5 else h_x, h_t)))
     field = PiecewisePolyField(polys)
