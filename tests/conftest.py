@@ -28,6 +28,14 @@ def smooth_problem():
     return sol, solution_data(sol)
 
 
+def named_mesh(name: str, nx: int, nt: int):
+    """The nx x nt mesh of the unit square ("uniform"), or of [-0.5, 1.5] x [0, 0.3]
+    ("offset"): grid lines away from x = 0, and an element size with h_x != h_t."""
+    domain = {"uniform": SpaceTimeDomain(0.0, 1.0, 1.0),
+              "offset": SpaceTimeDomain(-0.5, 1.5, 0.3)}[name]
+    return build_cartesian_mesh(domain, nx, nt)
+
+
 def constant_field():
     from schrodg.norms import ClosedFormField
 

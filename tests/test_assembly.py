@@ -12,7 +12,7 @@ from schrodg.linalg import cond2, from_band
 from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import DifferenceField, dg_norm, exact_field
 from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
-from tests.conftest import constant_field
+from tests.conftest import constant_field, named_mesh
 
 DOM = SpaceTimeDomain(0.0, 1.0, 1.0)
 
@@ -106,6 +106,15 @@ def test_marching_equals_global_oracle(space):
     b = solve_global(mesh, space, data)
     assert sum(len(c) for c in a.coeffs) <= 200
     assert rel_coeff_diff(a, b) <= 1e-10
+
+
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.full_poly(2),
+                                   SpaceKind.plane_wave(2)], ids=str)
+def test_offset_mesh_march_matches_global(space):
+    # march's one slab operator, assembled from the grid's h_x != h_t away from x = 0
+    mesh = named_mesh("offset", 4, 4)
+    data = solution_data(ExpSolution(5.0))
+    assert rel_coeff_diff(march(mesh, space, data), solve_global(mesh, space, data)) <= 1e-10
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
@@ -202,12 +211,13 @@ def test_ill_conditioned_slab_is_flagged(monkeypatch):
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
-def test_band_slab_matrix_is_the_global_diagonal_block(space):
+@pytest.mark.parametrize("mesh_name", ["offset", "uniform"])
+def test_band_slab_matrix_is_the_global_diagonal_block(space, mesh_name):
     # the slab operator is the slab's diagonal block and its sub-diagonal block of the
     # global matrix: the coupling of the next slab's test functions to this slab's trial
     from scipy.linalg import block_diag
 
-    mesh = build_cartesian_mesh(DOM, 4, 3)
+    mesh = named_mesh(mesh_name, 4, 3)
     basis = MeshBasis(mesh, space)
     m, _, _ = assemble_global(mesh, space, constant_data(1.0))
     bw = 2 * basis.dim - 1
@@ -246,7 +256,8 @@ def test_uniform_mesh_has_one_slab_matrix(space):
         assert np.max(np.abs(coupling - couplings[0])) <= 1e-13 * np.max(np.abs(couplings[0]))
 
 
-def test_march_factors_once_per_uniform_mesh(monkeypatch):
+@pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
+def test_march_factors_once_per_uniform_mesh(monkeypatch, mesh_name):
     # every slab has slab 0's operator: march assembles, screens and factors it once
     import schrodg.assembly
 
@@ -263,20 +274,21 @@ def test_march_factors_once_per_uniform_mesh(monkeypatch):
 
     monkeypatch.setattr(schrodg.assembly, "FactoredMatrix", Counting)
     monkeypatch.setattr(schrodg.assembly, "_slab_matrix", counting_slab_matrix)
-    sol = march(build_cartesian_mesh(DOM, 4, 4), SpaceKind.plane_wave(2),
+    sol = march(named_mesh(mesh_name, 4, 4), SpaceKind.plane_wave(2),
                 solution_data(ExpSolution(5.0)))
     assert len(made) == 1 and assembled == [0] and sol.screen_cond2 is not None
 
 
 @pytest.mark.parametrize("space", [SpaceKind.full_poly(2), SpaceKind.plane_wave(2)], ids=str)
-def test_march_evaluates_no_field(monkeypatch, space):
+@pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
+def test_march_evaluates_no_field(monkeypatch, space, mesh_name):
     # the solution below enters each slab through the coupling blocks alone
     def refuse(*args, **kwargs):
         raise AssertionError("march evaluated a discrete solution")
 
     monkeypatch.setattr(DiscreteSolution, "value", refuse)
     monkeypatch.setattr(DiscreteSolution, "dx", refuse)
-    sol = march(build_cartesian_mesh(DOM, 4, 4), space, solution_data(ExpSolution(5.0)))
+    sol = march(named_mesh(mesh_name, 4, 4), space, solution_data(ExpSolution(5.0)))
     assert np.all(np.isfinite(sol.coeffs)) and np.any(sol.coeffs[-1])
 
 

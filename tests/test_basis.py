@@ -6,8 +6,9 @@ import pytest
 
 from schrodg.basis import (MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
                            trefftz_basis)
-from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import FacetKind
 from schrodg.poly import apply_schrodinger, mi, poly_combination
+from tests.conftest import named_mesh
 
 UNIT = dict(center=(0.0, 0.0), scales=(1.0, 1.0))
 
@@ -232,10 +233,11 @@ def _pointwise(mesh, space, eid, X, T):
 
 
 @pytest.mark.parametrize("space", TABLE_SPACES, ids=str)
-def test_facet_tables_equal_pointwise_evaluation(space):
+@pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
+def test_facet_tables_equal_pointwise_evaluation(space, mesh_name):
     # the shared offsets of every facet group and side give the basis values,
     # x-derivatives and operator image of each neighbour at the global facet nodes
-    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 4, 3)
+    mesh = named_mesh(mesh_name, 4, 3)
     basis, n = MeshBasis(mesh, space), 6
     checked = set()
     for kind in FacetKind:

@@ -13,7 +13,7 @@ from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
 from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
 from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
 from schrodg.quadrature import mapped_interval
-from tests.conftest import constant_field
+from tests.conftest import constant_field, named_mesh
 
 DOM = SpaceTimeDomain(0.0, 1.0, 1.0)
 
@@ -395,10 +395,11 @@ def test_norm_memory_does_not_grow_with_the_number_of_slabs():
     assert peak(80) <= 2.5 * peak(10)
 
 
-def test_discrete_local_matches_value_at_global_points():
+@pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
+def test_discrete_local_matches_value_at_global_points(mesh_name):
     # one shared row of offsets: one product, as every element has the same basis values;
     # a row that is a facet side's rule is read off the basis' trace table
-    mesh = build_cartesian_mesh(DOM, 4, 4)
+    mesh = named_mesh(mesh_name, 4, 4)
     dsol, eids = _field("discrete", mesh), np.arange(mesh.n_elements)
     side_rule = mesh.facet_arrays(FacetKind.TIME_INTERIOR, range(mesh.nt)).local_quadrature(
         5, "right")[:2]
