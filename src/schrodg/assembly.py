@@ -28,7 +28,9 @@ to slab s - 1.  The default solve is therefore block forward substitution,
 
 where the slab kernel `_slab_matrix` assembles A: the diagonal block M_ss
 and the coupling B_{s+1} into the next slab.  `_data_rhs` assembles l,
-from psi0 and g_D alone, for every slab in one batch.  The assembled
+from psi0 and g_D alone, for every slab in one batch.  Both read the basis
+off its trace tables by place: a facet of slot s is its neighbour's side
+`PLACE[s]`, and a Dirichlet facet is walked by the slot its owner is in.  The assembled
 global system is kept as a testing oracle, solved by a dense LU rather than
 the band LU of `march`.
 
@@ -49,10 +51,9 @@ import scipy.linalg
 
 from .basis import ElementBasis, MeshBasis, SpaceKind, element_basis
 from .linalg import COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, from_band
-from .mesh import FacetKind, Mesh
+from .mesh import PLACE, FacetKind, Mesh
 from .norms import field_points
-from .quadrature import (data_rule_size, gauss_legendre, mapped_interval, poly_rule_size,
-                         rect_rule)
+from .quadrature import data_rule_size, mapped_interval, poly_rule_size, rect_rule
 
 COND_FLAG = 1e14  # plane-wave slabs above this condition number are rejected
 
@@ -90,8 +91,9 @@ class DiscreteSolution:
     """Coefficients of a discrete space on every element, one (n_elements, dim) array.
 
     A field in the sense of `schrodg.norms`: value/dx take an element id, or an
-    id array (nF,) with points (nF, nq), local takes offsets from the centres,
-    and each contracts coeffs[eids] with the `MeshBasis` values (table @ monomials).
+    id array (nF,) with points (nF, nq), local takes the rule at a place of the
+    elements (`Mesh.rule`), and each contracts coeffs[eids] with the `MeshBasis`
+    values: at the points, or off the place's trace table.
     ``bases`` is accepted but not needed.  `march` keeps slab 0's diagonal
     block in ``first_slab`` if it has at most `COND_MAX_N` rows, and the cond2
     its plane-wave screen took of that block in ``screen_cond2``.
@@ -110,18 +112,21 @@ class DiscreteSolution:
         self.coeffs[eid] = vec
         self._known[eid] = True
 
-    def local(self, eids, x, t, dx: bool = False) -> np.ndarray:
+    def local(self, eids, n: int, place: str, dx: bool = False) -> np.ndarray:
+        """The trace on the elements ``eids`` at the n-point rule on their ``place``, (nF, n):
+        one product with the basis' trace table."""
+        return self._coeffs_of(eids) @ self.basis.table(n, place, dx)[0]
+
+    def _coeffs_of(self, eids) -> np.ndarray:
         if not self._known[eids].all():
             raise ValueError(f"element {eids[~self._known[eids]][0]} has no coefficients yet")
-        values = self.basis.evaluate(x, t, dx=dx)
-        if len(values) == 1:  # one row that every element shares: a single product
-            return self.coeffs[eids] @ values[0]
-        return (self.coeffs[eids][:, None, :] @ values)[:, 0]
+        return self.coeffs[eids]
 
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
         eids, X, T, shape = field_points(eid, xs, ts)
         c = self.basis.center[eids]
-        return self.local(eids, X - c[:, :1], T - c[:, 1:], dx).reshape(shape)
+        values = self.basis.evaluate(X - c[:, :1], T - c[:, 1:], dx=dx)
+        return (self._coeffs_of(eids)[:, None, :] @ values)[:, 0].reshape(shape)
 
     def value(self, eid, xs, ts) -> np.ndarray:
         return self._eval(eid, xs, ts, dx=False)
@@ -161,15 +166,6 @@ def _add_at(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
     np.add.at(out.reshape(-1), index.reshape(-1), values.reshape(-1))
 
 
-def _volume_rule(mesh: Mesh, n: int):
-    """The tensor rule of `rect_rule` on an element of the mesh's grid, as offsets x, t
-    from its centre, and weights w: each one row (1, n * n) that every element shares."""
-    rule = gauss_legendre(n)
-    hx, ht = 0.5 * mesh.h[0], 0.5 * mesh.h[1]
-    return (np.repeat(hx * rule.nodes, n)[None], np.tile(ht * rule.nodes, n)[None],
-            np.outer(hx * rule.weights, ht * rule.weights).reshape(1, n * n))
-
-
 def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
                  ) -> tuple[tuple[np.ndarray, int, int], np.ndarray]:
     """One slab's operator: its diagonal block of A and its coupling into the next slab.
@@ -180,9 +176,13 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
     slab order, so it is block tridiagonal with kl = ku = 2 dim - 1.  The
     coupling blocks (nx, dim, dim) hold -i int conj(phi^+) phi^- over the top
     facet of each element e: test functions of the element above e, trial
-    functions of e.  They are zero on the last slab.
+    functions of e.  They are zero on the last slab.  Every block reads the basis off
+    its trace tables, at the place where its facet lies on the element.
     """
     nx, dim, first = mesh.nx, basis.dim, slab * mesh.nx
+    traces = {place: (basis.table(n_form, place), basis.table(n_form, place, dx=True))
+              for place in ("left", "right")}
+    wx, wt = mesh.rule(n_form, "top")[2], mesh.rule(n_form, "left")[2]
     kl = ku = 2 * dim - 1
     ab = np.zeros((2 * kl + ku + 1, nx * dim), dtype=complex)
     coupling = np.zeros((nx, dim, dim), dtype=complex)
@@ -197,39 +197,35 @@ def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
     for kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):  # every element's top facet
         fa = mesh.facet_arrays(kind, slab)
         if fa is not None:
-            x, t, W = fa.local_quadrature(n_form, "below")
-            v = basis.evaluate(x, t)
-            add(fa.below, fa.below, 1j * _pair(v, v, W))
+            v = basis.table(n_form, PLACE["below"])
+            add(fa.below, fa.below, 1j * _pair(v, v, wx))
             if kind is FacetKind.SPACE_INTERIOR:  # the upwind trace v, tested from above
-                x, t, _ = fa.local_quadrature(n_form, "above")
                 _add_at(coupling, ((fa.below - first)[:, None, None] * dim + a) * dim + b,
-                        -1j * _pair(basis.evaluate(x, t), v, W))
+                        -1j * _pair(basis.table(n_form, PLACE["above"]), v, wx))
 
     fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
     if fa is not None:
-        W = fa.local_quadrature(n_form, "left")[2]
         al, be = fa.alpha[:, None, None], fa.beta[:, None, None]
-        sides = [(ids, *basis.traces(*fa.local_quadrature(n_form, s)[:2]), sign)
-                 for s, ids, sign in (("left", fa.left, 1.0), ("right", fa.right, -1.0))]
+        sides = [(getattr(fa, s), *traces[PLACE[s]], sign) for s, sign in (("left", 1.0),
+                                                                            ("right", -1.0))]
         for ea, va, ga, na in sides:
             for eb, vb, gb, nb in sides:
-                add(ea, eb, 0.5 * (0.5 * na * _pair(va, gb, W)
-                                   + 1j * al * na * nb * _pair(va, vb, W)
-                                   - 0.5 * na * _pair(ga, vb, W)
-                                   + 1j * be * na * nb * _pair(ga, gb, W)))
+                add(ea, eb, 0.5 * (0.5 * na * _pair(va, gb, wt)
+                                   + 1j * al * na * nb * _pair(va, vb, wt)
+                                   - 0.5 * na * _pair(ga, vb, wt)
+                                   + 1j * be * na * nb * _pair(ga, gb, wt)))
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
-    if fa is not None:
-        x, t, W = fa.local_quadrature(n_form, "owner")
-        v, g = basis.traces(x, t)
-        add(fa.owner, fa.owner, 0.5 * (fa.normal_sign[:, None, None] * _pair(v, g, W)
-                                       + 1j * fa.alpha[:, None, None] * _pair(v, v, W)))
+    for s in ("left", "right"):  # the owner, a facet's one neighbour, slot by slot
+        has = getattr(fa, s) >= 0
+        ids, (v, g) = getattr(fa, s)[has], traces[PLACE[s]]
+        add(ids, ids, 0.5 * (fa.normal_sign[has, None, None] * _pair(v, g, wt)
+                             + 1j * fa.alpha[has, None, None] * _pair(v, v, wt)))
 
     if basis.kind.needs_volume_term:
         elems = np.arange(first, first + nx)
-        x, t, W = _volume_rule(mesh, n_form)
-        add(elems, elems,
-            _pair(basis.evaluate(x, t, image=True), basis.evaluate(x, t), W))
+        add(elems, elems, _pair(basis.table(n_form, "volume", image=True),
+                                basis.table(n_form, "volume"), mesh.rule(n_form, "volume")[2]))
     return (ab, kl, ku), coupling
 
 
@@ -252,19 +248,19 @@ def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
     """Add l(v) of every slab into ``out`` (n_elements, dim) in one batch: psi0 on the
     initial facets, and g_D on the Dirichlet facets."""
     fa = mesh.facet_arrays(FacetKind.INITIAL, range(mesh.n_slabs))
-    x, t, W = fa.local_quadrature(n_data, "above")
     psi0 = np.asarray(data.psi0(fa.quadrature(n_data)[0]), dtype=complex)[:, None]
-    np.add.at(out, fa.above, 1j * _pair(basis.evaluate(x, t), psi0, W)[..., 0])
+    np.add.at(out, fa.above, 1j * _pair(basis.table(n_data, PLACE["above"]), psi0,
+                                        mesh.rule(n_data, "bottom")[2])[..., 0])
 
     fa = mesh.facet_arrays(FacetKind.DIRICHLET, range(mesh.n_slabs))
     gv = np.asarray(data.g_D(*fa.quadrature(n_data)[:2]), dtype=complex)[:, None]
-    for side in ("left", "right"):  # the owner, a facet's one neighbour, side by side: the
-        ids = getattr(fa, side)       # facets with a neighbour there share its offsets
-        has = ids >= 0
-        x, t, W = fa.local_quadrature(n_data, side)
-        v, g = basis.traces(x, t)
-        np.add.at(out, ids[has], 0.5 * (fa.normal_sign[has, None] * _pair(g, gv[has], W)[..., 0]
-                                        + 1j * fa.alpha[has, None] * _pair(v, gv[has], W)[..., 0]))
+    W = mesh.rule(n_data, "left")[2]
+    for s in ("left", "right"):  # the owner, a facet's one neighbour, slot by slot
+        has = getattr(fa, s) >= 0
+        v, g = basis.table(n_data, PLACE[s]), basis.table(n_data, PLACE[s], dx=True)
+        np.add.at(out, getattr(fa, s)[has],
+                  0.5 * (fa.normal_sign[has, None] * _pair(g, gv[has], W)[..., 0]
+                         + 1j * fa.alpha[has, None] * _pair(v, gv[has], W)[..., 0]))
 
 
 def _screen(slab: int, cond: float) -> None:
@@ -339,9 +335,8 @@ def _facets(mesh: Mesh, kinds):
 
 def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.ndarray]:
     """Values and x-derivatives (dim, nq) of element ``eid``'s basis at the points xs, ts."""
-    xc, tc = basis.center[eid]
-    v, g = basis.traces(np.atleast_1d(xs - xc)[None], np.atleast_1d(ts - tc)[None])
-    return v[0], g[0]
+    x, t = (np.atleast_1d(a - c)[None] for a, c in zip((xs, ts), basis.center[eid]))
+    return basis.evaluate(x, t)[0], basis.evaluate(x, t, dx=True)[0]
 
 
 def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> None:

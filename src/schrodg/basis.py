@@ -20,11 +20,13 @@ Four families are supported:
 Every family is centered at the element center (x_K, t_K), so all elements
 of one size carry the same basis, only translated.  `element_basis` builds
 the basis of any family on a d = 1 element; `trefftz_basis(d, ...)` builds
-the Trefftz family in any space dimension d.  `MeshBasis.evaluate` evaluates
-the basis of a mesh's elements, which share the one size `Mesh.h`, in one array
-call at offsets from their centres, from one `coefficient_table`, and keeps each
-rule row along a side or over the volume as a trace table.  Every evaluation
-goes through `poly.scaled_monomials` or the one wave formula.
+the Trefftz family in any space dimension d.  `MeshBasis` evaluates the basis
+of a mesh's elements, which share the one size `Mesh.h`, from one
+`coefficient_table`: `MeshBasis.table(n, place)` is the read-only trace table of
+the rule at a named place of the element (`Mesh.rule`), and
+`MeshBasis.evaluate` evaluates at any offsets from the centres, in one array
+call.  Every evaluation goes through `poly.scaled_monomials` or the one wave
+formula.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from .poly import (MultiIndex, ScaledPolynomial, _normalize_center, apply_schrodinger, dense_terms,
                    eval_poly_many, mi, scaled_monomials, space_multi_indices)
-from .quadrature import MAX_NODES, gauss_legendre
 
 FAMILIES = ("trefftz", "quasi-trefftz", "full", "planewave")
 
@@ -260,54 +261,44 @@ def coefficient_table(kind: SpaceKind, hx: float, ht: float
 class MeshBasis:
     """The local basis of every element of a mesh, evaluated a batch at a time.
 
-    `evaluate` and `traces` take offsets ``x``, ``t`` from element centres that
-    broadcast to (nF, nq), row f on one element; they return basis values alone, for
-    the caller to contract.  Every element has the mesh's one size `Mesh.h`, so the
-    basis is one `coefficient_table`, the same at every centre.  A reference place's
-    rule row (`_place`) is evaluated once per basis and then read off a read-only trace
-    table; a result equal for every element keeps its leading 1.
+    Every element has the mesh's one size `Mesh.h`, so the basis is one
+    `coefficient_table`, the same at every centre.  `table(n, place)` holds it at the
+    n-point rule on an element's side or volume, `Mesh.rule(n, place)`: evaluated once
+    per basis, and read-only.  `evaluate` takes any offsets ``x``, ``t`` from element
+    centres that broadcast to (nF, nq), row f on one element, and keeps nothing.  Both
+    return basis values alone, for the caller to contract; a result equal for every
+    element keeps its leading 1.
     """
 
     def __init__(self, mesh, kind: SpaceKind):
         self.kind = kind
         self.dim = kind.dim(1)
-        self.center, self.h = mesh.centers, mesh.h
-        self._rules, self._tables = {}, {}  # n -> {row: (n, place)}; key -> trace table
+        self.mesh, self.center, self.h = mesh, mesh.centers, mesh.h
+        self._local, *self._coeffs = coefficient_table(kind, *mesh.h)  # value and image
+        self._tables = {}  # (n, place, dx, image) -> trace table
 
-    def traces(self, x, t) -> tuple[np.ndarray, np.ndarray]:
-        """Values and x-derivatives of every basis function, each (nF, dim, nq)."""
-        return self.evaluate(x, t), self.evaluate(x, t, dx=True)
+    def table(self, n: int, place: str, dx: bool = False, image: bool = False) -> np.ndarray:
+        """`evaluate` at the rule `Mesh.rule(n, place)`, (1, dim, nq), read-only.  The
+        monomials are evaluated once for the values and the image."""
+        if (n, place, dx, image) not in self._tables:
+            fun = self._monomials(*self.mesh.rule(n, place)[:2], dx)
+            for img, coeffs in zip((False, True), self._coeffs):
+                self._tables[n, place, dx, img] = out = coeffs @ fun
+                out.flags.writeable = False
+        return self._tables[n, place, dx, image]
 
     def evaluate(self, x, t, dx=False, image=False) -> np.ndarray:
         """Every basis function at the offsets of row f, (nF, dim, nq): its x-derivative
         with ``dx``, its image under i d/dt + (1/2) d^2/dx^2 (0 for plane waves) with ``image``."""
-        key = (self._place(x, t), dx, image)
-        if key in self._tables:
-            return self._tables[key]
+        return self._coeffs[image] @ self._monomials(x, t, dx)
+
+    def _monomials(self, x, t, dx: bool) -> np.ndarray:
+        """The local functions (or their x-derivatives) at the offsets, (nF, n_local, nq)."""
         hx, ht = self.h
-        local, table, image_table = coefficient_table(self.kind, hx, ht)
         if self.kind.family == "planewave":
-            fun = _wave(local[:, None, None], x, t, ax=int(dx))
+            fun = _wave(self._local[:, None, None], x, t, ax=int(dx))
         else:
-            fun = scaled_monomials(local, (x / hx, t / ht), mi(1, 0) if dx else None)
+            fun = scaled_monomials(self._local, (x / hx, t / ht), mi(1, 0) if dx else None)
             if dx:
                 fun /= hx
-        out = (image_table if image else table) @ fun.swapaxes(0, -2)
-        if key[0] is not None:
-            out.flags.writeable = False
-            self._tables[key] = out
-        return out
-
-    def _place(self, x, t) -> tuple[int, str] | None:
-        """(n, place) if x, t are, to the bit, the n-point rule row along a side of the
-        mesh's elements (`FacetArrays.local_quadrature`) or over them
-        (`assembly._volume_rule`); None for any other offsets, which are evaluated as given."""
-        n = math.isqrt(x.size) if x.shape == t.shape else max(x.shape[-1], t.shape[-1])
-        if len(x) == len(t) == 1 and 1 <= n <= MAX_NODES:
-            if n not in self._rules:
-                nodes, (hx, ht) = gauss_legendre(n).nodes, np.divide(self.h, 2)
-                rows = {"top": (hx * nodes, ht), "bottom": (hx * nodes, -ht),
-                        "right": (hx, ht * nodes), "left": (-hx, ht * nodes),
-                        "volume": (np.repeat(hx * nodes, n), np.tile(ht * nodes, n))}
-                self._rules[n] = {(a.tobytes(), b.tobytes()): (n, k) for k, (a, b) in rows.items()}
-            return self._rules[n].get((x.tobytes(), t.tobytes()))
+        return fun.swapaxes(0, -2)

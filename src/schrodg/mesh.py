@@ -8,8 +8,11 @@ its local basis, and `Mesh.centers` holds the element centres.  Every facet lies
 on a grid line: horizontal (space-like: constant t) on a t-line, or vertical
 (time-like: constant x) on an x-line, and `Mesh.lines` names the lines of
 each kind.  `Mesh.facet_arrays` builds the facets of one kind over a slab,
-or a range of slabs, as `FacetArrays` from the grid by index.  Each facet
-carries the stabilization weights
+or a range of slabs, as `FacetArrays` from the grid by index.  A facet lies on
+a named place of each neighbour, `PLACE` of its slot (the top side of the
+element below it, ...), and `Mesh.rule(n, place)` is the Gauss rule there, or
+over the volume, as offsets from the element centre that every element
+shares.  Each facet carries the stabilization weights
 
     alpha = 1 / h_Fx   on time-like interior and Dirichlet facets,
     beta  = h_Fx       on time-like interior facets,
@@ -23,12 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from .quadrature import gauss_legendre, mapped_intervals
+
+# where a facet lies on each of its neighbours, by neighbour slot: the element below
+# it has it on its top side, ...; a boundary facet's owner is its one neighbour
+PLACE = {"below": "top", "above": "bottom", "left": "right", "right": "left"}
 
 
 class FacetKind(Enum):
@@ -85,11 +90,8 @@ class FacetArrays:
     a space-like interior facet to the slab below it.  ``normal_sign`` is the
     x-component of the unit normal seen from the left element (+1) on
     interior vertical facets, and the owner's outward normal sign on
-    Dirichlet facets.
-
-    Each facet spans a side of each neighbour: ``half`` is half its length, and
-    ``offset[slot]`` the signed distance from that neighbour's centre to its line;
-    each is an (n_facets,) array or a (1,) one that the facets share.
+    Dirichlet facets.  On each neighbour a facet is that neighbour's side
+    ``PLACE[slot]``, whose rule is `Mesh.rule`.
     """
 
     kind: FacetKind
@@ -104,22 +106,12 @@ class FacetArrays:
     normal_sign: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    half: np.ndarray
-    offset: Mapping[str, np.ndarray]
 
     def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Points X, T and weights W, each (n_facets, n): the n-point Gauss rule on every facet."""
         pts, wts = mapped_intervals(self.lo, self.hi, n)
         fixed = np.broadcast_to(self.fixed[:, None], pts.shape)
         return (pts, fixed, wts) if self.kind.is_horizontal else (fixed, pts, wts)
-
-    def local_quadrature(self, n: int, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rule of `quadrature` as offsets x, t from the centre of each facet's ``side``
-        neighbour, and weights w, broadcasting to (n_facets, n): (1, n) where shared."""
-        rule = gauss_legendre(n)
-        along, wts = self.half[:, None] * rule.nodes, self.half[:, None] * rule.weights
-        across = self.offset[side][:, None]
-        return (along, across, wts) if self.kind.is_horizontal else (across, along, wts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +120,7 @@ class Mesh:
 
     The grid lines must be, to the bit, np.linspace(x_lo, x_hi, nx + 1) and
     np.linspace(0, t_final, nt + 1) with nx, nt >= 1 (as `build_cartesian_mesh` makes
-    them): every size, weight and offset is read off `h`, so other lines raise.
+    them): every size, weight and rule is read off `h`, so other lines raise.
     """
 
     domain: SpaceTimeDomain
@@ -185,6 +177,23 @@ class Mesh:
                              center=tuple(c))
                      for e, c in enumerate(self.centers.tolist()))
 
+    def rule(self, n: int, place: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The n-point Gauss rule on an element's ``place``: its "top", "bottom", "left" or
+        "right" side, or its "volume" (the tensor rule, x-major), as offsets x, t from the
+        element's centre and weights w.  Each is one row that every element shares: (1, n),
+        or (1, n * n) over the volume."""
+        rule, (hx, ht) = gauss_legendre(n), np.divide(self.h, 2)
+        x, t, wx, wt = hx * rule.nodes, ht * rule.nodes, hx * rule.weights, ht * rule.weights
+        if place == "volume":
+            x, t, w = np.repeat(x, n), np.tile(t, n), np.outer(wx, wt).reshape(-1)
+        elif place in ("top", "bottom"):
+            t, w = np.full(n, ht if place == "top" else -ht), wx
+        elif place in ("left", "right"):
+            x, w = np.full(n, hx if place == "right" else -hx), wt
+        else:
+            raise ValueError(f"unknown place {place!r}")
+        return x[None], t[None], w[None]
+
     def lines(self, kind: FacetKind) -> range:
         """The grid lines that the facets of ``kind`` lie on: indices into ``ts`` for a
         space-like kind, into ``xs`` for a time-like one."""
@@ -198,18 +207,16 @@ class Mesh:
 
         A facet belongs to its owner's slab: a slab owns the t-line at its top, and slab 0
         the one at its bottom too.  The facets come slab by slab, and by x within a slab.
-        Every element has the size `h`, so h_Fx = h_x on every time-like facet.  The Dirichlet owners' offsets are (n_facets,), and every
-        other ``offset`` and ``half`` is shared.
+        Every element has the size `h`, so h_Fx = h_x on every time-like facet.
         """
         slabs = slabs if isinstance(slabs, range) else range(slabs, slabs + 1)
         nx, nt, xs, ts, lines = self.nx, self.nt, self.xs, self.ts, self.lines(kind)
-        h_x, h_t = self.h
+        h_x = self.h[0]
         if kind.is_horizontal:  # the kind's t-lines that the slabs own
             lines = range(max(lines.start, slabs.start + (slabs.start > 0)),
                           min(lines.stop, slabs.stop + 1))
         if not (len(lines) and len(slabs)):
             return None
-        up, side = {"below": h_t / 2, "above": -h_t / 2}, {"left": h_x / 2, "right": -h_x / 2}
         if kind.is_horizontal:  # row r on the line t = ts[lines[r]], column ix over xs[ix:ix + 2]
             line, ix = np.array(lines)[:, None], np.arange(nx)
             first = np.where(line > 0, (line - 1) * nx + ix, -1)
@@ -217,7 +224,6 @@ class Mesh:
             table = _table(first.shape, below=first, above=second, left=-1, right=-1,
                            lo=xs[:-1], hi=xs[1:], fixed=ts[line], alpha=0.0,
                            normal_sign=0.0, beta=0.0)
-            across, owner = up, up["above" if kind is FacetKind.INITIAL else "below"]
         else:  # row s in slab s, column c on the line x = xs[lines[c]]
             slab, k = np.array(slabs)[:, None], np.array(lines)
             first = np.where(k > 0, slab * nx + k - 1, -1)
@@ -227,14 +233,9 @@ class Mesh:
                            lo=ts[slab], hi=ts[slab + 1], fixed=xs[k], alpha=1.0 / h_x,
                            normal_sign=[-1.0, 1.0] if dirichlet else 1.0,
                            beta=0.0 if dirichlet else h_x)
-            across, owner = side, [side["right"], side["left"]] if dirichlet else side["left"]
         # the owner: the first neighbour where there is one
-        table.update(_table(first.shape, owner=np.where(first >= 0, first, second)))
-        offset = {name: np.tile(v, len(first)) if np.ndim(v) else np.array([v])
-                  for name, v in (*across.items(), ("owner", owner))}
-        return FacetArrays(kind, **table,
-                           half=np.array([(h_x if kind.is_horizontal else h_t) / 2]),
-                           offset=MappingProxyType(offset))
+        return FacetArrays(kind, **table, **_table(first.shape,
+                                                   owner=np.where(first >= 0, first, second)))
 
 
 def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:

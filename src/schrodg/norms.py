@@ -18,12 +18,12 @@ points broadcast to (nF, nq) and row f lies on element eid[f].  The result
 has the shape of the points.  Jumps are always formed from two one-sided
 traces.  The norms walk each facet kind over chunks of consecutive slabs,
 at most `_CHUNK_POINTS` points or T entries each, and call a field once per
-chunk and kind (and side).  A field may also expose local(eids, x, t, dx) at
-offsets from the element centres; the norms pass it each chunk's shared offsets,
-where a discrete solution reads its basis' trace table (one for all chunks).
+chunk and kind (and side).  A field may also expose local(eids, n, place, dx),
+its trace at the n-point rule on a place of the elements (`Mesh.rule`), which a
+discrete solution reads off its basis' trace table; the norms pass it the place
+of each neighbour slot (`PLACE`), a boundary facet's owner slot by slot.
 `dg_norms` sums several fields in one walk, each as in a walk of its own; the
-rule at each side's offsets, and the trace of a closed-form part that the
-fields share, are taken once per chunk and kind.
+trace of a closed-form part that the fields share is taken once per chunk and kind.
 
 A closed-form field built from a separable solution (with ``factors``) has
 no sides: one trace serves both, read off tables: X once per norm call over
@@ -42,7 +42,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .mesh import FacetKind, Mesh
+from .mesh import PLACE, FacetKind, Mesh
 from .poly import ScaledPolynomial, dense_terms, mi, scaled_monomials
 from .quadrature import mapped_intervals
 from .solutions import mode_sum
@@ -187,7 +187,7 @@ def _sides(field, at: SimpleNamespace, sides, dx: bool = False) -> list[np.ndarr
     """The one-sided traces (value, or dx) of field on the facets of ``at.fa`` from each
     neighbour slot in ``sides``, on the n-point rule.
 
-    A field with ``local`` is evaluated at the group's offsets; factor tables
+    A field with ``local`` is evaluated at the place of each slot; factor tables
     ignore element ids, so one trace serves every side; a difference is split
     into its parts.
     """
@@ -197,10 +197,21 @@ def _sides(field, at: SimpleNamespace, sides, dx: bool = False) -> list[np.ndarr
     if isinstance(field, _FactorTables):
         return [at.trace(field, dx)] * len(sides)
     if hasattr(field, "local"):
-        return [field.local(getattr(at.fa, s), *at.rule(s)[:2], dx) for s in sides]
+        return [_local(field, at.fa, at.n, s, dx) for s in sides]
     X, T, _ = at.fa.quadrature(at.n)
     trace = field.dx if dx else field.value
     return [trace(getattr(at.fa, s), X, T) for s in sides]
+
+
+def _local(field, fa, n: int, slot: str, dx: bool) -> np.ndarray:
+    """``field.local`` on the facets of ``fa`` from neighbour ``slot``, (nF, n)."""
+    if slot != "owner":
+        return field.local(getattr(fa, slot), n, PLACE[slot], dx)
+    out = np.empty((len(fa.owner), n), dtype=complex)
+    for s in PLACE:  # a boundary facet's owner is its one neighbour, in facet order
+        if (has := getattr(fa, s) >= 0).any():
+            out[has] = field.local(getattr(fa, s)[has], n, PLACE[s], dx)
+    return out
 
 
 _CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one facet kind, or T
@@ -214,13 +225,12 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> list[tuple[float
     # every kind chunk by chunk, the space-like kinds first (see _FactorTables)
     walk = sorted(product(chunks, FacetKind), key=lambda pair: not pair[1].is_horizontal)
     sums = [[0.0, 0.0] for _ in fields]
+    weights = {True: mesh.rule(n, "top")[2], False: mesh.rule(n, "left")[2]}  # is_horizontal
     for fa in filter(None, (mesh.facet_arrays(kind, slabs) for slabs, kind in walk)):
-        # what every field reads the same on this (chunk, kind), and holds no longer: the
-        # rule at each side's offsets, and each factor table's traces
+        # each factor table's traces: every field reads them the same on this (chunk, kind)
         at = SimpleNamespace(fa=fa, n=n,
-                             rule=functools.cache(functools.partial(fa.local_quadrature, n)),
                              trace=functools.cache(lambda t, dx, fa=fa: t.trace(fa, dx)))
-        kind, W = fa.kind, at.rule("owner")[2]
+        kind, W = fa.kind, weights[fa.kind.is_horizontal]
         for field, s in zip(fields, sums):
             if kind is FacetKind.SPACE_INTERIOR:
                 wm, wp = _sides(field, at, ("below", "above"))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from schrodg.assembly import (BoundaryData, DiscreteSolution, _data_rhs, _rule_sizes,
-                              _slab_matrix, _volume_rule, apply_form_to_field, assemble_global,
+                              _slab_matrix, apply_form_to_field, assemble_global,
                               constant_data, first_slab_cond2, march, solution_data,
                               solve_global)
 from schrodg.basis import MeshBasis, SpaceKind
 from schrodg.linalg import cond2, from_band
-from schrodg.mesh import FacetKind, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import DifferenceField, dg_norm, exact_field
 from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
 from tests.conftest import constant_field, named_mesh
@@ -496,8 +496,7 @@ def test_basis_evaluations_do_not_grow_with_chunks_or_repeat(monkeypatch, space)
     # march and the square-well norm read every (rule, place, dx) trace of the solution's
     # basis at a shared row off one table: the norm walks 16 slabs in 6 chunks and 4 slabs
     # in 2 with the same such evaluations, and none repeats the input of another.  The
-    # Dirichlet owners' per-facet offsets are evaluated as given: twice in march (value
-    # and dx, one slab operator), then once per chunk of the norm
+    # Dirichlet owners read the left and right tables too, so no evaluation is per facet
     data = BoundaryData(psi0=square_well_initial,
                         g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
 
@@ -513,34 +512,46 @@ def test_basis_evaluations_do_not_grow_with_chunks_or_repeat(monkeypatch, space)
         per_facet.append(len(calls) - len(shared[-1]))
     assert len(shared[0]) == len(shared[1])
     assert len(set(shared[1])) == len(shared[1])
-    assert per_facet == [2 + 2, 2 + 6]
+    assert per_facet == [0, 0]
+
+
+def test_march_evaluates_each_monomial_row_once(monkeypatch):
+    # full p2 has a volume term: its values and its operator image come from one monomial
+    # table, and no two evaluations in march take the same inputs
+    mesh, sol = build_cartesian_mesh(DOM, 8, 8), ExpSolution(5.0)
+    calls, _ = _evaluations(monkeypatch,
+                            lambda: march(mesh, SpaceKind.full_poly(2), solution_data(sol)))
+    inputs = [c for _, c in calls]
+    assert len(set(inputs)) == len(inputs)
 
 
 def test_trace_tables_are_read_only_and_kept_per_basis():
-    # a place's rule row gives the same read-only table however often it is asked for,
-    # from the basis that evaluated it; a new basis evaluates its own
+    # a place's rule gives the same read-only table however often it is asked for, from
+    # the basis that evaluated it, equal to evaluate at that rule; a new basis evaluates
+    # its own
     mesh, space = build_cartesian_mesh(DOM, 4, 3), SpaceKind.full_poly(2)
-    basis, fa = MeshBasis(mesh, space), mesh.facet_arrays(FacetKind.FINAL, range(3))
-    x, t, _ = fa.local_quadrature(6, "below")
-    volume = _volume_rule(mesh, 6)[:2]
-    for rows in ((x, t), volume):
+    basis = MeshBasis(mesh, space)
+    for place in ("top", "volume"):
         for kw in ({}, {"dx": True}, {"image": True}):
-            table = basis.evaluate(*rows, **kw)
-            assert basis.evaluate(*(a.copy() for a in rows), **kw) is table
+            table = basis.table(6, place, **kw)
+            assert table.shape == (1, basis.dim, 6 if place == "top" else 36)
+            assert basis.table(6, place, **kw) is table
+            assert np.array_equal(table, basis.evaluate(*mesh.rule(6, place)[:2], **kw))
             with pytest.raises(ValueError):
                 table[...] = 0.0
-            fresh = MeshBasis(mesh, space).evaluate(*rows, **kw)
+            fresh = MeshBasis(mesh, space).table(6, place, **kw)
             assert fresh is not table and np.array_equal(fresh, table)
 
 
 def test_reference_walk_evaluates_at_global_points(monkeypatch):
     # the global oracle walks the facets one at a time at global quadrature points
-    # and never reads the shared facet offsets that the slab kernel uses
-    from schrodg.mesh import FacetArrays
+    # and never reads the reference rules or trace tables that the slab kernel uses
+    from schrodg.mesh import Mesh
 
     mesh, space = build_cartesian_mesh(DOM, 4, 3), SpaceKind.full_poly(2)
     m, rhs, _ = assemble_global(mesh, space, constant_data(1.0))
-    monkeypatch.setattr(FacetArrays, "local_quadrature", lambda *a: pytest.fail("table used"))
+    monkeypatch.setattr(Mesh, "rule", lambda *a: pytest.fail("reference rule used"))
+    monkeypatch.setattr(MeshBasis, "table", lambda *a, **k: pytest.fail("trace table used"))
     largest, (m_walk, rhs_walk, _) = _largest_evaluation(
         monkeypatch, lambda: assemble_global(mesh, space, constant_data(1.0)))
     assert largest == _rule_sizes(space, None)[0] ** 2  # one element's volume rule

@@ -6,7 +6,7 @@ import pytest
 
 from schrodg.basis import (MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
                            trefftz_basis)
-from schrodg.mesh import FacetKind
+from schrodg.mesh import PLACE, FacetKind
 from schrodg.poly import apply_schrodinger, mi, poly_combination
 from tests.conftest import named_mesh
 
@@ -216,9 +216,6 @@ TABLE_SPACES = [SpaceKind.trefftz(1), SpaceKind.trefftz(2),
                 SpaceKind.quasi_trefftz(1), SpaceKind.quasi_trefftz(2),
                 SpaceKind.full_poly(1), SpaceKind.full_poly(2),
                 SpaceKind.plane_wave(1), SpaceKind.plane_wave(2)]
-FACET_SIDES = {"space_interior": ("below", "above", "owner"), "final": ("below", "owner"),
-               "initial": ("above", "owner"), "time_interior": ("left", "right", "owner"),
-               "dirichlet": ("owner",)}
 
 
 def _pointwise(mesh, space, eid, X, T):
@@ -235,22 +232,25 @@ def _pointwise(mesh, space, eid, X, T):
 @pytest.mark.parametrize("space", TABLE_SPACES, ids=str)
 @pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
 def test_facet_tables_equal_pointwise_evaluation(space, mesh_name):
-    # the shared offsets of every facet group and side give the basis values,
-    # x-derivatives and operator image of each neighbour at the global facet nodes
+    # the trace tables of the place where a facet lies on each neighbour (PLACE of its
+    # slot) give the basis values, x-derivatives and operator image of that neighbour at
+    # the global facet nodes: on every kind, the Dirichlet owners on both sides included
     mesh = named_mesh(mesh_name, 4, 3)
     basis, n = MeshBasis(mesh, space), 6
     checked = set()
     for kind in FacetKind:
         fa = mesh.facet_arrays(kind, range(mesh.nt))
         X, T, _ = fa.quadrature(n)
-        for side in FACET_SIDES[kind.value]:
-            eids = getattr(fa, side)
-            x, t, _ = fa.local_quadrature(n, side)
-            shape = (len(eids), basis.dim, n)
-            tables = [np.broadcast_to(a, shape) for a in
-                      (*basis.traces(x, t), basis.evaluate(x, t, image=True))]
-            for f, e in enumerate(eids):
+        for slot, place in PLACE.items():
+            tables = [basis.table(n, place, **kw)[0] for kw in ({}, {"dx": True},
+                                                                 {"image": True})]
+            for f, e in enumerate(getattr(fa, slot)):
+                if e < 0:
+                    continue
                 for table, ref in zip(tables, _pointwise(mesh, space, e, X[f], T[f])):
-                    assert np.max(np.abs(table[f] - ref)) <= 1e-13 * np.max(np.abs(ref))
-            checked.add((kind, side))
-    assert len(checked) == sum(map(len, FACET_SIDES.values()))
+                    assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
+                checked.add((kind, slot))
+    assert checked == {(FacetKind.SPACE_INTERIOR, "below"), (FacetKind.SPACE_INTERIOR, "above"),
+                       (FacetKind.FINAL, "below"), (FacetKind.INITIAL, "above"),
+                       (FacetKind.TIME_INTERIOR, "left"), (FacetKind.TIME_INTERIOR, "right"),
+                       (FacetKind.DIRICHLET, "left"), (FacetKind.DIRICHLET, "right")}

@@ -4,7 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schrodg.mesh import FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import PLACE, FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.quadrature import rect_rule
+from tests.conftest import named_mesh
 
 SIDES = ("below", "above", "left", "right")
 
@@ -216,8 +218,8 @@ def test_facet_arrays_cover_every_facet_once():
 
 @pytest.mark.parametrize("nx, nt", [(3, 5), (1, 1)])
 def test_facet_arrays_of_a_slab_range_concatenate_its_slabs(nx, nt):
-    # a range of slabs gives the facets of those slabs one after the other, with the
-    # offsets and half-lengths that the facets share still stored once
+    # a range of slabs gives the facets of those slabs one after the other, field by
+    # field, with the same dtypes
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, nt)
     for slabs in (range(1, nt - 1) if nt > 2 else range(nt), range(nt)):
         for kind in FacetKind:
@@ -231,12 +233,6 @@ def test_facet_arrays_of_a_slab_range_concatenate_its_slabs(nx, nt):
                 want = np.concatenate([getattr(g, name) for g in groups])
                 assert getattr(fa, name).dtype == want.dtype
                 assert np.array_equal(getattr(fa, name), want)
-            assert fa.half.shape == (1,) and all(g.half == fa.half for g in groups)
-            for slot, offset in fa.offset.items():
-                per_facet = kind is FacetKind.DIRICHLET and slot == "owner"
-                assert offset.shape == (fa.owner.shape if per_facet else (1,))
-                assert np.array_equal(np.broadcast_to(offset, fa.owner.shape), np.concatenate(
-                    [np.broadcast_to(g.offset[slot], g.owner.shape) for g in groups]))
 
 
 @pytest.mark.parametrize("nx, nt", [(1, 1), (1, 3), (4, 2)])
@@ -309,13 +305,49 @@ def test_facet_arrays_match_the_element_sides(kind):
     for name in ("lo", "hi", "fixed", "normal_sign", "alpha", "beta"):
         assert getattr(fa, name).dtype == float
         assert np.array_equal(getattr(fa, name), want[name])
-    assert np.allclose(np.broadcast_to(fa.half, fa.owner.shape), want["half"],
-                       rtol=1e-14, atol=0)
-    # each neighbour's offset is the signed distance from its centre to the facet's line
-    assert np.allclose(np.broadcast_to(fa.offset["owner"], fa.owner.shape),
-                       want["owner_offset"], rtol=0, atol=1e-14)
-    centre = mesh.centers[:, 1 if kind.is_horizontal else 0]
-    for slot, ids in ((s, getattr(fa, s)) for s in fa.offset if s != "owner"):
-        has = ids >= 0
-        assert np.allclose(np.broadcast_to(fa.offset[slot], ids.shape)[has],
-                           fa.fixed[has] - centre[ids[has]], rtol=0, atol=1e-14)
+    # on each neighbour the facet is the side PLACE[slot]: its rule spans the facet, and
+    # lies at the signed distance from the neighbour's centre to the facet's line
+    across = 1 if kind.is_horizontal else 0
+    owner_offset = np.empty(len(fa.owner))
+    for slot, place in PLACE.items():
+        ids = getattr(fa, slot)
+        if not (has := ids >= 0).any():
+            continue
+        rule = mesh.rule(3, place)
+        assert np.allclose(rule[2].sum(), 2 * want["half"], rtol=1e-14, atol=0)
+        assert np.allclose(rule[across], fa.fixed[has, None] - mesh.centers[ids[has], across, None],
+                           rtol=0, atol=1e-14)
+        owner_offset[has & (ids == fa.owner)] = rule[across][0, 0]
+    assert np.allclose(owner_offset, want["owner_offset"], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
+def test_rule_matches_the_global_quadrature(mesh_name):
+    # centres plus the offsets of Mesh.rule at the place of each neighbour slot, the
+    # Dirichlet owners' included, are the global Gauss nodes of every facet, with its
+    # weights; over the volume they are rect_rule's, in its order
+    mesh, n = named_mesh(mesh_name, 3, 4), 5
+    checked = set()
+    for kind in FacetKind:
+        fa = mesh.facet_arrays(kind, range(mesh.nt))
+        X, T, W = fa.quadrature(n)
+        for slot, place in PLACE.items():
+            has = getattr(fa, slot) >= 0
+            if has.any():
+                x, t, w = mesh.rule(n, place)
+                assert x.shape == t.shape == w.shape == (1, n)
+                centre = mesh.centers[getattr(fa, slot)[has]]
+                assert np.allclose(centre[:, :1] + x, X[has], rtol=0, atol=1e-14)
+                assert np.allclose(centre[:, 1:] + t, T[has], rtol=0, atol=1e-14)
+                assert np.allclose(np.broadcast_to(w, W[has].shape), W[has], rtol=1e-14, atol=0)
+                checked.add((kind, slot))
+    assert len(checked) == 8
+    x, t, w = mesh.rule(n, "volume")
+    assert x.shape == t.shape == w.shape == (1, n * n)
+    for el in mesh.elements:
+        xg, tg, wg = rect_rule(el.x_range, el.t_range, n)
+        assert np.allclose(el.center[0] + x[0], xg, rtol=0, atol=1e-14)
+        assert np.allclose(el.center[1] + t[0], tg, rtol=0, atol=1e-14)
+        assert np.allclose(w[0], wg, rtol=1e-14, atol=0)
+    with pytest.raises(ValueError, match="place"):  # a slot is not a place
+        mesh.rule(n, "owner")

@@ -7,7 +7,7 @@ import pytest
 from schrodg.assembly import (BoundaryData, DiscreteSolution, element_bases, march,
                               solution_data)
 from schrodg.basis import SpaceKind
-from schrodg.mesh import FacetArrays, FacetKind, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
                            dg_norm, dg_norms, dg_plus_norm, exact_field, l2_slice_error)
 from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
@@ -334,10 +334,11 @@ def test_fields_that_share_an_exact_field_trace_it_once(monkeypatch):
     import schrodg.norms
 
     mesh, sols = _square_well_solutions(16, 16)
+    dg_norms(sols, mesh)  # every trace table the walk reads, built before counting
     rules, products = [], []
-    local_quadrature, mode_sum = FacetArrays.local_quadrature, schrodg.norms.mode_sum
-    monkeypatch.setattr(FacetArrays, "local_quadrature",
-                        lambda fa, n, side: rules.append(side) or local_quadrature(fa, n, side))
+    rule, mode_sum = Mesh.rule, schrodg.norms.mode_sum
+    monkeypatch.setattr(Mesh, "rule",
+                        lambda mesh, n, place: rules.append(place) or rule(mesh, n, place))
     monkeypatch.setattr(schrodg.norms, "mode_sum",
                         lambda X, Tt: products.append(X.shape) or mode_sum(X, Tt))
     calls = []
@@ -350,11 +351,9 @@ def test_fields_that_share_an_exact_field_trace_it_once(monkeypatch):
         calls.append((series.factor_calls, [t.tolist() for t in series.times], list(rules),
                       list(products)))
     assert calls[0] == calls[1]
-    # one rule per side of each (chunk, kind), in 6 chunks of at most 3 slabs: owner, left
-    # and right on the time-like interior facets and the owner on the Dirichlet ones of
-    # each, owner, below and above on the space-like interior ones of 5 (slab 15 owns
-    # none), and the owner on the initial and the final facets
-    assert len(calls[0][2]) == 6 * 3 + 6 + 5 * 3 + 2
+    # the weights of one walk: a row along the space-like facets and one along the
+    # time-like ones, however many chunks (6 here) and fields
+    assert calls[0][2] == ["top", "left"]
 
 
 def test_separable_norm_keeps_only_the_factor_tables():
@@ -397,19 +396,18 @@ def test_norm_memory_does_not_grow_with_the_number_of_slabs():
 
 @pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
 def test_discrete_local_matches_value_at_global_points(mesh_name):
-    # one shared row of offsets: one product, as every element has the same basis values;
-    # a row that is a facet side's rule is read off the basis' trace table
+    # local at a place of the elements is one product with its trace table, equal to
+    # value and dx at the centres plus the place's rule; evaluate at a shared row of
+    # offsets gives one row of values for every element, and keeps none
     mesh = named_mesh(mesh_name, 4, 4)
-    dsol, eids = _field("discrete", mesh), np.arange(mesh.n_elements)
-    side_rule = mesh.facet_arrays(FacetKind.TIME_INTERIOR, range(mesh.nt)).local_quadrature(
-        5, "right")[:2]
-    for x, t in ((np.linspace(-0.1, 0.12, 5)[None], np.linspace(-0.11, 0.1, 5)[None]),
-                 side_rule):
-        values = dsol.basis.evaluate(x, t)
-        assert len(values) == 1
-        assert (dsol.basis.evaluate(x, t) is values) == (x is side_rule[0])
-        center = mesh.centers
+    dsol, eids, center = _field("discrete", mesh), np.arange(mesh.n_elements), mesh.centers
+    row = np.linspace(-0.1, 0.12, 5)[None], np.linspace(-0.11, 0.1, 5)[None]
+    values = dsol.basis.evaluate(*row)
+    assert values.shape == (1, dsol.basis.dim, 5) and dsol.basis.evaluate(*row) is not values
+    for place in ("top", "bottom", "left", "right", "volume"):
+        x, t, _ = mesh.rule(5, place)
         for dx, trace in ((False, dsol.value), (True, dsol.dx)):
             want = trace(eids, center[:, :1] + x, center[:, 1:] + t)
-            got = dsol.local(eids, x, t, dx)
+            got = dsol.local(eids, 5, place, dx)
+            assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
