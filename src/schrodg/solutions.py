@@ -31,8 +31,10 @@ class ExpSolution:
 
     kappa: float
 
+    # kappa * kappa, not kappa ** 2: a float power that overflows raises, a product is inf
+
     def value(self, x, t):
-        return np.exp(self.kappa * np.asarray(x) + 0.5j * self.kappa ** 2 * np.asarray(t))
+        return np.exp(self.kappa * np.asarray(x) + 0.5j * (self.kappa * self.kappa) * np.asarray(t))
 
     def dx(self, x, t):
         return self.kappa * self.value(x, t)
@@ -41,12 +43,12 @@ class ExpSolution:
         """X = kappa^dx exp(kappa x) (len(x), 1) and T = exp(i kappa^2 t / 2) (1, len(t))."""
         X = np.exp(self.kappa * np.asarray(x, dtype=float).reshape(-1, 1))
         return (self.kappa * X if dx else X), np.exp(
-            0.5j * self.kappa ** 2 * np.asarray(t, dtype=float).reshape(1, -1))
+            0.5j * (self.kappa * self.kappa) * np.asarray(t, dtype=float).reshape(1, -1))
 
     def derivative(self, j: MultiIndex, point) -> complex:
         x, t = point
-        return complex(self.kappa ** j.jx[0] * (0.5j * self.kappa ** 2) ** j.jt
-                       * np.exp(self.kappa * x + 0.5j * self.kappa ** 2 * t))
+        k = np.float64(self.kappa)  # numpy powers overflow to inf
+        return complex(k ** j.jx[0] * (0.5j * (k * k)) ** j.jt * np.exp(k * x + 0.5j * (k * k) * t))
 
 
 @dataclass(frozen=True)

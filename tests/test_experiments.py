@@ -338,6 +338,19 @@ def test_cli_nan_dirichlet_datum_exits_2(tmp_path, capsys, monkeypatch):
     assert "slab 5: non-finite" in capsys.readouterr().err  # h_t = 0.1
 
 
+# the CLI runs with numpy's default warnings: an overflow warns, it does not raise
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kappa", ["1e154", "1e160", "-1e200", "1.7976931348623157e308"])
+@pytest.mark.parametrize("experiment", ["conv-h", "conv-p"])
+def test_cli_huge_kappa_exits_2_naming_slab_0(tmp_path, capsys, experiment, kappa):
+    # kappa^2 overflows to inf (a float power would raise OverflowError), so the data
+    # are not finite and the first slab's right-hand side fails
+    assert main([experiment, "--levels", "2", f"--kappa={kappa}",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "slab 0: non-finite right-hand side" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_linalg_error_exits_2(tmp_path, capsys, monkeypatch):
     import schrodg.experiments
 
