@@ -27,23 +27,28 @@ to slab s - 1.  The default solve is therefore block forward substitution,
     M_ss c_s = l_s - B_s c_{s-1},
 
 where the slab kernel `_slab_matrix` assembles A: the diagonal block M_ss
-and the coupling B_{s+1} into the next slab.  `_data_rhs` assembles l,
-from psi0 and g_D alone, for every slab in one batch.  Both read the basis
-off its trace tables by place: a facet of slot s is its neighbour's side
-`PLACE[s]`, and a Dirichlet facet is walked by the slot its owner is in.  The assembled
-global system is kept as a testing oracle, solved by a dense LU rather than
-the band LU of `march`.
+and the coupling B into the next slab.  On the uniform grid every slab has
+the same M, block tridiagonal with the same blocks in every column, and B is
+one dim x dim block per element, so the kernel computes six blocks from the
+basis' trace tables by place (`MeshBasis.table`) and tiles them into band
+storage.  `_data_rhs` assembles l from psi0 and g_D alone, on the grid: psi0
+at slab 0's bottom nodes and g_D on each Dirichlet side, each one array
+contracted with one table.  Neither builds a facet.  The assembled global
+system is kept as a testing oracle, solved by a dense LU rather than the band
+LU of `march`.
 
-The form is implemented twice on purpose: once in the batched slab kernel
-that `march` runs, and once in the per-facet reference walk `_walk_form`
-behind `assemble_global` and `apply_form_to_field`.  The walk shares no
-code with the kernel, so that marching = global solve compares two
-independent implementations.
+The form is implemented twice on purpose: once in the tiled slab kernel that
+`march` runs, and once in the per-facet reference walk `_walk_form` behind
+`assemble_global` and `apply_form_to_field`.  The walk enumerates its own
+facets, from the element records (`_facets`), and shares no code with the
+kernel, so that marching = global solve compares two independent
+implementations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -51,9 +56,9 @@ import scipy.linalg
 
 from .basis import ElementBasis, MeshBasis, SpaceKind, element_basis
 from .linalg import COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, from_band
-from .mesh import PLACE, FacetKind, Mesh
+from .mesh import Element, Mesh
 from .norms import field_points
-from .quadrature import data_rule_size, mapped_interval, poly_rule_size, rect_rule
+from .quadrature import data_rule_size, mapped_interval, mapped_intervals, poly_rule_size, rect_rule
 
 COND_FLAG = 1e14  # plane-wave slabs above this condition number are rejected
 
@@ -62,8 +67,9 @@ COND_FLAG = 1e14  # plane-wave slabs above this condition number are rejected
 class BoundaryData:
     """Initial datum psi0(x) and Dirichlet datum g_D(x, t), both vectorized.
 
-    Both are called with 2-D point arrays (one row per facet) and must
-    return values of the same shape.
+    Both are called with 2-D point arrays and must return values of the same
+    shape: psi0 with the Gauss nodes of slab 0's bottom, (nx, n), and g_D with
+    those of one Dirichlet side, (nt, n), one call per side.
     """
 
     psi0: Callable
@@ -91,9 +97,10 @@ class DiscreteSolution:
     """Coefficients of a discrete space on every element, one (n_elements, dim) array.
 
     A field in the sense of `schrodg.norms`: value/dx take an element id, or an
-    id array (nF,) with points (nF, nq), local takes the rule at a place of the
-    elements (`Mesh.rule`), and each contracts coeffs[eids] with the `MeshBasis`
-    values: at the points, or off the place's trace table.
+    id array (nF,) with points (nF, nq), and contract coeffs[eids] with the
+    `MeshBasis` values there; traces takes a range of slabs and a place of their
+    elements (`Mesh.rule`), and contracts those slabs' rows, (slab, column) in
+    order, with the place's trace table.
     ``bases`` is accepted but not needed.  `march` keeps slab 0's diagonal
     block in ``first_slab`` if it has at most `COND_MAX_N` rows, and the cond2
     its plane-wave screen took of that block in ``screen_cond2``.
@@ -112,14 +119,18 @@ class DiscreteSolution:
         self.coeffs[eid] = vec
         self._known[eid] = True
 
-    def local(self, eids, n: int, place: str, dx: bool = False) -> np.ndarray:
-        """The trace on the elements ``eids`` at the n-point rule on their ``place``, (nF, n):
-        one product with the basis' trace table."""
-        return self._coeffs_of(eids) @ self.basis.table(n, place, dx)[0]
+    def traces(self, slabs: range, n: int, place: str, dx: bool = False) -> np.ndarray:
+        """The trace on every element of ``slabs`` at the n-point rule on their ``place``,
+        (len(slabs), nx, nq): one product of those slabs' coefficient rows, a view, with the
+        basis' trace table."""
+        nx, table = self.mesh.nx, self.basis.table(n, place, dx)[0]
+        rows = self._coeffs_of(slice(slabs.start * nx, slabs.stop * nx))
+        return (rows @ table).reshape(len(slabs), nx, table.shape[1])
 
     def _coeffs_of(self, eids) -> np.ndarray:
         if not self._known[eids].all():
-            raise ValueError(f"element {eids[~self._known[eids]][0]} has no coefficients yet")
+            raise ValueError(f"element {np.arange(len(self._known))[eids][~self._known[eids]][0]} "
+                             "has no coefficients yet")
         return self.coeffs[eids]
 
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
@@ -151,81 +162,69 @@ def _rule_sizes(space: SpaceKind, n_quad: int | None) -> tuple[int, int]:
     return n_data if space.family == "planewave" else poly_rule_size(space.p), n_data
 
 
-# --- slab-wide assembly for march: every facet kind of a slab in one batch ---
+# --- the slab kernel of march: every slab's operator, tiled from blocks ---
 
 def _pair(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_q conj(a[f, i, q]) w[f, q] b[f, j, q] for every facet f: (nF, dim, dim), or one
-    block (1, dim, dim) if every facet shares a, b and w."""
+    """sum_q conj(a[f, i, q]) w[f, q] b[f, j, q] for every row f: (nF, dim, dim), or one
+    block (1, dim, dim) if every row shares a, b and w."""
     return (a.conj() * w[:, None, :]) @ np.swapaxes(b, 1, 2)
 
 
-def _add_at(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-    """out.flat[index] += values, index broadcast with values and repeats summed: `np.add.at`
-    on flat views, which numpy runs several times faster than on blocks."""
-    index, values = np.broadcast_arrays(index, values)
-    np.add.at(out.reshape(-1), index.reshape(-1), values.reshape(-1))
-
-
-def _slab_matrix(mesh: Mesh, slab: int, basis: MeshBasis, n_form: int
+def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
                  ) -> tuple[tuple[np.ndarray, int, int], np.ndarray]:
-    """One slab's operator: its diagonal block of A and its coupling into the next slab.
+    """Every slab's operator: its diagonal block of A, and its coupling into the next slab.
 
     The diagonal block is returned in band storage (ab, kl, ku) (see
     `linalg.FactoredMatrix`): rows test, columns trial, dim dofs per element in slab
-    order.  Only time-like facets couple elements, and only neighbours in
-    slab order, so it is block tridiagonal with kl = ku = 2 dim - 1.  The
-    coupling blocks (nx, dim, dim) hold -i int conj(phi^+) phi^- over the top
-    facet of each element e: test functions of the element above e, trial
-    functions of e.  They are zero on the last slab.  Every block reads the basis off
-    its trace tables, at the place where its facet lies on the element.
+    order.  Only time-like facets couple elements, and only neighbours in slab order,
+    so it is block tridiagonal with kl = ku = 2 dim - 1, and on the uniform grid it
+    has six blocks, each one dim x dim integral off the trace tables of the place
+    where its facet lies on the element: the top facet's mass, the terms of a
+    time-like interior facet between the columns of its left element (on that
+    element's right side) and its right element (on its left side), which give the
+    sub- and super-diagonal blocks and two main-diagonal terms, and one Dirichlet term
+    at each end.  Column ix's diagonal block sums the top term, the left-element
+    term if ix < nx - 1, the right-element term if ix > 0, the Dirichlet term of
+    x = x_hi if ix = nx - 1 and then that of x = x_lo if ix = 0, and the volume
+    term, in that order.  The coupling is one block (dim, dim): -i int conj(phi^+)
+    phi^- over the top facet of an element, test functions of the element above it,
+    trial functions of the element.
     """
-    nx, dim, first = mesh.nx, basis.dim, slab * mesh.nx
-    traces = {place: (basis.table(n_form, place), basis.table(n_form, place, dx=True))
-              for place in ("left", "right")}
+    nx, dim = mesh.nx, basis.dim
     wx, wt = mesh.rule(n_form, "top")[2], mesh.rule(n_form, "left")[2]
+    alpha, beta = np.full((1, 1, 1), 1.0 / mesh.h[0]), np.full((1, 1, 1), mesh.h[0])
+    top = basis.table(n_form, "top")
+    # a time-like facet on each neighbour: the left element's right side (normal +1),
+    # the right element's left side (-1)
+    sides = [(basis.table(n_form, place), basis.table(n_form, place, dx=True), sign)
+             for place, sign in (("right", 1.0), ("left", -1.0))]
+    (left_left, left_right), (right_left, right_right) = (
+        [0.5 * (0.5 * na * _pair(va, gb, wt) + 1j * alpha * na * nb * _pair(va, vb, wt)
+                - 0.5 * na * _pair(ga, vb, wt) + 1j * beta * na * nb * _pair(ga, gb, wt))[0]
+         for vb, gb, nb in sides] for va, ga, na in sides)
+    dirichlet = [0.5 * (sign * _pair(v, g, wt) + 1j * alpha * _pair(v, v, wt))[0]
+                 for v, g, sign in sides]  # x = x_hi (its owner's right side), x = x_lo
+
+    diagonal = np.empty((nx, dim, dim), dtype=complex)
+    diagonal[:] = 1j * _pair(top, top, wx)
+    diagonal[:-1] += left_left
+    diagonal[1:] += right_right
+    diagonal[-1] += dirichlet[0]
+    diagonal[0] += dirichlet[1]
+    if basis.kind.needs_volume_term:
+        diagonal += _pair(basis.table(n_form, "volume", image=True),
+                          basis.table(n_form, "volume"), mesh.rule(n_form, "volume")[2])
+
+    # entry (a, b) of the block of test column e against trial column f sits at band
+    # row kl + ku + (e - f) dim + a - b, column f dim + b
     kl = ku = 2 * dim - 1
     ab = np.zeros((2 * kl + ku + 1, nx * dim), dtype=complex)
-    coupling = np.zeros((nx, dim, dim), dtype=complex)
-    a, b = np.arange(dim)[:, None], np.arange(dim)[None, :]
-
-    def add(test, trial, blocks):
-        # entry (a, b) of the block of test element e against trial element e' sits at
-        # band row kl + ku + (e - e') dim + a - b, column e' dim + b
-        e, f = ((ids - first)[:, None, None] for ids in (test, trial))
-        _add_at(ab, (kl + ku + (e - f) * dim + a - b) * ab.shape[1] + f * dim + b, blocks)
-
-    for kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL):  # every element's top facet
-        fa = mesh.facet_arrays(kind, slab)
-        if fa is not None:
-            v = basis.table(n_form, PLACE["below"])
-            add(fa.below, fa.below, 1j * _pair(v, v, wx))
-            if kind is FacetKind.SPACE_INTERIOR:  # the upwind trace v, tested from above
-                _add_at(coupling, ((fa.below - first)[:, None, None] * dim + a) * dim + b,
-                        -1j * _pair(basis.table(n_form, PLACE["above"]), v, wx))
-
-    fa = mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab)
-    if fa is not None:
-        al, be = fa.alpha[:, None, None], fa.beta[:, None, None]
-        sides = [(getattr(fa, s), *traces[PLACE[s]], sign) for s, sign in (("left", 1.0),
-                                                                            ("right", -1.0))]
-        for ea, va, ga, na in sides:
-            for eb, vb, gb, nb in sides:
-                add(ea, eb, 0.5 * (0.5 * na * _pair(va, gb, wt)
-                                   + 1j * al * na * nb * _pair(va, vb, wt)
-                                   - 0.5 * na * _pair(ga, vb, wt)
-                                   + 1j * be * na * nb * _pair(ga, gb, wt)))
-
-    fa = mesh.facet_arrays(FacetKind.DIRICHLET, slab)
-    for s in ("left", "right"):  # the owner, a facet's one neighbour, slot by slot
-        has = getattr(fa, s) >= 0
-        ids, (v, g) = getattr(fa, s)[has], traces[PLACE[s]]
-        add(ids, ids, 0.5 * (fa.normal_sign[has, None, None] * _pair(v, g, wt)
-                             + 1j * fa.alpha[has, None, None] * _pair(v, v, wt)))
-
-    if basis.kind.needs_volume_term:
-        elems = np.arange(first, first + nx)
-        add(elems, elems, _pair(basis.table(n_form, "volume", image=True),
-                                basis.table(n_form, "volume"), mesh.rule(n_form, "volume")[2]))
+    a, b = np.arange(dim)[:, None], np.arange(dim)
+    cols = np.arange(nx)[:, None, None] * dim + b
+    ab[kl + ku + a - b, cols] = diagonal
+    ab[kl + ku + dim + a - b, cols[:-1]] = right_left  # test f + 1, trial f
+    ab[kl + ku - dim + a - b, cols[1:]] = left_right  # test f - 1, trial f
+    coupling = -1j * _pair(basis.table(n_form, "bottom"), top, wx)[0]
     return (ab, kl, ku), coupling
 
 
@@ -239,28 +238,28 @@ def first_slab_cond2(mesh: Mesh, space: SpaceKind, n_quad: int | None = None,
     if sol is not None and sol.screen_cond2 is not None:
         return sol.screen_cond2
     band = sol.first_slab if sol is not None else _slab_matrix(
-        mesh, 0, MeshBasis(mesh, space), _rule_sizes(space, n_quad)[0])[0]
+        mesh, MeshBasis(mesh, space), _rule_sizes(space, n_quad)[0])[0]
     return cond2(from_band(*band))
 
 
 def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
               n_data: int) -> None:
-    """Add l(v) of every slab into ``out`` (n_elements, dim) in one batch: psi0 on the
-    initial facets, and g_D on the Dirichlet facets."""
-    fa = mesh.facet_arrays(FacetKind.INITIAL, range(mesh.n_slabs))
-    psi0 = np.asarray(data.psi0(fa.quadrature(n_data)[0]), dtype=complex)[:, None]
-    np.add.at(out, fa.above, 1j * _pair(basis.table(n_data, PLACE["above"]), psi0,
-                                        mesh.rule(n_data, "bottom")[2])[..., 0])
+    """Add l(v) of every slab into ``out`` (n_elements, dim), viewed (nt, nx, dim): psi0 at
+    the Gauss nodes of slab 0's bottom, (nx, n), into slab 0, and g_D at those of each
+    Dirichlet side, (nt, n), into its end column, x = x_hi first."""
+    rows, hx = out.reshape(mesh.nt, mesh.nx, -1), mesh.h[0]
+    x = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n_data)[0]
+    psi0 = np.asarray(data.psi0(x), dtype=complex)[:, None]
+    rows[0] += 1j * _pair(basis.table(n_data, "bottom"), psi0,
+                          mesh.rule(n_data, "bottom")[2])[..., 0]
 
-    fa = mesh.facet_arrays(FacetKind.DIRICHLET, range(mesh.n_slabs))
-    gv = np.asarray(data.g_D(*fa.quadrature(n_data)[:2]), dtype=complex)[:, None]
-    W = mesh.rule(n_data, "left")[2]
-    for s in ("left", "right"):  # the owner, a facet's one neighbour, slot by slot
-        has = getattr(fa, s) >= 0
-        v, g = basis.table(n_data, PLACE[s]), basis.table(n_data, PLACE[s], dx=True)
-        np.add.at(out, getattr(fa, s)[has],
-                  0.5 * (fa.normal_sign[has, None] * _pair(g, gv[has], W)[..., 0]
-                         + 1j * fa.alpha[has, None] * _pair(v, gv[has], W)[..., 0]))
+    t, w = mapped_intervals(mesh.ts[:-1], mesh.ts[1:], n_data)[0], mesh.rule(n_data, "left")[2]
+    for column, x_side, place, sign in ((-1, mesh.xs[-1], "right", 1.0),
+                                        (0, mesh.xs[0], "left", -1.0)):
+        gv = np.asarray(data.g_D(np.full_like(t, x_side), t), dtype=complex)[:, None]
+        v, g = basis.table(n_data, place), basis.table(n_data, place, dx=True)
+        rows[:, column] += 0.5 * (sign * _pair(g, gv, w)[..., 0]
+                                  + 1j / hx * _pair(v, gv, w)[..., 0])
 
 
 def _screen(slab: int, cond: float) -> None:
@@ -280,8 +279,8 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     and memory linear in the elements per slab.  l depends on the data alone,
     so `_data_rhs` assembles it for every slab in one batch, into the
     coefficient array whose rows each slab's solve then overwrites.  The loop
-    only solves, and carries the coupling times the coefficients just solved
-    into the next right-hand side; no field is evaluated.  A plane-wave
+    only solves, and carries the coefficients just solved times the one coupling
+    block into the next right-hand side; no field is evaluated.  A plane-wave
     operator above `COND_FLAG` fails with a SlabSolveError naming slab 0: on
     the SVD cond2 up to `COND_MAX_N` unknowns, above it on LAPACK's 1-norm
     estimate 1 / rcond.  A matrix, right-hand side or solution that is not
@@ -291,7 +290,7 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     sol = DiscreteSolution(mesh, space)
     data_rhs = sol.coeffs  # l of every slab, until the slab's solve overwrites its rows
     _data_rhs(data_rhs, mesh, sol.basis, data, n_data)
-    band, coupling = _slab_matrix(mesh, 0, sol.basis, n_form)
+    band, coupling = _slab_matrix(mesh, sol.basis, n_form)
     if not np.all(np.isfinite(band[0])):
         raise SlabSolveError(0, float("nan"), "non-finite matrix")
     small = band[0].shape[1] <= COND_MAX_N
@@ -316,7 +315,8 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
         if not np.all(np.isfinite(coeffs)):
             raise SlabSolveError(slab, float("nan"), "non-finite solution")
         sol.set_coeffs(rows, coeffs)
-        carry = (coupling @ coeffs[:, :, None]).reshape(-1)
+        if slab < mesh.n_slabs - 1:
+            carry = (coupling @ coeffs[:, :, None]).reshape(-1)
     return sol
 
 
@@ -325,12 +325,61 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
 GLOBAL_DOF_CAP = 5000
 
 
-def _facets(mesh: Mesh, kinds):
-    """Every facet of ``kinds`` as (kind, its FacetArrays, its row), kind by kind and
-    slab by slab."""
-    for kind in kinds:
-        if (fa := mesh.facet_arrays(kind, range(mesh.n_slabs))) is not None:
-            yield from ((kind, fa, r) for r in range(len(fa.owner)))
+class FacetKind(Enum):
+    SPACE_INTERIOR = "space_interior"
+    FINAL = "final"
+    INITIAL = "initial"
+    TIME_INTERIOR = "time_interior"
+    DIRICHLET = "dirichlet"
+
+
+@dataclass(frozen=True)
+class Facet:
+    """One facet of the reference walk: ``first`` is the element below it (space-like) or
+    left of it (time-like) and ``second`` the one above or right, None where there is
+    none; ``span`` bounds the varying coordinate and ``fixed`` is the constant one."""
+
+    kind: FacetKind
+    first: Element | None
+    second: Element | None
+    span: tuple[float, float]
+    fixed: float
+
+    @property
+    def owner(self) -> Element:
+        """The first neighbour where there is one (a boundary facet's only one)."""
+        return self.first or self.second
+
+    @property
+    def alpha(self) -> float:
+        """1 / h_Fx, h_Fx the facet's spatial length scale: its owner's width."""
+        return 1.0 / self.owner.h_x
+
+    @property
+    def beta(self) -> float:
+        """h_Fx on time-like interior facets, 0 elsewhere."""
+        return self.owner.h_x if self.kind is FacetKind.TIME_INTERIOR else 0.0
+
+
+def _facets(mesh: Mesh) -> list[Facet]:
+    """Every facet of the mesh, found from the element records alone: the sides of the
+    elements, matched by their end points.  Sorted by kind, then by the owner's id."""
+    sides = {}  # (axis, line, span) -> [first, second]
+    for el in mesh.elements:
+        (x0, x1), (t0, t1) = el.x_range, el.t_range
+        for key, slot in ((("t", t1, (x0, x1)), 0), (("t", t0, (x0, x1)), 1),
+                          (("x", x1, (t0, t1)), 0), (("x", x0, (t0, t1)), 1)):
+            sides.setdefault(key, [None, None])[slot] = el
+    facets = []
+    for (axis, fixed, span), (first, second) in sides.items():
+        if axis == "t":
+            kind = (FacetKind.SPACE_INTERIOR if first and second else
+                    FacetKind.FINAL if first else FacetKind.INITIAL)
+        else:
+            kind = FacetKind.TIME_INTERIOR if first and second else FacetKind.DIRICHLET
+        facets.append(Facet(kind, first, second, span, fixed))
+    order = list(FacetKind)
+    return sorted(facets, key=lambda f: (order.index(f.kind), f.owner.id, f.fixed))
 
 
 def _element_traces(basis: MeshBasis, eid: int, xs, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -356,14 +405,13 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> 
         v, g = _element_traces(basis, e, xs, ts)
         return (slice(e * d, (e + 1) * d), v, g, *trial(e, xs, ts, v, g))
 
-    for kind, fa, r in _facets(mesh, (FacetKind.SPACE_INTERIOR, FacetKind.FINAL,
-                                      FacetKind.TIME_INTERIOR, FacetKind.DIRICHLET)):
-        q, wq = mapped_interval(fa.lo[r], fa.hi[r], n)
-        fixed = fa.fixed[r]
-        if kind is FacetKind.TIME_INTERIOR:
-            al, be = fa.alpha[r], fa.beta[r]
-            sides = [(*side(int(fa.left[r]), fixed, q), 1.0),
-                     (*side(int(fa.right[r]), fixed, q), -1.0)]
+    for f in _facets(mesh):
+        if f.kind is FacetKind.INITIAL:
+            continue
+        q, wq = mapped_interval(*f.span, n)
+        if f.kind is FacetKind.TIME_INTERIOR:
+            al, be = f.alpha, f.beta
+            sides = [(*side(f.first.id, f.fixed, q), 1.0), (*side(f.second.id, f.fixed, q), -1.0)]
             for ra, va, ga, _, _, _, na in sides:
                 vaw = va.conj() * wq
                 gaw = ga.conj() * wq
@@ -372,17 +420,17 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> 
                                           + 1j * al * na * nb * (vaw @ ub.T)
                                           - 0.5 * na * (gaw @ ub.T)
                                           + 1j * be * na * nb * (gaw @ uxb.T))
-        elif kind is FacetKind.DIRICHLET:
-            rows, v, _, cols, u, ux = side(int(fa.owner[r]), fixed, q)
+        elif f.kind is FacetKind.DIRICHLET:  # n: the owner's outward normal
+            rows, v, _, cols, u, ux = side(f.owner.id, f.fixed, q)
             vaw = v.conj() * wq
-            out[rows, cols] += 0.5 * (fa.normal_sign[r] * (vaw @ ux.T)
-                                      + 1j * fa.alpha[r] * (vaw @ u.T))
+            out[rows, cols] += 0.5 * ((1.0 if f.first else -1.0) * (vaw @ ux.T)
+                                      + 1j * f.alpha * (vaw @ u.T))
         else:  # space-like: the upwind trace u^- from below, tested on both sides
-            rows, v, _, cols, u, _ = side(int(fa.below[r]), q, fixed)
+            rows, v, _, cols, u, _ = side(f.first.id, q, f.fixed)
             out[rows, cols] += 1j * ((v.conj() * wq) @ u.T)
-            if kind is FacetKind.SPACE_INTERIOR:
-                up = int(fa.above[r])
-                vu = _element_traces(basis, up, q, fixed)[0]
+            if f.kind is FacetKind.SPACE_INTERIOR:
+                up = f.second.id
+                vu = _element_traces(basis, up, q, f.fixed)[0]
                 out[up * d:(up + 1) * d, cols] -= 1j * ((vu.conj() * wq) @ u.T)
 
     if basis.kind.needs_volume_term:
@@ -414,21 +462,21 @@ def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
                M, n_form)
 
     rhs = np.zeros(n, dtype=complex)
-    for kind, fa, r in _facets(mesh, (FacetKind.INITIAL, FacetKind.DIRICHLET)):
-        q, wq = mapped_interval(fa.lo[r], fa.hi[r], n_data)
-        fixed = fa.fixed[r]
-        if kind is FacetKind.INITIAL:
-            e = int(fa.above[r])
-            v = _element_traces(basis, e, q, fixed)[0]
+    for f in _facets(mesh):
+        if f.kind is FacetKind.INITIAL:
+            e = f.second.id
+            q, wq = mapped_interval(*f.span, n_data)
+            v = _element_traces(basis, e, q, f.fixed)[0]
             vals = np.asarray(data.psi0(q), dtype=complex)
             rhs[e * d:(e + 1) * d] += 1j * ((v.conj() * wq) @ vals)
-        else:
-            e = int(fa.owner[r])
-            v, g = _element_traces(basis, e, fixed, q)
-            gv = np.asarray(data.g_D(np.full_like(q, fixed), q), dtype=complex)
+        elif f.kind is FacetKind.DIRICHLET:
+            e = f.owner.id
+            q, wq = mapped_interval(*f.span, n_data)
+            v, g = _element_traces(basis, e, f.fixed, q)
+            gv = np.asarray(data.g_D(np.full_like(q, f.fixed), q), dtype=complex)
             rhs[e * d:(e + 1) * d] += 0.5 * (
-                fa.normal_sign[r] * ((g.conj() * wq) @ gv)
-                + 1j * fa.alpha[r] * ((v.conj() * wq) @ gv))
+                (1.0 if f.first else -1.0) * ((g.conj() * wq) @ gv)
+                + 1j * f.alpha * ((v.conj() * wq) @ gv))
 
     dof_map = {(e, i): e * d + i for e in range(mesh.n_elements) for i in range(d)}
     return M, rhs, dof_map

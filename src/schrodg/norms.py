@@ -16,33 +16,38 @@ A field exposes one-sided traces via value(eid, xs, ts) and dx(eid, xs, ts).
 ``eid`` is an element id or an int array of ids (nF,); with an array, the
 points broadcast to (nF, nq) and row f lies on element eid[f].  The result
 has the shape of the points.  Jumps are always formed from two one-sided
-traces.  The norms walk each facet kind over chunks of consecutive slabs,
-at most `_CHUNK_POINTS` points or T entries each, and call a field once per
-chunk and kind (and side).  A field may also expose local(eids, n, place, dx),
-its trace at the n-point rule on a place of the elements (`Mesh.rule`), which a
-discrete solution reads off its basis' trace table; the norms pass it the place
-of each neighbour slot (`PLACE`), a boundary facet's owner slot by slot.
-`dg_norms` sums several fields in one walk, each as in a walk of its own; the
-trace of a closed-form part that the fields share is taken once per chunk and kind.
+traces.
+
+The norms read every facet off the grid.  They walk the mesh in chunks of
+consecutive slabs, at most `_CHUNK_POINTS` points or T entries each: first the
+space-like facets (the t-lines) chunk by chunk, then the time-like ones (the
+x-lines).  Per chunk, each field gives its trace at each place of the chunk's
+elements, their "top" and "bottom" or their "left" and "right" sides
+(`Mesh.rule`), as a (slabs, columns, n) array, and a facet's two traces are
+shifted slices of those: the jump across the t-line above slab s is
+top[s] - bottom[s + 1], that across the x-line right of column ix is
+right[:, ix] - left[:, ix + 1], and the Dirichlet owners are left[:, 0] and
+right[:, -1].  A field with traces(slabs, n, place, dx) (a discrete solution)
+gives them itself; any other is called once per chunk and place, with the
+grid's points and every element of the chunk as one row.  `dg_norms` sums several
+fields in one walk, each as in a walk of its own; the trace of a closed-form part
+that the fields share is taken once per chunk.
 
 A closed-form field built from a separable solution (with ``factors``) has
 no sides: one trace serves both, read off tables: X once per norm call over
 the Gauss nodes of the mesh's columns and over its x-lines, T once per chunk
-over the t-lines or the slabs' Gauss times that its facets lie on.  Each
-trace is rows of X times rows of T, equal to value(x, t) at its points to
-the last bit (`mode_sum`).
+over the t-lines it owns or over its slabs' Gauss times.  Each trace is rows
+of X times rows of T, equal to value(x, t) at its points to the last bit
+(`mode_sum`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 
-from .mesh import PLACE, FacetKind, Mesh
+from .mesh import Mesh
 from .poly import ScaledPolynomial, dense_terms, mi, scaled_monomials
 from .quadrature import mapped_intervals
 from .solutions import mode_sum
@@ -127,13 +132,11 @@ class DifferenceField:
 
 class _FactorTables:
     """A separable field's factor tables on one mesh's grid and n-point rule: X over
-    the Gauss nodes of the grid's columns, and value and dx over its x-lines; T at the
-    t-lines of a group of space-like facets, or at the Gauss nodes of a group of
-    time-like facets' slabs.  The facets of a group are whole grid rows in a known
-    order, so their traces are rows of X times rows of T, reshaped to facet order.  Only
-    the last T is kept, reused while the groups ask for the same times, and the node X
-    goes at the first time-like group: a walk over the space-like groups, then the
-    time-like ones chunk by chunk, evaluates every table once.
+    the Gauss nodes of the grid's columns, and value and dx over its x-lines; T at
+    some t-lines, or at the Gauss nodes of some slabs.  Only the last T is kept,
+    reused while the chunks ask for the same times, and the node X goes at the first
+    time-like trace: a walk over the space-like facets, then the time-like ones,
+    evaluates every table once.
     """
 
     def __init__(self, factors, mesh: Mesh, n: int):
@@ -152,18 +155,17 @@ class _FactorTables:
             self._t = t.tobytes(), self.factors(np.empty(0), t)[1].T
         return self._t[1]
 
-    def trace(self, fa, dx: bool) -> np.ndarray:
-        """The value (or dx) on every facet of ``fa`` at the n-point rule, (nF, n)."""
-        n = self.n
-        if fa.kind.is_horizontal:  # t-line by t-line, then column by column
-            Tt = self._t_rows(fa.fixed[::self.mesh.nx])
-            return mode_sum(self._nodes[None], Tt[:, None]).reshape(-1, n)
+    def on_t_lines(self, t: np.ndarray) -> np.ndarray:
+        """The value at the Gauss nodes of every column on the t-lines at times ``t``,
+        (len(t), nx, n)."""
+        return mode_sum(self._nodes[None], self._t_rows(t)[:, None]).reshape(len(t), -1, self.n)
+
+    def on_x_lines(self, t: np.ndarray, dx: bool) -> np.ndarray:
+        """The value (or dx) on every x-line at the Gauss times ``t`` of some slabs, slab
+        by slab, (slabs, nx + 1, n)."""
         self._nodes = None
-        lines = self.mesh.lines(fa.kind)  # slab by slab, then x-line by x-line
-        k = len(lines)
-        Tt = self._t_rows(mapped_intervals(fa.lo[::k], fa.hi[::k], n)[0].reshape(-1))
-        grid = mode_sum(self._lines[dx][lines, None], Tt[None])  # (x-line, slab node)
-        return grid.reshape(k, -1, n).swapaxes(0, 1).reshape(-1, n)
+        grid = mode_sum(self._lines[dx][:, None], self._t_rows(t)[None])  # (x-line, time)
+        return grid.reshape(len(self._lines[dx]), -1, self.n).swapaxes(0, 1)
 
 
 def _tabulate(field, mesh: Mesh, n: int, tables: dict):
@@ -183,72 +185,103 @@ def _wsum_sq(w, z) -> float:
     return float(np.sum(w * (z.real * z.real + z.imag * z.imag)))
 
 
-def _sides(field, at: SimpleNamespace, sides, dx: bool = False) -> list[np.ndarray]:
-    """The one-sided traces (value, or dx) of field on the facets of ``at.fa`` from each
-    neighbour slot in ``sides``, on the n-point rule.
+class _Chunk:
+    """The places of a chunk of consecutive slabs: its elements' tops, and the bottoms of
+    the elements just above the t-lines it owns (the tops of its slabs, and slab 0's
+    bottom too), or its elements' left and right sides.  Each trace of a separable
+    part is kept for the chunk, so the fields of a walk share it."""
 
-    A field with ``local`` is evaluated at the place of each slot; factor tables
-    ignore element ids, so one trace serves every side; a difference is split
-    into its parts.
-    """
-    if isinstance(field, DifferenceField):
-        return [a - b for a, b in zip(_sides(field.a, at, sides, dx),
-                                      _sides(field.b, at, sides, dx))]
-    if isinstance(field, _FactorTables):
-        return [at.trace(field, dx)] * len(sides)
-    if hasattr(field, "local"):
-        return [_local(field, at.fa, at.n, s, dx) for s in sides]
-    X, T, _ = at.fa.quadrature(at.n)
-    trace = field.dx if dx else field.value
-    return [trace(getattr(at.fa, s), X, T) for s in sides]
+    def __init__(self, mesh: Mesh, n: int, slabs: range, nodes: np.ndarray):
+        self.mesh, self.n, self.slabs, self._nodes = mesh, n, slabs, nodes
+        self.lines = range(slabs.start + (slabs.start > 0), slabs.stop + 1)  # owned t-lines
+        self._kept = {}
+
+    def slabs_at(self, place: str) -> range:
+        if place == "bottom":  # the slabs just above the owned t-lines
+            return range(self.lines.start, min(self.lines.stop, self.mesh.nt))
+        return self.slabs
+
+    def trace(self, field, place: str, dx: bool = False) -> np.ndarray:
+        """``field``'s value (or dx) at the n-point rule on ``place`` of the elements of
+        `slabs_at` (place), (slabs, nx, n); a difference is split into its parts."""
+        if isinstance(field, DifferenceField):
+            return self.trace(field.a, place, dx) - self.trace(field.b, place, dx)
+        slabs, mesh, n = self.slabs_at(place), self.mesh, self.n
+        if isinstance(field, _FactorTables):
+            return self._separable(field, place, dx)
+        if hasattr(field, "traces"):
+            return field.traces(slabs, n, place, dx)
+        ids = np.arange(slabs.start * mesh.nx, slabs.stop * mesh.nx)
+        if place in ("top", "bottom"):
+            t = mesh.ts[np.array(slabs) + (place == "top")]
+            X, T = np.tile(self._nodes, (len(slabs), 1)), np.repeat(t, mesh.nx)[:, None]
+        else:
+            x = mesh.xs[1:] if place == "right" else mesh.xs[:-1]
+            X, T = np.tile(x, len(slabs))[:, None], np.repeat(self._times(), mesh.nx, axis=0)
+        X, T = np.broadcast_arrays(X, T)
+        return (field.dx if dx else field.value)(ids, X, T).reshape(len(slabs), mesh.nx, n)
+
+    def _times(self) -> np.ndarray:
+        """The Gauss times of every slab of the chunk, (slabs, n)."""
+        ts = self.mesh.ts
+        return mapped_intervals(ts[self.slabs.start:self.slabs.stop],
+                                ts[self.slabs.start + 1:self.slabs.stop + 1], self.n)[0]
+
+    def _separable(self, table: _FactorTables, place: str, dx: bool) -> np.ndarray:
+        # one trace on the owned t-lines, or on every x-line, serves both sides
+        key = (table, place in ("top", "bottom"), dx)
+        if key not in self._kept:
+            self._kept[key] = (table.on_t_lines(self.mesh.ts[self.lines.start:self.lines.stop])
+                               if key[1] else table.on_x_lines(self._times().reshape(-1), dx))
+        kept = self._kept[key]
+        if place == "top":  # the t-lines above the chunk's slabs: the last len(slabs)
+            return kept[len(kept) - len(self.slabs):]
+        if place == "bottom":
+            return kept[:len(self.slabs_at("bottom"))]
+        return kept[:, 1:] if place == "right" else kept[:, :-1]
 
 
-def _local(field, fa, n: int, slot: str, dx: bool) -> np.ndarray:
-    """``field.local`` on the facets of ``fa`` from neighbour ``slot``, (nF, n)."""
-    if slot != "owner":
-        return field.local(getattr(fa, slot), n, PLACE[slot], dx)
-    out = np.empty((len(fa.owner), n), dtype=complex)
-    for s in PLACE:  # a boundary facet's owner is its one neighbour, in facet order
-        if (has := getattr(fa, s) >= 0).any():
-            out[has] = field.local(getattr(fa, s)[has], n, PLACE[s], dx)
-    return out
-
-
-_CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one facet kind, or T
+_CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one place, or T
 
 
 def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> list[tuple[float, float]]:
     tables = {}
     fields = [_tabulate(field, mesh, n, tables) for field in fields]
-    step = max(1, _CHUNK_POINTS // (n * max([mesh.nx + 1] + [t.modes for t in tables.values()])))
-    chunks = [range(s, min(s + step, mesh.n_slabs)) for s in range(0, mesh.n_slabs, step)]
-    # every kind chunk by chunk, the space-like kinds first (see _FactorTables)
-    walk = sorted(product(chunks, FacetKind), key=lambda pair: not pair[1].is_horizontal)
+    nx, nt = mesh.nx, mesh.nt
+    step = max(1, _CHUNK_POINTS // (n * max([nx + 1] + [t.modes for t in tables.values()])))
+    chunks = [range(s, min(s + step, nt)) for s in range(0, nt, step)]
+    nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n)[0]
     sums = [[0.0, 0.0] for _ in fields]
-    weights = {True: mesh.rule(n, "top")[2], False: mesh.rule(n, "left")[2]}  # is_horizontal
-    for fa in filter(None, (mesh.facet_arrays(kind, slabs) for slabs, kind in walk)):
-        # each factor table's traces: every field reads them the same on this (chunk, kind)
-        at = SimpleNamespace(fa=fa, n=n,
-                             trace=functools.cache(lambda t, dx, fa=fa: t.trace(fa, dx)))
-        kind, W = fa.kind, weights[fa.kind.is_horizontal]
+    W, alpha, beta = mesh.rule(n, "top")[2], 1.0 / mesh.h[0], mesh.h[0]
+    for slabs in chunks:  # the space-like facets: interior, final, initial
+        at = _Chunk(mesh, n, slabs, nodes)
+        k = min(slabs.stop, nt - 1) - slabs.start  # interior t-lines the chunk owns
         for field, s in zip(fields, sums):
-            if kind is FacetKind.SPACE_INTERIOR:
-                wm, wp = _sides(field, at, ("below", "above"))
-                s[0] += _wsum_sq(W, wm - wp)
-                s[1] += _wsum_sq(W, wm) if with_plus else 0.0
-            elif kind is FacetKind.TIME_INTERIOR:
-                alpha, beta = fa.alpha[:, None], fa.beta[:, None]
-                v1, v2 = _sides(field, at, ("left", "right"))
-                g1, g2 = _sides(field, at, ("left", "right"), dx=True)
+            top = at.trace(field, "top")
+            bottom = at.trace(field, "bottom") if k > 0 or slabs.start == 0 else None
+            if k > 0:
+                s[0] += _wsum_sq(W, top[:k] - bottom[len(bottom) - k:])
+                s[1] += _wsum_sq(W, top[:k]) if with_plus else 0.0
+            if slabs.stop == nt:
+                s[0] += _wsum_sq(W, top[-1])
+            if slabs.start == 0:
+                s[0] += _wsum_sq(W, bottom[0])
+    W = mesh.rule(n, "left")[2]
+    for slabs in chunks:  # the time-like facets: interior, then Dirichlet (x_lo, x_hi)
+        at = _Chunk(mesh, n, slabs, nodes)
+        for field, s in zip(fields, sums):
+            right, left = at.trace(field, "right"), at.trace(field, "left")
+            if nx > 1 or with_plus:
+                right_dx, left_dx = at.trace(field, "right", True), at.trace(field, "left", True)
+            if nx > 1:  # x-line ix + 1: column ix's right side, column ix + 1's left side
+                v1, v2, g1, g2 = right[:, :-1], left[:, 1:], right_dx[:, :-1], left_dx[:, 1:]
                 s[0] += _wsum_sq(alpha * W, v1 - v2) + _wsum_sq(beta * W, g1 - g2)
                 if with_plus:
                     s[1] += (_wsum_sq(W / alpha, 0.5 * (g1 + g2))
                              + _wsum_sq(W / beta, 0.5 * (v1 + v2)))
-            else:  # initial, final and Dirichlet facets: the owner's trace alone
-                alpha = fa.alpha[:, None] if kind is FacetKind.DIRICHLET else 1.0
-                s[0] += _wsum_sq(alpha * W, _sides(field, at, ("owner",))[0])
-                if with_plus and kind is FacetKind.DIRICHLET:
-                    s[1] += _wsum_sq(W / alpha, _sides(field, at, ("owner",), dx=True)[0])
+            s[0] += _wsum_sq(alpha * W, np.stack((left[:, 0], right[:, -1]), axis=1))
+            if with_plus:
+                s[1] += _wsum_sq(W / alpha, np.stack((left_dx[:, 0], right_dx[:, -1]), axis=1))
     return [tuple(s) for s in sums]
 
 

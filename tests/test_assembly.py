@@ -34,7 +34,7 @@ def first_slab(mesh, space, data):
     """Dense matrix and right-hand side of slab 0, built as march builds them."""
     basis = MeshBasis(mesh, space)
     n_form, n_data = _rule_sizes(space, None)
-    band, _ = _slab_matrix(mesh, 0, basis, n_form)
+    band, _ = _slab_matrix(mesh, basis, n_form)
     rhs = np.zeros((mesh.n_elements, basis.dim), dtype=complex)
     _data_rhs(rhs, mesh, basis, data, n_data)
     return from_band(*band), rhs[:mesh.nx].reshape(-1)
@@ -213,47 +213,35 @@ def test_ill_conditioned_slab_is_flagged(monkeypatch):
 @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
 @pytest.mark.parametrize("mesh_name", ["offset", "uniform"])
 def test_band_slab_matrix_is_the_global_diagonal_block(space, mesh_name):
-    # the slab operator is the slab's diagonal block and its sub-diagonal block of the
-    # global matrix: the coupling of the next slab's test functions to this slab's trial
+    # the one slab operator is every slab's diagonal block of the global matrix, and the
+    # coupling block is every element's block of every sub-diagonal block (the next
+    # slab's test functions against this slab's trial functions).  One column has both
+    # Dirichlet terms in its block; two columns have no interior column
     from scipy.linalg import block_diag
 
-    mesh = named_mesh(mesh_name, 4, 3)
-    basis = MeshBasis(mesh, space)
-    m, _, _ = assemble_global(mesh, space, constant_data(1.0))
-    bw = 2 * basis.dim - 1
-
-    def dofs(slab):
-        return np.concatenate([np.arange(e * basis.dim, (e + 1) * basis.dim)
-                               for e in mesh.slab_elements[slab]])
-
-    for slab in range(mesh.n_slabs):
-        (ab, kl, ku), coupling = _slab_matrix(mesh, slab, basis, _rule_sizes(space, None)[0])
-        assert (kl, ku) == (bw, bw)
-        block = m[np.ix_(dofs(slab), dofs(slab))]
-        assert np.max(np.abs(from_band(ab, kl, ku) - block)) <= 1e-13 * np.max(np.abs(block))
-        i, j = np.indices(block.shape)
-        assert not np.any(block[(j - i > bw) | (i - j > bw)])
-        assert coupling.shape == (len(mesh.slab_elements[slab]), basis.dim, basis.dim)
-        if slab == mesh.n_slabs - 1:
-            assert not np.any(coupling)
-            continue
-        sub = m[np.ix_(dofs(slab + 1), dofs(slab))]
-        assert np.max(np.abs(block_diag(*coupling) - sub)) <= 1e-13 * np.max(np.abs(sub))
-
-
-@pytest.mark.parametrize("space", ALL_SPACES, ids=str)
-def test_uniform_mesh_has_one_slab_matrix(space):
-    # march reuses slab 0's factor and coupling on every slab of a uniform mesh
-    mesh = build_cartesian_mesh(DOM, 4, 3)
-    basis = MeshBasis(mesh, space)
-    ops = [_slab_matrix(mesh, slab, basis, _rule_sizes(space, None)[0])
-           for slab in range(mesh.n_slabs)]
-    bands = [band[0] for band, _ in ops]
-    for band in bands[1:]:
-        assert np.max(np.abs(band - bands[0])) <= 1e-13 * np.max(np.abs(bands[0]))
-    couplings = [coupling for _, coupling in ops[:-1]]  # the last slab couples to nothing
-    for coupling in couplings[1:]:
-        assert np.max(np.abs(coupling - couplings[0])) <= 1e-13 * np.max(np.abs(couplings[0]))
+    for nx in (1, 2, 4):
+        mesh = named_mesh(mesh_name, nx, 3)
+        basis = MeshBasis(mesh, space)
+        m, _, _ = assemble_global(mesh, space, constant_data(1.0))
+        (ab, kl, ku), coupling = _slab_matrix(mesh, basis, _rule_sizes(space, None)[0])
+        bw, n = 2 * basis.dim - 1, nx * basis.dim
+        assert (kl, ku) == (bw, bw) and coupling.shape == (basis.dim, basis.dim)
+        # slab 0's block in band storage, and nothing in the entries outside the matrix
+        i, j = np.indices((n, n))
+        inside = np.abs(i - j) <= bw
+        want = np.zeros_like(ab)
+        want[kl + ku + i[inside] - j[inside], j[inside]] = m[:n, :n][inside]
+        assert np.max(np.abs(ab - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(m[:n, :n][~inside])
+        dense = from_band(ab, kl, ku)
+        for slab in range(mesh.n_slabs):
+            rows = slice(slab * n, (slab + 1) * n)
+            block = m[rows, rows]
+            assert np.max(np.abs(dense - block)) <= 1e-13 * np.max(np.abs(block))
+            if slab + 1 < mesh.n_slabs:
+                sub = m[(slab + 1) * n:(slab + 2) * n, rows]
+                assert (np.max(np.abs(block_diag(*[coupling] * nx) - sub))
+                        <= 1e-13 * np.max(np.abs(sub)))
 
 
 @pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
@@ -268,15 +256,15 @@ def test_march_factors_once_per_uniform_mesh(monkeypatch, mesh_name):
             made.append(args)
             super().__init__(*args)
 
-    def counting_slab_matrix(mesh, slab, *args):
-        assembled.append(slab)
-        return _slab_matrix(mesh, slab, *args)
+    def counting_slab_matrix(mesh, *args):
+        assembled.append(mesh)
+        return _slab_matrix(mesh, *args)
 
     monkeypatch.setattr(schrodg.assembly, "FactoredMatrix", Counting)
     monkeypatch.setattr(schrodg.assembly, "_slab_matrix", counting_slab_matrix)
     sol = march(named_mesh(mesh_name, 4, 4), SpaceKind.plane_wave(2),
                 solution_data(ExpSolution(5.0)))
-    assert len(made) == 1 and assembled == [0] and sol.screen_cond2 is not None
+    assert len(made) == 1 and len(assembled) == 1 and sol.screen_cond2 is not None
 
 
 @pytest.mark.parametrize("space", [SpaceKind.full_poly(2), SpaceKind.plane_wave(2)], ids=str)

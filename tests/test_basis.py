@@ -6,7 +6,7 @@ import pytest
 
 from schrodg.basis import (MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
                            trefftz_basis)
-from schrodg.mesh import PLACE, FacetKind
+from schrodg.quadrature import mapped_interval, rect_rule
 from schrodg.poly import apply_schrodinger, mi, poly_combination
 from tests.conftest import named_mesh
 
@@ -232,25 +232,19 @@ def _pointwise(mesh, space, eid, X, T):
 @pytest.mark.parametrize("space", TABLE_SPACES, ids=str)
 @pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
 def test_facet_tables_equal_pointwise_evaluation(space, mesh_name):
-    # the trace tables of the place where a facet lies on each neighbour (PLACE of its
-    # slot) give the basis values, x-derivatives and operator image of that neighbour at
-    # the global facet nodes: on every kind, the Dirichlet owners on both sides included
+    # the trace table of each place gives every element's basis values, x-derivatives
+    # and operator image at the global Gauss nodes of that side (or of its volume)
     mesh = named_mesh(mesh_name, 4, 3)
     basis, n = MeshBasis(mesh, space), 6
-    checked = set()
-    for kind in FacetKind:
-        fa = mesh.facet_arrays(kind, range(mesh.nt))
-        X, T, _ = fa.quadrature(n)
-        for slot, place in PLACE.items():
-            tables = [basis.table(n, place, **kw)[0] for kw in ({}, {"dx": True},
-                                                                 {"image": True})]
-            for f, e in enumerate(getattr(fa, slot)):
-                if e < 0:
-                    continue
-                for table, ref in zip(tables, _pointwise(mesh, space, e, X[f], T[f])):
-                    assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
-                checked.add((kind, slot))
-    assert checked == {(FacetKind.SPACE_INTERIOR, "below"), (FacetKind.SPACE_INTERIOR, "above"),
-                       (FacetKind.FINAL, "below"), (FacetKind.INITIAL, "above"),
-                       (FacetKind.TIME_INTERIOR, "left"), (FacetKind.TIME_INTERIOR, "right"),
-                       (FacetKind.DIRICHLET, "left"), (FacetKind.DIRICHLET, "right")}
+    for place in ("top", "bottom", "left", "right", "volume"):
+        tables = [basis.table(n, place, **kw)[0] for kw in ({}, {"dx": True}, {"image": True})]
+        for el in mesh.elements:
+            (x0, x1), (t0, t1) = el.x_range, el.t_range
+            if place == "volume":
+                X, T, _ = rect_rule(el.x_range, el.t_range, n)
+            elif place in ("top", "bottom"):
+                X, T = mapped_interval(x0, x1, n)[0], np.full(n, t1 if place == "top" else t0)
+            else:
+                X, T = np.full(n, x1 if place == "right" else x0), mapped_interval(t0, t1, n)[0]
+            for table, ref in zip(tables, _pointwise(mesh, space, el.id, X, T)):
+                assert np.max(np.abs(table - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1e-300)

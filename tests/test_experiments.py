@@ -383,13 +383,13 @@ def test_conv_p_assembles_each_first_slab_once(monkeypatch):
     calls = []
     slab_matrix = schrodg.assembly._slab_matrix
 
-    def counting(mesh, slab, *args):
-        calls.append(slab)
-        return slab_matrix(mesh, slab, *args)
+    def counting(mesh, basis, n_form):
+        calls.append(basis.kind)
+        return slab_matrix(mesh, basis, n_form)
 
     monkeypatch.setattr(schrodg.assembly, "_slab_matrix", counting)
     rows = run_conv_p(ExperimentConfig("conv-p", levels=3))
-    assert calls == [0, 0, 0]
+    assert calls == [SpaceKind.trefftz(p) for p in (1, 2, 3)]
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 10, 10)
     assert [r.cond2 for r in rows] == [first_slab_cond2(mesh, SpaceKind.trefftz(p))
                                        for p in (1, 2, 3)]

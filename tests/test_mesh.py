@@ -4,30 +4,28 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from schrodg.mesh import PLACE, FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
-from schrodg.quadrature import rect_rule
+from schrodg.assembly import FacetKind, _facets
+from schrodg.mesh import Mesh, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.quadrature import mapped_interval, rect_rule
 from tests.conftest import named_mesh
 
-SIDES = ("below", "above", "left", "right")
+# the facets of a mesh are the reference walk's, found from the element records alone
+HORIZONTAL = (FacetKind.SPACE_INTERIOR, FacetKind.FINAL, FacetKind.INITIAL)
 
 
-def facet_groups(mesh):
-    """(kind, slab, FacetArrays) for every kind and slab that has facets."""
-    return [(kind, slab, fa) for kind in FacetKind for slab in range(mesh.n_slabs)
-            if (fa := mesh.facet_arrays(kind, slab)) is not None]
+def slots(f):
+    """(slot, element) of each neighbour of facet f: below/above, or left/right."""
+    names = ("below", "above") if f.kind in HORIZONTAL else ("left", "right")
+    return [(name, el) for name, el in zip(names, (f.first, f.second)) if el is not None]
 
 
 def kind_counts(mesh):
-    counts = Counter()
-    for kind, _, fa in facet_groups(mesh):
-        counts[kind] += len(fa.owner)
-    return counts
+    return Counter(f.kind for f in _facets(mesh))
 
 
 def incidences(mesh, eid):
-    """(kind, side) for every facet of element ``eid``; side is the slot holding eid."""
-    return [(kind, side) for kind, _, fa in facet_groups(mesh) for side in SIDES
-            for e in getattr(fa, side) if e == eid]
+    """(kind, slot) for every facet of element ``eid``; the slot is the one holding eid."""
+    return [(f.kind, slot) for f in _facets(mesh) for slot, el in slots(f) if el.id == eid]
 
 
 def test_domain_validation():
@@ -55,9 +53,9 @@ def test_2x3_counts_by_enumeration():
     assert counts[FacetKind.DIRICHLET] == 6
     assert counts[FacetKind.INITIAL] == 2
     assert counts[FacetKind.FINAL] == 2
-    for slab in range(mesh.n_slabs):
-        for fixed in mesh.facet_arrays(FacetKind.TIME_INTERIOR, slab).fixed:
-            assert fixed == pytest.approx(0.5)
+    for f in _facets(mesh):
+        if f.kind is FacetKind.TIME_INTERIOR:
+            assert f.fixed == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
@@ -109,23 +107,20 @@ def test_areas_tile_domain():
 
 def test_neighbor_counts():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 3, 3)
-    for kind, _, fa in facet_groups(mesh):
-        expected = 2 if kind in (FacetKind.SPACE_INTERIOR, FacetKind.TIME_INTERIOR) else 1
-        n_neighbors = sum((getattr(fa, side) >= 0).astype(int) for side in SIDES)
-        assert np.all(n_neighbors == expected)
+    for f in _facets(mesh):
+        expected = 2 if f.kind in (FacetKind.SPACE_INTERIOR, FacetKind.TIME_INTERIOR) else 1
+        assert len(slots(f)) == expected
 
 
 def test_stabilization_values_exact():
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 4, 3)
-    h_x = np.array([el.h_x for el in mesh.elements])
-    for kind, _, fa in facet_groups(mesh):
-        if kind is FacetKind.DIRICHLET:  # h_Fx is the owner's width
-            assert np.all(fa.alpha * h_x[fa.owner] == 1.0)
-            assert np.all(fa.beta == 0.0)
-        elif kind is FacetKind.TIME_INTERIOR:  # h_Fx = beta
-            assert np.all(fa.alpha * fa.beta == 1.0)
-            h1, h2 = h_x[fa.left], h_x[fa.right]
-            assert np.all((np.minimum(h1, h2) <= fa.beta) & (fa.beta <= np.maximum(h1, h2)))
+    for f in _facets(mesh):
+        if f.kind is FacetKind.DIRICHLET:  # h_Fx is the owner's width
+            assert f.alpha * f.owner.h_x == 1.0 and f.beta == 0.0
+        elif f.kind is FacetKind.TIME_INTERIOR:  # h_Fx = beta, between the two widths
+            assert f.alpha * f.beta == 1.0
+            h1, h2 = f.first.h_x, f.second.h_x
+            assert min(h1, h2) <= f.beta <= max(h1, h2)
 
 
 def test_horizontal_partition_property():
@@ -134,10 +129,9 @@ def test_horizontal_partition_property():
     nx, nt = 4, 3
     mesh = build_cartesian_mesh(dom, nx, nt)
     by_level = {}
-    for kind, _, fa in facet_groups(mesh):
-        if kind.is_horizontal:
-            for lo, hi, fixed in zip(fa.lo, fa.hi, fa.fixed):
-                by_level.setdefault(round(float(fixed), 12), []).append((lo, hi))
+    for f in _facets(mesh):
+        if f.kind in HORIZONTAL:
+            by_level.setdefault(round(float(f.fixed), 12), []).append(f.span)
     assert len(by_level) == nt + 1
     for level, spans in by_level.items():
         assert len(spans) == nx
@@ -151,13 +145,11 @@ def test_horizontal_partition_property():
 def test_lqu_uniform_is_one():
     # local quasi-uniformity: the largest width ratio of two elements sharing a facet
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 5, 4)
-    h_x = np.array([el.h_x for el in mesh.elements])
     lqu = 1.0
-    for kind, _, fa in facet_groups(mesh):
-        a, b = (fa.below, fa.above) if kind.is_horizontal else (fa.left, fa.right)
-        shared = (a >= 0) & (b >= 0)
-        ratio = h_x[a[shared]] / h_x[b[shared]]
-        lqu = max(lqu, np.max(np.maximum(ratio, 1.0 / ratio), initial=1.0))
+    for f in _facets(mesh):
+        if f.first and f.second:
+            ratio = f.first.h_x / f.second.h_x
+            lqu = max(lqu, ratio, 1.0 / ratio)
     assert lqu == pytest.approx(1.0)
 
 
@@ -197,157 +189,67 @@ def test_mesh_rejects_lines_that_are_not_its_grid(fault):
         Mesh(dom, xs, ts)
 
 
-def test_facet_arrays_cover_every_facet_once():
+def test_oracle_facets_cover_every_facet_once():
     nx, nt = 3, 4
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, nt)
-    seen = Counter()
-    neighbors = set()
-    for kind, slab, fa in facet_groups(mesh):
-        assert all(mesh.elements[e].slab == slab for e in fa.owner)
-        seen[kind] += len(fa.owner)
-        neighbors.update((kind, *ids) for ids in zip(*(getattr(fa, s) for s in SIDES)))
-    assert seen == {FacetKind.SPACE_INTERIOR: nx * (nt - 1), FacetKind.FINAL: nx,
-                    FacetKind.INITIAL: nx, FacetKind.TIME_INTERIOR: (nx - 1) * nt,
-                    FacetKind.DIRICHLET: 2 * nt}
-    assert len(neighbors) == sum(seen.values())
-    X, T, W = mesh.facet_arrays(FacetKind.TIME_INTERIOR, 2).quadrature(5)
-    assert X.shape == T.shape == W.shape == (2, 5)
-    assert np.allclose(X, [[1 / 3], [2 / 3]]) and np.all((0.5 < T) & (T < 0.75))
-    assert np.allclose(W.sum(axis=1), 0.25)
+    facets = _facets(mesh)
+    assert Counter(f.kind for f in facets) == {
+        FacetKind.SPACE_INTERIOR: nx * (nt - 1), FacetKind.FINAL: nx, FacetKind.INITIAL: nx,
+        FacetKind.TIME_INTERIOR: (nx - 1) * nt, FacetKind.DIRICHLET: 2 * nt}
+    assert len({(f.kind, f.span, f.fixed) for f in facets}) == len(facets)
+    assert len({(f.kind, *(el.id for _, el in slots(f))) for f in facets
+                if f.kind is not FacetKind.DIRICHLET}) == len(facets) - 2 * nt
+    (f,) = [f for f in facets if f.kind is FacetKind.TIME_INTERIOR
+            and f.first.slab == 2 and f.first.ix == 0]
+    T, W = mapped_interval(*f.span, 5)
+    assert f.fixed == pytest.approx(1 / 3) and np.all((0.5 < T) & (T < 0.75))
+    assert W.sum() == pytest.approx(0.25)
 
 
-@pytest.mark.parametrize("nx, nt", [(3, 5), (1, 1)])
-def test_facet_arrays_of_a_slab_range_concatenate_its_slabs(nx, nt):
-    # a range of slabs gives the facets of those slabs one after the other, field by
-    # field, with the same dtypes
-    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, nt)
-    for slabs in (range(1, nt - 1) if nt > 2 else range(nt), range(nt)):
-        for kind in FacetKind:
-            fa = mesh.facet_arrays(kind, slabs)
-            groups = [g for s in slabs if (g := mesh.facet_arrays(kind, s)) is not None]
-            if fa is None:
-                assert not groups
-                continue
-            for name in ("owner", "below", "above", "left", "right", "lo", "hi", "fixed",
-                         "normal_sign", "alpha", "beta"):
-                want = np.concatenate([getattr(g, name) for g in groups])
-                assert getattr(fa, name).dtype == want.dtype
-                assert np.array_equal(getattr(fa, name), want)
-
-
-@pytest.mark.parametrize("nx, nt", [(1, 1), (1, 3), (4, 2)])
-def test_lines_name_each_kinds_grid_lines(nx, nt):
-    # the space-like kinds split the t-lines and the time-like ones the x-lines, in order,
-    # and every facet of a kind lies on one of its lines
-    mesh = build_cartesian_mesh(SpaceTimeDomain(-0.5, 2.0, 0.7), nx, nt)
-    lines = {kind: list(mesh.lines(kind)) for kind in FacetKind}
-    assert (lines[FacetKind.INITIAL] + lines[FacetKind.SPACE_INTERIOR]
-            + lines[FacetKind.FINAL]) == list(range(nt + 1))
-    assert sorted(lines[FacetKind.TIME_INTERIOR] + lines[FacetKind.DIRICHLET]) == list(
-        range(nx + 1))
-    assert lines[FacetKind.DIRICHLET] == [0, nx]
-    for kind in FacetKind:
-        fa = mesh.facet_arrays(kind, range(nt))
-        if fa is None:
-            assert not lines[kind]
-            continue
-        grid = mesh.ts if kind.is_horizontal else mesh.xs
-        assert np.array_equal(np.unique(fa.fixed), grid[lines[kind]])
-
-
-def element_sides(mesh, kind):
-    """The facets of ``kind`` built side by side from the element records, as
-    {field: array} in `facet_arrays` order: by the owner's slab, then by x."""
-    nx, nt, rows = mesh.nx, mesh.nt, []
-    centre = mesh.centers
-    for el in mesh.elements:
-        (x0, x1), (t0, t1), e = el.x_range, el.t_range, el.id
-        if kind.is_horizontal:  # the bottom side, and the top one in the last slab
-            sides = [(t0, e - nx if el.slab else -1, e)]
-            if el.slab == nt - 1:
-                sides.append((t1, e, -1))
-            for t, below, above in sides:
-                found = (FacetKind.INITIAL if below < 0 else
-                         FacetKind.FINAL if above < 0 else FacetKind.SPACE_INTERIOR)
-                if found is kind:
-                    owner = below if below >= 0 else above
-                    rows.append(dict(owner=owner, below=below, above=above, left=-1, right=-1,
-                                     lo=x0, hi=x1, fixed=t, normal_sign=0.0, alpha=0.0,
-                                     beta=0.0, half=el.h_x / 2, slab=owner // nx, x=x0,
-                                     owner_offset=t - centre[owner, 1]))
-        else:  # the left side, and the right one at the right boundary
-            sides = [(x0, e - 1 if el.ix else -1, e)]
-            if el.ix == nx - 1:
-                sides.append((x1, e, -1))
-            for x, left, right in sides:
-                dirichlet = left < 0 or right < 0
-                if dirichlet is (kind is FacetKind.DIRICHLET):
-                    owner = left if left >= 0 else right
-                    sign = (1.0 if left >= 0 else -1.0) if dirichlet else 1.0
-                    rows.append(dict(owner=owner, below=-1, above=-1, left=left, right=right,
-                                     lo=t0, hi=t1, fixed=x, normal_sign=sign,
-                                     alpha=1.0 / el.h_x, beta=0.0 if dirichlet else el.h_x,
-                                     half=el.h_t / 2, slab=el.slab, x=x,
-                                     owner_offset=x - centre[owner, 0]))
-    rows.sort(key=lambda r: (r["slab"], r["x"]))
-    return {name: np.array([r[name] for r in rows]) for name in rows[0]}
+def grid_facets(mesh, kind):
+    """The facets of ``kind`` by the (slab, column) arithmetic of the kernel and the norms:
+    (first id, second id, span, fixed), None where there is no such neighbour."""
+    nx, nt, xs, ts = mesh.nx, mesh.nt, mesh.xs.tolist(), mesh.ts.tolist()
+    lines = {FacetKind.INITIAL: [0], FacetKind.SPACE_INTERIOR: range(1, nt),
+             FacetKind.FINAL: [nt], FacetKind.TIME_INTERIOR: range(1, nx),
+             FacetKind.DIRICHLET: [0, nx]}[kind]
+    if kind in HORIZONTAL:  # the t-line above slab line - 1, column ix
+        return {((line - 1) * nx + ix if line > 0 else None, line * nx + ix if line < nt else None,
+                 (xs[ix], xs[ix + 1]), ts[line]) for line in lines for ix in range(nx)}
+    return {(s * nx + k - 1 if k > 0 else None, s * nx + k if k < nx else None,
+             (ts[s], ts[s + 1]), xs[k]) for s in range(nt) for k in lines}
 
 
 @pytest.mark.parametrize("kind", list(FacetKind))
-def test_facet_arrays_match_the_element_sides(kind):
-    # the index arithmetic of facet_arrays gives the facets that the elements' own sides
-    # name, field by field and in the same order
+def test_oracle_facets_match_the_grid_indices(kind):
+    # the reference walk finds its facets by matching the elements' sides; they are the
+    # ones that the (slab, column) layout of the kernel and the norms names, every one on
+    # a grid line
     mesh = build_cartesian_mesh(SpaceTimeDomain(-0.5, 2.0, 0.7), 3, 4)
-    fa, want = mesh.facet_arrays(kind, range(mesh.nt)), element_sides(mesh, kind)
-    for name in ("owner", "below", "above", "left", "right"):
-        assert getattr(fa, name).dtype == np.intp
-        assert getattr(fa, name).tolist() == want[name].tolist()
-    for name in ("lo", "hi", "fixed", "normal_sign", "alpha", "beta"):
-        assert getattr(fa, name).dtype == float
-        assert np.array_equal(getattr(fa, name), want[name])
-    # on each neighbour the facet is the side PLACE[slot]: its rule spans the facet, and
-    # lies at the signed distance from the neighbour's centre to the facet's line
-    across = 1 if kind.is_horizontal else 0
-    owner_offset = np.empty(len(fa.owner))
-    for slot, place in PLACE.items():
-        ids = getattr(fa, slot)
-        if not (has := ids >= 0).any():
-            continue
-        rule = mesh.rule(3, place)
-        assert np.allclose(rule[2].sum(), 2 * want["half"], rtol=1e-14, atol=0)
-        assert np.allclose(rule[across], fa.fixed[has, None] - mesh.centers[ids[has], across, None],
-                           rtol=0, atol=1e-14)
-        owner_offset[has & (ids == fa.owner)] = rule[across][0, 0]
-    assert np.allclose(owner_offset, want["owner_offset"], rtol=0, atol=1e-14)
+    found = {(f.first and f.first.id, f.second and f.second.id, f.span, f.fixed)
+             for f in _facets(mesh) if f.kind is kind}
+    assert found == grid_facets(mesh, kind)
 
 
 @pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
 def test_rule_matches_the_global_quadrature(mesh_name):
-    # centres plus the offsets of Mesh.rule at the place of each neighbour slot, the
-    # Dirichlet owners' included, are the global Gauss nodes of every facet, with its
-    # weights; over the volume they are rect_rule's, in its order
+    # every element's centre plus the offsets of Mesh.rule at a place are the global
+    # Gauss nodes of that side, with its weights; over the volume they are rect_rule's,
+    # in its order
     mesh, n = named_mesh(mesh_name, 3, 4), 5
-    checked = set()
-    for kind in FacetKind:
-        fa = mesh.facet_arrays(kind, range(mesh.nt))
-        X, T, W = fa.quadrature(n)
-        for slot, place in PLACE.items():
-            has = getattr(fa, slot) >= 0
-            if has.any():
-                x, t, w = mesh.rule(n, place)
-                assert x.shape == t.shape == w.shape == (1, n)
-                centre = mesh.centers[getattr(fa, slot)[has]]
-                assert np.allclose(centre[:, :1] + x, X[has], rtol=0, atol=1e-14)
-                assert np.allclose(centre[:, 1:] + t, T[has], rtol=0, atol=1e-14)
-                assert np.allclose(np.broadcast_to(w, W[has].shape), W[has], rtol=1e-14, atol=0)
-                checked.add((kind, slot))
-    assert len(checked) == 8
-    x, t, w = mesh.rule(n, "volume")
-    assert x.shape == t.shape == w.shape == (1, n * n)
+    rules = {place: mesh.rule(n, place) for place in ("top", "bottom", "left", "right", "volume")}
+    for place, (x, t, w) in rules.items():
+        assert x.shape == t.shape == w.shape == (1, n * n if place == "volume" else n)
     for el in mesh.elements:
-        xg, tg, wg = rect_rule(el.x_range, el.t_range, n)
-        assert np.allclose(el.center[0] + x[0], xg, rtol=0, atol=1e-14)
-        assert np.allclose(el.center[1] + t[0], tg, rtol=0, atol=1e-14)
-        assert np.allclose(w[0], wg, rtol=1e-14, atol=0)
+        (x0, x1), (t0, t1) = el.x_range, el.t_range
+        (xq, wx), (tq, wt) = mapped_interval(x0, x1, n), mapped_interval(t0, t1, n)
+        want = {"top": (xq, np.full(n, t1), wx), "bottom": (xq, np.full(n, t0), wx),
+                "right": (np.full(n, x1), tq, wt), "left": (np.full(n, x0), tq, wt),
+                "volume": rect_rule(el.x_range, el.t_range, n)}
+        for place, (x, t, w) in rules.items():
+            X, T, W = want[place]
+            assert np.allclose(el.center[0] + x[0], X, rtol=0, atol=1e-14)
+            assert np.allclose(el.center[1] + t[0], T, rtol=0, atol=1e-14)
+            assert np.allclose(w[0], W, rtol=1e-14, atol=0)
     with pytest.raises(ValueError, match="place"):  # a slot is not a place
-        mesh.rule(n, "owner")
+        mesh.rule(n, "below")

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schrodg.assembly import (BoundaryData, DiscreteSolution, element_bases, march,
-                              solution_data)
+from schrodg.assembly import (BoundaryData, DiscreteSolution, FacetKind, _facets,
+                              element_bases, march, solution_data)
 from schrodg.basis import SpaceKind
-from schrodg.mesh import FacetKind, Mesh, SpaceTimeDomain, build_cartesian_mesh
+from schrodg.mesh import Mesh, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
                            dg_norm, dg_norms, dg_plus_norm, exact_field, l2_slice_error)
 from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
@@ -138,34 +138,27 @@ def _wsum_sq(wq, z):
 
 
 def per_facet_norms(field, mesh, n):
-    """(dg, dg+) by a walk over single facets with scalar element ids."""
+    """(dg, dg+) by a walk over the reference walk's single facets with scalar element ids."""
     s_dg = s_plus = 0.0
-    facets = [(kind, fa, r) for kind in FacetKind for slab in range(mesh.n_slabs)
-              if (fa := mesh.facet_arrays(kind, slab)) is not None
-              for r in range(len(fa.owner))]
-    for kind, fa, r in facets:
-        below, above, left, right, owner = (int(getattr(fa, side)[r]) for side in
-                                            ("below", "above", "left", "right", "owner"))
-        fixed, alpha, beta = fa.fixed[r], fa.alpha[r], fa.beta[r]
-        if kind.is_horizontal:
-            xq, wq = mapped_interval(fa.lo[r], fa.hi[r], n)
-            if kind is FacetKind.SPACE_INTERIOR:
-                wm = field.value(below, xq, fixed)
-                s_dg += _wsum_sq(wq, wm - field.value(above, xq, fixed))
+    for f in _facets(mesh):
+        q, wq = mapped_interval(*f.span, n)
+        first, second, owner = (el and el.id for el in (f.first, f.second, f.owner))
+        if f.kind in (FacetKind.SPACE_INTERIOR, FacetKind.FINAL, FacetKind.INITIAL):
+            if f.kind is FacetKind.SPACE_INTERIOR:
+                wm = field.value(first, q, f.fixed)
+                s_dg += _wsum_sq(wq, wm - field.value(second, q, f.fixed))
                 s_plus += _wsum_sq(wq, wm)
             else:
-                s_dg += _wsum_sq(wq, field.value(owner, xq, fixed))
-            continue
-        tq, wq = mapped_interval(fa.lo[r], fa.hi[r], n)
-        if kind is FacetKind.TIME_INTERIOR:
-            v1, v2 = field.value(left, fixed, tq), field.value(right, fixed, tq)
-            g1, g2 = field.dx(left, fixed, tq), field.dx(right, fixed, tq)
-            s_dg += alpha * _wsum_sq(wq, v1 - v2) + beta * _wsum_sq(wq, g1 - g2)
-            s_plus += (_wsum_sq(wq, 0.5 * (g1 + g2)) / alpha
-                       + _wsum_sq(wq, 0.5 * (v1 + v2)) / beta)
+                s_dg += _wsum_sq(wq, field.value(owner, q, f.fixed))
+        elif f.kind is FacetKind.TIME_INTERIOR:
+            v1, v2 = field.value(first, f.fixed, q), field.value(second, f.fixed, q)
+            g1, g2 = field.dx(first, f.fixed, q), field.dx(second, f.fixed, q)
+            s_dg += f.alpha * _wsum_sq(wq, v1 - v2) + f.beta * _wsum_sq(wq, g1 - g2)
+            s_plus += (_wsum_sq(wq, 0.5 * (g1 + g2)) / f.alpha
+                       + _wsum_sq(wq, 0.5 * (v1 + v2)) / f.beta)
         else:
-            s_dg += alpha * _wsum_sq(wq, field.value(owner, fixed, tq))
-            s_plus += _wsum_sq(wq, field.dx(owner, fixed, tq)) / alpha
+            s_dg += f.alpha * _wsum_sq(wq, field.value(owner, f.fixed, q))
+            s_plus += _wsum_sq(wq, field.dx(owner, f.fixed, q)) / f.alpha
     return math.sqrt(0.5 * s_dg), math.sqrt(0.5 * (s_dg + s_plus))
 
 
@@ -395,19 +388,35 @@ def test_norm_memory_does_not_grow_with_the_number_of_slabs():
 
 
 @pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
-def test_discrete_local_matches_value_at_global_points(mesh_name):
-    # local at a place of the elements is one product with its trace table, equal to
-    # value and dx at the centres plus the place's rule; evaluate at a shared row of
-    # offsets gives one row of values for every element, and keeps none
+def test_discrete_traces_match_value_at_global_points(mesh_name):
+    # traces at a place of the elements of a range of slabs is one product of those slabs'
+    # coefficient rows with the place's trace table, (slabs, nx, n), equal to value and dx
+    # at the centres plus the place's rule; evaluate at a shared row of offsets gives one
+    # row of values for every element, and keeps none
     mesh = named_mesh(mesh_name, 4, 4)
-    dsol, eids, center = _field("discrete", mesh), np.arange(mesh.n_elements), mesh.centers
+    dsol, center = _field("discrete", mesh), mesh.centers
     row = np.linspace(-0.1, 0.12, 5)[None], np.linspace(-0.11, 0.1, 5)[None]
     values = dsol.basis.evaluate(*row)
     assert values.shape == (1, dsol.basis.dim, 5) and dsol.basis.evaluate(*row) is not values
-    for place in ("top", "bottom", "left", "right", "volume"):
-        x, t, _ = mesh.rule(5, place)
-        for dx, trace in ((False, dsol.value), (True, dsol.dx)):
-            want = trace(eids, center[:, :1] + x, center[:, 1:] + t)
-            got = dsol.local(eids, 5, place, dx)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for slabs in (range(0, 4), range(1, 3), range(3, 3)):
+        eids = np.arange(slabs.start * mesh.nx, slabs.stop * mesh.nx)
+        for place in ("top", "bottom", "left", "right", "volume"):
+            x, t, _ = mesh.rule(5, place)
+            for dx, trace in ((False, dsol.value), (True, dsol.dx)):
+                got = dsol.traces(slabs, 5, place, dx)
+                assert got.shape == (len(slabs), mesh.nx, 5 if place != "volume" else 25)
+                if len(slabs):
+                    want = trace(eids, center[eids, :1] + x, center[eids, 1:] + t)
+                    assert (np.max(np.abs(got.reshape(want.shape) - want))
+                            <= 1e-13 * np.max(np.abs(want)))
+
+
+def test_discrete_traces_need_every_coefficient():
+    mesh = build_cartesian_mesh(DOM, 2, 3)
+    dsol = DiscreteSolution(mesh, SpaceKind.trefftz(1))
+    dsol.set_coeffs(np.arange(4), np.ones((4, 3)))
+    assert dsol.traces(range(0, 2), 3, "top").shape == (2, 2, 3)
+    with pytest.raises(ValueError, match="element 4"):
+        dsol.traces(range(1, 3), 3, "top")
+    with pytest.raises(ValueError, match="element 4"):
+        dg_norm(dsol, mesh)
