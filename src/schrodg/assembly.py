@@ -128,9 +128,10 @@ class DiscreteSolution:
         return (rows @ table).reshape(len(slabs), nx, table.shape[1])
 
     def _coeffs_of(self, eids) -> np.ndarray:
+        """The coefficient rows of ``eids``, an id array or a slice."""
         if not self._known[eids].all():
-            raise ValueError(f"element {np.arange(len(self._known))[eids][~self._known[eids]][0]} "
-                             "has no coefficients yet")
+            missing = np.arange(len(self._known))[eids][~self._known[eids]]
+            raise ValueError(f"element {missing[0]} has no coefficients yet")
         return self.coeffs[eids]
 
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
@@ -192,7 +193,7 @@ def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
     """
     nx, dim = mesh.nx, basis.dim
     wx, wt = mesh.rule(n_form, "top")[2], mesh.rule(n_form, "left")[2]
-    alpha, beta = np.full((1, 1, 1), 1.0 / mesh.h[0]), np.full((1, 1, 1), mesh.h[0])
+    alpha, beta = 1.0 / mesh.h[0], mesh.h[0]
     top = basis.table(n_form, "top")
     # a time-like facet on each neighbour: the left element's right side (normal +1),
     # the right element's left side (-1)
