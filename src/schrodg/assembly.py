@@ -352,6 +352,11 @@ class Facet:
         return self.first or self.second
 
     @property
+    def normal(self) -> float:
+        """The owner's outward normal (its x-component) on a Dirichlet facet."""
+        return 1.0 if self.first else -1.0
+
+    @property
     def alpha(self) -> float:
         """1 / h_Fx, h_Fx the facet's spatial length scale: its owner's width."""
         return 1.0 / self.owner.h_x
@@ -421,10 +426,10 @@ def _walk_form(mesh: Mesh, basis: MeshBasis, trial, out: np.ndarray, n: int) -> 
                                           + 1j * al * na * nb * (vaw @ ub.T)
                                           - 0.5 * na * (gaw @ ub.T)
                                           + 1j * be * na * nb * (gaw @ uxb.T))
-        elif f.kind is FacetKind.DIRICHLET:  # n: the owner's outward normal
+        elif f.kind is FacetKind.DIRICHLET:
             rows, v, _, cols, u, ux = side(f.owner.id, f.fixed, q)
             vaw = v.conj() * wq
-            out[rows, cols] += 0.5 * ((1.0 if f.first else -1.0) * (vaw @ ux.T)
+            out[rows, cols] += 0.5 * (f.normal * (vaw @ ux.T)
                                       + 1j * f.alpha * (vaw @ u.T))
         else:  # space-like: the upwind trace u^- from below, tested on both sides
             rows, v, _, cols, u, _ = side(f.first.id, q, f.fixed)
@@ -476,7 +481,7 @@ def assemble_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
             v, g = _element_traces(basis, e, f.fixed, q)
             gv = np.asarray(data.g_D(np.full_like(q, f.fixed), q), dtype=complex)
             rhs[e * d:(e + 1) * d] += 0.5 * (
-                (1.0 if f.first else -1.0) * ((g.conj() * wq) @ gv)
+                f.normal * ((g.conj() * wq) @ gv)
                 + 1j * f.alpha * ((v.conj() * wq) @ gv))
 
     dof_map = {(e, i): e * d + i for e in range(mesh.n_elements) for i in range(d)}
