@@ -47,15 +47,16 @@ implementations.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .basis import ElementBasis, MeshBasis, SpaceKind, element_basis
-from .linalg import COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, from_band
+from .linalg import (COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, from_band, zgetrf,
+                     zgetrs)
 from .mesh import Element, Mesh
 from .norms import field_points
 from .quadrature import data_rule_size, mapped_interval, mapped_intervals, poly_rule_size, rect_rule
@@ -276,7 +277,7 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     the coupling B into the next slab from `_slab_matrix`.  Every element has
     the mesh's one size and every family is evaluated relative to the element
     centre, so every slab has the same operator: slab 0's is assembled,
-    screened and LU-factored in band storage once, before the loop, at a cost
+    LU-factored in band storage and screened once, before the loop, at a cost
     and memory linear in the elements per slab.  l depends on the data alone,
     so `_data_rhs` assembles it for every slab in one batch, into the
     coefficient array whose rows each slab's solve then overwrites.  The loop
@@ -292,18 +293,18 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     data_rhs = sol.coeffs  # l of every slab, until the slab's solve overwrites its rows
     _data_rhs(data_rhs, mesh, sol.basis, data, n_data)
     band, coupling = _slab_matrix(mesh, sol.basis, n_form)
-    if not np.all(np.isfinite(band[0])):
-        raise SlabSolveError(0, float("nan"), "non-finite matrix")
+    try:
+        factor = FactoredMatrix(*band)
+    except SingularMatrixError as exc:
+        raise SlabSolveError(0, float("inf"), "singular matrix") from exc
+    except ValueError as exc:  # the band's shape is right by construction: its one scan failed
+        raise SlabSolveError(0, float("nan"), "non-finite matrix") from exc
     small = band[0].shape[1] <= COND_MAX_N
     if small:
         sol.first_slab = band
     if space.family == "planewave" and small:
         sol.screen_cond2 = cond2(from_band(*band))
         _screen(0, sol.screen_cond2)
-    try:
-        factor = FactoredMatrix(*band)
-    except SingularMatrixError as exc:
-        raise SlabSolveError(0, float("inf"), "singular matrix") from exc
     if space.family == "planewave" and not small:
         _screen(0, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"))
     carry = 0.0
@@ -493,8 +494,14 @@ def solve_global(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     """Solve the fully coupled system at once (oracle for the marching path): a dense
     LU with partial pivoting, so that it shares no solver code with `march` either."""
     M, rhs, _ = assemble_global(mesh, space, data, n_quad)
-    # dense LU of M.T, a Fortran-ordered view factored in place, solved transposed
-    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(M.T, overwrite_a=True), rhs, trans=1)
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+        raise ValueError("array must not contain infs or NaNs")
+    # dense LU of M.T, a Fortran-ordered view factored in place, solved transposed: the
+    # LAPACK calls of scipy.linalg.lu_solve(lu_factor(M.T, overwrite_a=True), rhs, trans=1)
+    lu, piv, info = zgetrf(M.T, overwrite_a=1)
+    if info > 0:
+        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.", RuntimeWarning)
+    x, _ = zgetrs(lu, piv, rhs, trans=1)
     sol = DiscreteSolution(mesh, space)
     sol.set_coeffs(np.arange(mesh.n_elements), x.reshape(mesh.n_elements, -1))
     return sol

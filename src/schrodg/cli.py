@@ -12,6 +12,7 @@ includes an option the chosen experiment does not read).
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  argparse's first message imports it: import it at start-up
 import sys
 from pathlib import Path
 
@@ -150,14 +151,16 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        # every value that can overflow is checked for finiteness: no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
         print(f"schrodg: solver failure: linear algebra: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
         print(f"schrodg: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SlabSolveError, OracleMismatchError) as exc:
+    except (SlabSolveError, OracleMismatchError, FloatingPointError) as exc:
         print(f"schrodg: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except MemoryError:

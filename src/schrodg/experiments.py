@@ -147,6 +147,9 @@ def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) 
 
 
 def _row(level: int, mesh, space, err, cond) -> ConvergenceRow:
+    if err is not None and not math.isfinite(err):
+        raise FloatingPointError(f"level {level}, {space.family} p = {space.p}: "
+                                 f"dg_error is {err}, not finite")
     return ConvergenceRow(level, *mesh.h, mesh.n_elements * space.dim(1), err, None, cond)
 
 

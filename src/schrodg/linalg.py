@@ -15,13 +15,37 @@ paper's conditioning slopes, which are 2-norm slopes; it is capped at
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import zgbmv
-from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
 
 COND_MAX_N = 2000
+
+
+def _scipy_linalg_extension(name: str):
+    """SciPy's compiled ``scipy.linalg.<name>``, loaded without the ``scipy.linalg`` package,
+    whose ``__init__`` is most of its import time, and registered under that name, so that
+    a later ``import scipy.linalg`` reuses it."""
+    full = f"scipy.linalg.{name}"
+    if full not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            full, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
+        if spec is None:
+            raise ImportError(f"No module named {full!r}", name=full)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+_flapack, _fblas = _scipy_linalg_extension("_flapack"), _scipy_linalg_extension("_fblas")
+zgbtrf, zgbtrs, zgbcon, zgetrf, zgetrs = (_flapack.zgbtrf, _flapack.zgbtrs, _flapack.zgbcon,
+                                          _flapack.zgetrf, _flapack.zgetrs)
+zgbmv = _fblas.zgbmv
 
 
 class SingularMatrixError(RuntimeError):

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 MAX_NODES = 64
 
@@ -22,7 +23,7 @@ class QuadratureRule:
 def gauss_legendre(n: int) -> QuadratureRule:
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count {n} outside [1, {MAX_NODES}]")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return QuadratureRule(x, w)

@@ -338,8 +338,6 @@ def test_cli_nan_dirichlet_datum_exits_2(tmp_path, capsys, monkeypatch):
     assert "slab 5: non-finite" in capsys.readouterr().err  # h_t = 0.1
 
 
-# the CLI runs with numpy's default warnings: an overflow warns, it does not raise
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kappa", ["1e154", "1e160", "-1e200", "1.7976931348623157e308"])
 @pytest.mark.parametrize("experiment", ["conv-h", "conv-p"])
 def test_cli_huge_kappa_exits_2_naming_slab_0(tmp_path, capsys, experiment, kappa):
@@ -348,6 +346,19 @@ def test_cli_huge_kappa_exits_2_naming_slab_0(tmp_path, capsys, experiment, kapp
     assert main([experiment, "--levels", "2", f"--kappa={kappa}",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "slab 0: non-finite right-hand side" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment, level", [("conv-h", 0), ("conv-p", 1)])
+def test_cli_overflowing_dg_error_exits_2_naming_level_and_space(tmp_path, capsys,
+                                                                 experiment, level):
+    # the data and the solution are finite at kappa = 700, but the norm's sum of squares
+    # overflows; conv-p's level is its degree
+    assert main([experiment, "--levels", "2", "--kappa=700",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"schrodg: solver failure: level {level}, trefftz p = 1: dg_error is inf, " \
+                  "not finite\n"
     assert list(tmp_path.iterdir()) == []
 
 
