@@ -50,6 +50,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -102,9 +103,8 @@ class DiscreteSolution:
     `MeshBasis` values there; traces takes a range of slabs and a place of their
     elements (`Mesh.rule`), and contracts those slabs' rows, (slab, column) in
     order, with the place's trace table.
-    ``bases`` is accepted but not needed.  `march` keeps slab 0's diagonal
-    block in ``first_slab`` if it has at most `COND_MAX_N` rows, and the cond2
-    its plane-wave screen took of that block in ``screen_cond2``.
+    ``bases`` is accepted but not needed.  `march` keeps the `SlabOperator` it
+    solved every slab with in ``operator``, but not its LU factors; else it is None.
     """
 
     def __init__(self, mesh: Mesh, space: SpaceKind, bases: list[ElementBasis] | None = None):
@@ -113,7 +113,7 @@ class DiscreteSolution:
         self.basis = MeshBasis(mesh, space)
         self.coeffs = np.zeros((mesh.n_elements, self.basis.dim), dtype=complex)
         self._known = np.zeros(mesh.n_elements, dtype=bool)
-        self.first_slab = self.screen_cond2 = None
+        self.operator: SlabOperator | None = None
 
     def set_coeffs(self, eid, vec) -> None:
         """Coefficients of element ``eid``, or rows (len(eid), dim) for an id array."""
@@ -230,18 +230,23 @@ def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
     return (ab, kl, ku), coupling
 
 
-def first_slab_cond2(mesh: Mesh, space: SpaceKind, n_quad: int | None = None,
-                     sol: DiscreteSolution | None = None) -> float | None:
-    """cond2 of the first slab's matrix; None above `COND_MAX_N` unknowns.  Given the
-    solution `march` built on the same mesh, space and rule, its screen's cond2, or
-    that of its ``first_slab``."""
-    if mesh.nx * space.dim(1) > COND_MAX_N:
-        return None
-    if sol is not None and sol.screen_cond2 is not None:
-        return sol.screen_cond2
-    band = sol.first_slab if sol is not None else _slab_matrix(
-        mesh, MeshBasis(mesh, space), _rule_sizes(space, n_quad)[0])[0]
-    return cond2(from_band(*band))
+@dataclass(frozen=True)
+class SlabOperator:
+    """Every slab's operator, as `_slab_matrix` returns it: the diagonal block in band
+    storage, ``band`` = (ab, kl, ku), and the ``coupling`` block into the next slab."""
+
+    band: tuple[np.ndarray, int, int]
+    coupling: np.ndarray
+
+    @cached_property
+    def cond2(self) -> float | None:
+        """The diagonal block's SVD cond2, taken once; None above `COND_MAX_N` unknowns."""
+        return None if self.band[0].shape[1] > COND_MAX_N else cond2(from_band(*self.band))
+
+
+def slab_operator(mesh: Mesh, space: SpaceKind, n_quad: int | None = None) -> SlabOperator:
+    """The operator `march` would solve with, for callers that do not march."""
+    return SlabOperator(*_slab_matrix(mesh, MeshBasis(mesh, space), _rule_sizes(space, n_quad)[0]))
 
 
 def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
@@ -264,11 +269,6 @@ def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
                                   + 1j / hx * _pair(v, gv, w)[..., 0])
 
 
-def _screen(slab: int, cond: float) -> None:
-    if not np.isfinite(cond) or cond > COND_FLAG:
-        raise SlabSolveError(slab, cond)
-
-
 def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
           n_quad: int | None = None) -> DiscreteSolution:
     """Solve the slab systems in time order by block forward substitution.
@@ -276,37 +276,34 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     Slab s solves M_ss c_s = l_s - B_s c_{s-1}, with the diagonal block M and
     the coupling B into the next slab from `_slab_matrix`.  Every element has
     the mesh's one size and every family is evaluated relative to the element
-    centre, so every slab has the same operator: slab 0's is assembled,
-    LU-factored in band storage and screened once, before the loop, at a cost
-    and memory linear in the elements per slab.  l depends on the data alone,
-    so `_data_rhs` assembles it for every slab in one batch, into the
-    coefficient array whose rows each slab's solve then overwrites.  The loop
-    only solves, and carries the coefficients just solved times the one coupling
-    block into the next right-hand side; no field is evaluated.  A plane-wave
-    operator above `COND_FLAG` fails with a SlabSolveError naming slab 0: on
-    the SVD cond2 up to `COND_MAX_N` unknowns, above it on LAPACK's 1-norm
-    estimate 1 / rcond.  A matrix, right-hand side or solution that is not
-    finite fails too, naming its slab.
+    centre, so every slab has the same `SlabOperator`, the solution's ``operator``:
+    assembled off its basis, LU-factored in band storage and screened once, before
+    the loop, at a cost and memory linear in the elements per slab.  The factors
+    are freed on return.  l depends on the data alone, so `_data_rhs` assembles it
+    for every slab in one batch, into the coefficient array whose rows each slab's
+    solve then overwrites.  The loop only solves, and carries the coefficients just
+    solved times the one coupling block into the next right-hand side; no field is
+    evaluated.  A plane-wave operator above `COND_FLAG` fails with a SlabSolveError
+    naming slab 0: on its `SlabOperator.cond2`, or where that is None (above
+    `COND_MAX_N` unknowns) on LAPACK's 1-norm estimate 1 / rcond.  A matrix,
+    right-hand side or solution that is not finite fails too, naming its slab.
     """
     n_form, n_data = _rule_sizes(space, n_quad)
     sol = DiscreteSolution(mesh, space)
     data_rhs = sol.coeffs  # l of every slab, until the slab's solve overwrites its rows
     _data_rhs(data_rhs, mesh, sol.basis, data, n_data)
-    band, coupling = _slab_matrix(mesh, sol.basis, n_form)
+    op = sol.operator = SlabOperator(*_slab_matrix(mesh, sol.basis, n_form))
     try:
-        factor = FactoredMatrix(*band)
+        factor = FactoredMatrix(*op.band)
     except SingularMatrixError as exc:
         raise SlabSolveError(0, float("inf"), "singular matrix") from exc
     except ValueError as exc:  # the band's shape is right by construction: its one scan failed
         raise SlabSolveError(0, float("nan"), "non-finite matrix") from exc
-    small = band[0].shape[1] <= COND_MAX_N
-    if small:
-        sol.first_slab = band
-    if space.family == "planewave" and small:
-        sol.screen_cond2 = cond2(from_band(*band))
-        _screen(0, sol.screen_cond2)
-    if space.family == "planewave" and not small:
-        _screen(0, 1.0 / factor.rcond if factor.rcond > 0 else float("inf"))
+    if space.family == "planewave":
+        cond = op.cond2 if op.cond2 is not None else (
+            1.0 / factor.rcond if factor.rcond > 0 else float("inf"))
+        if not np.isfinite(cond) or cond > COND_FLAG:
+            raise SlabSolveError(0, cond)
     carry = 0.0
     for slab in range(mesh.n_slabs):
         rows = slice(slab * mesh.nx, (slab + 1) * mesh.nx)
@@ -318,7 +315,7 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
             raise SlabSolveError(slab, float("nan"), "non-finite solution")
         sol.set_coeffs(rows, coeffs)
         if slab < mesh.n_slabs - 1:
-            carry = (coupling @ coeffs[:, :, None]).reshape(-1)
+            carry = (op.coupling @ coeffs[:, :, None]).reshape(-1)
     return sol
 
 

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_data,
-                       first_slab_cond2, march, solution_data, solve_global)
+from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_data, march,
+                       slab_operator, solution_data, solve_global)
 from .basis import FAMILIES, SpaceKind, trefftz_basis
 from .mesh import SpaceTimeDomain, build_cartesian_mesh
 from .norms import DifferenceField, dg_norm, dg_norms, exact_field
@@ -189,12 +189,12 @@ def run_conv_p(config: ExperimentConfig) -> list[ConvergenceRow]:
     def case(p):
         space = SpaceKind(config.space.family, p, config.space.seed_choice)
         err, psi = _solve_and_error(mesh, space, data, sol_field, config.quad_n)
-        return mesh, space, err, first_slab_cond2(mesh, space, config.quad_n, sol=psi)
+        return mesh, space, err, psi.operator.cond2
     return _table(range(1, config.levels + 1), case)
 
 
 def run_conditioning(config: ExperimentConfig) -> dict:
-    """cond2 of the first-slab matrix per level, for both seed scalings."""
+    """cond2 of the slab operator per level, for both seed scalings."""
     p = config.space.p
     tables: dict[str, list[ConvergenceRow]] = {}
     slopes: dict[str, float | None] = {}
@@ -203,7 +203,7 @@ def run_conditioning(config: ExperimentConfig) -> dict:
 
         def case(j):
             mesh = build_cartesian_mesh(SMOOTH_DOMAIN, _conv_h_n(j), _conv_h_n(j))
-            return mesh, space, None, first_slab_cond2(mesh, space, config.quad_n)
+            return mesh, space, None, slab_operator(mesh, space, config.quad_n).cond2
         rows = tables[choice] = _table(range(config.levels), case, rate_of="cond2")
         slopes[choice] = loglog_slope([r.h_x for r in rows], [r.cond2 for r in rows])
     return {"p": p, "tables": tables, "slopes": slopes}

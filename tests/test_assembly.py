@@ -5,7 +5,7 @@ import pytest
 
 from schrodg.assembly import (BoundaryData, DiscreteSolution, _data_rhs, _rule_sizes,
                               _slab_matrix, apply_form_to_field, assemble_global,
-                              constant_data, first_slab_cond2, march, solution_data,
+                              constant_data, march, slab_operator, solution_data,
                               solve_global)
 from schrodg.basis import MeshBasis, SpaceKind
 from schrodg.linalg import cond2, from_band
@@ -192,9 +192,9 @@ def test_first_slab_cond2_is_the_first_slab_matrix_cond2():
 
     space = SpaceKind.trefftz(2)
     mesh = build_cartesian_mesh(DOM, 4, 3)
-    assert first_slab_cond2(mesh, space) == cond2(first_slab(mesh, space, constant_data())[0])
+    assert slab_operator(mesh, space).cond2 == cond2(first_slab(mesh, space, constant_data())[0])
     wide = build_cartesian_mesh(DOM, COND_MAX_N // space.dim(1) + 1, 1)
-    assert first_slab_cond2(wide, space) is None
+    assert slab_operator(wide, space).cond2 is None
 
 
 def test_ill_conditioned_slab_is_flagged(monkeypatch):
@@ -246,7 +246,8 @@ def test_band_slab_matrix_is_the_global_diagonal_block(space, mesh_name):
 
 @pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
 def test_march_factors_once_per_uniform_mesh(monkeypatch, mesh_name):
-    # every slab has slab 0's operator: march assembles, screens and factors it once
+    # every slab has the same operator: march assembles, screens and factors it once, and
+    # keeps it, with the cond2 its plane-wave screen took
     import schrodg.assembly
 
     made, assembled = [], []
@@ -264,7 +265,33 @@ def test_march_factors_once_per_uniform_mesh(monkeypatch, mesh_name):
     monkeypatch.setattr(schrodg.assembly, "_slab_matrix", counting_slab_matrix)
     sol = march(named_mesh(mesh_name, 4, 4), SpaceKind.plane_wave(2),
                 solution_data(ExpSolution(5.0)))
-    assert len(made) == 1 and len(assembled) == 1 and sol.screen_cond2 is not None
+    assert len(made) == 1 and len(assembled) == 1 and sol.operator.cond2 is not None
+
+
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(3), SpaceKind.plane_wave(2)], ids=str)
+def test_march_releases_its_factor(monkeypatch, space):
+    # the solution keeps the operator's band and coupling block, but not the LU factors:
+    # keeping them would raise a march's peak memory
+    import gc
+    import weakref
+
+    import schrodg.assembly
+
+    factors = []
+
+    class Watched(schrodg.assembly.FactoredMatrix):
+        def __init__(self, *args):
+            super().__init__(*args)
+            factors.append(weakref.ref(self))
+
+    monkeypatch.setattr(schrodg.assembly, "FactoredMatrix", Watched)
+    mesh = build_cartesian_mesh(DOM, 4, 4)
+    sol = march(mesh, space, solution_data(ExpSolution(5.0)))
+    gc.collect()
+    assert len(factors) == 1 and factors[0]() is None
+    ab, kl, ku = sol.operator.band
+    assert ab.shape == (2 * kl + ku + 1, mesh.nx * space.dim(1))
+    assert sol.operator.coupling.shape == (space.dim(1), space.dim(1))
 
 
 @pytest.mark.parametrize("space", [SpaceKind.full_poly(2), SpaceKind.plane_wave(2)], ids=str)

@@ -259,14 +259,19 @@ def test_cli_global_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_conv_p(tmp_path):
-    out = tmp_path / "p.csv"
-    assert main(["conv-p", "--levels", "2", "--out", str(out)]) == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [int(r["level"]) for r in rows] == [1, 2]
-    assert float(rows[1]["dg_error"]) < float(rows[0]["dg_error"])
-    summary = json.loads(out.with_suffix(".json").read_text())
-    assert summary["ill_conditioned_p"] == []
+    # ill_conditioned_p lists the degrees whose cond2 exceeds 1e12: p = 4 has 1.9e10 and
+    # p = 5 has 4.5e13
+    for levels, flagged in ((2, []), (5, [5])):
+        out = tmp_path / f"p{levels}.csv"
+        assert main(["conv-p", "--levels", str(levels), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["level"]) for r in rows] == list(range(1, levels + 1))
+        errors = [float(r["dg_error"]) for r in rows]
+        assert errors == sorted(errors, reverse=True)
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["ill_conditioned_p"] == flagged
+        assert flagged == [int(r["level"]) for r in rows if float(r["cond2"]) > 1e12]
 
 
 def test_cli_conditioning_writes_both_choices(tmp_path):
@@ -386,9 +391,9 @@ def test_cli_memory_error_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_conv_p_assembles_each_first_slab_once(monkeypatch):
-    # cond2 comes from the slab-0 matrix that march assembled and factored
+    # cond2 comes from the slab operator that march assembled and factored
     import schrodg.assembly
-    from schrodg.assembly import first_slab_cond2
+    from schrodg.assembly import slab_operator
     from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
 
     calls = []
@@ -401,15 +406,16 @@ def test_conv_p_assembles_each_first_slab_once(monkeypatch):
     monkeypatch.setattr(schrodg.assembly, "_slab_matrix", counting)
     rows = run_conv_p(ExperimentConfig("conv-p", levels=3))
     assert calls == [SpaceKind.trefftz(p) for p in (1, 2, 3)]
+    monkeypatch.undo()
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 10, 10)
-    assert [r.cond2 for r in rows] == [first_slab_cond2(mesh, SpaceKind.trefftz(p))
+    assert [r.cond2 for r in rows] == [slab_operator(mesh, SpaceKind.trefftz(p)).cond2
                                        for p in (1, 2, 3)]
 
 
 def test_plane_wave_conv_p_takes_each_cond2_once(tmp_path, monkeypatch):
-    # the first slab's cond2 is the one march's plane-wave screen took
+    # one SVD per operator: the cond2 march's plane-wave screen took is the CSV's
     import schrodg.assembly
-    from schrodg.assembly import first_slab_cond2
+    from schrodg.assembly import slab_operator
     from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
 
     calls = []
@@ -424,9 +430,9 @@ def test_plane_wave_conv_p_takes_each_cond2_once(tmp_path, monkeypatch):
     assert main(["conv-p", "--space", "planewave", "--levels", "3", "--out", str(out)]) == 0
     assert len(calls) == 3
     monkeypatch.undo()
-    # the same bytes as a cond2 taken afresh from a newly assembled first slab
+    # the same bytes as a cond2 taken afresh from a newly assembled operator
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 10, 10)
     with open(out, newline="") as fh:
         cells = [row["cond2"] for row in csv.DictReader(fh)]
-    assert cells == [format(first_slab_cond2(mesh, SpaceKind("planewave", p)), ".16g")
+    assert cells == [format(slab_operator(mesh, SpaceKind("planewave", p)).cond2, ".16g")
                      for p in (1, 2, 3)]
