@@ -230,10 +230,12 @@ def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
     return (ab, kl, ku), coupling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlabOperator:
     """Every slab's operator, as `_slab_matrix` returns it: the diagonal block in band
-    storage, ``band`` = (ab, kl, ku), and the ``coupling`` block into the next slab."""
+    storage, ``band`` = (ab, kl, ku), and the ``coupling`` block into the next slab.
+    Operators compare by identity, and their arrays must not be written once built:
+    ``cond2`` is cached."""
 
     band: tuple[np.ndarray, int, int]
     coupling: np.ndarray
