@@ -176,21 +176,21 @@ def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
                  ) -> tuple[tuple[np.ndarray, int, int], np.ndarray]:
     """Every slab's operator: its diagonal block of A, and its coupling into the next slab.
 
-    The diagonal block is returned in band storage (ab, kl, ku) (see
-    `linalg.FactoredMatrix`): rows test, columns trial, dim dofs per element in slab
-    order.  Only time-like facets couple elements, and only neighbours in slab order,
-    so it is block tridiagonal with kl = ku = 2 dim - 1, and on the uniform grid it
-    has six blocks, each one dim x dim integral off the trace tables of the place
-    where its facet lies on the element: the top facet's mass, the terms of a
-    time-like interior facet between the columns of its left element (on that
-    element's right side) and its right element (on its left side), which give the
-    sub- and super-diagonal blocks and two main-diagonal terms, and one Dirichlet term
-    at each end.  Column ix's diagonal block sums the top term, the left-element
-    term if ix < nx - 1, the right-element term if ix > 0, the Dirichlet term of
-    x = x_hi if ix = nx - 1 and then that of x = x_lo if ix = 0, and the volume
-    term, in that order.  The coupling is one block (dim, dim): -i int conj(phi^+)
-    phi^- over the top facet of an element, test functions of the element above it,
-    trial functions of the element.
+    The diagonal block is returned in general band storage (ab, kl, ku), Fortran-ordered
+    (see `linalg`), as `FactoredMatrix` reads it without a copy: rows test, columns
+    trial, dim dofs per element in slab order.  Only time-like facets couple elements,
+    and only neighbours in slab order, so it is block tridiagonal with
+    kl = ku = 2 dim - 1, and on the uniform grid it has six blocks, each one dim x dim
+    integral off the trace tables of the place where its facet lies on the element: the
+    top facet's mass, the terms of a time-like interior facet between the columns of
+    its left element (on that element's right side) and its right element (on its left
+    side), which give the sub- and super-diagonal blocks and two main-diagonal terms,
+    and one Dirichlet term at each end.  Column ix's diagonal block sums the top term,
+    the left-element term if ix < nx - 1, the right-element term if ix > 0, the
+    Dirichlet term of x = x_hi if ix = nx - 1 and then that of x = x_lo if ix = 0, and
+    the volume term, in that order.  The coupling is one block (dim, dim):
+    -i int conj(phi^+) phi^- over the top facet of an element, test functions of the
+    element above it, trial functions of the element.
     """
     nx, dim = mesh.nx, basis.dim
     wx, wt = mesh.rule(n_form, "top")[2], mesh.rule(n_form, "left")[2]
@@ -218,24 +218,24 @@ def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
                           basis.table(n_form, "volume"), mesh.rule(n_form, "volume")[2])
 
     # entry (a, b) of the block of test column e against trial column f sits at band
-    # row kl + ku + (e - f) dim + a - b, column f dim + b
+    # row ku + (e - f) dim + a - b, column f dim + b
     kl = ku = 2 * dim - 1
-    ab = np.zeros((2 * kl + ku + 1, nx * dim), dtype=complex)
+    ab = np.zeros((kl + ku + 1, nx * dim), dtype=complex, order="F")
     a, b = np.arange(dim)[:, None], np.arange(dim)
     cols = np.arange(nx)[:, None, None] * dim + b
-    ab[kl + ku + a - b, cols] = diagonal
-    ab[kl + ku + dim + a - b, cols[:-1]] = right_left  # test f + 1, trial f
-    ab[kl + ku - dim + a - b, cols[1:]] = left_right  # test f - 1, trial f
+    ab[ku + a - b, cols] = diagonal
+    ab[ku + dim + a - b, cols[:-1]] = right_left  # test f + 1, trial f
+    ab[ku - dim + a - b, cols[1:]] = left_right  # test f - 1, trial f
     coupling = -1j * _pair(basis.table(n_form, "bottom"), top, wx)[0]
     return (ab, kl, ku), coupling
 
 
 @dataclass(frozen=True, eq=False)
 class SlabOperator:
-    """Every slab's operator, as `_slab_matrix` returns it: the diagonal block in band
-    storage, ``band`` = (ab, kl, ku), and the ``coupling`` block into the next slab.
-    Operators compare by identity, and their arrays must not be written once built:
-    ``cond2`` is cached."""
+    """Every slab's operator, as `_slab_matrix` returns it: the diagonal block in general
+    band storage, ``band`` = (ab, kl, ku), which `march`'s `FactoredMatrix` shares rather
+    than copies, and the ``coupling`` block into the next slab.  Operators compare by
+    identity, and their arrays must not be written once built: ``cond2`` is cached."""
 
     band: tuple[np.ndarray, int, int]
     coupling: np.ndarray

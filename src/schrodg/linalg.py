@@ -1,12 +1,13 @@
 """Complex linear algebra: band LU solves and SVD 2-norm condition numbers.
 
-Every slab solve goes through `FactoredMatrix`, an LU factorisation with partial
-pivoting of a matrix in LAPACK band storage (``zgbtrf``/``zgbtrs``) plus one
-step of iterative refinement, which keeps the relative residual near machine
-precision even for moderately ill-conditioned systems.  Its ``rcond`` is
-LAPACK's 1-norm estimate (``zgbcon``), computed on first use only: it costs
-more than the factorisation on long slabs.  `from_band` gives the dense
-matrix held in band storage.
+A band matrix with kl sub- and ku super-diagonals is held in general band storage,
+a[i, j] = ab[ku + i - j, j] (kl + ku + 1 rows), the layout ``zgbmv`` reads.  Every
+slab solve goes through `FactoredMatrix`: an LU with partial pivoting of such a band
+(``zgbtrf``/``zgbtrs``), in an array of its own with ``zgbtrf``'s kl fill rows, plus one
+step of iterative refinement, which keeps the relative residual near machine precision
+even for moderately ill-conditioned systems.  Its ``rcond`` is LAPACK's 1-norm
+estimate (``zgbcon``), computed on first use only: it costs more than the
+factorisation on long slabs.  `from_band` gives the dense matrix.
 
 `cond2` is the exact 2-norm condition number by full SVD, kept for the
 paper's conditioning slopes, which are 2-norm slopes; it is capped at
@@ -56,11 +57,11 @@ def _diagonals(n: int, kl: int, ku: int):
     """(band row, row slice, column slice) of every stored diagonal j - i = k."""
     for k in range(-kl, ku + 1):
         if abs(k) < n:
-            yield kl + ku - k, slice(max(0, -k), n - max(0, k)), slice(max(0, k), n + min(0, k))
+            yield ku - k, slice(max(0, -k), n - max(0, k)), slice(max(0, k), n + min(0, k))
 
 
 def from_band(ab: np.ndarray, kl: int, ku: int) -> np.ndarray:
-    """The dense matrix held in ``zgbtrf`` band storage."""
+    """The dense matrix held in band storage: a[i, j] = ab[ku + i - j, j]."""
     n = ab.shape[1]
     a = np.zeros((n, n), dtype=complex)
     ids = np.arange(n)
@@ -72,20 +73,21 @@ def from_band(ab: np.ndarray, kl: int, ku: int) -> np.ndarray:
 class FactoredMatrix:
     """Band LU factorization with partial pivoting, reusable across right-hand sides.
 
-    ``ab`` is the matrix in ``zgbtrf`` band storage with ``kl`` sub- and
-    ``ku`` super-diagonals: a[i, j] = ab[kl + ku + i - j, j], and the first kl rows
-    are LU workspace.
+    ``ab`` is the matrix in band storage with ``kl`` sub- and ``ku`` super-diagonals:
+    a[i, j] = ab[ku + i - j, j].  It is kept as ``band`` (Fortran-ordered, copied only
+    if it is not) and never written; the LU gets an array of its own, with kl more rows.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int):
-        ab = np.asarray(ab, dtype=complex)
-        if ab.ndim != 2 or ab.shape[0] != 2 * kl + ku + 1:
-            raise ValueError(f"band storage needs 2 kl + ku + 1 = {2 * kl + ku + 1} rows")
+        ab = np.asfortranarray(ab, dtype=complex)
+        if ab.ndim != 2 or ab.shape[0] != kl + ku + 1:
+            raise ValueError(f"band storage needs kl + ku + 1 = {kl + ku + 1} rows")
         if not np.all(np.isfinite(ab)):
             raise ValueError("matrix has non-finite entries")
-        self.kl, self.ku = kl, ku
-        self.band = np.asfortranarray(ab[kl:])  # the matrix in zgbmv's band layout
-        self.lu, self.piv, info = zgbtrf(ab, kl, ku)
+        self.kl, self.ku, self.band = kl, ku, ab
+        lu = np.zeros((2 * kl + ku + 1, ab.shape[1]), dtype=complex, order="F")
+        lu[kl:] = ab
+        self.lu, self.piv, info = zgbtrf(lu, kl, ku, overwrite_ab=1)
         if info > 0:
             raise SingularMatrixError("zero pivot after partial pivoting")
 

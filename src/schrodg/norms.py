@@ -132,39 +132,35 @@ class DifferenceField:
 
 class _FactorTables:
     """A separable field's factor tables on one mesh's grid and n-point rule: X over
-    the Gauss nodes of the grid's columns, and value and dx over its x-lines; T at
-    some t-lines, or at the Gauss nodes of some slabs.  Only the last T is kept,
-    reused while the chunks ask for the same times, and the node X goes at the first
-    time-like trace: a walk over the space-like facets, then the time-like ones,
-    evaluates every table once.
+    the Gauss nodes of the grid's columns, and value and dx over its x-lines.  T is the
+    caller's, from `t_rows`.  The node X goes at the first time-like T, before it is
+    built: a walk over the space-like facets, then the time-like ones, evaluates every
+    table once and never holds both.
     """
 
     def __init__(self, factors, mesh: Mesh, n: int):
-        self.factors, self.mesh, self.n = factors, mesh, n
+        self.factors, self.n = factors, n
         xs = mesh.xs
         self._nodes = factors(mapped_intervals(xs[:-1], xs[1:], n)[0].reshape(-1),
                               np.empty(0))[0]
         self._lines = {dx: factors(xs, np.empty(0), dx)[0] for dx in (False, True)}
         self.modes = self._nodes.shape[1]
-        self._t = (None,)  # the times of the last T, and its rows (T.T)
 
-    def _t_rows(self, t: np.ndarray) -> np.ndarray:
-        """T.T at the times ``t``."""
-        if self._t[0] != t.tobytes():
-            self._t = (None,)  # freed before the next one is built
-            self._t = t.tobytes(), self.factors(np.empty(0), t)[1].T
-        return self._t[1]
+    def t_rows(self, t: np.ndarray, space_like: bool) -> np.ndarray:
+        """T.T at the times ``t``: of t-lines, or else of time-like traces."""
+        if not space_like:
+            self._nodes = None
+        return self.factors(np.empty(0), t)[1].T
 
-    def on_t_lines(self, t: np.ndarray) -> np.ndarray:
-        """The value at the Gauss nodes of every column on the t-lines at times ``t``,
-        (len(t), nx, n)."""
-        return mode_sum(self._nodes[None], self._t_rows(t)[:, None]).reshape(len(t), -1, self.n)
+    def on_t_lines(self, t_rows: np.ndarray) -> np.ndarray:
+        """The value at the Gauss nodes of every column on the t-lines of ``t_rows``,
+        (t-lines, nx, n)."""
+        return mode_sum(self._nodes[None], t_rows[:, None]).reshape(len(t_rows), -1, self.n)
 
-    def on_x_lines(self, t: np.ndarray, dx: bool) -> np.ndarray:
-        """The value (or dx) on every x-line at the Gauss times ``t`` of some slabs, slab
-        by slab, (slabs, nx + 1, n)."""
-        self._nodes = None
-        grid = mode_sum(self._lines[dx][:, None], self._t_rows(t)[None])  # (x-line, time)
+    def on_x_lines(self, t_rows: np.ndarray, dx: bool) -> np.ndarray:
+        """The value (or dx) on every x-line at the Gauss times of some slabs, whose
+        ``t_rows`` run slab by slab, (slabs, nx + 1, n)."""
+        grid = mode_sum(self._lines[dx][:, None], t_rows[None])  # (x-line, time)
         return grid.reshape(len(self._lines[dx]), -1, self.n).swapaxes(0, 1)
 
 
@@ -188,12 +184,15 @@ def _wsum_sq(w, z) -> float:
 class _Chunk:
     """The places of a chunk of consecutive slabs: its elements' tops, and the bottoms of
     the elements just above the t-lines it owns (the tops of its slabs, and slab 0's
-    bottom too), or its elements' left and right sides.  Each trace of a separable
-    part is kept for the chunk, so the fields of a walk share it."""
+    bottom too), or its elements' left and right sides.  Each separable part's T rows,
+    on the owned t-lines or at the slabs' Gauss times, and each of its traces are kept
+    for the chunk, so its value and dx and the fields of a walk share them."""
 
     def __init__(self, mesh: Mesh, n: int, slabs: range, nodes: np.ndarray):
         self.mesh, self.n, self.slabs, self._nodes = mesh, n, slabs, nodes
         self.lines = range(slabs.start + (slabs.start > 0), slabs.stop + 1)  # owned t-lines
+        self.times = mapped_intervals(mesh.ts[slabs.start:slabs.stop],  # (slabs, n)
+                                      mesh.ts[slabs.start + 1:slabs.stop + 1], n)[0]
         self._kept = {}
 
     def slabs_at(self, place: str) -> range:
@@ -217,22 +216,20 @@ class _Chunk:
             X, T = np.tile(self._nodes, (len(slabs), 1)), np.repeat(t, mesh.nx)[:, None]
         else:
             x = mesh.xs[1:] if place == "right" else mesh.xs[:-1]
-            X, T = np.tile(x, len(slabs))[:, None], np.repeat(self._times(), mesh.nx, axis=0)
+            X, T = np.tile(x, len(slabs))[:, None], np.repeat(self.times, mesh.nx, axis=0)
         X, T = np.broadcast_arrays(X, T)
         return (field.dx if dx else field.value)(ids, X, T).reshape(len(slabs), mesh.nx, n)
 
-    def _times(self) -> np.ndarray:
-        """The Gauss times of every slab of the chunk, (slabs, n)."""
-        ts = self.mesh.ts
-        return mapped_intervals(ts[self.slabs.start:self.slabs.stop],
-                                ts[self.slabs.start + 1:self.slabs.stop + 1], self.n)[0]
-
     def _separable(self, table: _FactorTables, place: str, dx: bool) -> np.ndarray:
         # one trace on the owned t-lines, or on every x-line, serves both sides
-        key = (table, place in ("top", "bottom"), dx)
+        space_like = place in ("top", "bottom")
+        if (table, space_like) not in self._kept:  # T rows, for value and dx
+            t = self.mesh.ts[self.lines.start:self.lines.stop] if space_like else self.times
+            self._kept[table, space_like] = table.t_rows(t.reshape(-1), space_like)
+        key, t_rows = (table, space_like, dx), self._kept[table, space_like]
         if key not in self._kept:
-            self._kept[key] = (table.on_t_lines(self.mesh.ts[self.lines.start:self.lines.stop])
-                               if key[1] else table.on_x_lines(self._times().reshape(-1), dx))
+            self._kept[key] = (table.on_t_lines(t_rows) if space_like
+                               else table.on_x_lines(t_rows, dx))
         kept = self._kept[key]
         if place == "top":  # the t-lines above the chunk's slabs: the last len(slabs)
             return kept[len(kept) - len(self.slabs):]

@@ -6,13 +6,13 @@ from schrodg.linalg import FactoredMatrix, SingularMatrixError, cond2, from_band
 
 
 def band_storage(a):
-    """The square matrix ``a`` in ``zgbtrf`` band storage (ab, kl, ku), with its bandwidths:
-    a[i, j] = ab[kl + ku + i - j, j], and the first kl rows are LU workspace."""
+    """The square matrix ``a`` in general band storage (ab, kl, ku), with its bandwidths:
+    a[i, j] = ab[ku + i - j, j], Fortran-ordered."""
     a = np.asarray(a, dtype=complex)
     kl, ku = scipy.linalg.bandwidth(a)
-    ab = np.zeros((2 * kl + ku + 1, len(a)), dtype=complex)
+    ab = np.zeros((kl + ku + 1, len(a)), dtype=complex, order="F")
     i, j = np.nonzero(a)
-    ab[kl + ku + i - j, j] = a[i, j]
+    ab[ku + i - j, j] = a[i, j]
     return ab, kl, ku
 
 
@@ -51,12 +51,12 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         band_solve(np.eye(3), np.ones((3, 2)))  # one right-hand side at a time
     with pytest.raises(ValueError):
-        FactoredMatrix(np.ones((3, 4)), 1, 1)  # 2 kl + ku + 1 = 4 rows needed
+        FactoredMatrix(np.ones((4, 4)), 1, 1)  # kl + ku + 1 = 3 rows needed
 
 
 def test_non_finite_band_rejected():
     ab, kl, ku = band_storage(np.eye(3))
-    ab[kl + ku, 1] = np.nan
+    ab[ku, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         FactoredMatrix(ab, kl, ku)
 
@@ -66,8 +66,21 @@ def test_band_round_trip_is_exact(kl, ku):
     a = random_banded(np.random.default_rng(kl + 7 * ku), 9, kl, ku)
     ab, kl_found, ku_found = band_storage(a)
     assert (kl_found, ku_found) == (kl, ku)
-    assert ab.shape == (2 * kl + ku + 1, 9)
+    assert ab.shape == (kl + ku + 1, 9)
     assert np.array_equal(from_band(ab, kl, ku), a)
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_c_ordered_band_solves_to_the_same_bits(n):
+    # a C-ordered band is the same matrix: it is copied into Fortran order, not misread
+    rng = np.random.default_rng(n)
+    ab, kl, ku = band_storage(random_banded(rng, n, 2, 3) + 4 * np.eye(n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c_ordered = np.ascontiguousarray(ab)
+    assert c_ordered.flags.c_contiguous and not c_ordered.flags.f_contiguous
+    x = FactoredMatrix(ab, kl, ku).solve(b)
+    assert np.array_equal(FactoredMatrix(c_ordered, kl, ku).solve(b), x)
+    assert np.array_equal(ab, c_ordered)  # neither band was written
 
 
 @pytest.mark.parametrize("n", [8, 60, 300])
