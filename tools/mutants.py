@@ -1,0 +1,126 @@
+"""Mutation check: every mutant of the solver below must make its tests fail.
+
+    python tools/mutants.py
+
+Each entry of MUTANTS is a name, a file of the repository, an exact old text that
+occurs in that file exactly once, the new text, and the pytest selection (node ids)
+that must fail once the old text is replaced by the new.  The package and its tests
+(``src``, ``tests``, ``pyproject.toml``) are copied into a temporary directory.  There
+the unmutated copy must first pass every selection; then each mutant in turn is
+written into the copy, its selection runs with ``-x`` in a fresh process with one
+BLAS/OpenMP thread and no bytecode cache, and the file is restored.  A mutant whose
+selection passes has survived.
+
+The exit code is 1 when an old text is not found exactly once (so a refactor that
+moves the code has to update its entry), when the unmutated copy fails, or when a
+mutant survives; it is 0 otherwise.  A surviving mutant is not to be deleted from the
+list: it asks for a test that kills it, or for an argument that it is equivalent to
+the original.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LINALG, ASSEMBLY = "src/schrodg/linalg.py", "src/schrodg/assembly.py"
+MESH, NORMS = "src/schrodg/mesh.py", "src/schrodg/norms.py"
+BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagonal_block"
+
+# (name, file, old text, new text, pytest node ids that must fail)
+MUTANTS = [
+    ("no refinement step", LINALG,
+     "            x = x + self._lu_solve(r)\n", "            pass\n",
+     ["tests/test_linalg.py"]),
+    ("kl and ku swapped in zgbtrs", LINALG,
+     "zgbtrs(self.lu, self.kl, self.ku, b, self.piv)",
+     "zgbtrs(self.lu, self.ku, self.kl, b, self.piv)",
+     ["tests/test_linalg.py"]),
+    ("LU copy at rows kl - 1:", LINALG,
+     "        lu[kl:] = ab\n", "        lu[kl - 1:-1] = ab\n",
+     ["tests/test_linalg.py"]),
+    ("band rows off by one in _slab_matrix", ASSEMBLY,
+     "    ab[ku + a - b, cols] = diagonal\n", "    ab[ku + 1 + a - b, cols] = diagonal\n",
+     [BAND_BLOCK]),
+    ("sub- and super-diagonal rows swapped in _slab_matrix", ASSEMBLY,
+     "    ab[ku + dim + a - b, cols[:-1]] = right_left",
+     "    ab[ku - dim + a - b, cols[:-1]] = right_left",
+     [BAND_BLOCK]),
+    ("Dirichlet normal signs swapped in _slab_matrix", ASSEMBLY,
+     "    dirichlet = [0.5 * (sign * _pair(v, g, wt)",
+     "    dirichlet = [0.5 * (-sign * _pair(v, g, wt)",
+     [BAND_BLOCK]),
+    ("Dirichlet normal signs swapped in _data_rhs", ASSEMBLY,
+     '((-1, mesh.xs[-1], "right", 1.0),\n'
+     '                                        (0, mesh.xs[0], "left", -1.0))',
+     '((-1, mesh.xs[-1], "right", -1.0),\n'
+     '                                        (0, mesh.xs[0], "left", 1.0))',
+     ["tests/test_assembly.py"]),
+    ("repeat and tile swapped in the volume row", MESH,
+     "x, t, w = np.repeat(x, n), np.tile(t, n),", "x, t, w = np.tile(x, n), np.repeat(t, n),",
+     # the same points and weights in another order: the volume terms move by rounding
+     # only, so the x-major order itself is what the test pins
+     ["tests/test_mesh.py::test_rule_matches_the_global_quadrature"]),
+    ("the sign of left's offset flipped", MESH,
+     'np.full(n, hx if place == "right" else -hx)', 'np.full(n, hx if place == "right" else hx)',
+     [BAND_BLOCK]),
+    ("top and bottom swapped", MESH,
+     'np.full(n, ht if place == "top" else -ht)', 'np.full(n, -ht if place == "top" else ht)',
+     [BAND_BLOCK]),
+    ("dg_norm's beta term dropped", NORMS,
+     " + _wsum_sq(beta * W, g1 - g2)", "",
+     ["tests/test_norms.py"]),
+    ("the time-like reshape without swapaxes", NORMS,
+     "-1, self.n).swapaxes(0, 1)", "-1, self.n)",
+     ["tests/test_norms.py"]),
+]
+
+
+def _pytest(copy: Path, selection: list[str], *flags: str) -> int:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *flags, *selection], cwd=copy, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    missing = [name for name, path, old, _, _ in MUTANTS
+               if (ROOT / path).read_text().count(old) != 1]
+    for name in missing:
+        print(f"old text not found exactly once: {name}")
+    if missing:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        selections = sorted({node for *_, selection in MUTANTS for node in selection})
+        if _pytest(copy, selections) != 0:
+            print(f"the unmutated copy fails: {' '.join(selections)}")
+            return 1
+        survivors = []
+        for name, path, old, new, selection in MUTANTS:
+            original = (copy / path).read_text()
+            (copy / path).write_text(original.replace(old, new))
+            start = time.perf_counter()
+            survived = _pytest(copy, selection, "-x") in (0, 4, 5)  # passed, or ran nothing
+            (copy / path).write_text(original)
+            if survived:
+                survivors.append(name)
+            print(f"{'SURVIVED' if survived else 'killed':8}  "
+                  f"{time.perf_counter() - start:5.1f} s  {name}")
+    print(f"{len(MUTANTS)} mutants, {len(survivors)} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
