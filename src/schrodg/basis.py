@@ -26,7 +26,9 @@ of a mesh's elements, which share the one size `Mesh.h`, from one
 the rule at a named place of the element (`Mesh.rule`), and
 `MeshBasis.evaluate` evaluates at any offsets from the centres, in one array
 call.  Every evaluation goes through `poly.scaled_monomials` or the one wave
-formula.
+formula.  The scaled monomials at a place's rule do not depend on the element
+size: a polynomial family's trace tables contract one table of them, evaluated
+once per process at the reference rule (`quadrature.reference_rule`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 
 from .poly import (MultiIndex, ScaledPolynomial, _normalize_center, apply_schrodinger, dense_terms,
                    eval_poly_many, mi, scaled_monomials, space_multi_indices)
+from .quadrature import reference_rule
 
 FAMILIES = ("trefftz", "quasi-trefftz", "full", "planewave")
 
@@ -258,16 +261,31 @@ def coefficient_table(kind: SpaceKind, hx: float, ht: float
     return out
 
 
+@lru_cache(maxsize=None)
+def _reference_monomials(exps: tuple[tuple[int, int], ...], n: int, place: str, dx: bool
+                         ) -> np.ndarray:
+    """The scaled monomials of ``exps`` (their derivatives in the scaled x with ``dx``) at
+    the reference rule `reference_rule(n, place)`, (1, n_local, nq), read-only.  They are
+    the monomials at `Mesh.rule(n, place)` on elements of every size."""
+    x, t, _ = reference_rule(n, place)
+    fun = scaled_monomials(np.array(exps), (x, t), mi(1, 0) if dx else None).swapaxes(0, -2)
+    fun.flags.writeable = False
+    return fun
+
+
+_TRACE_TABLES = {}  # (kind, h) -> {(n, place, dx): the value and the image trace tables}
+
+
 class MeshBasis:
     """The local basis of every element of a mesh, evaluated a batch at a time.
 
     Every element has the mesh's one size `Mesh.h`, so the basis is one
     `coefficient_table`, the same at every centre.  `table(n, place)` holds it at the
     n-point rule on an element's side or volume, `Mesh.rule(n, place)`: evaluated once
-    per basis, and read-only.  `evaluate` takes any offsets ``x``, ``t`` from element
-    centres that broadcast to (nF, nq), row f on one element, and keeps nothing.  Both
-    return basis values alone, for the caller to contract; a result equal for every
-    element keeps its leading 1.
+    per process for each kind and size, shared by every basis of them, and read-only.
+    `evaluate` takes any offsets ``x``, ``t`` from element centres that broadcast to
+    (nF, nq), row f on one element, and keeps nothing.  Both return basis values alone,
+    for the caller to contract; a result equal for every element keeps its leading 1.
     """
 
     def __init__(self, mesh, kind: SpaceKind):
@@ -275,17 +293,24 @@ class MeshBasis:
         self.dim = kind.dim(1)
         self.mesh, self.center, self.h = mesh, mesh.centers, mesh.h
         self._local, *self._coeffs = coefficient_table(kind, *mesh.h)  # value and image
-        self._tables = {}  # (n, place, dx, image) -> trace table
+        self._tables = _TRACE_TABLES.setdefault((kind, mesh.h), {})
 
     def table(self, n: int, place: str, dx: bool = False, image: bool = False) -> np.ndarray:
-        """`evaluate` at the rule `Mesh.rule(n, place)`, (1, dim, nq), read-only.  The
-        monomials are evaluated once for the values and the image."""
-        if (n, place, dx, image) not in self._tables:
-            fun = self._monomials(*self.mesh.rule(n, place)[:2], dx)
-            for img, coeffs in zip((False, True), self._coeffs):
-                self._tables[n, place, dx, img] = out = coeffs @ fun
+        """`evaluate` at the rule `Mesh.rule(n, place)`, (1, dim, nq), read-only.  A
+        polynomial family contracts its monomials at the reference rule, which every size
+        shares; plane waves are evaluated at the mesh's offsets.  The values and the image
+        come from one such evaluation."""
+        if (n, place, dx) not in self._tables:
+            if self.kind.family == "planewave":
+                fun = self._monomials(*self.mesh.rule(n, place)[:2], dx)
+            else:
+                fun = _reference_monomials(tuple(map(tuple, self._local.tolist())), n, place, dx)
+                if dx:
+                    fun = fun / self.h[0]
+            self._tables[n, place, dx] = tables = tuple(coeffs @ fun for coeffs in self._coeffs)
+            for out in tables:
                 out.flags.writeable = False
-        return self._tables[n, place, dx, image]
+        return self._tables[n, place, dx][image]
 
     def evaluate(self, x, t, dx=False, image=False) -> np.ndarray:
         """Every basis function at the offsets of row f, (nF, dim, nq): its x-derivative

@@ -70,6 +70,12 @@ def from_band(ab: np.ndarray, kl: int, ku: int) -> np.ndarray:
     return a
 
 
+def _check_info(routine: str, info: int) -> None:
+    """Raise on LAPACK's report of an illegal argument: info = -i names argument i."""
+    if info < 0:
+        raise ValueError(f"{routine}: argument {-info} has an illegal value")
+
+
 class FactoredMatrix:
     """Band LU factorization with partial pivoting, reusable across right-hand sides.
 
@@ -88,11 +94,13 @@ class FactoredMatrix:
         lu = np.zeros((2 * kl + ku + 1, ab.shape[1]), dtype=complex, order="F")
         lu[kl:] = ab
         self.lu, self.piv, info = zgbtrf(lu, kl, ku, overwrite_ab=1)
+        _check_info("zgbtrf", info)
         if info > 0:
             raise SingularMatrixError("zero pivot after partial pivoting")
 
     def _lu_solve(self, b: np.ndarray) -> np.ndarray:
-        x, _ = zgbtrs(self.lu, self.kl, self.ku, b, self.piv)
+        x, info = zgbtrs(self.lu, self.kl, self.ku, b, self.piv)
+        _check_info("zgbtrs", info)
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -7,12 +7,14 @@ reshapes to (nt, nx, ...): (slab, column).  The grid is uniform, so every elemen
 has the one size `Mesh.h` = (width / nx, t_final / nt), the scales of its local
 basis, and `Mesh.centers` holds the element centres.  `Mesh.rule(n, place)` is the
 Gauss rule on a named place of an element: its "top", "bottom", "left" or "right"
-side, or its "volume", as offsets from the element centre that every element shares.
+side, or its "volume", as offsets from the element centre that every element shares,
+the reference element's rule (`quadrature.reference_rule`) scaled by `h`.
 The grid is the only geometry: the slab kernel, the data and the norms read a
 facet's neighbours off the (slab, column) layout (the element below a top side is
 the same column of the slab below, ...), and only the reference walk of
 `schrodg.assembly` enumerates facets, from the `Mesh.elements` records.  A mesh is
-immutable after construction and safe for concurrent read access.
+immutable after construction, apart from the rules it keeps once computed, and safe
+for concurrent read access.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import gauss_legendre
+from .quadrature import reference_rule
 
 
 @dataclass(frozen=True)
@@ -119,22 +121,23 @@ class Mesh:
                              center=tuple(c))
                      for e, c in enumerate(self.centers.tolist()))
 
+    @cached_property
+    def _rules(self) -> dict:
+        return {}  # (n, place) -> rule
+
     def rule(self, n: int, place: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The n-point Gauss rule on an element's ``place``: its "top", "bottom", "left" or
         "right" side, or its "volume" (the tensor rule, x-major), as offsets x, t from the
         element's centre and weights w.  Each is one row that every element shares: (1, n),
-        or (1, n * n) over the volume."""
-        rule, (hx, ht) = gauss_legendre(n), np.divide(self.h, 2)
-        x, t, wx, wt = hx * rule.nodes, ht * rule.nodes, hx * rule.weights, ht * rule.weights
-        if place == "volume":
-            x, t, w = np.repeat(x, n), np.tile(t, n), np.outer(wx, wt).reshape(-1)
-        elif place in ("top", "bottom"):
-            t, w = np.full(n, ht if place == "top" else -ht), wx
-        elif place in ("left", "right"):
-            x, w = np.full(n, hx if place == "right" else -hx), wt
-        else:
-            raise ValueError(f"unknown place {place!r}")
-        return x[None], t[None], w[None]
+        or (1, n * n) over the volume.  It is `reference_rule` scaled by `h`, computed once
+        per mesh and read-only."""
+        if (n, place) not in self._rules:
+            (hx, ht), (x, t, w) = self.h, reference_rule(n, place)
+            scale = hx * ht if place == "volume" else hx if place in ("top", "bottom") else ht
+            self._rules[n, place] = out = hx * x, ht * t, scale * w
+            for a in out:
+                a.flags.writeable = False
+        return self._rules[n, place]
 
 
 def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:

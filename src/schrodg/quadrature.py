@@ -1,4 +1,9 @@
-"""Gauss-Legendre quadrature on intervals and tensor rules on rectangles."""
+"""Gauss-Legendre quadrature on intervals and tensor rules on rectangles.
+
+`reference_rule(n, place)` is the Gauss rule on a named place of the reference
+element (-1/2, 1/2)^2, an element with its size h = (h_x, h_t) divided out: its
+"top", "bottom", "left" or "right" side, or its "volume".  `Mesh.rule` scales it by h.
+"""
 
 from __future__ import annotations
 
@@ -27,6 +32,30 @@ def gauss_legendre(n: int) -> QuadratureRule:
     x.flags.writeable = False
     w.flags.writeable = False
     return QuadratureRule(x, w)
+
+
+@lru_cache(maxsize=None)
+def reference_rule(n: int, place: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point Gauss rule on ``place`` of the reference element (-1/2, 1/2)^2, read-only:
+    offsets x, t from its centre, in units of h_x and h_t, and weights w, in units of h_x
+    on the top and bottom, h_t on the left and right and h_x h_t over the volume (the
+    tensor rule, x-major).  Each is one row (1, n), or (1, n * n) over the volume; every
+    offset is xi / 2 or +-1/2 for a Gauss node xi, exact in binary."""
+    rule = gauss_legendre(n)
+    x = t = 0.5 * rule.nodes
+    w = 0.5 * rule.weights
+    if place == "volume":
+        x, t, w = np.repeat(x, n), np.tile(t, n), np.outer(w, w).reshape(-1)
+    elif place in ("top", "bottom"):
+        t = np.full(n, 0.5 if place == "top" else -0.5)
+    elif place in ("left", "right"):
+        x = np.full(n, 0.5 if place == "right" else -0.5)
+    else:
+        raise ValueError(f"unknown place {place!r}")
+    out = x[None], t[None], w[None]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=8192)

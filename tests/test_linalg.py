@@ -153,3 +153,16 @@ def test_refinement_makes_the_solve_componentwise_backward_stable():
     x = band_solve(a, b)
     omega = np.max(np.abs(b - a @ x) / (np.abs(a) @ np.abs(x) + np.abs(b)))
     assert omega <= 8 * np.finfo(float).eps
+
+
+def test_illegal_lapack_arguments_raise():
+    # kl and ku swapped on a factor: zgbtrs reports its LU rows too few for kl = 3, ku = 2
+    # (an illegal argument, info < 0), and solve raises instead of returning what zgbtrs
+    # left in place, refined
+    rng = np.random.default_rng(5)
+    a = random_banded(rng, 6, 2, 3) + 4 * np.eye(6)
+    factor = FactoredMatrix(*band_storage(a))
+    assert (factor.kl, factor.ku) == (2, 3)
+    factor.kl, factor.ku = factor.ku, factor.kl
+    with pytest.raises(ValueError, match="zgbtrs: argument 7"):
+        factor.solve(np.ones(6))

@@ -231,6 +231,31 @@ def test_oracle_facets_match_the_grid_indices(kind):
     assert found == grid_facets(mesh, kind)
 
 
+def test_rule_is_computed_once_per_mesh_and_read_only(monkeypatch):
+    # Mesh.rule scales the reference rule by h once for each (n, place) and keeps it: march
+    # and dg_norm ask for rules many times and compute each once; a mesh of another size
+    # computes its own, with offsets h times the reference offsets, to the bit
+    import schrodg.mesh
+    from schrodg import ExpSolution, SpaceKind, march, solution_data
+    from schrodg.norms import DifferenceField, dg_norm, exact_field
+
+    computed, reference = [], schrodg.mesh.reference_rule
+    monkeypatch.setattr(schrodg.mesh, "reference_rule",
+                        lambda n, place: computed.append((n, place)) or reference(n, place))
+    sol, space = ExpSolution(5.0), SpaceKind.full_poly(2)
+    meshes = [build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, 3) for nx in (4, 5)]
+    for mesh in meshes:
+        dg_norm(DifferenceField(exact_field(sol), march(mesh, space, solution_data(sol))), mesh)
+    assert len(computed) == 2 * len(set(computed)) > 0
+    mesh, (hx, ht) = meshes[1], meshes[1].h
+    x, t, w = rule = mesh.rule(6, "volume")
+    assert mesh.rule(6, "volume") is rule
+    assert np.array_equal(x, hx * reference(6, "volume")[0])
+    assert np.array_equal(t, ht * reference(6, "volume")[1])
+    with pytest.raises(ValueError):
+        w[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("mesh_name", ["uniform", "offset"])
 def test_rule_matches_the_global_quadrature(mesh_name):
     # every element's centre plus the offsets of Mesh.rule at a place are the global

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schrodg.quadrature import (box_rule, data_rule_size, gauss_legendre, mapped_interval,
-                                poly_rule_size, rect_rule)
+                                poly_rule_size, rect_rule, reference_rule)
 
 
 def integrate(f, lo, hi, n):
@@ -96,3 +96,27 @@ def test_rule_size_policy():
     assert poly_rule_size(3) == 8
     assert data_rule_size(1) == 20
     assert data_rule_size(12) == 26
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_reference_rule_halves_the_gauss_rule(n):
+    # the offsets of the reference element's rule are the Gauss nodes halved and the sides
+    # at +-1/2, to the bit; the weights of a side, and of the volume, sum to its size, 1
+    rule = gauss_legendre(n)
+    half, sides = rule.nodes / 2, {"top": (1, 0.5), "bottom": (1, -0.5),
+                                   "right": (0, 0.5), "left": (0, -0.5)}
+    for place, (fixed, at) in sides.items():
+        x, t, w = reference_rule(n, place)
+        assert np.array_equal((x, t)[fixed], np.full((1, n), at))
+        assert np.array_equal((x, t)[1 - fixed], half[None])
+        assert np.array_equal(w, rule.weights[None] / 2)
+    x, t, w = reference_rule(n, "volume")
+    assert np.array_equal(x, np.repeat(half, n)[None]) and np.array_equal(t, np.tile(half, n)[None])
+    assert np.allclose(w, np.outer(rule.weights, rule.weights).reshape(1, -1) / 4,
+                       rtol=1e-15, atol=0)
+    assert math.isclose(w.sum(), 1.0, rel_tol=1e-14)
+    assert reference_rule(n, "volume")[0] is x
+    with pytest.raises(ValueError):
+        w[0, 0] = 0.0
+    with pytest.raises(ValueError, match="place"):
+        reference_rule(n, "below")

@@ -30,7 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LINALG, ASSEMBLY = "src/schrodg/linalg.py", "src/schrodg/assembly.py"
-MESH, NORMS = "src/schrodg/mesh.py", "src/schrodg/norms.py"
+BASIS, QUADRATURE = "src/schrodg/basis.py", "src/schrodg/quadrature.py"
+NORMS = "src/schrodg/norms.py"
 BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagonal_block"
 
 # (name, file, old text, new text, pytest node ids that must fail)
@@ -62,16 +63,24 @@ MUTANTS = [
      '((-1, mesh.xs[-1], "right", -1.0),\n'
      '                                        (0, mesh.xs[0], "left", 1.0))',
      ["tests/test_assembly.py"]),
-    ("repeat and tile swapped in the volume row", MESH,
+    # the reference element's rule, from which Mesh.rule and the polynomial and plane-wave
+    # trace tables alike are made
+    ("repeat and tile swapped in the volume row", QUADRATURE,
      "x, t, w = np.repeat(x, n), np.tile(t, n),", "x, t, w = np.tile(x, n), np.repeat(t, n),",
      # the same points and weights in another order: the volume terms move by rounding
      # only, so the x-major order itself is what the test pins
      ["tests/test_mesh.py::test_rule_matches_the_global_quadrature"]),
-    ("the sign of left's offset flipped", MESH,
-     'np.full(n, hx if place == "right" else -hx)', 'np.full(n, hx if place == "right" else hx)',
+    ("the sign of left's offset flipped", QUADRATURE,
+     'np.full(n, 0.5 if place == "right" else -0.5)', 'np.full(n, 0.5 if place == "right" else 0.5)',
      [BAND_BLOCK]),
-    ("top and bottom swapped", MESH,
-     'np.full(n, ht if place == "top" else -ht)', 'np.full(n, -ht if place == "top" else ht)',
+    ("top and bottom swapped", QUADRATURE,
+     'np.full(n, 0.5 if place == "top" else -0.5)', 'np.full(n, -0.5 if place == "top" else 0.5)',
+     [BAND_BLOCK]),
+    ("volume weights not halved in t", QUADRATURE,
+     "np.outer(w, w).reshape(-1)", "np.outer(w, rule.weights).reshape(-1)",
+     [BAND_BLOCK]),
+    ("dx table not divided by h_x", BASIS,
+     "                    fun = fun / self.h[0]\n", "                    pass\n",
      [BAND_BLOCK]),
     ("dg_norm's beta term dropped", NORMS,
      " + _wsum_sq(beta * W, g1 - g2)", "",
