@@ -71,7 +71,8 @@ MUTANTS = [
      # only, so the x-major order itself is what the test pins
      ["tests/test_mesh.py::test_rule_matches_the_global_quadrature"]),
     ("the sign of left's offset flipped", QUADRATURE,
-     'np.full(n, 0.5 if place == "right" else -0.5)', 'np.full(n, 0.5 if place == "right" else 0.5)',
+     'np.full(n, 0.5 if place == "right" else -0.5)',
+     'np.full(n, 0.5 if place == "right" else 0.5)',
      [BAND_BLOCK]),
     ("top and bottom swapped", QUADRATURE,
      'np.full(n, 0.5 if place == "top" else -0.5)', 'np.full(n, -0.5 if place == "top" else 0.5)',
