@@ -273,16 +273,13 @@ def _reference_monomials(exps: tuple[tuple[int, int], ...], n: int, place: str, 
     return fun
 
 
-_TRACE_TABLES = {}  # (kind, h) -> {(n, place, dx): the value and the image trace tables}
-
-
 class MeshBasis:
     """The local basis of every element of a mesh, evaluated a batch at a time.
 
     Every element has the mesh's one size `Mesh.h`, so the basis is one
     `coefficient_table`, the same at every centre.  `table(n, place)` holds it at the
     n-point rule on an element's side or volume, `Mesh.rule(n, place)`: evaluated once
-    per process for each kind and size, shared by every basis of them, and read-only.
+    per basis and read-only.
     `evaluate` takes any offsets ``x``, ``t`` from element centres that broadcast to
     (nF, nq), row f on one element, and keeps nothing.  Both return basis values alone,
     for the caller to contract; a result equal for every element keeps its leading 1.
@@ -293,7 +290,7 @@ class MeshBasis:
         self.dim = kind.dim(1)
         self.mesh, self.center, self.h = mesh, mesh.centers, mesh.h
         self._local, *self._coeffs = coefficient_table(kind, *mesh.h)  # value and image
-        self._tables = _TRACE_TABLES.setdefault((kind, mesh.h), {})
+        self._tables = {}  # (n, place, dx) -> the value and the image trace tables
 
     def table(self, n: int, place: str, dx: bool = False, image: bool = False) -> np.ndarray:
         """`evaluate` at the rule `Mesh.rule(n, place)`, (1, dim, nq), read-only.  A

@@ -466,18 +466,17 @@ def test_element_without_coefficients_raises():
         sol.dx(3, 0.75, 0.6)
 
 
-def _empty_trace_caches(patch):
-    """Empty process-wide caches of trace tables and reference monomials for the duration of
-    ``patch``, so that what runs under it evaluates every table it reads."""
+def _empty_reference_monomials(patch):
+    """Empty the process-wide cache of reference monomials for the duration of ``patch``, so
+    that what runs under it evaluates every table it reads."""
     import schrodg.basis
 
-    patch.setattr(schrodg.basis, "_TRACE_TABLES", {})
     patch.setattr(schrodg.basis, "_reference_monomials",
                   functools.lru_cache(maxsize=None)(schrodg.basis._reference_monomials.__wrapped__))
 
 
 def _evaluations(monkeypatch, run):
-    """run(), from empty trace caches, and every call it made to scaled_monomials or _wave:
+    """run(), from empty reference monomials, and every call it made to scaled_monomials or _wave:
     the size of its coordinate arrays, and its inputs (coordinates and derivative) to the
     bit."""
     import schrodg.basis
@@ -493,7 +492,7 @@ def _evaluations(monkeypatch, run):
         return wrapped
 
     with monkeypatch.context() as patch:
-        _empty_trace_caches(patch)
+        _empty_reference_monomials(patch)
         patch.setattr(schrodg.basis, "scaled_monomials",
                       record(schrodg.basis.scaled_monomials, lambda exps, c, *rest: c))
         patch.setattr(schrodg.basis, "_wave",
@@ -560,16 +559,15 @@ def test_march_evaluates_each_monomial_row_once(monkeypatch):
     assert len(set(inputs)) == len(inputs)
 
 
-def test_trace_tables_are_read_only_and_shared_per_kind_and_size():
-    # a place's rule gives the same read-only table however often it is asked for, and from
-    # every basis of the kind on elements of the size.  It is evaluate at that rule up to
-    # rounding: the table takes the reference offsets xi / 2 and +-1/2 as they are, while
-    # evaluate scales the mesh's offsets back, (h / 2 xi) / h, not bitwise xi / 2.  Over
+def test_trace_tables_are_read_only_and_kept_per_basis():
+    # a place's rule gives the same read-only table however often it is asked for, from
+    # the basis that evaluated it; a new basis evaluates its own.  It is evaluate at that
+    # rule up to rounding: the table takes the reference offsets xi / 2 and +-1/2 as they
+    # are, while evaluate scales the mesh's offsets back, (h / 2 xi) / h, not bitwise xi / 2.  Over
     # trefftz, quasi-trefftz and full bases up to degree 6, meshes of 3 to 480 columns and
     # rules of 4 to 20 nodes, the two differ by at most 4.0e-16 of the table's largest
     # entry (1.8 ulp); 4 ulp are allowed
     mesh, space = build_cartesian_mesh(DOM, 4, 3), SpaceKind.full_poly(2)
-    same_size = build_cartesian_mesh(SpaceTimeDomain(-1.0, 0.0, 1.0), 4, 3)
     basis = MeshBasis(mesh, space)
     for place in ("top", "volume"):
         for kw in ({}, {"dx": True}, {"image": True}):
@@ -580,7 +578,8 @@ def test_trace_tables_are_read_only_and_shared_per_kind_and_size():
             assert np.max(np.abs(table - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
             with pytest.raises(ValueError):
                 table[...] = 0.0
-            assert MeshBasis(same_size, space).table(6, place, **kw) is table
+            fresh = MeshBasis(mesh, space).table(6, place, **kw)
+            assert fresh is not table and np.array_equal(fresh, table)
 
 
 def test_the_singular_study_evaluates_monomials_once_for_every_level(monkeypatch):
@@ -593,7 +592,7 @@ def test_the_singular_study_evaluates_monomials_once_for_every_level(monkeypatch
         calls = []
         evaluate = schrodg.basis.scaled_monomials
         with monkeypatch.context() as patch:
-            _empty_trace_caches(patch)
+            _empty_reference_monomials(patch)
             patch.setattr(schrodg.basis, "scaled_monomials",
                           lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs))
             run_singular(ExperimentConfig("singular", levels=levels))
