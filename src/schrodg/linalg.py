@@ -6,12 +6,10 @@ slab solve goes through `FactoredMatrix`: an LU with partial pivoting of such a 
 (``zgbtrf``/``zgbtrs``), in an array of its own with ``zgbtrf``'s kl fill rows, plus one
 step of iterative refinement, which keeps the relative residual near machine precision
 even for moderately ill-conditioned systems.  Its ``rcond`` is LAPACK's 1-norm
-estimate (``zgbcon``), computed on first use only: it costs more than the
-factorisation on long slabs.  `from_band` gives the dense matrix.
-
-`cond2` is the exact 2-norm condition number by full SVD, kept for the
-paper's conditioning slopes, which are 2-norm slopes; it is capped at
-`COND_MAX_N` unknowns.
+estimate (``zgbcon``), which `march`'s plane-wave screen reads, computed on first use
+only: it costs more than the factorisation on long slabs.  `from_band` gives the dense
+matrix.  `cond2`, the exact 2-norm condition number by a capped full SVD, serves only
+the reports of the paper's conditioning slopes, which are 2-norm slopes.
 """
 
 from __future__ import annotations

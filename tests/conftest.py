@@ -1,6 +1,6 @@
 import os
 
-# The golden files were written with one BLAS thread, and a screen's cond2 near 1e7 moves
+# The golden files were written with one BLAS thread, and a reported cond2 near 1e7 moves
 # by ~1e-11 relative with the thread count; pin it before numpy loads BLAS, as CI does
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

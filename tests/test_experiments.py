@@ -413,7 +413,7 @@ def test_conv_p_assembles_each_first_slab_once(monkeypatch):
 
 
 def test_plane_wave_conv_p_takes_each_cond2_once(tmp_path, monkeypatch):
-    # one SVD per operator: the cond2 march's plane-wave screen took is the CSV's
+    # one SVD per operator, for the CSV's cond2 column: march's plane-wave screen takes none
     import schrodg.assembly
     from schrodg.assembly import slab_operator
     from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh

@@ -6,7 +6,7 @@ commit 93a905c, before one evaluator replaced the per-polynomial one, and
 conv_h_planewave_p2_l3.* and singular_p2_l3*, written at commit 0f709ac, before
 the mesh kept only its grid lines, and conv_p_planewave_l3.*, written at commit
 06325ac, before march assembled and screened one slab operator ahead of its loop:
-its cond2 column is the plane-wave screen's.
+its cond2 column is that operator's SVD cond2.
 Numeric cells must agree to 1e-12 relative, every other cell exactly.
 """
 

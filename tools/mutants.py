@@ -33,6 +33,7 @@ LINALG, ASSEMBLY = "src/schrodg/linalg.py", "src/schrodg/assembly.py"
 BASIS, QUADRATURE = "src/schrodg/basis.py", "src/schrodg/quadrature.py"
 NORMS = "src/schrodg/norms.py"
 BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagonal_block"
+SCREEN = "tests/test_assembly.py::test_plane_wave_screen_keeps_each_decision"
 
 # (name, file, old text, new text, pytest node ids that must fail)
 MUTANTS = [
@@ -57,6 +58,14 @@ MUTANTS = [
      "    dirichlet = [0.5 * (sign * _pair(v, g, wt)",
      "    dirichlet = [0.5 * (-sign * _pair(v, g, wt)",
      [BAND_BLOCK]),
+    # the penalties scaled by h_t: on the square meshes of conv-h they are the same numbers
+    ("alpha = 1/h_t, beta = h_t in _slab_matrix", ASSEMBLY,
+     "    alpha, beta = 1.0 / mesh.h[0], mesh.h[0]\n",
+     "    alpha, beta = 1.0 / mesh.h[1], mesh.h[1]\n",
+     [BAND_BLOCK]),
+    ("the plane-wave flag ten times higher", ASSEMBLY,
+     "COND_FLAG = 2.7e14\n", "COND_FLAG = 2.7e15\n",
+     [SCREEN]),
     ("Dirichlet normal signs swapped in _data_rhs", ASSEMBLY,
      '((-1, mesh.xs[-1], "right", 1.0),\n'
      '                                        (0, mesh.xs[0], "left", -1.0))',
@@ -85,6 +94,9 @@ MUTANTS = [
      [BAND_BLOCK]),
     ("dg_norm's beta term dropped", NORMS,
      " + _wsum_sq(beta * W, g1 - g2)", "",
+     ["tests/test_norms.py"]),
+    ("alpha = 1/h_t, beta = h_t in the norms", NORMS,
+     "1.0 / mesh.h[0], mesh.h[0]\n", "1.0 / mesh.h[1], mesh.h[1]\n",
      ["tests/test_norms.py"]),
     ("the time-like reshape without swapaxes", NORMS,
      "-1, self.n).swapaxes(0, 1)", "-1, self.n)",
