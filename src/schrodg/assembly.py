@@ -289,7 +289,9 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     solved times the one coupling block into the next right-hand side; no field is
     evaluated.  A plane-wave operator whose LAPACK 1-norm estimate 1 / rcond, taken
     from the LU in hand, exceeds `COND_FLAG` fails with a SlabSolveError naming slab 0.
-    A matrix, right-hand side or solution that is not finite fails too, naming its slab.
+    A matrix, right-hand side or solution that is not finite fails too, naming its slab:
+    l is scanned once before the loop, which stops at the first slab whose l is not
+    finite, and the coefficients once after it.
     """
     n_form, n_data = _rule_sizes(space, n_quad)
     sol = DiscreteSolution(mesh, space)
@@ -306,18 +308,22 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
         cond = 1.0 / factor.rcond if factor.rcond > 0 else float("inf")
         if cond > COND_FLAG:
             raise SlabSolveError(0, cond)
+    per_slab = data_rhs.reshape(mesh.n_slabs, -1)  # slab s's l in row s, until solved
+    bad = ~np.isfinite(per_slab).all(axis=1)
+    n_solved = int(np.argmax(bad)) if bad.any() else mesh.n_slabs
     carry = 0.0
-    for slab in range(mesh.n_slabs):
-        rows = slice(slab * mesh.nx, (slab + 1) * mesh.nx)
-        rhs = data_rhs[rows].reshape(-1) - carry
-        if not np.all(np.isfinite(rhs)):
-            raise SlabSolveError(slab, float("nan"), "non-finite right-hand side")
-        coeffs = factor.solve(rhs).reshape(-1, sol.basis.dim)
-        if not np.all(np.isfinite(coeffs)):
-            raise SlabSolveError(slab, float("nan"), "non-finite solution")
-        sol.set_coeffs(rows, coeffs)
-        if slab < mesh.n_slabs - 1:
-            carry = (op.coupling @ coeffs[:, :, None]).reshape(-1)
+    with np.errstate(invalid="ignore", over="ignore"):  # the scan after the loop names it
+        for slab in range(n_solved):
+            rows = slice(slab * mesh.nx, (slab + 1) * mesh.nx)
+            coeffs = factor.solve(data_rhs[rows].reshape(-1) - carry).reshape(-1, sol.basis.dim)
+            sol.set_coeffs(rows, coeffs)
+            if slab < mesh.n_slabs - 1:
+                carry = (op.coupling @ coeffs[:, :, None]).reshape(-1)
+    bad = ~np.isfinite(per_slab[:n_solved]).all(axis=1)
+    if bad.any():
+        raise SlabSolveError(int(np.argmax(bad)), float("nan"), "non-finite solution")
+    if n_solved < mesh.n_slabs:
+        raise SlabSolveError(n_solved, float("nan"), "non-finite right-hand side")
     return sol
 
 

@@ -172,3 +172,41 @@ def test_series_nan_stays_at_its_points(case, axis, dx):
     assert np.array_equal(np.isnan(got), bad)
     want = per_point_series(*xt, dx)
     assert np.max(np.abs(got[~bad] - want[~bad])) <= 1e-13 * np.max(np.abs(want[~bad]))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+def test_series_tables_match_a_long_double_reference():
+    # the same formulas in long double; an entry's error is the rounding of its phase
+    # (n^2 theta for T, up to ~1e5 here, n pi x for X), about (1 + phase) eps
+    rng = np.random.default_rng(5)
+    x, t = rng.random(40), np.concatenate(([0.0], 0.1 * rng.random(39)))
+    series = SquareWellSeries(250)
+    (X, T), (X_dx, _) = series.factors(x, t), series.factors(x, t, dx=True)
+    ld, eps = np.longdouble, np.finfo(float).eps
+    pi = 4 * np.arctan(ld(1))
+    n = 2 * np.arange(250, dtype=ld) + 1
+    phase = np.multiply.outer(n * n, pi * pi * t.astype(ld) / 2)
+    err = np.hypot((T.real - np.cos(phase)).astype(float), (T.imag + np.sin(phase)).astype(float))
+    assert np.all(err <= 4 * (1 + phase.astype(float)) * eps)
+    amp = np.sqrt(ld(30)) * (2 / pi) ** 3 / n ** 3
+    arg = np.multiply.outer(x.astype(ld), pi * n)
+    for got, scale, want in ((X, amp, amp * np.sin(arg)),
+                             (X_dx, amp * pi * n, amp * pi * n * np.cos(arg))):
+        err = np.abs((got - want).astype(float))
+        assert np.all(err <= 4 * (1 + arg.astype(float)) * eps * scale.astype(float))
+
+
+@pytest.mark.parametrize("n_trunc", [1, 40, 250, 256, 257])
+def test_series_time_column_does_not_depend_on_the_batch(n_trunc):
+    # the blocked T is elementwise in time: one time alone gives its column of a
+    # batch to the bit, whatever the batch's length
+    series = SquareWellSeries(n_trunc)
+    t = 0.1 * np.random.default_rng(9).random(37)
+    X, T = series.factors(np.empty(0), t)
+    assert X.shape == (0, n_trunc) and T.shape == (n_trunc, t.size)
+    n = 2.0 * np.arange(n_trunc) + 1.0  # the last block may be cut short
+    assert np.max(np.abs(T - np.exp(-0.5j * np.pi ** 2 * np.outer(n * n, t)))) <= 1e-10
+    for j in (0, 5, 16, 36):
+        assert np.array_equal(series.factors(np.empty(0), t[j:j + 1])[1][:, 0], T[:, j])
+    assert np.array_equal(series.factors(np.empty(0), t[3:20])[1], T[:, 3:20])

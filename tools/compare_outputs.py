@@ -14,7 +14,9 @@ its numbers, when the sides write different files or exit differently, or when t
 runs of one side differ at all; it is 0 otherwise.  The list holds no run finer than
 level 4 at p = 3: beyond it a one-ulp change of the coefficients moves ``dg_error`` by
 more than 1e-12 (4.6e-11 at level 6), so such runs are judged by hand against that
-noise.
+noise.  At p = 1 there is no such floor (3.6e-16 at every level), so ``singular --p 1
+--levels 6`` is in the list: up to 64 x 64 elements, the largest run here in which the
+250-mode square-well series' factor tables take a large share of the time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOLERANCE = 1e-12
 RUNS = [*(f"singular --p {p} --levels {levels}" for p in (1, 2, 3) for levels in (3, 4)),
+        "singular --p 1 --levels 6",
         "conv-h --p 3 --levels 4",
         *(f"conv-h --space {space} --p 2 --levels 3" for space in ("planewave", "full")),
         "conv-h --p 1 --levels 3 --global-oracle",

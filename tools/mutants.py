@@ -31,9 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LINALG, ASSEMBLY = "src/schrodg/linalg.py", "src/schrodg/assembly.py"
 BASIS, QUADRATURE = "src/schrodg/basis.py", "src/schrodg/quadrature.py"
-NORMS = "src/schrodg/norms.py"
+NORMS, SOLUTIONS = "src/schrodg/norms.py", "src/schrodg/solutions.py"
 BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagonal_block"
 SCREEN = "tests/test_assembly.py::test_plane_wave_screen_keeps_each_decision"
+SERIES_TABLES = "tests/test_solutions.py::test_series_tables_match_a_long_double_reference"
 
 # (name, file, old text, new text, pytest node ids that must fail)
 MUTANTS = [
@@ -63,6 +64,10 @@ MUTANTS = [
      "    alpha, beta = 1.0 / mesh.h[0], mesh.h[0]\n",
      "    alpha, beta = 1.0 / mesh.h[1], mesh.h[1]\n",
      [BAND_BLOCK]),
+    ("Dirichlet owners swapped in _slab_matrix", ASSEMBLY,
+     "    diagonal[-1] += dirichlet[0]\n    diagonal[0] += dirichlet[1]\n",
+     "    diagonal[-1] += dirichlet[1]\n    diagonal[0] += dirichlet[0]\n",
+     [BAND_BLOCK]),
     ("the plane-wave flag ten times higher", ASSEMBLY,
      "COND_FLAG = 2.7e14\n", "COND_FLAG = 2.7e15\n",
      [SCREEN]),
@@ -71,6 +76,12 @@ MUTANTS = [
      '                                        (0, mesh.xs[0], "left", -1.0))',
      '((-1, mesh.xs[-1], "right", -1.0),\n'
      '                                        (0, mesh.xs[0], "left", 1.0))',
+     ["tests/test_assembly.py"]),
+    ("Dirichlet owners swapped in _data_rhs", ASSEMBLY,
+     '((-1, mesh.xs[-1], "right", 1.0),\n'
+     '                                        (0, mesh.xs[0], "left", -1.0))',
+     '((0, mesh.xs[-1], "right", 1.0),\n'
+     '                                        (-1, mesh.xs[0], "left", -1.0))',
      ["tests/test_assembly.py"]),
     # the reference element's rule, from which Mesh.rule and the polynomial and plane-wave
     # trace tables alike are made
@@ -101,6 +112,15 @@ MUTANTS = [
     ("the time-like reshape without swapaxes", NORMS,
      "-1, self.n).swapaxes(0, 1)", "-1, self.n)",
      ["tests/test_norms.py"]),
+    ("Dirichlet owners swapped in the norms", NORMS,
+     "np.stack((left[:, 0], right[:, -1]), axis=1)", "np.stack((right[:, 0], left[:, -1]), axis=1)",
+     ["tests/test_norms.py"]),
+    ("the blocked T's step D at 2B, not 4B", SOLUTIONS,
+     "4.0 * b * o", "2.0 * b * o",
+     [SERIES_TABLES]),
+    ("the blocked T's first block seeded with ones", SOLUTIONS,
+     "        T[0] = P\n", "        T[0] = 1.0\n",
+     [SERIES_TABLES]),
 ]
 
 
