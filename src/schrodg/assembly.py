@@ -31,9 +31,12 @@ and the coupling B into the next slab.  On the uniform grid every slab has
 the same M, block tridiagonal with the same blocks in every column, and B is
 one dim x dim block per element, so the kernel computes six blocks from the
 basis' trace tables by place (`MeshBasis.table`) and tiles them into band
-storage.  `_data_rhs` assembles l from psi0 and g_D alone, on the grid: psi0
-at slab 0's bottom nodes and g_D on each Dirichlet side, each one array
-contracted with one table.  Neither builds a facet.  The assembled global
+storage.  It takes them from two or three batched products of stacked tables
+(`_pair`): every time-like table pair in one, top and bottom against top in
+another, and the volume term.  `_data_rhs` assembles l from psi0 and g_D alone,
+on the grid: psi0 at slab 0's bottom nodes and g_D on each Dirichlet side, each
+one array contracted with one table, or with that side's value and dx tables at
+once.  Neither builds a facet.  The assembled global
 system is kept as a testing oracle, solved by a dense LU rather than the band
 LU of `march`.
 
@@ -169,9 +172,10 @@ def _rule_sizes(space: SpaceKind, n_quad: int | None) -> tuple[int, int]:
 # --- the slab kernel of march: every slab's operator, tiled from blocks ---
 
 def _pair(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_q conj(a[f, i, q]) w[f, q] b[f, j, q] for every row f: (nF, dim, dim), or one
-    block (1, dim, dim) if every row shares a, b and w."""
-    return (a.conj() * w[:, None, :]) @ np.swapaxes(b, 1, 2)
+    """sum_q conj(a[..., i, q]) w[..., q] b[..., j, q] over the broadcast leading axes of
+    a, b and w: (nF, dim, dim) for rows f, one block (1, dim, dim) if every row shares a,
+    b and w, or a batch of blocks.  Each block is one BLAS product, whatever the batch."""
+    return (a.conj() * w[..., None, :]) @ np.swapaxes(b, -1, -2)
 
 
 def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
@@ -193,24 +197,36 @@ def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
     the volume term, in that order.  The coupling is one block (dim, dim):
     -i int conj(phi^+) phi^- over the top facet of an element, test functions of the
     element above it, trial functions of the element.
+
+    The blocks come from two or three batched `_pair` products: the four time-like
+    tables (value and dx on the right side, then on the left) against each other, 16
+    blocks from which the interior and Dirichlet terms are combined with the normals
+    as broadcast arrays; the top and bottom tables against the top; and the volume
+    term.  Each block is the same BLAS product as on its own, and each coefficient of
+    the combination is real or imaginary, so the blocks are those of one product per
+    term to the bit.
     """
     nx, dim = mesh.nx, basis.dim
     wx, wt = mesh.rule(n_form, "top")[2], mesh.rule(n_form, "left")[2]
     alpha, beta = 1.0 / mesh.h[0], mesh.h[0]
-    top = basis.table(n_form, "top")
     # a time-like facet on each neighbour: the left element's right side (normal +1),
-    # the right element's left side (-1)
-    sides = [(basis.table(n_form, place), basis.table(n_form, place, dx=True), sign)
-             for place, sign in (("right", 1.0), ("left", -1.0))]
-    (left_left, left_right), (right_left, right_right) = (
-        [0.5 * (0.5 * na * _pair(va, gb, wt) + 1j * alpha * na * nb * _pair(va, vb, wt)
-                - 0.5 * na * _pair(ga, vb, wt) + 1j * beta * na * nb * _pair(ga, gb, wt))[0]
-         for vb, gb, nb in sides] for va, ga, na in sides)
-    dirichlet = [0.5 * (sign * _pair(v, g, wt) + 1j * alpha * _pair(v, v, wt))[0]
-                 for v, g, sign in sides]  # x = x_hi (its owner's right side), x = x_lo
+    # the right element's left side (-1); side a of the test, side b of the trial
+    sides = np.concatenate([basis.table(n_form, place, dx) for place in ("right", "left")
+                            for dx in (False, True)])
+    (vv, vg), (gv, gg) = _pair(sides[:, None], sides[None], wt).reshape(
+        2, 2, 2, 2, dim, dim).transpose(1, 3, 0, 2, 4, 5)  # (a, b) blocks per table pair
+    normal = np.array([1.0, -1.0])
+    na, nb = normal[:, None, None, None], normal[None, :, None, None]
+    (left_left, left_right), (right_left, right_right) = 0.5 * (
+        0.5 * na * vg + 1j * alpha * na * nb * vv - 0.5 * na * gv + 1j * beta * na * nb * gg)
+    own = [0, 1]  # x = x_hi (its owner's right side), x = x_lo
+    dirichlet = 0.5 * (normal[:, None, None] * vg[own, own] + 1j * alpha * vv[own, own])
+    top_top, bottom_top = _pair(np.concatenate([basis.table(n_form, place)
+                                                for place in ("top", "bottom")]),
+                                basis.table(n_form, "top"), wx)
 
     diagonal = np.empty((nx, dim, dim), dtype=complex)
-    diagonal[:] = 1j * _pair(top, top, wx)
+    diagonal[:] = 1j * top_top
     diagonal[:-1] += left_left
     diagonal[1:] += right_right
     diagonal[-1] += dirichlet[0]
@@ -228,8 +244,7 @@ def _slab_matrix(mesh: Mesh, basis: MeshBasis, n_form: int
     ab[ku + a - b, cols] = diagonal
     ab[ku + dim + a - b, cols[:-1]] = right_left  # test f + 1, trial f
     ab[ku - dim + a - b, cols[1:]] = left_right  # test f - 1, trial f
-    coupling = -1j * _pair(basis.table(n_form, "bottom"), top, wx)[0]
-    return (ab, kl, ku), coupling
+    return (ab, kl, ku), -1j * bottom_top
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +283,9 @@ def _data_rhs(out: np.ndarray, mesh: Mesh, basis: MeshBasis, data: BoundaryData,
     for column, x_side, place, sign in ((-1, mesh.xs[-1], "right", 1.0),
                                         (0, mesh.xs[0], "left", -1.0)):
         gv = np.asarray(data.g_D(np.full_like(t, x_side), t), dtype=complex)[:, None]
-        v, g = basis.table(n_data, place), basis.table(n_data, place, dx=True)
-        rows[:, column] += 0.5 * (sign * _pair(g, gv, w)[..., 0]
-                                  + 1j / hx * _pair(v, gv, w)[..., 0])
+        tables = np.concatenate([basis.table(n_data, place, dx) for dx in (True, False)])
+        g, v = _pair(tables[:, None], gv, w)[..., 0]  # the dx and value terms, (nt, dim) each
+        rows[:, column] += 0.5 * (sign * g + 1j / hx * v)
 
 
 def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
@@ -284,11 +299,12 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     assembled off its basis, LU-factored in band storage and screened once, before
     the loop, at a cost and memory linear in the elements per slab.  The factors
     are freed on return.  l depends on the data alone, so `_data_rhs` assembles it
-    for every slab in one batch, into the coefficient array whose rows each slab's
-    solve then overwrites.  The loop only solves, and carries the coefficients just
-    solved times the one coupling block into the next right-hand side; no field is
-    evaluated.  A plane-wave operator whose LAPACK 1-norm estimate 1 / rcond, taken
-    from the LU in hand, exceeds `COND_FLAG` fails with a SlabSolveError naming slab 0.
+    for every slab in one batch, into the solution's coefficient array.  The loop
+    works in that array: it solves each slab's rows into themselves, and subtracts
+    the coefficients just solved times the one coupling block from the next slab's
+    rows; no field is evaluated.  A plane-wave operator whose LAPACK 1-norm estimate
+    1 / rcond, taken from the LU in hand, exceeds `COND_FLAG` fails with a
+    SlabSolveError naming slab 0.
     A matrix, right-hand side or solution that is not finite fails too, naming its slab:
     l is scanned once before the loop, which stops at the first slab whose l is not
     finite, and the coefficients once after it.
@@ -311,14 +327,13 @@ def march(mesh: Mesh, space: SpaceKind, data: BoundaryData,
     per_slab = data_rhs.reshape(mesh.n_slabs, -1)  # slab s's l in row s, until solved
     bad = ~np.isfinite(per_slab).all(axis=1)
     n_solved = int(np.argmax(bad)) if bad.any() else mesh.n_slabs
-    carry = 0.0
     with np.errstate(invalid="ignore", over="ignore"):  # the scan after the loop names it
         for slab in range(n_solved):
-            rows = slice(slab * mesh.nx, (slab + 1) * mesh.nx)
-            coeffs = factor.solve(data_rhs[rows].reshape(-1) - carry).reshape(-1, sol.basis.dim)
-            sol.set_coeffs(rows, coeffs)
-            if slab < mesh.n_slabs - 1:
-                carry = (op.coupling @ coeffs[:, :, None]).reshape(-1)
+            per_slab[slab] = factor.solve(per_slab[slab])
+            if slab + 1 < mesh.n_slabs:  # the carry into the next slab's l
+                coeffs = per_slab[slab].reshape(mesh.nx, sol.basis.dim, 1)
+                per_slab[slab + 1] -= (op.coupling @ coeffs).reshape(-1)
+    sol._known[:n_solved * mesh.nx] = True
     bad = ~np.isfinite(per_slab[:n_solved]).all(axis=1)
     if bad.any():
         raise SlabSolveError(int(np.argmax(bad)), float("nan"), "non-finite solution")

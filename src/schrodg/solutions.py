@@ -120,28 +120,39 @@ class SquareWellSeries:
         and Q_j = exp(-i (2Bj)^2 theta): 2B + J exponentials per time (48 for 250
         modes) and, per block, one product by D and one by Q.  Each exponent is an
         exact integer times t times -pi^2/2, so, as with one exponential per mode,
-        T's error is that of rounding its phase, about (1 + n_m^2 theta) eps."""
+        T's error is that of rounding its phase, about (1 + n_m^2 theta) eps.
+
+        Only the half that is asked for is built: with no x, X is (0, n_trunc) and
+        takes no sine, and with no t, T is (n_trunc, 0) and takes no exponential."""
+        x, t = np.asarray(x, dtype=float).reshape(-1), np.asarray(t, dtype=float).reshape(-1)
+        X = self._space_table(x, dx) if x.size else np.empty((0, self.n_trunc))
+        T = self._time_table(t) if t.size else np.empty((self.n_trunc, 0), dtype=complex)
+        return X, T
+
+    def _space_table(self, x: np.ndarray, dx: bool) -> np.ndarray:
         n = 2.0 * np.arange(self.n_trunc) + 1.0
         amp = SQUARE_WELL_AMPLITUDE * (2.0 / math.pi) ** 3 / n ** 3
-        X = np.outer(np.asarray(x, dtype=float), np.pi * n)  # in place: X is the largest table
+        X = np.outer(x, np.pi * n)  # in place: X is the largest table
         (np.cos if dx else np.sin)(X, out=X)
         X *= amp * (np.pi * n) if dx else amp
+        return X
+
+    def _time_table(self, t: np.ndarray) -> np.ndarray:
         b = math.isqrt(self.n_trunc - 1) + 1
         blocks = -(-self.n_trunc // b)
         o, q = 2.0 * np.arange(b) + 1.0, 2.0 * b * np.arange(blocks)
-        E = np.empty((2 * b + blocks, np.size(t)), dtype=complex)  # P, D, Q
-        np.multiply.outer(np.concatenate((o * o, 4.0 * b * o, q * q)),
-                          np.asarray(t, dtype=float).reshape(-1), out=E.imag)
+        E = np.empty((2 * b + blocks, t.size), dtype=complex)  # P, D, Q
+        np.multiply.outer(np.concatenate((o * o, 4.0 * b * o, q * q)), t, out=E.imag)
         E.imag *= -0.5 * np.pi ** 2
         np.multiply(E.imag, 0.0, out=E.real)  # so that a NaN t gives NaN + NaN i: exp is quiet
         np.exp(E, out=E)
         P, D, Q = E[:b], E[b:2 * b], E[2 * b:]
-        T = np.empty((blocks, b, E.shape[1]), dtype=complex)
+        T = np.empty((blocks, b, t.size), dtype=complex)
         T[0] = P
         for j in range(1, blocks):
             np.multiply(T[j - 1], D, out=T[j])
         T *= Q[:, None]
-        return X, T.reshape(blocks * b, E.shape[1])[:self.n_trunc]
+        return T.reshape(blocks * b, t.size)[:self.n_trunc]
 
     def _pointwise(self, x, t, dx: bool) -> np.ndarray:
         x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),

@@ -4,15 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import schrodg.norms
 from schrodg.assembly import (BoundaryData, DiscreteSolution, FacetKind, _facets,
                               element_bases, march, solution_data)
 from schrodg.basis import SpaceKind
 from schrodg.mesh import Mesh, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
-                           dg_norm, dg_norms, dg_plus_norm, exact_field, l2_slice_error)
+                           _Chunk, dg_norm, dg_norms, dg_plus_norm, exact_field,
+                           l2_slice_error)
 from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
 from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
-from schrodg.quadrature import mapped_interval
+from schrodg.quadrature import mapped_interval, mapped_intervals
 from tests.conftest import constant_field, named_mesh
 
 DOM = SpaceTimeDomain(0.0, 1.0, 1.0)
@@ -203,15 +205,20 @@ def _field(kind, mesh):
     return dsol
 
 
-@pytest.mark.parametrize("mesh_name", ["uniform", "offset", "chunked"])
+@pytest.mark.parametrize("mesh_name", ["uniform", "offset", "chunked", "one_slab_chunks"])
 @pytest.mark.parametrize("kind", ["discrete", "piecewise", "closed", "series"])
-def test_norms_match_per_facet_walk(kind, mesh_name):
+def test_norms_match_per_facet_walk(monkeypatch, kind, mesh_name):
     mesh = {"uniform": lambda: build_cartesian_mesh(DOM, 5, 4),
             # grid lines away from x = 0 and 2/7 apart, which the factor tables look up
             "offset": lambda: build_cartesian_mesh(SpaceTimeDomain(-0.5, 1.5, 0.3), 7, 4),
             # the series' T tables cap a chunk at a few of these 16 slabs
             "chunked": lambda: build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 16, 16),
+            # a chunk per slab, below: every interior t-line lies between two chunks,
+            # and the chunk below it reads its bottom trace from the slab above
+            "one_slab_chunks": lambda: build_cartesian_mesh(DOM, 5, 4),
             }[mesh_name]()
+    if mesh_name == "one_slab_chunks":
+        monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS", 1)
     field = _field(kind, mesh)
     ref_dg, ref_plus = per_facet_norms(field, mesh, 12)
     assert dg_norm(field, mesh, n=12) == pytest.approx(ref_dg, rel=1e-12)
@@ -220,6 +227,19 @@ def test_norms_match_per_facet_walk(kind, mesh_name):
         series = CountingFactors()
         dg_norm(exact_field(series), mesh, n=12)
         assert sum(1 for c in series.factor_calls if not c[0]) >= 4
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 7])
+def test_chunks_own_each_t_line_once(step):
+    # consecutive chunks of ``step`` slabs own the t-lines 0..nt between them, each once,
+    # and read the bottoms of the slabs just above their own t-lines
+    mesh = build_cartesian_mesh(DOM, 3, 7)
+    nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], 4)[0]
+    chunks = [_Chunk(mesh, 4, range(s, min(s + step, 7)), nodes) for s in range(0, 7, step)]
+    assert [line for chunk in chunks for line in chunk.lines] == list(range(8))
+    for chunk in chunks:
+        assert list(chunk.slabs_at("bottom")) == [line for line in chunk.lines if line < 7]
+        assert chunk.slabs_at("top") == chunk.slabs
 
 
 class CountingSeries:

@@ -210,3 +210,29 @@ def test_series_time_column_does_not_depend_on_the_batch(n_trunc):
     for j in (0, 5, 16, 36):
         assert np.array_equal(series.factors(np.empty(0), t[j:j + 1])[1][:, 0], T[:, j])
     assert np.array_equal(series.factors(np.empty(0), t[3:20])[1], T[:, 3:20])
+
+
+@pytest.mark.parametrize("dx", [False, True], ids=["value", "dx"])
+def test_series_builds_only_the_half_asked_for(monkeypatch, dx):
+    # an X-only call takes no exponential and a T-only call no sine or cosine; each half
+    # equals that of a call asking for both to the bit
+    series = SquareWellSeries(250)
+    rng = np.random.default_rng(11)
+    x, t, none = rng.random(13), 0.1 * rng.random(7), np.empty(0)
+    X, T = series.factors(x, t, dx)
+    calls = []
+
+    def counted(name):
+        ufunc = getattr(np, name)
+        return lambda *args, **kwargs: calls.append(name) or ufunc(*args, **kwargs)
+
+    for name in ("exp", "sin", "cos"):
+        monkeypatch.setattr(np, name, counted(name))
+    X_only, T_none = series.factors(x, none, dx)
+    assert calls == ["cos" if dx else "sin"]
+    calls.clear()
+    X_none, T_only = series.factors(none, t)
+    assert calls == ["exp"]
+    assert X_only.shape == (13, 250) and T_none.shape == (250, 0)
+    assert X_none.shape == (0, 250) and T_only.shape == (250, 7)
+    assert X_only.tobytes() == X.tobytes() and T_only.tobytes() == T.tobytes()

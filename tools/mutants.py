@@ -34,6 +34,7 @@ BASIS, QUADRATURE = "src/schrodg/basis.py", "src/schrodg/quadrature.py"
 NORMS, SOLUTIONS = "src/schrodg/norms.py", "src/schrodg/solutions.py"
 BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagonal_block"
 SCREEN = "tests/test_assembly.py::test_plane_wave_screen_keeps_each_decision"
+MARCH_GLOBAL = "tests/test_assembly.py::test_marching_equals_global_oracle"
 SERIES_TABLES = "tests/test_solutions.py::test_series_tables_match_a_long_double_reference"
 
 # (name, file, old text, new text, pytest node ids that must fail)
@@ -56,8 +57,12 @@ MUTANTS = [
      "    ab[ku - dim + a - b, cols[:-1]] = right_left",
      [BAND_BLOCK]),
     ("Dirichlet normal signs swapped in _slab_matrix", ASSEMBLY,
-     "    dirichlet = [0.5 * (sign * _pair(v, g, wt)",
-     "    dirichlet = [0.5 * (-sign * _pair(v, g, wt)",
+     "    dirichlet = 0.5 * (normal[:, None, None] * vg[own, own]",
+     "    dirichlet = 0.5 * (-normal[:, None, None] * vg[own, own]",
+     [BAND_BLOCK]),
+    ("the trial's left-side normal flipped in the batched combination", ASSEMBLY,
+     "na, nb = normal[:, None, None, None], normal[None, :, None, None]",
+     "na, nb = normal[:, None, None, None], np.abs(normal)[None, :, None, None]",
      [BAND_BLOCK]),
     # the penalties scaled by h_t: on the square meshes of conv-h they are the same numbers
     ("alpha = 1/h_t, beta = h_t in _slab_matrix", ASSEMBLY,
@@ -68,6 +73,17 @@ MUTANTS = [
      "    diagonal[-1] += dirichlet[0]\n    diagonal[0] += dirichlet[1]\n",
      "    diagonal[-1] += dirichlet[1]\n    diagonal[0] += dirichlet[0]\n",
      [BAND_BLOCK]),
+    # march's slab rows: l of slab s + 1 takes the carry of slab s, solved in place
+    ("march's carry into the slab just solved", ASSEMBLY,
+     "                per_slab[slab + 1] -= ", "                per_slab[slab] -= ",
+     [MARCH_GLOBAL]),
+    ("march's last slab without its carry", ASSEMBLY,
+     "            if slab + 1 < mesh.n_slabs:", "            if slab + 2 < mesh.n_slabs:",
+     [MARCH_GLOBAL]),
+    ("the traces' coefficient rows one slab late", ASSEMBLY,
+     "slice(slabs.start * nx, slabs.stop * nx)",
+     "slice((slabs.start + 1) * nx, (slabs.stop + 1) * nx)",
+     ["tests/test_norms.py"]),
     ("the plane-wave flag ten times higher", ASSEMBLY,
      "COND_FLAG = 2.7e14\n", "COND_FLAG = 2.7e15\n",
      [SCREEN]),
@@ -111,6 +127,23 @@ MUTANTS = [
      ["tests/test_norms.py"]),
     ("the time-like reshape without swapaxes", NORMS,
      "-1, self.n).swapaxes(0, 1)", "-1, self.n)",
+     ["tests/test_norms.py"]),
+    # the norm's slab ranges: a chunk owns the t-lines above its slabs, and slab 0's bottom
+    ("a chunk's owned t-lines without its top one", NORMS,
+     "range(slabs.start + (slabs.start > 0), slabs.stop + 1)",
+     "range(slabs.start + (slabs.start > 0), slabs.stop)",
+     ["tests/test_norms.py"]),
+    ("a chunk's owned t-lines from the line below its first slab", NORMS,
+     "range(slabs.start + (slabs.start > 0), slabs.stop + 1)",
+     "range(slabs.start, slabs.stop + 1)",
+     ["tests/test_norms.py"]),
+    ("the bottoms one slab short of the owned t-lines", NORMS,
+     "range(self.lines.start, min(self.lines.stop, self.mesh.nt))",
+     "range(self.lines.start, min(self.lines.stop - 1, self.mesh.nt))",
+     ["tests/test_norms.py"]),
+    ("the bottoms from the slab below the first owned t-line", NORMS,
+     "range(self.lines.start, min(self.lines.stop, self.mesh.nt))",
+     "range(max(self.lines.start - 1, 0), min(self.lines.stop, self.mesh.nt))",
      ["tests/test_norms.py"]),
     ("Dirichlet owners swapped in the norms", NORMS,
      "np.stack((left[:, 0], right[:, -1]), axis=1)", "np.stack((right[:, 0], left[:, -1]), axis=1)",
