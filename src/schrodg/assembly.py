@@ -125,13 +125,17 @@ class DiscreteSolution:
         self.coeffs[eid] = vec
         self._known[eid] = True
 
-    def traces(self, slabs: range, n: int, place: str, dx: bool = False) -> np.ndarray:
+    def traces(self, slabs: range, n: int, place: str, dx: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
         """The trace on every element of ``slabs`` at the n-point rule on their ``place``,
         (len(slabs), nx, nq): one product of those slabs' coefficient rows, a view, with the
-        basis' trace table."""
+        basis' trace table, written into ``out`` (C-contiguous) if one is given."""
         nx, table = self.mesh.nx, self.basis.table(n, place, dx)[0]
         rows = self._coeffs_of(slice(slabs.start * nx, slabs.stop * nx))
-        return (rows @ table).reshape(len(slabs), nx, table.shape[1])
+        if out is None:
+            out = np.empty((len(slabs), nx, table.shape[1]), dtype=complex)
+        np.matmul(rows, table, out=out.reshape(len(rows), table.shape[1], copy=False))
+        return out
 
     def _coeffs_of(self, eids) -> np.ndarray:
         """The coefficient rows of ``eids``, an id array or a slice."""

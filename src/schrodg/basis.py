@@ -290,24 +290,24 @@ class MeshBasis:
         self.dim = kind.dim(1)
         self.mesh, self.center, self.h = mesh, mesh.centers, mesh.h
         self._local, *self._coeffs = coefficient_table(kind, *mesh.h)  # value and image
-        self._tables = {}  # (n, place, dx) -> the value and the image trace tables
+        self._tables = {}  # (n, place, dx, image) -> a trace table
 
     def table(self, n: int, place: str, dx: bool = False, image: bool = False) -> np.ndarray:
         """`evaluate` at the rule `Mesh.rule(n, place)`, (1, dim, nq), read-only.  A
         polynomial family contracts its monomials at the reference rule, which every size
-        shares; plane waves are evaluated at the mesh's offsets.  The values and the image
-        come from one such evaluation."""
-        if (n, place, dx) not in self._tables:
+        shares; plane waves are evaluated at the mesh's offsets.  The image table is
+        built only when it is asked for."""
+        key = (n, place, dx, image)
+        if key not in self._tables:
             if self.kind.family == "planewave":
                 fun = self._monomials(*self.mesh.rule(n, place)[:2], dx)
             else:
                 fun = _reference_monomials(tuple(map(tuple, self._local.tolist())), n, place, dx)
                 if dx:
                     fun = fun / self.h[0]
-            self._tables[n, place, dx] = tables = tuple(coeffs @ fun for coeffs in self._coeffs)
-            for out in tables:
-                out.flags.writeable = False
-        return self._tables[n, place, dx][image]
+            self._tables[key] = self._coeffs[image] @ fun
+            self._tables[key].flags.writeable = False
+        return self._tables[key]
 
     def evaluate(self, x, t, dx=False, image=False) -> np.ndarray:
         """Every basis function at the offsets of row f, (nF, dim, nq): its x-derivative

@@ -27,11 +27,18 @@ elements, their "top" and "bottom" or their "left" and "right" sides
 shifted slices of those: the jump across the t-line above slab s is
 top[s] - bottom[s + 1], that across the x-line right of column ix is
 right[:, ix] - left[:, ix + 1], and the Dirichlet owners are left[:, 0] and
-right[:, -1].  A field with traces(slabs, n, place, dx) (a discrete solution)
-gives them itself; any other is called once per chunk and place, with the
-grid's points and every element of the chunk as one row.  `dg_norms` sums several
-fields in one walk, each as in a walk of its own; the trace of a closed-form part
-that the fields share is taken once per chunk.
+right[:, -1].  A field with traces(slabs, n, place, dx, out) (a discrete solution)
+gives them itself, as one product written into ``out``; any other is called once
+per chunk and place, with the grid's points and every element of the chunk as one
+row.  `dg_norms` sums several fields in one walk, each as in a walk of its own; the
+trace of a closed-form part that the fields share is taken once per chunk.
+
+A walk allocates its trace buffers once: one per place, (fields, slabs, nx, n), with
+room for a chunk's slabs, so their size follows the chunk budget and never the
+number of slabs.  Each field writes its trace of a place into its row; a difference
+writes b's trace there and subtracts it from a's in place.  The jumps, and the
+plus norm's sums of two traces, are then taken in place once per chunk for every
+field at once, and each weighted sum of squares is one pass over each field's row.
 
 A closed-form field built from a separable solution (with ``factors``) has
 no sides: one trace serves both, read off tables: X once per norm call over
@@ -44,6 +51,7 @@ of X times rows of T, equal to value(x, t) at its points to the last bit
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -176,9 +184,12 @@ def _tabulate(field, mesh: Mesh, n: int, tables: dict):
     return field
 
 
-def _wsum_sq(w, z) -> float:
-    z = np.asarray(z)
-    return float(np.sum(w * (z.real * z.real + z.imag * z.imag)))
+def _wsums(w2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_q w[q] |z[f, ..., q]|^2 for each row f of ``z``, (F,), in one pass over the
+    real view of z, whose last axis must be contiguous; ``w2`` is w repeated twice (a
+    weight per real and imaginary part)."""
+    r, axes = z.view(np.float64), "abcde"[:z.ndim - 2]  # summed: every axis but f and k
+    return np.vecdot(np.einsum(f"f{axes}k,f{axes}k->fk", r, r), w2)
 
 
 class _Chunk:
@@ -191,34 +202,59 @@ class _Chunk:
     def __init__(self, mesh: Mesh, n: int, slabs: range, nodes: np.ndarray):
         self.mesh, self.n, self.slabs, self._nodes = mesh, n, slabs, nodes
         self.lines = range(slabs.start + (slabs.start > 0), slabs.stop + 1)  # owned t-lines
-        self.times = mapped_intervals(mesh.ts[slabs.start:slabs.stop],  # (slabs, n)
-                                      mesh.ts[slabs.start + 1:slabs.stop + 1], n)[0]
         self._kept = {}
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The Gauss times of the chunk's slabs, (slabs, n): read by time-like traces only."""
+        slabs = self.slabs
+        return mapped_intervals(self.mesh.ts[slabs.start:slabs.stop],
+                                self.mesh.ts[slabs.start + 1:slabs.stop + 1], self.n)[0]
 
     def slabs_at(self, place: str) -> range:
         if place == "bottom":  # the slabs just above the owned t-lines
             return range(self.lines.start, min(self.lines.stop, self.mesh.nt))
         return self.slabs
 
-    def trace(self, field, place: str, dx: bool = False) -> np.ndarray:
+    def traces(self, fields, place: str, buffer: np.ndarray, dx: bool = False) -> np.ndarray:
+        """Every field's `trace` on ``place``, written into its row of ``buffer``, an
+        (F, slabs, nx, n) array with room for the slabs of `slabs_at` (place); returns the
+        rows in use, (F, len(slabs_at(place)), nx, n)."""
+        out = buffer[:, :len(self.slabs_at(place))]
+        for field, row in zip(fields, out):
+            self.trace(field, place, dx, row)
+        return out
+
+    def trace(self, field, place: str, dx: bool = False, out: np.ndarray | None = None
+              ) -> np.ndarray:
         """``field``'s value (or dx) at the n-point rule on ``place`` of the elements of
-        `slabs_at` (place), (slabs, nx, n); a difference is split into its parts."""
+        `slabs_at` (place), (slabs, nx, n), written into ``out`` if one is given.  Without
+        ``out``, a separable part's trace is a read-only view of the chunk's kept product.
+        A difference writes b's trace and subtracts it from a's, in place."""
         if isinstance(field, DifferenceField):
-            return self.trace(field.a, place, dx) - self.trace(field.b, place, dx)
+            if out is None:
+                out = np.empty((len(self.slabs_at(place)), self.mesh.nx, self.n), dtype=complex)
+            self.trace(field.b, place, dx, out)
+            return np.subtract(self.trace(field.a, place, dx), out, out=out)
         slabs, mesh, n = self.slabs_at(place), self.mesh, self.n
         if isinstance(field, _FactorTables):
-            return self._separable(field, place, dx)
-        if hasattr(field, "traces"):
-            return field.traces(slabs, n, place, dx)
-        ids = np.arange(slabs.start * mesh.nx, slabs.stop * mesh.nx)
-        if place in ("top", "bottom"):
-            t = mesh.ts[np.array(slabs) + (place == "top")]
-            X, T = np.tile(self._nodes, (len(slabs), 1)), np.repeat(t, mesh.nx)[:, None]
+            values = self._separable(field, place, dx)
+        elif hasattr(field, "traces"):
+            return field.traces(slabs, n, place, dx, out=out)
         else:
-            x = mesh.xs[1:] if place == "right" else mesh.xs[:-1]
-            X, T = np.tile(x, len(slabs))[:, None], np.repeat(self.times, mesh.nx, axis=0)
-        X, T = np.broadcast_arrays(X, T)
-        return (field.dx if dx else field.value)(ids, X, T).reshape(len(slabs), mesh.nx, n)
+            ids = np.arange(slabs.start * mesh.nx, slabs.stop * mesh.nx)
+            if place in ("top", "bottom"):
+                t = mesh.ts[np.array(slabs) + (place == "top")]
+                X, T = np.tile(self._nodes, (len(slabs), 1)), np.repeat(t, mesh.nx)[:, None]
+            else:
+                x = mesh.xs[1:] if place == "right" else mesh.xs[:-1]
+                X, T = np.tile(x, len(slabs))[:, None], np.repeat(self.times, mesh.nx, axis=0)
+            X, T = np.broadcast_arrays(X, T)
+            values = (field.dx if dx else field.value)(ids, X, T).reshape(len(slabs), mesh.nx, n)
+        if out is None:
+            return values
+        np.copyto(out, values)
+        return out
 
     def _separable(self, table: _FactorTables, place: str, dx: bool) -> np.ndarray:
         # one trace on the owned t-lines, or on every x-line, serves both sides
@@ -230,6 +266,7 @@ class _Chunk:
         if key not in self._kept:
             self._kept[key] = (table.on_t_lines(t_rows) if space_like
                                else table.on_x_lines(t_rows, dx))
+            self._kept[key].flags.writeable = False
         kept = self._kept[key]
         if place == "top":  # the t-lines above the chunk's slabs: the last len(slabs)
             return kept[len(kept) - len(self.slabs):]
@@ -241,51 +278,64 @@ class _Chunk:
 _CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one place, or T
 
 
-def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> list[tuple[float, float]]:
+def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
+    """The sums of squares of the DG norm's terms and of the plus norm's extra terms,
+    (2, F), one column per field: traces written into buffers allocated once per walk,
+    jumps and sums taken in place across every field at once."""
     tables = {}
     fields = [_tabulate(field, mesh, n, tables) for field in fields]
-    nx, nt = mesh.nx, mesh.nt
+    nx, nt, F = mesh.nx, mesh.nt, len(fields)
     step = max(1, _CHUNK_POINTS // (n * max([nx + 1] + [t.modes for t in tables.values()])))
     chunks = [range(s, min(s + step, nt)) for s in range(0, nt, step)]
     nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n)[0]
-    sums = [[0.0, 0.0] for _ in fields]
-    W, alpha, beta = mesh.rule(n, "top")[2], 1.0 / mesh.h[0], mesh.h[0]
+    sums = np.zeros((2, F))
+    rows = min(step, nt)  # the most slabs of a chunk: no buffer grows with the slabs
+    W2, alpha, beta = np.repeat(mesh.rule(n, "top")[2], 2), 1.0 / mesh.h[0], mesh.h[0]
+    # a trace buffer per place: top and bottom, then right, left and their dx
+    buffers = np.empty((4, F, rows + 1, nx, n), dtype=complex)
+    tops, bottoms, *_ = buffers
     for slabs in chunks:  # the space-like facets: interior, final, initial
         at = _Chunk(mesh, n, slabs, nodes)
         k = min(slabs.stop, nt - 1) - slabs.start  # interior t-lines the chunk owns
-        for field, s in zip(fields, sums):
-            top = at.trace(field, "top")
-            bottom = at.trace(field, "bottom") if k > 0 or slabs.start == 0 else None
-            if k > 0:
-                s[0] += _wsum_sq(W, top[:k] - bottom[len(bottom) - k:])
-                s[1] += _wsum_sq(W, top[:k]) if with_plus else 0.0
-            if slabs.stop == nt:
-                s[0] += _wsum_sq(W, top[-1])
-            if slabs.start == 0:
-                s[0] += _wsum_sq(W, bottom[0])
-    W = mesh.rule(n, "left")[2]
+        top = at.traces(fields, "top", tops)
+        bottom = at.traces(fields, "bottom", bottoms) if k > 0 or slabs.start == 0 else None
+        if k > 0:
+            if with_plus:
+                sums[1] += _wsums(W2, top[:, :k])
+            sums[0] += _wsums(W2, np.subtract(top[:, :k], bottom[:, -k:], out=top[:, :k]))
+        if slabs.stop == nt:
+            sums[0] += _wsums(W2, top[:, -1])
+        if slabs.start == 0:
+            sums[0] += _wsums(W2, bottom[:, 0])
+    W2 = np.repeat(mesh.rule(n, "left")[2], 2)
+    if with_plus and nx > 1:
+        side_sums = np.empty((2, F, rows, nx - 1, n), dtype=complex)  # dx, then value
     for slabs in chunks:  # the time-like facets: interior, then Dirichlet (x_lo, x_hi)
         at = _Chunk(mesh, n, slabs, nodes)
-        for field, s in zip(fields, sums):
-            right, left = at.trace(field, "right"), at.trace(field, "left")
-            if nx > 1 or with_plus:
-                right_dx, left_dx = at.trace(field, "right", True), at.trace(field, "left", True)
-            if nx > 1:  # x-line ix + 1: column ix's right side, column ix + 1's left side
-                v1, v2, g1, g2 = right[:, :-1], left[:, 1:], right_dx[:, :-1], left_dx[:, 1:]
-                s[0] += _wsum_sq(alpha * W, v1 - v2) + _wsum_sq(beta * W, g1 - g2)
-                if with_plus:
-                    s[1] += (_wsum_sq(W / alpha, 0.5 * (g1 + g2))
-                             + _wsum_sq(W / beta, 0.5 * (v1 + v2)))
-            s[0] += _wsum_sq(alpha * W, np.stack((left[:, 0], right[:, -1]), axis=1))
-            if with_plus:
-                s[1] += _wsum_sq(W / alpha, np.stack((left_dx[:, 0], right_dx[:, -1]), axis=1))
-    return [tuple(s) for s in sums]
+        right = at.traces(fields, "right", buffers[0])
+        left = at.traces(fields, "left", buffers[1])
+        if nx > 1 or with_plus:
+            right_dx = at.traces(fields, "right", buffers[2], dx=True)
+            left_dx = at.traces(fields, "left", buffers[3], dx=True)
+        if nx > 1:  # x-line ix + 1: column ix's right side, column ix + 1's left side
+            v1, v2 = right[:, :, :-1], left[:, :, 1:]
+            g1, g2 = right_dx[:, :, :-1], left_dx[:, :, 1:]
+            if with_plus:  # the averages, before the jumps overwrite v1 and g1
+                g, v = side_sums[:, :, :len(slabs)]
+                sums[1] += 0.25 * (_wsums(W2, np.add(g1, g2, out=g)) / alpha
+                                   + _wsums(W2, np.add(v1, v2, out=v)) / beta)
+            sums[0] += (alpha * _wsums(W2, np.subtract(v1, v2, out=v1))
+                        + beta * _wsums(W2, np.subtract(g1, g2, out=g1)))
+        sums[0] += alpha * (_wsums(W2, left[:, :, 0]) + _wsums(W2, right[:, :, -1]))
+        if with_plus:
+            sums[1] += (_wsums(W2, left_dx[:, :, 0]) + _wsums(W2, right_dx[:, :, -1])) / alpha
+    return sums
 
 
 def dg_norms(fields, mesh: Mesh, n: int = 20) -> list[float]:
     """`dg_norm` of each field, in one walk.  The chunks are sized by the largest factor
     table, so a value equals `dg_norm`'s to the bit where each field has one that large."""
-    return [math.sqrt(0.5 * s_dg) for s_dg, _ in _norm_terms(fields, mesh, n, with_plus=False)]
+    return [math.sqrt(0.5 * s_dg) for s_dg in _norm_terms(fields, mesh, n, with_plus=False)[0]]
 
 
 def dg_norm(field, mesh: Mesh, n: int = 20) -> float:
@@ -293,7 +343,7 @@ def dg_norm(field, mesh: Mesh, n: int = 20) -> float:
 
 
 def dg_plus_norm(field, mesh: Mesh, n: int = 20) -> float:
-    s_dg, s_plus = _norm_terms([field], mesh, n, with_plus=True)[0]
+    (s_dg,), (s_plus,) = _norm_terms([field], mesh, n, with_plus=True).tolist()
     return math.sqrt(0.5 * (s_dg + s_plus))
 
 
@@ -306,4 +356,5 @@ def l2_slice_error(field, t: float, mesh: Mesh, n: int = 20) -> float:
         raise ValueError("t outside the time interval")
     elems = np.asarray(mesh.slab_elements[int(np.searchsorted(mesh.ts[1:], t))], dtype=np.intp)
     X, W = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n)
-    return math.sqrt(_wsum_sq(W, field.value(elems, X, t)))
+    z = field.value(elems, X, t)
+    return math.sqrt(float(np.sum(W * (z.real * z.real + z.imag * z.imag))))

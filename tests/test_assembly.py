@@ -601,6 +601,38 @@ def test_trace_tables_are_read_only_and_kept_per_basis():
             assert fresh is not table and np.array_equal(fresh, table)
 
 
+@pytest.mark.parametrize("space, images", [(SpaceKind.trefftz(2), 0),
+                                           (SpaceKind.plane_wave(2), 0),
+                                           (SpaceKind.full_poly(2), 1)],
+                         ids=["trefftz", "planewave", "full"])
+def test_image_tables_are_built_only_where_read(monkeypatch, space, images):
+    # only the volume term reads an image table: a march and a norm of a family in the
+    # kernel build none, and full p2 builds the volume rule's alone
+    import schrodg.assembly
+
+    built = []
+
+    class ImageSpy:
+        def __init__(self, image):
+            self.image = image
+
+        def __matmul__(self, fun):
+            built.append(fun.shape)
+            return self.image @ fun
+
+    class SpiedBasis(MeshBasis):
+        def __init__(self, mesh, kind):
+            super().__init__(mesh, kind)
+            self._coeffs = [self._coeffs[0], ImageSpy(self._coeffs[1])]
+
+    monkeypatch.setattr(schrodg.assembly, "MeshBasis", SpiedBasis)
+    mesh, sol = build_cartesian_mesh(DOM, 4, 3), ExpSolution(5.0)
+    dsol = march(mesh, space, solution_data(sol))
+    dg_norm(DifferenceField(exact_field(sol), dsol), mesh)
+    n_form = _rule_sizes(space, None)[0]
+    assert built == [(1, len(dsol.basis._local), n_form ** 2)] * images
+
+
 def test_the_singular_study_evaluates_monomials_once_for_every_level(monkeypatch):
     # `singular --p 1` evaluates as many monomial tables for 4 levels as for 2: every
     # level's polynomial traces come from the monomials at the reference rules

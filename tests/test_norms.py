@@ -205,10 +205,16 @@ def _field(kind, mesh):
     return dsol
 
 
-@pytest.mark.parametrize("mesh_name", ["uniform", "offset", "chunked", "one_slab_chunks"])
+@pytest.mark.parametrize("mesh_name", ["uniform", "offset", "chunked", "one_slab_chunks",
+                                       "one_column", "one_slab"])
 @pytest.mark.parametrize("kind", ["discrete", "piecewise", "closed", "series"])
 def test_norms_match_per_facet_walk(monkeypatch, kind, mesh_name):
     mesh = {"uniform": lambda: build_cartesian_mesh(DOM, 5, 4),
+            # the Dirichlet pair, left of column 0 and right of column nx - 1, is wider
+            # than the columns: both sides of the one column, and no interior x-line
+            "one_column": lambda: build_cartesian_mesh(DOM, 1, 4),
+            # the only t-lines are the initial and the final one, both in one chunk
+            "one_slab": lambda: build_cartesian_mesh(DOM, 5, 1),
             # grid lines away from x = 0 and 2/7 apart, which the factor tables look up
             "offset": lambda: build_cartesian_mesh(SpaceTimeDomain(-0.5, 1.5, 0.3), 7, 4),
             # the series' T tables cap a chunk at a few of these 16 slabs
@@ -339,6 +345,26 @@ def test_dg_norms_equal_each_dg_norm():
     mixed = fields + [DifferenceField(exact_field(SquareWellSeries(250)), sols[0])]
     assert dg_norms(mixed, mesh) == [dg_norm(f, mesh) for f in mixed]
     assert dg_norms([], mesh) == []
+
+
+def test_dg_norms_of_unequal_fields_equal_each_dg_norm(monkeypatch):
+    # fields of every kind stacked in one walk: trefftz p2 (dim 5) and full p2 (dim 6)
+    # errors of a separable exact field, an elementwise interpolant, and a closed-form
+    # field without factors; chunks of 2, 2 and 1 slabs, so the last chunk fills part of
+    # each buffer
+    mesh, sol = build_cartesian_mesh(DOM, 6, 5), ExpSolution(3.0)
+    monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS", 2 * 20 * (mesh.nx + 1))
+    exact = exact_field(sol)
+    fields = [DifferenceField(exact, march(mesh, space, solution_data(sol)))
+              for space in (SpaceKind.trefftz(2), SpaceKind.full_poly(2))]
+    fields += [PiecewisePolyField([extended_taylor_poly(sol.derivative, 2, el.center,
+                                                        (el.h_x, el.h_t))
+                                   for el in mesh.elements]),
+               ClosedFormField(sol.value, sol.dx)]
+    together = dg_norms(fields, mesh)
+    assert together == [dg_norm(f, mesh) for f in fields]
+    assert len(set(together)) == 4
+    assert dg_norms(fields[::-1], mesh) == together[::-1]
 
 
 def test_fields_that_share_an_exact_field_trace_it_once(monkeypatch):

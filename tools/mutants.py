@@ -36,6 +36,13 @@ BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagon
 SCREEN = "tests/test_assembly.py::test_plane_wave_screen_keeps_each_decision"
 MARCH_GLOBAL = "tests/test_assembly.py::test_marching_equals_global_oracle"
 SERIES_TABLES = "tests/test_solutions.py::test_series_tables_match_a_long_double_reference"
+# the time-like terms of the walk: the plus norm's averages, then the jumps in place
+AVERAGES = ("            if with_plus:  # the averages, before the jumps overwrite v1 and g1\n"
+            "                g, v = side_sums[:, :, :len(slabs)]\n"
+            "                sums[1] += 0.25 * (_wsums(W2, np.add(g1, g2, out=g)) / alpha\n"
+            "                                   + _wsums(W2, np.add(v1, v2, out=v)) / beta)\n")
+DIFFERENCES = ("            sums[0] += (alpha * _wsums(W2, np.subtract(v1, v2, out=v1))\n"
+               "                        + beta * _wsums(W2, np.subtract(g1, g2, out=g1)))\n")
 
 # (name, file, old text, new text, pytest node ids that must fail)
 MUTANTS = [
@@ -120,7 +127,7 @@ MUTANTS = [
      "                    fun = fun / self.h[0]\n", "                    pass\n",
      [BAND_BLOCK]),
     ("dg_norm's beta term dropped", NORMS,
-     " + _wsum_sq(beta * W, g1 - g2)", "",
+     "\n                        + beta * _wsums(W2, np.subtract(g1, g2, out=g1))", "",
      ["tests/test_norms.py"]),
     ("alpha = 1/h_t, beta = h_t in the norms", NORMS,
      "1.0 / mesh.h[0], mesh.h[0]\n", "1.0 / mesh.h[1], mesh.h[1]\n",
@@ -146,7 +153,20 @@ MUTANTS = [
      "range(max(self.lines.start - 1, 0), min(self.lines.stop, self.mesh.nt))",
      ["tests/test_norms.py"]),
     ("Dirichlet owners swapped in the norms", NORMS,
-     "np.stack((left[:, 0], right[:, -1]), axis=1)", "np.stack((right[:, 0], left[:, -1]), axis=1)",
+     "alpha * (_wsums(W2, left[:, :, 0]) + _wsums(W2, right[:, :, -1]))",
+     "alpha * (_wsums(W2, right[:, :, 0]) + _wsums(W2, left[:, :, -1]))",
+     ["tests/test_norms.py"]),
+    # the walk's in-place arithmetic: a term read after the jump that overwrites it
+    ("the plus norm's top[:k] term read after the in-place jump", NORMS,
+     "            if with_plus:\n"
+     "                sums[1] += _wsums(W2, top[:, :k])\n"
+     "            sums[0] += _wsums(W2, np.subtract(top[:, :k], bottom[:, -k:], out=top[:, :k]))\n",
+     "            sums[0] += _wsums(W2, np.subtract(top[:, :k], bottom[:, -k:], out=top[:, :k]))\n"
+     "            if with_plus:\n"
+     "                sums[1] += _wsums(W2, top[:, :k])\n",
+     ["tests/test_norms.py"]),
+    ("the time-like averages taken after the in-place differences", NORMS,
+     AVERAGES + DIFFERENCES, DIFFERENCES + AVERAGES,
      ["tests/test_norms.py"]),
     ("the blocked T's step D at 2B, not 4B", SOLUTIONS,
      "4.0 * b * o", "2.0 * b * o",
