@@ -11,7 +11,7 @@ from .norms import (ClosedFormField, DifferenceField, PiecewisePolyField, dg_nor
                     dg_plus_norm, exact_field, l2_slice_error)
 from .poly import (MultiIndex, ScaledPolynomial, apply_schrodinger, eval_poly_many,
                    extended_taylor_poly, mi, poly_combination, taylor_poly)
-from .quadrature import QuadratureRule, gauss_legendre
+from .quadrature import gauss_legendre
 from .solutions import ExpSolution, ExpSolutionND, SquareWellSeries, square_well_initial
 
 __version__ = "0.1.0"

@@ -40,12 +40,15 @@ writes b's trace there and subtracts it from a's in place.  The jumps, and the
 plus norm's sums of two traces, are then taken in place once per chunk for every
 field at once, and each weighted sum of squares is one pass over each field's row.
 
-A closed-form field built from a separable solution (with ``factors``) has
-no sides: one trace serves both, read off tables: X once per norm call over
-the Gauss nodes of the mesh's columns and over its x-lines, T once per chunk
-over the t-lines it owns or over its slabs' Gauss times.  Each trace is rows
-of X times rows of T, equal to value(x, t) at its points to the last bit
-(`mode_sum`).
+A closed-form field built from a separable solution (one with ``x_table`` and
+``t_table``, see `schrodg.solutions`) has no sides: one trace serves both, read
+off the solution's tables.  Before each pass the walk builds that pass's X: over
+the Gauss nodes of the mesh's columns for the space-like facets, and value and dx
+over its x-lines for the time-like ones.  T is built once per chunk, over the
+t-lines it owns or over its slabs' Gauss times.  Each trace entry is a row of X
+times a row of T (`mode_sum`).  For the series, whose value is that same sum, it
+equals value(x, t) at its points to the last bit; for the exponential, whose
+value is one complex exp, it agrees to a few ulps.
 """
 
 from __future__ import annotations
@@ -81,13 +84,14 @@ def field_points(eid, xs, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple
 
 
 class ClosedFormField:
-    """A globally defined field; element ids are ignored.  The norms read one with
-    ``factors`` (a separable solution's, see `schrodg.solutions`) off factor tables."""
+    """A globally defined field; element ids are ignored.  The norms read one with a
+    ``separable`` solution (with x_table and t_table, see `schrodg.solutions`) off
+    that solution's tables."""
 
-    def __init__(self, value_fn, dx_fn, factors=None):
+    def __init__(self, value_fn, dx_fn, separable=None):
         self._value = value_fn
         self._dx = dx_fn
-        self.factors = factors
+        self.separable = separable
 
     def value(self, eid, xs, ts):
         xs, ts = np.broadcast_arrays(np.atleast_1d(xs), np.atleast_1d(ts))
@@ -99,8 +103,8 @@ class ClosedFormField:
 
 
 def exact_field(sol) -> ClosedFormField:
-    """Field view of a solution object with value/dx methods, and factors if it has them."""
-    return ClosedFormField(sol.value, sol.dx, getattr(sol, "factors", None))
+    """Field view of a solution object with value/dx methods, separable if it has t_table."""
+    return ClosedFormField(sol.value, sol.dx, sol if hasattr(sol, "t_table") else None)
 
 
 class PiecewisePolyField:
@@ -138,50 +142,11 @@ class DifferenceField:
         return self.a.dx(eid, xs, ts) - self.b.dx(eid, xs, ts)
 
 
-class _FactorTables:
-    """A separable field's factor tables on one mesh's grid and n-point rule: X over
-    the Gauss nodes of the grid's columns, and value and dx over its x-lines.  T is the
-    caller's, from `t_rows`.  The node X goes at the first time-like T, before it is
-    built: a walk over the space-like facets, then the time-like ones, evaluates every
-    table once and never holds both.
-    """
-
-    def __init__(self, factors, mesh: Mesh, n: int):
-        self.factors, self.n = factors, n
-        xs = mesh.xs
-        self._nodes = factors(mapped_intervals(xs[:-1], xs[1:], n)[0].reshape(-1),
-                              np.empty(0))[0]
-        self._lines = {dx: factors(xs, np.empty(0), dx)[0] for dx in (False, True)}
-        self.modes = self._nodes.shape[1]
-
-    def t_rows(self, t: np.ndarray, space_like: bool) -> np.ndarray:
-        """T.T at the times ``t``: of t-lines, or else of time-like traces."""
-        if not space_like:
-            self._nodes = None
-        return self.factors(np.empty(0), t)[1].T
-
-    def on_t_lines(self, t_rows: np.ndarray) -> np.ndarray:
-        """The value at the Gauss nodes of every column on the t-lines of ``t_rows``,
-        (t-lines, nx, n)."""
-        return mode_sum(self._nodes[None], t_rows[:, None]).reshape(len(t_rows), -1, self.n)
-
-    def on_x_lines(self, t_rows: np.ndarray, dx: bool) -> np.ndarray:
-        """The value (or dx) on every x-line at the Gauss times of some slabs, whose
-        ``t_rows`` run slab by slab, (slabs, nx + 1, n)."""
-        grid = mode_sum(self._lines[dx][:, None], t_rows[None])  # (x-line, time)
-        return grid.reshape(len(self._lines[dx]), -1, self.n).swapaxes(0, 1)
-
-
-def _tabulate(field, mesh: Mesh, n: int, tables: dict):
-    """``field`` with every separable closed-form part replaced by its `_FactorTables`,
-    kept in ``tables`` by part: a part that several fields share gets one."""
+def _separable_parts(field) -> list:
+    """The closed-form parts of ``field`` that have a separable solution."""
     if isinstance(field, DifferenceField):
-        return DifferenceField(_tabulate(field.a, mesh, n, tables),
-                               _tabulate(field.b, mesh, n, tables))
-    if isinstance(field, ClosedFormField) and field.factors is not None:
-        tables[field] = tables.get(field) or _FactorTables(field.factors, mesh, n)
-        return tables[field]
-    return field
+        return _separable_parts(field.a) + _separable_parts(field.b)
+    return [field] if isinstance(field, ClosedFormField) and field.separable is not None else []
 
 
 def _wsums(w2: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -197,10 +162,12 @@ class _Chunk:
     the elements just above the t-lines it owns (the tops of its slabs, and slab 0's
     bottom too), or its elements' left and right sides.  Each separable part's T rows,
     on the owned t-lines or at the slabs' Gauss times, and each of its traces are kept
-    for the chunk, so its value and dx and the fields of a walk share them."""
+    for the chunk, so its value and dx and the fields of a walk share them.  ``tables``
+    holds each separable part's X for the pass: on the columns' Gauss nodes, (nx n, m),
+    or value and dx on the x-lines, (nx + 1, m) each."""
 
-    def __init__(self, mesh: Mesh, n: int, slabs: range, nodes: np.ndarray):
-        self.mesh, self.n, self.slabs, self._nodes = mesh, n, slabs, nodes
+    def __init__(self, mesh: Mesh, n: int, slabs: range, nodes: np.ndarray, tables: dict):
+        self.mesh, self.n, self.slabs, self._nodes, self._tables = mesh, n, slabs, nodes, tables
         self.lines = range(slabs.start + (slabs.start > 0), slabs.stop + 1)  # owned t-lines
         self._kept = {}
 
@@ -237,7 +204,7 @@ class _Chunk:
             self.trace(field.b, place, dx, out)
             return np.subtract(self.trace(field.a, place, dx), out, out=out)
         slabs, mesh, n = self.slabs_at(place), self.mesh, self.n
-        if isinstance(field, _FactorTables):
+        if isinstance(field, ClosedFormField) and field.separable is not None:
             values = self._separable(field, place, dx)
         elif hasattr(field, "traces"):
             return field.traces(slabs, n, place, dx, out=out)
@@ -256,17 +223,21 @@ class _Chunk:
         np.copyto(out, values)
         return out
 
-    def _separable(self, table: _FactorTables, place: str, dx: bool) -> np.ndarray:
+    def _separable(self, field: ClosedFormField, place: str, dx: bool) -> np.ndarray:
         # one trace on the owned t-lines, or on every x-line, serves both sides
         space_like = place in ("top", "bottom")
-        if (table, space_like) not in self._kept:  # T rows, for value and dx
+        if (field, space_like) not in self._kept:  # T rows, for value and dx
             t = self.mesh.ts[self.lines.start:self.lines.stop] if space_like else self.times
-            self._kept[table, space_like] = table.t_rows(t.reshape(-1), space_like)
-        key, t_rows = (table, space_like, dx), self._kept[table, space_like]
+            self._kept[field, space_like] = field.separable.t_table(t).T
+        key, Tt = (field, space_like, dx), self._kept[field, space_like]
         if key not in self._kept:
-            self._kept[key] = (table.on_t_lines(t_rows) if space_like
-                               else table.on_x_lines(t_rows, dx))
-            self._kept[key].flags.writeable = False
+            if space_like:  # the value at the Gauss nodes of every column, (t-lines, nx, n)
+                kept = mode_sum(self._tables[field][None], Tt[:, None]).reshape(len(Tt), -1, self.n)
+            else:  # on every x-line at the Gauss times, which run slab by slab
+                X = self._tables[field][dx]
+                kept = mode_sum(X[:, None], Tt[None]).reshape(len(X), -1, self.n).swapaxes(0, 1)
+            kept.flags.writeable = False
+            self._kept[key] = kept
         kept = self._kept[key]
         if place == "top":  # the t-lines above the chunk's slabs: the last len(slabs)
             return kept[len(kept) - len(self.slabs):]
@@ -282,12 +253,12 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
     """The sums of squares of the DG norm's terms and of the plus norm's extra terms,
     (2, F), one column per field: traces written into buffers allocated once per walk,
     jumps and sums taken in place across every field at once."""
-    tables = {}
-    fields = [_tabulate(field, mesh, n, tables) for field in fields]
     nx, nt, F = mesh.nx, mesh.nt, len(fields)
-    step = max(1, _CHUNK_POINTS // (n * max([nx + 1] + [t.modes for t in tables.values()])))
-    chunks = [range(s, min(s + step, nt)) for s in range(0, nt, step)]
     nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n)[0]
+    parts = dict.fromkeys(part for field in fields for part in _separable_parts(field))
+    tables = {part: part.separable.x_table(nodes.reshape(-1)) for part in parts}
+    step = max(1, _CHUNK_POINTS // (n * max([nx + 1] + [X.shape[1] for X in tables.values()])))
+    chunks = [range(s, min(s + step, nt)) for s in range(0, nt, step)]
     sums = np.zeros((2, F))
     rows = min(step, nt)  # the most slabs of a chunk: no buffer grows with the slabs
     W2, alpha, beta = np.repeat(mesh.rule(n, "top")[2], 2), 1.0 / mesh.h[0], mesh.h[0]
@@ -295,7 +266,7 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
     buffers = np.empty((4, F, rows + 1, nx, n), dtype=complex)
     tops, bottoms, *_ = buffers
     for slabs in chunks:  # the space-like facets: interior, final, initial
-        at = _Chunk(mesh, n, slabs, nodes)
+        at = _Chunk(mesh, n, slabs, nodes, tables)
         k = min(slabs.stop, nt - 1) - slabs.start  # interior t-lines the chunk owns
         top = at.traces(fields, "top", tops)
         bottom = at.traces(fields, "bottom", bottoms) if k > 0 or slabs.start == 0 else None
@@ -307,11 +278,14 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
             sums[0] += _wsums(W2, top[:, -1])
         if slabs.start == 0:
             sums[0] += _wsums(W2, bottom[:, 0])
+    del at, tables  # the node X goes before the x-lines' value and dx are built
+    tables = {part: (part.separable.x_table(mesh.xs), part.separable.x_table(mesh.xs, dx=True))
+              for part in parts}
     W2 = np.repeat(mesh.rule(n, "left")[2], 2)
     if with_plus and nx > 1:
         side_sums = np.empty((2, F, rows, nx - 1, n), dtype=complex)  # dx, then value
     for slabs in chunks:  # the time-like facets: interior, then Dirichlet (x_lo, x_hi)
-        at = _Chunk(mesh, n, slabs, nodes)
+        at = _Chunk(mesh, n, slabs, nodes, tables)
         right = at.traces(fields, "right", buffers[0])
         left = at.traces(fields, "left", buffers[1])
         if nx > 1 or with_plus:
@@ -333,7 +307,7 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
 
 
 def dg_norms(fields, mesh: Mesh, n: int = 20) -> list[float]:
-    """`dg_norm` of each field, in one walk.  The chunks are sized by the largest factor
+    """`dg_norm` of each field, in one walk.  The chunks are sized by the widest X
     table, so a value equals `dg_norm`'s to the bit where each field has one that large."""
     return [math.sqrt(0.5 * s_dg) for s_dg in _norm_terms(fields, mesh, n, with_plus=False)[0]]
 

@@ -7,7 +7,6 @@ element (-1/2, 1/2)^2, an element with its size h = (h_x, h_t) divided out: its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,22 +15,16 @@ from numpy.polynomial.legendre import leggauss
 MAX_NODES = 64
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes in (-1, 1) and positive weights summing to 2."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def gauss_legendre(n: int) -> QuadratureRule:
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule, read-only: nodes in (-1, 1) and positive weights
+    summing to 2."""
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"node count {n} outside [1, {MAX_NODES}]")
     x, w = leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
-    return QuadratureRule(x, w)
+    return x, w
 
 
 @lru_cache(maxsize=None)
@@ -41,9 +34,9 @@ def reference_rule(n: int, place: str) -> tuple[np.ndarray, np.ndarray, np.ndarr
     on the top and bottom, h_t on the left and right and h_x h_t over the volume (the
     tensor rule, x-major).  Each is one row (1, n), or (1, n * n) over the volume; every
     offset is xi / 2 or +-1/2 for a Gauss node xi, exact in binary."""
-    rule = gauss_legendre(n)
-    x = t = 0.5 * rule.nodes
-    w = 0.5 * rule.weights
+    nodes, weights = gauss_legendre(n)
+    x = t = 0.5 * nodes
+    w = 0.5 * weights
     if place == "volume":
         x, t, w = np.repeat(x, n), np.tile(t, n), np.outer(w, w).reshape(-1)
     elif place in ("top", "bottom"):
@@ -68,11 +61,11 @@ def mapped_interval(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
 
 def mapped_intervals(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The rule of `mapped_interval` on many intervals at once: points and weights (m, n)."""
-    rule = gauss_legendre(n)
+    nodes, weights = gauss_legendre(n)
     lo = np.asarray(lo, dtype=float)[:, None]
     hi = np.asarray(hi, dtype=float)[:, None]
     half = 0.5 * (hi - lo)
-    return 0.5 * (lo + hi) + half * rule.nodes, half * rule.weights
+    return 0.5 * (lo + hi) + half * nodes, half * weights
 
 
 def box_rule(ranges, n: int) -> tuple[np.ndarray, np.ndarray]:

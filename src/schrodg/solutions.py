@@ -8,14 +8,17 @@ Both families solve i psi_t + (1/2) psi_xx = 0 exactly:
   initial profile sqrt(30) x (1 - x) on (0, 1) with homogeneous Dirichlet
   data, truncated to a fixed number of odd modes.
 
-Both are sums of m products X(x) T(t): ``factors(x, t, dx)`` returns the
-tables X (len(x), m) and T (m, len(t)), psi(x_i, t_j) = (X @ T)[i, j], with
-m = 1 for the exponential and one term per mode for the series.  The DG
-norms build X once per norm call (see `schrodg.norms`).  The series' value and dx
-take the same sums point by point (`mode_sum`), so they agree to the last bit.
-The series' T takes about 3 sqrt(m) exponentials per time, not m, by a recurrence
-over blocks of modes (`SquareWellSeries.factors`); every step of it is elementwise
-in time, so a time's column does not depend on the other times of the call.
+Both are sums of m products X(x) T(t): ``x_table(x, dx=False)`` returns the
+table X (len(x), m), or its x-derivative, and ``t_table(t)`` the table T
+(m, len(t)), so psi(x_i, t_j) = (X @ T)[i, j], with m = 1 for the exponential
+and one term per mode for the series.  The DG norms build each X table once per
+norm call (see `schrodg.norms`).  The series' value and dx take the same sums
+point by point (`mode_sum`), so they agree with the tables' products to the last
+bit; the exponential's value is one complex exp, which its tables' product
+matches to a few ulps.  The series' T takes about 3 sqrt(m) exponentials per time,
+not m, by a recurrence over blocks of modes (`SquareWellSeries.t_table`); every
+step of it is elementwise in time, so a time's column does not depend on the
+other times of the call.
 """
 
 from __future__ import annotations
@@ -42,11 +45,14 @@ class ExpSolution:
     def dx(self, x, t):
         return self.kappa * self.value(x, t)
 
-    def factors(self, x, t, dx: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """X = kappa^dx exp(kappa x) (len(x), 1) and T = exp(i kappa^2 t / 2) (1, len(t))."""
+    def x_table(self, x, dx: bool = False) -> np.ndarray:
+        """X = kappa^dx exp(kappa x), (len(x), 1)."""
         X = np.exp(self.kappa * np.asarray(x, dtype=float).reshape(-1, 1))
-        return (self.kappa * X if dx else X), np.exp(
-            0.5j * (self.kappa * self.kappa) * np.asarray(t, dtype=float).reshape(1, -1))
+        return self.kappa * X if dx else X
+
+    def t_table(self, t) -> np.ndarray:
+        """T = exp(i kappa^2 t / 2), (1, len(t))."""
+        return np.exp(0.5j * (self.kappa * self.kappa) * np.asarray(t, dtype=float).reshape(1, -1))
 
     def derivative(self, j: MultiIndex, point) -> complex:
         x, t = point
@@ -109,27 +115,9 @@ class SquareWellSeries:
 
     n_trunc: int = 250
 
-    def factors(self, x, t, dx: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def x_table(self, x, dx: bool = False) -> np.ndarray:
         """X = a_m sin(n_m pi x) (len(x), n_trunc), or its x-derivative a_m n_m pi
-        cos(n_m pi x), and T = exp(-i n_m^2 theta) (n_trunc, len(t)), where
-        n_m = 2m + 1, a_m = sqrt(30) (2/pi)^3 / n_m^3 and theta = pi^2 t / 2.
-
-        T is built in J blocks of B = ceil(sqrt(n_trunc)) modes: mode m = jB + k has
-        n_m = 2Bj + o_k, o_k = 2k + 1, so n_m^2 = o_k^2 + 4B o_k j + (2Bj)^2 and
-        T[m] = P_k D_k^j Q_j with P_k = exp(-i o_k^2 theta), D_k = exp(-i 4B o_k theta)
-        and Q_j = exp(-i (2Bj)^2 theta): 2B + J exponentials per time (48 for 250
-        modes) and, per block, one product by D and one by Q.  Each exponent is an
-        exact integer times t times -pi^2/2, so, as with one exponential per mode,
-        T's error is that of rounding its phase, about (1 + n_m^2 theta) eps.
-
-        Only the half that is asked for is built: with no x, X is (0, n_trunc) and
-        takes no sine, and with no t, T is (n_trunc, 0) and takes no exponential."""
-        x, t = np.asarray(x, dtype=float).reshape(-1), np.asarray(t, dtype=float).reshape(-1)
-        X = self._space_table(x, dx) if x.size else np.empty((0, self.n_trunc))
-        T = self._time_table(t) if t.size else np.empty((self.n_trunc, 0), dtype=complex)
-        return X, T
-
-    def _space_table(self, x: np.ndarray, dx: bool) -> np.ndarray:
+        cos(n_m pi x), where n_m = 2m + 1 and a_m = sqrt(30) (2/pi)^3 / n_m^3."""
         n = 2.0 * np.arange(self.n_trunc) + 1.0
         amp = SQUARE_WELL_AMPLITUDE * (2.0 / math.pi) ** 3 / n ** 3
         X = np.outer(x, np.pi * n)  # in place: X is the largest table
@@ -137,7 +125,17 @@ class SquareWellSeries:
         X *= amp * (np.pi * n) if dx else amp
         return X
 
-    def _time_table(self, t: np.ndarray) -> np.ndarray:
+    def t_table(self, t) -> np.ndarray:
+        """T = exp(-i n_m^2 theta) (n_trunc, len(t)), theta = pi^2 t / 2.
+
+        T is built in J blocks of B = ceil(sqrt(n_trunc)) modes: mode m = jB + k has
+        n_m = 2Bj + o_k, o_k = 2k + 1, so n_m^2 = o_k^2 + 4B o_k j + (2Bj)^2 and
+        T[m] = P_k D_k^j Q_j with P_k = exp(-i o_k^2 theta), D_k = exp(-i 4B o_k theta)
+        and Q_j = exp(-i (2Bj)^2 theta): 2B + J exponentials per time (48 for 250
+        modes) and, per block, one product by D and one by Q.  Each exponent is an
+        exact integer times t times -pi^2/2, so, as with one exponential per mode,
+        T's error is that of rounding its phase, about (1 + n_m^2 theta) eps."""
+        t = np.asarray(t, dtype=float).reshape(-1)
         b = math.isqrt(self.n_trunc - 1) + 1
         blocks = -(-self.n_trunc // b)
         o, q = 2.0 * np.arange(b) + 1.0, 2.0 * b * np.arange(blocks)
@@ -157,8 +155,7 @@ class SquareWellSeries:
     def _pointwise(self, x, t, dx: bool) -> np.ndarray:
         x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                    np.atleast_1d(np.asarray(t, dtype=float)))
-        X, T = self.factors(x.reshape(-1), t.reshape(-1), dx)
-        return mode_sum(X, T.T).reshape(x.shape)
+        return mode_sum(self.x_table(x, dx), self.t_table(t).T).reshape(x.shape)
 
     def value(self, x, t):
         return self._pointwise(x, t, dx=False)

@@ -232,7 +232,7 @@ def test_norms_match_per_facet_walk(monkeypatch, kind, mesh_name):
     if mesh_name == "chunked" and kind == "series":  # at least 2 chunks of each orientation
         series = CountingFactors()
         dg_norm(exact_field(series), mesh, n=12)
-        assert sum(1 for c in series.factor_calls if not c[0]) >= 4
+        assert len(series.times) >= 4
 
 
 @pytest.mark.parametrize("step", [1, 2, 3, 7])
@@ -241,7 +241,8 @@ def test_chunks_own_each_t_line_once(step):
     # and read the bottoms of the slabs just above their own t-lines
     mesh = build_cartesian_mesh(DOM, 3, 7)
     nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], 4)[0]
-    chunks = [_Chunk(mesh, 4, range(s, min(s + step, 7)), nodes) for s in range(0, 7, step)]
+    chunks = [_Chunk(mesh, 4, range(s, min(s + step, 7)), nodes, {})
+              for s in range(0, 7, step)]
     assert [line for chunk in chunks for line in chunk.lines] == list(range(8))
     for chunk in chunks:
         assert list(chunk.slabs_at("bottom")) == [line for line in chunk.lines if line < 7]
@@ -294,30 +295,32 @@ def test_one_evaluation_per_facet_group_leaves_the_norms_unchanged():
 
 
 class CountingFactors(CountingSeries):
-    """The square-well series, recording the sizes (len(x), len(t)) of its factors calls
-    and the times t of each."""
+    """The square-well series, recording len(x) of each x_table call and the times t of
+    each t_table call."""
 
     def __init__(self):
         super().__init__()
-        self.factor_calls, self.times = [], []
+        self.x_sizes, self.times = [], []
 
-    def factors(self, x, t, dx=False):
-        self.factor_calls.append((np.size(x), np.size(t)))
+    def x_table(self, x, dx=False):
+        self.x_sizes.append(np.size(x))
+        return self.series.x_table(x, dx)
+
+    def t_table(self, t):
         self.times.append(np.asarray(t, dtype=float).reshape(-1))
-        return self.series.factors(x, t, dx)
+        return self.series.t_table(t)
 
 
 @pytest.mark.parametrize("nx, nt", [(4, 3), (16, 16)])
 def test_factor_tables_are_built_once_per_norm(nx, nt):
     # sin/cos once per space-like Gauss node and per grid line, whatever the number
-    # of time levels: 3 calls with x on both meshes (value on the nodes, value and
+    # of time levels: 3 x_table calls on both meshes (value on the nodes, value and
     # dx on the lines); exp once per distinct time, however the slabs are chunked:
     # every t-line and every slab's Gauss time, and none of them twice
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), nx, nt)
     series = CountingFactors()
     dg_plus_norm(exact_field(series), mesh, n=20)
-    assert sorted(c for c in series.factor_calls if c[0]) == [(nx + 1, 0), (nx + 1, 0),
-                                                              (20 * nx, 0)]
+    assert sorted(series.x_sizes) == [nx + 1, nx + 1, 20 * nx]
     times = np.concatenate(series.times)
     assert len(np.unique(times)) == len(times) == (nt + 1) + 20 * nt
     assert series.calls == {"value": 0, "dx": 0}
@@ -350,7 +353,7 @@ def test_dg_norms_equal_each_dg_norm():
 def test_dg_norms_of_unequal_fields_equal_each_dg_norm(monkeypatch):
     # fields of every kind stacked in one walk: trefftz p2 (dim 5) and full p2 (dim 6)
     # errors of a separable exact field, an elementwise interpolant, and a closed-form
-    # field without factors; chunks of 2, 2 and 1 slabs, so the last chunk fills part of
+    # field without tables; chunks of 2, 2 and 1 slabs, so the last chunk fills part of
     # each buffer
     mesh, sol = build_cartesian_mesh(DOM, 6, 5), ExpSolution(3.0)
     monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS", 2 * 20 * (mesh.nx + 1))
@@ -368,7 +371,7 @@ def test_dg_norms_of_unequal_fields_equal_each_dg_norm(monkeypatch):
 
 
 def test_fields_that_share_an_exact_field_trace_it_once(monkeypatch):
-    # the factors calls, the trace products and the rules of one field's walk serve
+    # the table calls, the trace products and the rules of one field's walk serve
     # every field of the walk
     import schrodg.norms
 
@@ -387,7 +390,7 @@ def test_fields_that_share_an_exact_field_trace_it_once(monkeypatch):
         rules.clear()
         products.clear()
         dg_norms([DifferenceField(exact, s) for s in fields], mesh)
-        calls.append((series.factor_calls, [t.tolist() for t in series.times], list(rules),
+        calls.append((series.x_sizes, [t.tolist() for t in series.times], list(rules),
                       list(products)))
     assert calls[0] == calls[1]
     # the weights of one walk: a row along the space-like facets and one along the

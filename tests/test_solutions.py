@@ -6,7 +6,8 @@ import pytest
 
 from schrodg.poly import mi
 from schrodg.quadrature import mapped_interval
-from schrodg.solutions import ExpSolution, ExpSolutionND, SquareWellSeries, square_well_initial
+from schrodg.solutions import (ExpSolution, ExpSolutionND, SquareWellSeries, mode_sum,
+                               square_well_initial)
 
 
 def test_exp_value_at_origin():
@@ -32,6 +33,25 @@ def test_exp_residual_vanishes_pointwise():
         res = (1j * sol.derivative(mi(0, 1), (x, t))
                + 0.5 * sol.derivative(mi(2, 0), (x, t)))
         assert abs(res) <= 1e-13 * abs(sol.derivative(mi(0, 0), (x, t)))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 3.0, 4.25, 5.0, 5.75, -5.0, 30.0])
+def test_exp_tables_match_value_and_dx(kappa):
+    # X (len(x), 1) times T (1, len(t)) is exp(kappa x) exp(i kappa^2 t / 2), two
+    # exponentials where value takes one complex exp: a few ulps apart, and equal to the
+    # bit at kappa = 0
+    sol = ExpSolution(kappa)
+    rng = np.random.default_rng(13)
+    x, t = rng.random(40), 0.1 * rng.random(30)
+    T = sol.t_table(t)
+    assert T.shape == (1, 30)
+    for dx, trace in ((False, sol.value), (True, sol.dx)):
+        X = sol.x_table(x, dx)
+        assert X.shape == (40, 1)
+        got, want = mode_sum(X[:, None], T.T[None]), trace(x[:, None], t[None])
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+        if kappa == 0.0:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_exp_nd_residual_vanishes():
@@ -182,7 +202,7 @@ def test_series_tables_match_a_long_double_reference():
     rng = np.random.default_rng(5)
     x, t = rng.random(40), np.concatenate(([0.0], 0.1 * rng.random(39)))
     series = SquareWellSeries(250)
-    (X, T), (X_dx, _) = series.factors(x, t), series.factors(x, t, dx=True)
+    X, X_dx, T = series.x_table(x), series.x_table(x, dx=True), series.t_table(t)
     ld, eps = np.longdouble, np.finfo(float).eps
     pi = 4 * np.arctan(ld(1))
     n = 2 * np.arange(250, dtype=ld) + 1
@@ -203,23 +223,22 @@ def test_series_time_column_does_not_depend_on_the_batch(n_trunc):
     # batch to the bit, whatever the batch's length
     series = SquareWellSeries(n_trunc)
     t = 0.1 * np.random.default_rng(9).random(37)
-    X, T = series.factors(np.empty(0), t)
-    assert X.shape == (0, n_trunc) and T.shape == (n_trunc, t.size)
+    T = series.t_table(t)
+    assert T.shape == (n_trunc, t.size)
     n = 2.0 * np.arange(n_trunc) + 1.0  # the last block may be cut short
     assert np.max(np.abs(T - np.exp(-0.5j * np.pi ** 2 * np.outer(n * n, t)))) <= 1e-10
     for j in (0, 5, 16, 36):
-        assert np.array_equal(series.factors(np.empty(0), t[j:j + 1])[1][:, 0], T[:, j])
-    assert np.array_equal(series.factors(np.empty(0), t[3:20])[1], T[:, 3:20])
+        assert np.array_equal(series.t_table(t[j:j + 1])[:, 0], T[:, j])
+    assert np.array_equal(series.t_table(t[3:20]), T[:, 3:20])
 
 
 @pytest.mark.parametrize("dx", [False, True], ids=["value", "dx"])
 def test_series_builds_only_the_half_asked_for(monkeypatch, dx):
-    # an X-only call takes no exponential and a T-only call no sine or cosine; each half
-    # equals that of a call asking for both to the bit
+    # X takes one sine or cosine call and no exponential, T one exponential call and no
+    # sine or cosine
     series = SquareWellSeries(250)
     rng = np.random.default_rng(11)
-    x, t, none = rng.random(13), 0.1 * rng.random(7), np.empty(0)
-    X, T = series.factors(x, t, dx)
+    x, t = rng.random(13), 0.1 * rng.random(7)
     calls = []
 
     def counted(name):
@@ -228,11 +247,9 @@ def test_series_builds_only_the_half_asked_for(monkeypatch, dx):
 
     for name in ("exp", "sin", "cos"):
         monkeypatch.setattr(np, name, counted(name))
-    X_only, T_none = series.factors(x, none, dx)
+    X = series.x_table(x, dx)
     assert calls == ["cos" if dx else "sin"]
     calls.clear()
-    X_none, T_only = series.factors(none, t)
+    T = series.t_table(t)
     assert calls == ["exp"]
-    assert X_only.shape == (13, 250) and T_none.shape == (250, 0)
-    assert X_none.shape == (0, 250) and T_only.shape == (250, 7)
-    assert X_only.tobytes() == X.tobytes() and T_only.tobytes() == T.tobytes()
+    assert X.shape == (13, 250) and T.shape == (250, 7)

@@ -36,6 +36,7 @@ BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagon
 SCREEN = "tests/test_assembly.py::test_plane_wave_screen_keeps_each_decision"
 MARCH_GLOBAL = "tests/test_assembly.py::test_marching_equals_global_oracle"
 SERIES_TABLES = "tests/test_solutions.py::test_series_tables_match_a_long_double_reference"
+EXP_TABLES = "tests/test_solutions.py::test_exp_tables_match_value_and_dx"
 # the time-like terms of the walk: the plus norm's averages, then the jumps in place
 AVERAGES = ("            if with_plus:  # the averages, before the jumps overwrite v1 and g1\n"
             "                g, v = side_sums[:, :, :len(slabs)]\n"
@@ -121,7 +122,7 @@ MUTANTS = [
      'np.full(n, 0.5 if place == "top" else -0.5)', 'np.full(n, -0.5 if place == "top" else 0.5)',
      [BAND_BLOCK]),
     ("volume weights not halved in t", QUADRATURE,
-     "np.outer(w, w).reshape(-1)", "np.outer(w, rule.weights).reshape(-1)",
+     "np.outer(w, w).reshape(-1)", "np.outer(w, weights).reshape(-1)",
      [BAND_BLOCK]),
     ("dx table not divided by h_x", BASIS,
      "                    fun = fun / self.h[0]\n", "                    pass\n",
@@ -134,6 +135,10 @@ MUTANTS = [
      ["tests/test_norms.py"]),
     ("the time-like reshape without swapaxes", NORMS,
      "-1, self.n).swapaxes(0, 1)", "-1, self.n)",
+     ["tests/test_norms.py"]),
+    ("the x-lines' value and dx tables swapped in the time-like pass", NORMS,
+     "(part.separable.x_table(mesh.xs), part.separable.x_table(mesh.xs, dx=True))",
+     "(part.separable.x_table(mesh.xs, dx=True), part.separable.x_table(mesh.xs))",
      ["tests/test_norms.py"]),
     # the norm's slab ranges: a chunk owns the t-lines above its slabs, and slab 0's bottom
     ("a chunk's owned t-lines without its top one", NORMS,
@@ -174,6 +179,9 @@ MUTANTS = [
     ("the blocked T's first block seeded with ones", SOLUTIONS,
      "        T[0] = P\n", "        T[0] = 1.0\n",
      [SERIES_TABLES]),
+    ("ExpSolution.x_table without the kappa factor for dx", SOLUTIONS,
+     "        return self.kappa * X if dx else X\n", "        return X\n",
+     [EXP_TABLES]),
 ]
 
 
