@@ -212,8 +212,8 @@ def run_conditioning(config: ExperimentConfig) -> dict:
 def run_singular(config: ExperimentConfig) -> dict:
     """Square-well problem on (0,1) x (0,0.1) with h_t = 0.1 h_x = 0.05 * 2^-j: one mesh
     per level, every family marched on it and scored in one norm walk (`dg_norms`), which
-    traces the shared series once per chunk and orientation; a family whose march breaks
-    down keeps an empty row at that level."""
+    reads the shared series once, on the boundary only; a family whose march breaks down
+    keeps an empty row at that level."""
     p = config.space.p
     data = BoundaryData(psi0=square_well_initial,
                         g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))

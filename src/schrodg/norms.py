@@ -19,49 +19,40 @@ has the shape of the points.  Jumps are always formed from two one-sided
 traces.
 
 The norms read every facet off the grid.  They walk the mesh in chunks of
-consecutive slabs, at most `_CHUNK_POINTS` points or T entries each: first the
-space-like facets (the t-lines) chunk by chunk, then the time-like ones (the
-x-lines).  Per chunk, each field gives its trace at each place of the chunk's
-elements, their "top" and "bottom" or their "left" and "right" sides
-(`Mesh.rule`), as a (slabs, columns, n) array, and a facet's two traces are
-shifted slices of those: the jump across the t-line above slab s is
-top[s] - bottom[s + 1], that across the x-line right of column ix is
+consecutive slabs, at most `_CHUNK_POINTS` points of one place each: first the
+space-like facets (the t-lines), then the time-like ones (the x-lines).  Per chunk,
+each field gives its trace at each place of the chunk's elements, "top" and
+"bottom" or "left" and "right" (`Mesh.rule`), as a (slabs, columns, n) array, and a
+facet's two traces are shifted slices of those: the jump across the t-line above
+slab s is top[s] - bottom[s + 1], that across the x-line right of column ix is
 right[:, ix] - left[:, ix + 1], and the Dirichlet owners are left[:, 0] and
 right[:, -1].  A field with traces(slabs, n, place, dx, out) (a discrete solution)
 gives them itself, as one product written into ``out``; any other is called once
 per chunk and place, with the grid's points and every element of the chunk as one
-row.  `dg_norms` sums several fields in one walk, each as in a walk of its own; the
-trace of a closed-form part that the fields share is taken once per chunk.
+row.  A difference's trace is the difference of its parts'.  A walk allocates its
+trace buffers once, one per place, (fields, slabs, nx, n), with room for a chunk's
+slabs, so their size never follows the number of slabs; each field's parts are
+combined in its row, and the jumps and sums are taken in place for every field at
+once.  `dg_norms` sums several fields in one walk, each as in a walk of its own.
 
-A walk allocates its trace buffers once: one per place, (fields, slabs, nx, n), with
-room for a chunk's slabs, so their size follows the chunk budget and never the
-number of slabs.  Each field writes its trace of a place into its row; a difference
-writes b's trace there and subtracts it from a's in place.  The jumps, and the
-plus norm's sums of two traces, are then taken in place once per chunk for every
-field at once, and each weighted sum of squares is one pass over each field's row.
-
-A closed-form field built from a separable solution (one with ``x_table`` and
-``t_table``, see `schrodg.solutions`) has no sides: one trace serves both, read
-off the solution's tables.  Before each pass the walk builds that pass's X: over
-the Gauss nodes of the mesh's columns for the space-like facets, and value and dx
-over its x-lines for the time-like ones.  T is built once per chunk, over the
-t-lines it owns or over its slabs' Gauss times.  Each trace entry is a row of X
-times a row of T (`mode_sum`).  For the series, whose value is that same sum, it
-equals value(x, t) at its points to the last bit; for the exponential, whose
-value is one complex exp, it agrees to a few ulps.
+A closed-form field (`ClosedFormField`) is continuous with its x-derivative, so it
+never jumps.  `dg_norm` and `dg_norms` trace only a field's other parts, and read
+each distinct closed-form part once per walk through its ``value``, on the boundary
+only: at t = 0 and t = T on the columns' Gauss nodes, and, chunk by chunk, at x_lo
+and x_hi at the slabs' Gauss times.  Those values are added, with their signs, to the initial, final
+and Dirichlet rows.  `dg_plus_norm` needs the whole field's interior values, so it
+traces closed-form parts like any other part.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from .mesh import Mesh
 from .poly import ScaledPolynomial, dense_terms, mi, scaled_monomials
 from .quadrature import mapped_intervals
-from .solutions import mode_sum
 
 
 def field_points(eid, xs, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
@@ -84,27 +75,25 @@ def field_points(eid, xs, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple
 
 
 class ClosedFormField:
-    """A globally defined field; element ids are ignored.  The norms read one with a
-    ``separable`` solution (with x_table and t_table, see `schrodg.solutions`) off
-    that solution's tables."""
+    """A globally defined field; element ids are ignored.  Its functions are called with
+    the points as given, unbroadcast, and their results broadcast to the points' shape."""
 
-    def __init__(self, value_fn, dx_fn, separable=None):
+    def __init__(self, value_fn, dx_fn):
         self._value = value_fn
         self._dx = dx_fn
-        self.separable = separable
 
     def value(self, eid, xs, ts):
-        xs, ts = np.broadcast_arrays(np.atleast_1d(xs), np.atleast_1d(ts))
-        return np.asarray(self._value(xs, ts), dtype=complex)
+        xs, ts = np.atleast_1d(xs), np.atleast_1d(ts)
+        return np.broadcast_to(np.asarray(self._value(xs, ts), complex), np.broadcast(xs, ts).shape)
 
     def dx(self, eid, xs, ts):
-        xs, ts = np.broadcast_arrays(np.atleast_1d(xs), np.atleast_1d(ts))
-        return np.asarray(self._dx(xs, ts), dtype=complex)
+        xs, ts = np.atleast_1d(xs), np.atleast_1d(ts)
+        return np.broadcast_to(np.asarray(self._dx(xs, ts), complex), np.broadcast(xs, ts).shape)
 
 
 def exact_field(sol) -> ClosedFormField:
-    """Field view of a solution object with value/dx methods, separable if it has t_table."""
-    return ClosedFormField(sol.value, sol.dx, sol if hasattr(sol, "t_table") else None)
+    """Field view of a solution object with value/dx methods."""
+    return ClosedFormField(sol.value, sol.dx)
 
 
 class PiecewisePolyField:
@@ -142,11 +131,11 @@ class DifferenceField:
         return self.a.dx(eid, xs, ts) - self.b.dx(eid, xs, ts)
 
 
-def _separable_parts(field) -> list:
-    """The closed-form parts of ``field`` that have a separable solution."""
+def _terms(field, sign: float = 1.0) -> list:
+    """(sign, part) for each part of ``field``: a difference's parts, b's negated."""
     if isinstance(field, DifferenceField):
-        return _separable_parts(field.a) + _separable_parts(field.b)
-    return [field] if isinstance(field, ClosedFormField) and field.separable is not None else []
+        return _terms(field.a, sign) + _terms(field.b, -sign)
+    return [(sign, field)]
 
 
 def _wsums(w2: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -160,104 +149,83 @@ def _wsums(w2: np.ndarray, z: np.ndarray) -> np.ndarray:
 class _Chunk:
     """The places of a chunk of consecutive slabs: its elements' tops, and the bottoms of
     the elements just above the t-lines it owns (the tops of its slabs, and slab 0's
-    bottom too), or its elements' left and right sides.  Each separable part's T rows,
-    on the owned t-lines or at the slabs' Gauss times, and each of its traces are kept
-    for the chunk, so its value and dx and the fields of a walk share them.  ``tables``
-    holds each separable part's X for the pass: on the columns' Gauss nodes, (nx n, m),
-    or value and dx on the x-lines, (nx + 1, m) each."""
+    bottom too), or its elements' left and right sides.  ``nodes`` and ``times`` are
+    the Gauss nodes of every column, (nx, n), and the Gauss times of every slab, (nt, n)."""
 
-    def __init__(self, mesh: Mesh, n: int, slabs: range, nodes: np.ndarray, tables: dict):
-        self.mesh, self.n, self.slabs, self._nodes, self._tables = mesh, n, slabs, nodes, tables
+    def __init__(self, mesh: Mesh, n: int, slabs: range, nodes: np.ndarray, times: np.ndarray):
+        self.mesh, self.n, self.slabs, self._nodes = mesh, n, slabs, nodes
+        self.times = times[slabs.start:slabs.stop]
         self.lines = range(slabs.start + (slabs.start > 0), slabs.stop + 1)  # owned t-lines
-        self._kept = {}
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        """The Gauss times of the chunk's slabs, (slabs, n): read by time-like traces only."""
-        slabs = self.slabs
-        return mapped_intervals(self.mesh.ts[slabs.start:slabs.stop],
-                                self.mesh.ts[slabs.start + 1:slabs.stop + 1], self.n)[0]
 
     def slabs_at(self, place: str) -> range:
         if place == "bottom":  # the slabs just above the owned t-lines
             return range(self.lines.start, min(self.lines.stop, self.mesh.nt))
         return self.slabs
 
-    def traces(self, fields, place: str, buffer: np.ndarray, dx: bool = False) -> np.ndarray:
-        """Every field's `trace` on ``place``, written into its row of ``buffer``, an
-        (F, slabs, nx, n) array with room for the slabs of `slabs_at` (place); returns the
-        rows in use, (F, len(slabs_at(place)), nx, n)."""
+    def traces(self, traced, place: str, buffer: np.ndarray, dx: bool = False) -> np.ndarray:
+        """Each field's traced parts on ``place``, summed with their signs into its row of
+        ``buffer``, an (F, slabs, nx, n) array with room for the slabs of `slabs_at`
+        (place); ``traced`` holds a list of (sign, part) per field, the first sign +1.
+        Returns the rows in use, (F, len(slabs_at(place)), nx, n)."""
         out = buffer[:, :len(self.slabs_at(place))]
-        for field, row in zip(fields, out):
-            self.trace(field, place, dx, row)
+        for terms, row in zip(traced, out):
+            if terms:
+                self.trace(terms[0][1], place, dx, row)
+            else:
+                row.fill(0.0)
+        _accumulate(out, [terms[1:] for terms in traced], lambda part: self.trace(part, place, dx))
         return out
 
     def trace(self, field, place: str, dx: bool = False, out: np.ndarray | None = None
               ) -> np.ndarray:
         """``field``'s value (or dx) at the n-point rule on ``place`` of the elements of
-        `slabs_at` (place), (slabs, nx, n), written into ``out`` if one is given.  Without
-        ``out``, a separable part's trace is a read-only view of the chunk's kept product.
-        A difference writes b's trace and subtracts it from a's, in place."""
-        if isinstance(field, DifferenceField):
-            if out is None:
-                out = np.empty((len(self.slabs_at(place)), self.mesh.nx, self.n), dtype=complex)
-            self.trace(field.b, place, dx, out)
-            return np.subtract(self.trace(field.a, place, dx), out, out=out)
+        `slabs_at` (place), (slabs, nx, n), written into ``out`` if one is given."""
         slabs, mesh, n = self.slabs_at(place), self.mesh, self.n
-        if isinstance(field, ClosedFormField) and field.separable is not None:
-            values = self._separable(field, place, dx)
-        elif hasattr(field, "traces"):
+        if hasattr(field, "traces"):
             return field.traces(slabs, n, place, dx, out=out)
+        ids = np.arange(slabs.start * mesh.nx, slabs.stop * mesh.nx)
+        if place in ("top", "bottom"):
+            t = mesh.ts[np.array(slabs) + (place == "top")]
+            X, T = np.tile(self._nodes, (len(slabs), 1)), np.repeat(t, mesh.nx)[:, None]
         else:
-            ids = np.arange(slabs.start * mesh.nx, slabs.stop * mesh.nx)
-            if place in ("top", "bottom"):
-                t = mesh.ts[np.array(slabs) + (place == "top")]
-                X, T = np.tile(self._nodes, (len(slabs), 1)), np.repeat(t, mesh.nx)[:, None]
-            else:
-                x = mesh.xs[1:] if place == "right" else mesh.xs[:-1]
-                X, T = np.tile(x, len(slabs))[:, None], np.repeat(self.times, mesh.nx, axis=0)
-            X, T = np.broadcast_arrays(X, T)
-            values = (field.dx if dx else field.value)(ids, X, T).reshape(len(slabs), mesh.nx, n)
+            x = mesh.xs[1:] if place == "right" else mesh.xs[:-1]
+            X, T = np.tile(x, len(slabs))[:, None], np.repeat(self.times, mesh.nx, axis=0)
+        values = (field.dx if dx else field.value)(ids, X, T).reshape(len(slabs), mesh.nx, n)
         if out is None:
             return values
         np.copyto(out, values)
         return out
 
-    def _separable(self, field: ClosedFormField, place: str, dx: bool) -> np.ndarray:
-        # one trace on the owned t-lines, or on every x-line, serves both sides
-        space_like = place in ("top", "bottom")
-        if (field, space_like) not in self._kept:  # T rows, for value and dx
-            t = self.mesh.ts[self.lines.start:self.lines.stop] if space_like else self.times
-            self._kept[field, space_like] = field.separable.t_table(t).T
-        key, Tt = (field, space_like, dx), self._kept[field, space_like]
-        if key not in self._kept:
-            if space_like:  # the value at the Gauss nodes of every column, (t-lines, nx, n)
-                kept = mode_sum(self._tables[field][None], Tt[:, None]).reshape(len(Tt), -1, self.n)
-            else:  # on every x-line at the Gauss times, which run slab by slab
-                X = self._tables[field][dx]
-                kept = mode_sum(X[:, None], Tt[None]).reshape(len(X), -1, self.n).swapaxes(0, 1)
-            kept.flags.writeable = False
-            self._kept[key] = kept
-        kept = self._kept[key]
-        if place == "top":  # the t-lines above the chunk's slabs: the last len(slabs)
-            return kept[len(kept) - len(self.slabs):]
-        if place == "bottom":
-            return kept[:len(self.slabs_at("bottom"))]
-        return kept[:, 1:] if place == "right" else kept[:, :-1]
+
+def _accumulate(rows: np.ndarray, terms_of_rows: list, value) -> None:
+    """rows[f] += sign * value(part) for each (sign, part) of terms_of_rows[f], in place."""
+    for row, terms in zip(rows, terms_of_rows):
+        for sign, part in terms:
+            (np.add if sign > 0 else np.subtract)(row, value(part), out=row)
 
 
-_CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one place, or T
+_CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one place
 
 
 def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
     """The sums of squares of the DG norm's terms and of the plus norm's extra terms,
     (2, F), one column per field: traces written into buffers allocated once per walk,
-    jumps and sums taken in place across every field at once."""
+    jumps and sums taken in place across every field at once.  Without the plus terms a
+    field's closed-form parts are read on the boundary only."""
     nx, nt, F = mesh.nx, mesh.nt, len(fields)
     nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n)[0]
-    parts = dict.fromkeys(part for field in fields for part in _separable_parts(field))
-    tables = {part: part.separable.x_table(nodes.reshape(-1)) for part in parts}
-    step = max(1, _CHUNK_POINTS // (n * max([nx + 1] + [X.shape[1] for X in tables.values()])))
+    times = mapped_intervals(mesh.ts[:-1], mesh.ts[1:], n)[0]
+    traced, closed = [], []  # per field: its row holds sign times its traced parts
+    for field in fields:
+        terms = _terms(field)  # below, ends[i]: part i is read at the boundary only
+        ends = [not with_plus and isinstance(part, ClosedFormField) for _, part in terms]
+        sign = next((s for (s, _), end in zip(terms, ends) if not end), 1.0)
+        traced.append([(s * sign, part) for (s, part), end in zip(terms, ends) if not end])
+        closed.append([(s * sign, part) for (s, part), end in zip(terms, ends) if end])
+    # each closed-form part at t = 0 and t = T, (2, nx, n)
+    parts = dict.fromkeys(part for terms in closed for _, part in terms)
+    t_ends = {part: part.value(None, nodes, mesh.ts[[0, -1], None, None]) for part in parts}
+    step = max(1, _CHUNK_POINTS // (n * (nx + 1)))
     chunks = [range(s, min(s + step, nt)) for s in range(0, nt, step)]
     sums = np.zeros((2, F))
     rows = min(step, nt)  # the most slabs of a chunk: no buffer grows with the slabs
@@ -266,31 +234,30 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
     buffers = np.empty((4, F, rows + 1, nx, n), dtype=complex)
     tops, bottoms, *_ = buffers
     for slabs in chunks:  # the space-like facets: interior, final, initial
-        at = _Chunk(mesh, n, slabs, nodes, tables)
+        at = _Chunk(mesh, n, slabs, nodes, times)
         k = min(slabs.stop, nt - 1) - slabs.start  # interior t-lines the chunk owns
-        top = at.traces(fields, "top", tops)
-        bottom = at.traces(fields, "bottom", bottoms) if k > 0 or slabs.start == 0 else None
+        top = at.traces(traced, "top", tops)
+        bottom = at.traces(traced, "bottom", bottoms) if k > 0 or slabs.start == 0 else None
         if k > 0:
             if with_plus:
                 sums[1] += _wsums(W2, top[:, :k])
             sums[0] += _wsums(W2, np.subtract(top[:, :k], bottom[:, -k:], out=top[:, :k]))
         if slabs.stop == nt:
+            _accumulate(top[:, -1], closed, lambda part: t_ends[part][1])
             sums[0] += _wsums(W2, top[:, -1])
         if slabs.start == 0:
+            _accumulate(bottom[:, 0], closed, lambda part: t_ends[part][0])
             sums[0] += _wsums(W2, bottom[:, 0])
-    del at, tables  # the node X goes before the x-lines' value and dx are built
-    tables = {part: (part.separable.x_table(mesh.xs), part.separable.x_table(mesh.xs, dx=True))
-              for part in parts}
     W2 = np.repeat(mesh.rule(n, "left")[2], 2)
     if with_plus and nx > 1:
         side_sums = np.empty((2, F, rows, nx - 1, n), dtype=complex)  # dx, then value
     for slabs in chunks:  # the time-like facets: interior, then Dirichlet (x_lo, x_hi)
-        at = _Chunk(mesh, n, slabs, nodes, tables)
-        right = at.traces(fields, "right", buffers[0])
-        left = at.traces(fields, "left", buffers[1])
+        at = _Chunk(mesh, n, slabs, nodes, times)
+        right = at.traces(traced, "right", buffers[0])
+        left = at.traces(traced, "left", buffers[1])
         if nx > 1 or with_plus:
-            right_dx = at.traces(fields, "right", buffers[2], dx=True)
-            left_dx = at.traces(fields, "left", buffers[3], dx=True)
+            right_dx = at.traces(traced, "right", buffers[2], dx=True)
+            left_dx = at.traces(traced, "left", buffers[3], dx=True)
         if nx > 1:  # x-line ix + 1: column ix's right side, column ix + 1's left side
             v1, v2 = right[:, :, :-1], left[:, :, 1:]
             g1, g2 = right_dx[:, :, :-1], left_dx[:, :, 1:]
@@ -300,6 +267,10 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
                                    + _wsums(W2, np.add(v1, v2, out=v)) / beta)
             sums[0] += (alpha * _wsums(W2, np.subtract(v1, v2, out=v1))
                         + beta * _wsums(W2, np.subtract(g1, g2, out=g1)))
+        # each closed-form part at x_lo and x_hi at the chunk's Gauss times, (2, slabs, n)
+        x_ends = {part: part.value(None, mesh.xs[[0, -1], None, None], at.times) for part in parts}
+        _accumulate(left[:, :, 0], closed, lambda part: x_ends[part][0])
+        _accumulate(right[:, :, -1], closed, lambda part: x_ends[part][1])
         sums[0] += alpha * (_wsums(W2, left[:, :, 0]) + _wsums(W2, right[:, :, -1]))
         if with_plus:
             sums[1] += (_wsums(W2, left_dx[:, :, 0]) + _wsums(W2, right_dx[:, :, -1])) / alpha
@@ -307,8 +278,8 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
 
 
 def dg_norms(fields, mesh: Mesh, n: int = 20) -> list[float]:
-    """`dg_norm` of each field, in one walk.  The chunks are sized by the widest X
-    table, so a value equals `dg_norm`'s to the bit where each field has one that large."""
+    """`dg_norm` of each field, in one walk; each value equals that field's `dg_norm`
+    to the bit."""
     return [math.sqrt(0.5 * s_dg) for s_dg in _norm_terms(fields, mesh, n, with_plus=False)[0]]
 
 

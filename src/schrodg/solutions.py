@@ -8,17 +8,13 @@ Both families solve i psi_t + (1/2) psi_xx = 0 exactly:
   initial profile sqrt(30) x (1 - x) on (0, 1) with homogeneous Dirichlet
   data, truncated to a fixed number of odd modes.
 
-Both are sums of m products X(x) T(t): ``x_table(x, dx=False)`` returns the
-table X (len(x), m), or its x-derivative, and ``t_table(t)`` the table T
-(m, len(t)), so psi(x_i, t_j) = (X @ T)[i, j], with m = 1 for the exponential
-and one term per mode for the series.  The DG norms build each X table once per
-norm call (see `schrodg.norms`).  The series' value and dx take the same sums
-point by point (`mode_sum`), so they agree with the tables' products to the last
-bit; the exponential's value is one complex exp, which its tables' product
-matches to a few ulps.  The series' T takes about 3 sqrt(m) exponentials per time,
-not m, by a recurrence over blocks of modes (`SquareWellSeries.t_table`); every
-step of it is elementwise in time, so a time's column does not depend on the
-other times of the call.
+The series is a sum of m products X(x) T(t), one per mode: ``x_table(x, dx=False)``
+returns the table X (len(x), m), or its x-derivative, and ``t_table(t)`` the table T
+(m, len(t)).  Its value and dx tabulate X over the entries of x and T over those of
+t, and take each point's sum as one dot (`mode_sum`), broadcast over the points'
+shapes: a point's value does not depend on the other points of the call.  T takes
+about 3 sqrt(m) exponentials per time, not m, by a recurrence over blocks of modes
+(`SquareWellSeries.t_table`); every step of it is elementwise in time.
 """
 
 from __future__ import annotations
@@ -40,19 +36,11 @@ class ExpSolution:
     # kappa * kappa, not kappa ** 2: a float power that overflows raises, a product is inf
 
     def value(self, x, t):
-        return np.exp(self.kappa * np.asarray(x) + 0.5j * (self.kappa * self.kappa) * np.asarray(t))
+        z = self.kappa * np.asarray(x) + 0.5j * (self.kappa * self.kappa) * np.asarray(t)
+        return np.exp(z, out=z if np.ndim(z) else None)  # in place: one array of the points
 
     def dx(self, x, t):
         return self.kappa * self.value(x, t)
-
-    def x_table(self, x, dx: bool = False) -> np.ndarray:
-        """X = kappa^dx exp(kappa x), (len(x), 1)."""
-        X = np.exp(self.kappa * np.asarray(x, dtype=float).reshape(-1, 1))
-        return self.kappa * X if dx else X
-
-    def t_table(self, t) -> np.ndarray:
-        """T = exp(i kappa^2 t / 2), (1, len(t))."""
-        return np.exp(0.5j * (self.kappa * self.kappa) * np.asarray(t, dtype=float).reshape(1, -1))
 
     def derivative(self, j: MultiIndex, point) -> complex:
         x, t = point
@@ -82,11 +70,9 @@ class ExpSolutionND:
 
 
 def mode_sum(X: np.ndarray, Tt: np.ndarray) -> np.ndarray:
-    """sum_m X[..., m] Tt[..., m] over the broadcast leading axes, for a real X and a
-    complex Tt (rows of T.T), both contiguous in m.  Each entry is one product, or one
-    BLAS dot of two contiguous vectors per part, whatever else the call computes."""
-    if X.shape[-1] == 1:
-        return X[..., 0] * Tt[..., 0]
+    """sum_m X[..., m] Tt[..., m] over the broadcast leading axes, for a real X contiguous
+    in m and a complex Tt (rows of T.T).  Each entry is one BLAS dot of two contiguous
+    vectors per part, whatever else the call computes."""
     out = np.empty(np.broadcast_shapes(X.shape[:-1], Tt.shape[:-1]), dtype=complex)
     out.real = np.vecdot(X, np.ascontiguousarray(Tt.real))
     out.imag = np.vecdot(X, np.ascontiguousarray(Tt.imag))
@@ -153,9 +139,10 @@ class SquareWellSeries:
         return T.reshape(blocks * b, t.size)[:self.n_trunc]
 
     def _pointwise(self, x, t, dx: bool) -> np.ndarray:
-        x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
-                                   np.atleast_1d(np.asarray(t, dtype=float)))
-        return mode_sum(self.x_table(x, dx), self.t_table(t).T).reshape(x.shape)
+        """The sum at the points of x and t broadcast: X over x's own entries, T over t's."""
+        x, t = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(t, dtype=float))
+        X = self.x_table(x.reshape(-1), dx).reshape(*x.shape, self.n_trunc)
+        return mode_sum(X, self.t_table(t.reshape(-1)).T.reshape(*t.shape, self.n_trunc))
 
     def value(self, x, t):
         return self._pointwise(x, t, dx=False)

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from schrodg.assembly import (BoundaryData, DiscreteSolution, _data_rhs, _rule_sizes,
-                              _slab_matrix, apply_form_to_field, assemble_global,
-                              constant_data, march, slab_operator, solution_data,
-                              solve_global)
+from schrodg.assembly import (GLOBAL_DOF_CAP, BoundaryData, DiscreteSolution, _data_rhs,
+                              _rule_sizes, _slab_matrix, apply_form_to_field,
+                              assemble_global, constant_data, march, slab_operator,
+                              solution_data, solve_global)
 from schrodg.basis import MeshBasis, SpaceKind
 from schrodg.linalg import cond2, from_band
 from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
-from schrodg.norms import DifferenceField, dg_norm, exact_field
+from schrodg.norms import ClosedFormField, DifferenceField, dg_norm, dg_norms, exact_field
 from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
 from tests.conftest import constant_field, named_mesh
 
@@ -146,6 +146,49 @@ def test_constant_data_is_reproduced_exactly(space):
     sol = march(mesh, space, constant_data(1.0))
     err = dg_norm(DifferenceField(constant_field(), sol), mesh, n=20)
     assert err <= 1e-12
+
+
+def heat_polynomial(n: int, x0: float = 0.37) -> tuple[ClosedFormField, BoundaryData]:
+    """v_n(x, t) = sum_k n! / (k! (n - 2k)!) (i t / 2)^k (x - x0)^(n - 2k), which solves
+    i v_t + v_xx / 2 = 0 (v_2 = (x - x0)^2 + i t), as a field, and its data."""
+    terms = [(math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k)), k)
+             for k in range(n // 2 + 1)]
+
+    def value(x, t):
+        return sum(c * (0.5j * t) ** k * (x - x0) ** (n - 2 * k) for c, k in terms)
+
+    def dx(x, t):
+        return sum(c * (n - 2 * k) * (0.5j * t) ** k * (x - x0) ** (n - 2 * k - 1)
+                   for c, k in terms if 2 * k < n)
+    return ClosedFormField(value, dx), BoundaryData(psi0=lambda x: value(x, 0.0), g_D=value)
+
+
+def own_space_error(space: SpaceKind, n_el: int) -> float:
+    """|||v - psi||| / |||v|||_DG on the n_el x n_el unit mesh, for v the heat polynomial of
+    the space's own degree: 2p for trefftz, p for full and quasi-trefftz."""
+    mesh = build_cartesian_mesh(DOM, n_el, n_el)
+    v, data = heat_polynomial(2 * space.p if space.family == "trefftz" else space.p)
+    err, norm = dg_norms([DifferenceField(v, march(mesh, space, data)), v], mesh, n=20)
+    return err / norm
+
+
+@pytest.mark.parametrize("n_el", [10, 40])
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(p, seed) for p in (1, 2, 3) for seed in "ab"]
+                         + [SpaceKind.full_poly(p) for p in (1, 2, 3)]
+                         + [SpaceKind.quasi_trefftz(p) for p in (1, 2, 3)], ids=str)
+def test_own_space_is_reproduced(space, n_el):
+    # a member of the space with a nonzero x-derivative, so that every term of the kernel
+    # and the data that multiplies u_x or v_x counts (ψ = 1 leaves them untouched); the
+    # error grows about linearly in the elements per direction (<= 3.4 n_el eps measured)
+    assert own_space_error(space, n_el) <= 8 * n_el * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("space", [SpaceKind.trefftz(2), SpaceKind.full_poly(2)], ids=str)
+def test_own_space_is_reproduced_above_the_global_cap(space):
+    # 160 x 160 elements: 128,000 (trefftz) and 153,600 (full) unknowns, past the dense
+    # global oracle's cap (1.2 n_el eps measured)
+    assert 160 * 160 * space.dim(1) > GLOBAL_DOF_CAP
+    assert own_space_error(space, 160) <= 8 * 160 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("space", [SpaceKind.trefftz(1), SpaceKind.trefftz(2),

@@ -215,24 +215,22 @@ def test_norms_match_per_facet_walk(monkeypatch, kind, mesh_name):
             "one_column": lambda: build_cartesian_mesh(DOM, 1, 4),
             # the only t-lines are the initial and the final one, both in one chunk
             "one_slab": lambda: build_cartesian_mesh(DOM, 5, 1),
-            # grid lines away from x = 0 and 2/7 apart, which the factor tables look up
+            # grid lines away from x = 0 and 2/7 apart
             "offset": lambda: build_cartesian_mesh(SpaceTimeDomain(-0.5, 1.5, 0.3), 7, 4),
-            # the series' T tables cap a chunk at a few of these 16 slabs
+            # chunks of 3 of these 16 slabs, below: the Dirichlet rows of a closed-form
+            # part are read chunk by chunk
             "chunked": lambda: build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 16, 16),
             # a chunk per slab, below: every interior t-line lies between two chunks,
             # and the chunk below it reads its bottom trace from the slab above
             "one_slab_chunks": lambda: build_cartesian_mesh(DOM, 5, 4),
             }[mesh_name]()
-    if mesh_name == "one_slab_chunks":
-        monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS", 1)
+    if mesh_name in ("one_slab_chunks", "chunked"):
+        monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS",
+                            1 if mesh_name == "one_slab_chunks" else 3 * 12 * 17)
     field = _field(kind, mesh)
     ref_dg, ref_plus = per_facet_norms(field, mesh, 12)
     assert dg_norm(field, mesh, n=12) == pytest.approx(ref_dg, rel=1e-12)
     assert dg_plus_norm(field, mesh, n=12) == pytest.approx(ref_plus, rel=1e-12)
-    if mesh_name == "chunked" and kind == "series":  # at least 2 chunks of each orientation
-        series = CountingFactors()
-        dg_norm(exact_field(series), mesh, n=12)
-        assert len(series.times) >= 4
 
 
 @pytest.mark.parametrize("step", [1, 2, 3, 7])
@@ -241,7 +239,8 @@ def test_chunks_own_each_t_line_once(step):
     # and read the bottoms of the slabs just above their own t-lines
     mesh = build_cartesian_mesh(DOM, 3, 7)
     nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], 4)[0]
-    chunks = [_Chunk(mesh, 4, range(s, min(s + step, 7)), nodes, {})
+    times = mapped_intervals(mesh.ts[:-1], mesh.ts[1:], 4)[0]
+    chunks = [_Chunk(mesh, 4, range(s, min(s + step, 7)), nodes, times)
               for s in range(0, 7, step)]
     assert [line for chunk in chunks for line in chunk.lines] == list(range(8))
     for chunk in chunks:
@@ -250,18 +249,19 @@ def test_chunks_own_each_t_line_once(step):
 
 
 class CountingSeries:
-    """The square-well series, counting its value and dx calls."""
+    """The square-well series, recording the number of points (x and t broadcast) of
+    each value and dx call."""
 
     def __init__(self):
         self.series = SquareWellSeries(250)
-        self.calls = {"value": 0, "dx": 0}
+        self.calls = {"value": [], "dx": []}
 
     def value(self, x, t):
-        self.calls["value"] += 1
+        self.calls["value"].append(np.broadcast(x, t).size)
         return self.series.value(x, t)
 
     def dx(self, x, t):
-        self.calls["dx"] += 1
+        self.calls["dx"].append(np.broadcast(x, t).size)
         return self.series.dx(x, t)
 
 
@@ -285,66 +285,39 @@ def _square_well_solve():
     return mesh, march(mesh, SpaceKind.trefftz(1), data)
 
 
-def test_one_evaluation_per_facet_group_leaves_the_norms_unchanged():
+def test_a_closed_form_part_read_on_the_boundary_only_moves_the_norm_by_rounding():
+    # dg_norm reads a ClosedFormField on the boundary only, and traces a field of any
+    # other type on every facet, where its two sides cancel in each interior jump up to
+    # rounding; dg_plus_norm traces both on every facet, so they agree to the bit
     mesh, dsol = _square_well_solve()
     exact = exact_field(SquareWellSeries(250))
-    for norm in (dg_norm, dg_plus_norm):
-        once = norm(DifferenceField(exact, dsol), mesh)
-        per_side = norm(DifferenceField(DuckField(exact), dsol), mesh)
-        assert once == per_side
-
-
-class CountingFactors(CountingSeries):
-    """The square-well series, recording len(x) of each x_table call and the times t of
-    each t_table call."""
-
-    def __init__(self):
-        super().__init__()
-        self.x_sizes, self.times = [], []
-
-    def x_table(self, x, dx=False):
-        self.x_sizes.append(np.size(x))
-        return self.series.x_table(x, dx)
-
-    def t_table(self, t):
-        self.times.append(np.asarray(t, dtype=float).reshape(-1))
-        return self.series.t_table(t)
-
-
-@pytest.mark.parametrize("nx, nt", [(4, 3), (16, 16)])
-def test_factor_tables_are_built_once_per_norm(nx, nt):
-    # sin/cos once per space-like Gauss node and per grid line, whatever the number
-    # of time levels: 3 x_table calls on both meshes (value on the nodes, value and
-    # dx on the lines); exp once per distinct time, however the slabs are chunked:
-    # every t-line and every slab's Gauss time, and none of them twice
-    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), nx, nt)
-    series = CountingFactors()
-    dg_plus_norm(exact_field(series), mesh, n=20)
-    assert sorted(series.x_sizes) == [nx + 1, nx + 1, 20 * nx]
-    times = np.concatenate(series.times)
-    assert len(np.unique(times)) == len(times) == (nt + 1) + 20 * nt
-    assert series.calls == {"value": 0, "dx": 0}
+    boundary_only = dg_norm(DifferenceField(exact, dsol), mesh)
+    assert boundary_only == pytest.approx(dg_norm(DifferenceField(DuckField(exact), dsol), mesh),
+                                          rel=1e-14)
+    assert (dg_plus_norm(DifferenceField(exact, dsol), mesh)
+            == dg_plus_norm(DifferenceField(DuckField(exact), dsol), mesh))
 
 
 def _square_well_solutions(nx, nt):
-    """The square-well mesh of nx x nt elements and the trefftz, full and plane-wave
-    p = 1 solutions on it."""
+    """The square-well mesh of nx x nt elements and the p = 1 solutions of the four
+    families on it."""
     mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), nx, nt)
     data = BoundaryData(psi0=square_well_initial,
                         g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
     return mesh, [march(mesh, SpaceKind(family, 1), data)
-                  for family in ("trefftz", "full", "planewave")]
+                  for family in ("trefftz", "quasi-trefftz", "full", "planewave")]
 
 
-def test_dg_norms_equal_each_dg_norm():
-    # 16 x 16 at n = 20: chunks of 3 slabs, so the shared traces are kept per chunk
+def test_dg_norms_equal_each_dg_norm(monkeypatch):
+    # 16 x 16 at n = 20, in chunks of 3 slabs
     mesh, sols = _square_well_solutions(16, 16)
+    monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS", 3 * 20 * 17)
     exact = exact_field(SquareWellSeries(250))
     fields = [DifferenceField(exact, s) for s in sols]
     together = dg_norms(fields, mesh)
     assert together == [dg_norm(f, mesh) for f in fields]
-    assert len(set(together)) == 3
-    # a series of its own gets tables of its own, with chunks of the same size
+    assert len(set(together)) == 4
+    # a series of its own is read on its own
     mixed = fields + [DifferenceField(exact_field(SquareWellSeries(250)), sols[0])]
     assert dg_norms(mixed, mesh) == [dg_norm(f, mesh) for f in mixed]
     assert dg_norms([], mesh) == []
@@ -352,9 +325,8 @@ def test_dg_norms_equal_each_dg_norm():
 
 def test_dg_norms_of_unequal_fields_equal_each_dg_norm(monkeypatch):
     # fields of every kind stacked in one walk: trefftz p2 (dim 5) and full p2 (dim 6)
-    # errors of a separable exact field, an elementwise interpolant, and a closed-form
-    # field without tables; chunks of 2, 2 and 1 slabs, so the last chunk fills part of
-    # each buffer
+    # errors of an exact field, an elementwise interpolant, and the exact field alone;
+    # chunks of 2, 2 and 1 slabs, so the last chunk fills part of each buffer
     mesh, sol = build_cartesian_mesh(DOM, 6, 5), ExpSolution(3.0)
     monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS", 2 * 20 * (mesh.nx + 1))
     exact = exact_field(sol)
@@ -370,50 +342,45 @@ def test_dg_norms_of_unequal_fields_equal_each_dg_norm(monkeypatch):
     assert dg_norms(fields[::-1], mesh) == together[::-1]
 
 
-def test_fields_that_share_an_exact_field_trace_it_once(monkeypatch):
-    # the table calls, the trace products and the rules of one field's walk serve
-    # every field of the walk
-    import schrodg.norms
-
+def test_the_exact_field_is_read_once_per_walk_on_the_boundary_only(monkeypatch):
+    # the series' value at t = 0 and t = T on the columns' Gauss nodes, in one call, then
+    # at x_lo and x_hi at the Gauss times of each chunk of 3 slabs (6 chunks): 2 nx n +
+    # 2 nt n points per walk, however many fields share it, and never its dx; the rules of
+    # one walk are a row along the space-like facets and one along the time-like ones
     mesh, sols = _square_well_solutions(16, 16)
+    monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS", 3 * 20 * 17)
     dg_norms(sols, mesh)  # every trace table the walk reads, built before counting
-    rules, products = [], []
-    rule, mode_sum = Mesh.rule, schrodg.norms.mode_sum
+    rule, rules = Mesh.rule, []
     monkeypatch.setattr(Mesh, "rule",
                         lambda mesh, n, place: rules.append(place) or rule(mesh, n, place))
-    monkeypatch.setattr(schrodg.norms, "mode_sum",
-                        lambda X, Tt: products.append(X.shape) or mode_sum(X, Tt))
     calls = []
     for fields in (sols[:1], sols):
-        series = CountingFactors()
+        series = CountingSeries()
         exact = exact_field(series)
         rules.clear()
-        products.clear()
-        dg_norms([DifferenceField(exact, s) for s in fields], mesh)
-        calls.append((series.x_sizes, [t.tolist() for t in series.times], list(rules),
-                      list(products)))
+        norms = dg_norms([DifferenceField(exact, s) for s in fields], mesh)
+        calls.append((series.calls, list(rules)))
+        assert norms == dg_norms([DifferenceField(exact_field(SquareWellSeries(250)), s)
+                                  for s in fields], mesh)
     assert calls[0] == calls[1]
-    # the weights of one walk: a row along the space-like facets and one along the
-    # time-like ones, however many chunks (6 here) and fields
-    assert calls[0][2] == ["top", "left"]
+    assert calls[0] == ({"value": [2 * 16 * 20] + [2 * 3 * 20] * 5 + [2 * 1 * 20], "dx": []},
+                        ["top", "left"])
+    assert sum(calls[0][0]["value"]) == 2 * 16 * 20 + 2 * 16 * 20
 
 
-def test_separable_norm_keeps_only_the_factor_tables():
-    # 16 x 16 square-well mesh, n = 20: the space-like X table alone is 320 x 250
-    # doubles (0.64 MB); a T over every slab's times (1.28 MB), or the traces of
-    # every group kept at once, would not fit
-    mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 16, 16)
-    data = BoundaryData(psi0=square_well_initial,
-                        g_D=lambda x, t: np.zeros(np.shape(x), dtype=complex))
-    err = DifferenceField(exact_field(SquareWellSeries(250)),
-                          march(mesh, SpaceKind.trefftz(1), data))
-    tracemalloc.start()
-    try:
-        dg_plus_norm(err, mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1_000_000
+def test_series_value_on_unbroadcast_points_equals_the_broadcast_call():
+    # X over x's own entries and T over t's, then one dot per point: the same sums as at
+    # the broadcast arrays, or at each point alone, to the bit
+    series = SquareWellSeries(250)
+    rng = np.random.default_rng(4)
+    x, t = rng.random(23), 0.1 * rng.random(17)
+    for trace in (series.value, series.dx):
+        got = trace(x[:, None], t[None])
+        assert got.shape == (23, 17)
+        assert got.tobytes() == trace(*np.broadcast_arrays(x[:, None], t[None])).tobytes()
+        assert trace(x[None, :, None], t[:, None, None]).tobytes() == got.T[..., None].tobytes()
+        for i, j in ((0, 0), (5, 16), (22, 3), (11, 9)):
+            assert got[i, j] == trace(x[i], t[j])[0]
 
 
 def test_norm_memory_does_not_grow_with_the_number_of_slabs():

@@ -6,8 +6,7 @@ import pytest
 
 from schrodg.poly import mi
 from schrodg.quadrature import mapped_interval
-from schrodg.solutions import (ExpSolution, ExpSolutionND, SquareWellSeries, mode_sum,
-                               square_well_initial)
+from schrodg.solutions import ExpSolution, ExpSolutionND, SquareWellSeries, square_well_initial
 
 
 def test_exp_value_at_origin():
@@ -33,25 +32,6 @@ def test_exp_residual_vanishes_pointwise():
         res = (1j * sol.derivative(mi(0, 1), (x, t))
                + 0.5 * sol.derivative(mi(2, 0), (x, t)))
         assert abs(res) <= 1e-13 * abs(sol.derivative(mi(0, 0), (x, t)))
-
-
-@pytest.mark.parametrize("kappa", [0.0, 3.0, 4.25, 5.0, 5.75, -5.0, 30.0])
-def test_exp_tables_match_value_and_dx(kappa):
-    # X (len(x), 1) times T (1, len(t)) is exp(kappa x) exp(i kappa^2 t / 2), two
-    # exponentials where value takes one complex exp: a few ulps apart, and equal to the
-    # bit at kappa = 0
-    sol = ExpSolution(kappa)
-    rng = np.random.default_rng(13)
-    x, t = rng.random(40), 0.1 * rng.random(30)
-    T = sol.t_table(t)
-    assert T.shape == (1, 30)
-    for dx, trace in ((False, sol.value), (True, sol.dx)):
-        X = sol.x_table(x, dx)
-        assert X.shape == (40, 1)
-        got, want = mode_sum(X[:, None], T.T[None]), trace(x[:, None], t[None])
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
-        if kappa == 0.0:
-            assert got.tobytes() == want.tobytes()
 
 
 def test_exp_nd_residual_vanishes():

@@ -15,8 +15,8 @@ runs of one side differ at all; it is 0 otherwise.  The list holds no run finer 
 level 4 at p = 3: beyond it a one-ulp change of the coefficients moves ``dg_error`` by
 more than 1e-12 (4.6e-11 at level 6), so such runs are judged by hand against that
 noise.  At p = 1 there is no such floor (3.6e-16 at every level), so ``singular --p 1
---levels 6`` is in the list: up to 64 x 64 elements, the largest run here in which the
-250-mode square-well series' factor tables take a large share of the time.
+--levels 6`` is in the list: up to 64 x 64 elements, the largest run here of the
+250-mode square-well series, which the DG norms read on the boundary only.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagon
 SCREEN = "tests/test_assembly.py::test_plane_wave_screen_keeps_each_decision"
 MARCH_GLOBAL = "tests/test_assembly.py::test_marching_equals_global_oracle"
 SERIES_TABLES = "tests/test_solutions.py::test_series_tables_match_a_long_double_reference"
-EXP_TABLES = "tests/test_solutions.py::test_exp_tables_match_value_and_dx"
+OWN_SPACE_ABOVE_CAP = "tests/test_assembly.py::test_own_space_is_reproduced_above_the_global_cap"
 # the time-like terms of the walk: the plus norm's averages, then the jumps in place
 AVERAGES = ("            if with_plus:  # the averages, before the jumps overwrite v1 and g1\n"
             "                g, v = side_sums[:, :, :len(slabs)]\n"
@@ -68,6 +68,22 @@ MUTANTS = [
      "    dirichlet = 0.5 * (normal[:, None, None] * vg[own, own]",
      "    dirichlet = 0.5 * (-normal[:, None, None] * vg[own, own]",
      [BAND_BLOCK]),
+    # the own-space solves alone, on meshes past the global cap, against the terms that
+    # multiply u_x or v_x: constant data (u_x = 0) leaves the Dirichlet normal at 1e-13
+    ("Dirichlet normal flipped in _slab_matrix, own-space solves only", ASSEMBLY,
+     "    dirichlet = 0.5 * (normal[:, None, None] * vg[own, own]",
+     "    dirichlet = 0.5 * (-normal[:, None, None] * vg[own, own]",
+     [OWN_SPACE_ABOVE_CAP]),
+    ("the sign of the -1/2 <u> [v_x] term flipped, own-space solves only", ASSEMBLY,
+     " - 0.5 * na * gv + ", " + 0.5 * na * gv + ",
+     [OWN_SPACE_ABOVE_CAP]),
+    ("g_D's dx term flipped in _data_rhs, own-space solves only", ASSEMBLY,
+     "0.5 * (sign * g + 1j / hx * v)", "0.5 * (-sign * g + 1j / hx * v)",
+     [OWN_SPACE_ABOVE_CAP]),
+    ("the volume term negated, own-space solves only", ASSEMBLY,
+     "        diagonal += _pair(basis.table(n_form, \"volume\", image=True),",
+     "        diagonal -= _pair(basis.table(n_form, \"volume\", image=True),",
+     [OWN_SPACE_ABOVE_CAP]),
     ("the trial's left-side normal flipped in the batched combination", ASSEMBLY,
      "na, nb = normal[:, None, None, None], normal[None, :, None, None]",
      "na, nb = normal[:, None, None, None], np.abs(normal)[None, :, None, None]",
@@ -133,12 +149,24 @@ MUTANTS = [
     ("alpha = 1/h_t, beta = h_t in the norms", NORMS,
      "1.0 / mesh.h[0], mesh.h[0]\n", "1.0 / mesh.h[1], mesh.h[1]\n",
      ["tests/test_norms.py"]),
-    ("the time-like reshape without swapaxes", NORMS,
-     "-1, self.n).swapaxes(0, 1)", "-1, self.n)",
+    # a closed-form part, read on the boundary only, and the signs of a field's parts
+    ("the closed-form part's sign flipped in the boundary rows", NORMS,
+     "closed.append([(s * sign, part)", "closed.append([(-s * sign, part)",
      ["tests/test_norms.py"]),
-    ("the x-lines' value and dx tables swapped in the time-like pass", NORMS,
-     "(part.separable.x_table(mesh.xs), part.separable.x_table(mesh.xs, dx=True))",
-     "(part.separable.x_table(mesh.xs, dx=True), part.separable.x_table(mesh.xs))",
+    ("a field's later parts added, not subtracted", NORMS,
+     "(np.add if sign > 0 else np.subtract)", "(np.add if sign != 0 else np.subtract)",
+     ["tests/test_norms.py"]),
+    ("the closed-form part's initial and final rows swapped", NORMS,
+     "mesh.ts[[0, -1], None, None]", "mesh.ts[[-1, 0], None, None]",
+     ["tests/test_norms.py"]),
+    ("the closed-form part's x_lo and x_hi rows swapped", NORMS,
+     "mesh.xs[[0, -1], None, None]", "mesh.xs[[-1, 0], None, None]",
+     ["tests/test_norms.py"]),
+    ("a row's sign not taken from its first traced part", NORMS,
+     "sign = next((s for (s, _), end in zip(terms, ends) if not end), 1.0)", "sign = 1.0",
+     ["tests/test_norms.py"]),
+    ("the plus norm without the closed-form parts' interior traces", NORMS,
+     "ends = [not with_plus and isinstance(", "ends = [isinstance(",
      ["tests/test_norms.py"]),
     # the norm's slab ranges: a chunk owns the t-lines above its slabs, and slab 0's bottom
     ("a chunk's owned t-lines without its top one", NORMS,
@@ -173,15 +201,15 @@ MUTANTS = [
     ("the time-like averages taken after the in-place differences", NORMS,
      AVERAGES + DIFFERENCES, DIFFERENCES + AVERAGES,
      ["tests/test_norms.py"]),
+    ("the series' T over t's entries in reverse order", SOLUTIONS,
+     "self.t_table(t.reshape(-1)).T", "self.t_table(t.reshape(-1)[::-1]).T",
+     ["tests/test_norms.py::test_series_value_on_unbroadcast_points_equals_the_broadcast_call"]),
     ("the blocked T's step D at 2B, not 4B", SOLUTIONS,
      "4.0 * b * o", "2.0 * b * o",
      [SERIES_TABLES]),
     ("the blocked T's first block seeded with ones", SOLUTIONS,
      "        T[0] = P\n", "        T[0] = 1.0\n",
      [SERIES_TABLES]),
-    ("ExpSolution.x_table without the kappa factor for dx", SOLUTIONS,
-     "        return self.kappa * X if dx else X\n", "        return X\n",
-     [EXP_TABLES]),
 ]
 
 
