@@ -18,30 +18,32 @@ points broadcast to (nF, nq) and row f lies on element eid[f].  The result
 has the shape of the points.  Jumps are always formed from two one-sided
 traces.
 
-The norms read every facet off the grid.  They walk the mesh in chunks of
-consecutive slabs, at most `_CHUNK_POINTS` points of one place each: first the
-space-like facets (the t-lines), then the time-like ones (the x-lines).  Per chunk,
-each field gives its trace at each place of the chunk's elements, "top" and
-"bottom" or "left" and "right" (`Mesh.rule`), as a (slabs, columns, n) array, and a
-facet's two traces are shifted slices of those: the jump across the t-line above
-slab s is top[s] - bottom[s + 1], that across the x-line right of column ix is
-right[:, ix] - left[:, ix + 1], and the Dirichlet owners are left[:, 0] and
-right[:, -1].  A field with traces(slabs, n, place, dx, out) (a discrete solution)
-gives them itself, as one product written into ``out``; any other is called once
-per chunk and place, with the grid's points and every element of the chunk as one
-row.  A difference's trace is the difference of its parts'.  A walk allocates its
-trace buffers once, one per place, (fields, slabs, nx, n), with room for a chunk's
-slabs, so their size never follows the number of slabs; each field's parts are
-combined in its row, and the jumps and sums are taken in place for every field at
-once.  `dg_norms` sums several fields in one walk, each as in a walk of its own.
+The norms read every facet off the grid, in one walk over chunks of consecutive slabs,
+at most `_CHUNK_POINTS` points of one place each.  Per chunk, each field gives its trace
+at each place of the chunk's elements, "top", "bottom", "left" and "right" (`Mesh.rule`),
+as a (slabs, columns, n) array; a facet's two traces are shifted slices of those.  A
+chunk owns the t-lines at its slabs' bottoms: slab 0's is the initial line, and the jump
+across the t-line below slab s is top[s - 1] - bottom[s].  The top of a chunk's last slab
+is carried to the next chunk, the one row it reads of another chunk's slabs; the last
+chunk's is the final line.  The jump across the x-line right of column ix is
+right[:, ix] - left[:, ix + 1], and the Dirichlet owners are left[:, 0] and right[:, -1].
+A field with traces(slabs, n, place, dx, out) (a discrete solution) gives them itself,
+as one product written into ``out``; any other is called once per chunk and place: a
+closed-form field at the grid's points unbroadcast, any other with a row of points per
+element.  A difference's trace is the difference of its parts'.  A walk allocates its
+trace buffers once, (fields, slabs, nx, n), with room for a chunk's slabs (and the
+carried row), so their size never follows the number of slabs; the sides' values reuse
+the top and bottom buffers once the chunk's t-lines are done.  Each field's parts are
+combined in its row, and the jumps and sums are taken in place for every field at once.
+`dg_norms` sums several fields in one walk, each as in a walk of its own.
 
 A closed-form field (`ClosedFormField`) is continuous with its x-derivative, so it
 never jumps.  `dg_norm` and `dg_norms` trace only a field's other parts, and read
 each distinct closed-form part once per walk through its ``value``, on the boundary
 only: at t = 0 and t = T on the columns' Gauss nodes, and, chunk by chunk, at x_lo
-and x_hi at the slabs' Gauss times.  Those values are added, with their signs, to the initial, final
-and Dirichlet rows.  `dg_plus_norm` needs the whole field's interior values, so it
-traces closed-form parts like any other part.
+and x_hi at the slabs' Gauss times.  Those values are added, with their signs, to the
+initial, final and Dirichlet rows.  `dg_plus_norm` needs the whole field's interior
+values, so it traces closed-form parts like any other part.
 """
 
 from __future__ import annotations
@@ -147,27 +149,20 @@ def _wsums(w2: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class _Chunk:
-    """The places of a chunk of consecutive slabs: its elements' tops, and the bottoms of
-    the elements just above the t-lines it owns (the tops of its slabs, and slab 0's
-    bottom too), or its elements' left and right sides.  ``nodes`` and ``times`` are
-    the Gauss nodes of every column, (nx, n), and the Gauss times of every slab, (nt, n)."""
+    """The places of a chunk of consecutive slabs: its elements' tops and bottoms, left and
+    right sides.  ``nodes`` and ``times`` are the Gauss nodes of every column, (nx, n),
+    and the Gauss times of every slab, (nt, n)."""
 
     def __init__(self, mesh: Mesh, n: int, slabs: range, nodes: np.ndarray, times: np.ndarray):
         self.mesh, self.n, self.slabs, self._nodes = mesh, n, slabs, nodes
         self.times = times[slabs.start:slabs.stop]
-        self.lines = range(slabs.start + (slabs.start > 0), slabs.stop + 1)  # owned t-lines
-
-    def slabs_at(self, place: str) -> range:
-        if place == "bottom":  # the slabs just above the owned t-lines
-            return range(self.lines.start, min(self.lines.stop, self.mesh.nt))
-        return self.slabs
 
     def traces(self, traced, place: str, buffer: np.ndarray, dx: bool = False) -> np.ndarray:
         """Each field's traced parts on ``place``, summed with their signs into its row of
-        ``buffer``, an (F, slabs, nx, n) array with room for the slabs of `slabs_at`
-        (place); ``traced`` holds a list of (sign, part) per field, the first sign +1.
-        Returns the rows in use, (F, len(slabs_at(place)), nx, n)."""
-        out = buffer[:, :len(self.slabs_at(place))]
+        ``buffer``, an (F, slabs, nx, n) array with room for the chunk's slabs; ``traced``
+        holds a list of (sign, part) per field, the first sign +1.  Returns the rows in
+        use, (F, len(slabs), nx, n)."""
+        out = buffer[:, :len(self.slabs)]
         for terms, row in zip(traced, out):
             if terms:
                 self.trace(terms[0][1], place, dx, row)
@@ -178,19 +173,22 @@ class _Chunk:
 
     def trace(self, field, place: str, dx: bool = False, out: np.ndarray | None = None
               ) -> np.ndarray:
-        """``field``'s value (or dx) at the n-point rule on ``place`` of the elements of
-        `slabs_at` (place), (slabs, nx, n), written into ``out`` if one is given."""
-        slabs, mesh, n = self.slabs_at(place), self.mesh, self.n
+        """``field``'s value (or dx) at the n-point rule on ``place`` of the chunk's elements,
+        (slabs, nx, n), written into ``out`` if one is given.  A closed-form field is read
+        at the grid's points unbroadcast, any other at a row of points per element."""
+        slabs, mesh, n = self.slabs, self.mesh, self.n
         if hasattr(field, "traces"):
             return field.traces(slabs, n, place, dx, out=out)
-        ids = np.arange(slabs.start * mesh.nx, slabs.stop * mesh.nx)
         if place in ("top", "bottom"):
-            t = mesh.ts[np.array(slabs) + (place == "top")]
-            X, T = np.tile(self._nodes, (len(slabs), 1)), np.repeat(t, mesh.nx)[:, None]
+            points = self._nodes, mesh.ts[np.array(slabs) + (place == "top"), None, None]
         else:
             x = mesh.xs[1:] if place == "right" else mesh.xs[:-1]
-            X, T = np.tile(x, len(slabs))[:, None], np.repeat(self.times, mesh.nx, axis=0)
-        values = (field.dx if dx else field.value)(ids, X, T).reshape(len(slabs), mesh.nx, n)
+            points = x[:, None], self.times[:, None]
+        ids = None
+        if not isinstance(field, ClosedFormField):
+            ids = np.arange(slabs.start * mesh.nx, slabs.stop * mesh.nx)
+            points = [p.reshape(-1, n) for p in np.broadcast_arrays(*points)]
+        values = (field.dx if dx else field.value)(ids, *points).reshape(len(slabs), mesh.nx, n)
         if out is None:
             return values
         np.copyto(out, values)
@@ -209,8 +207,10 @@ _CHUNK_POINTS = 1 << 14  # a chunk's largest array: the points of one place
 
 def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
     """The sums of squares of the DG norm's terms and of the plus norm's extra terms,
-    (2, F), one column per field: traces written into buffers allocated once per walk,
-    jumps and sums taken in place across every field at once.  Without the plus terms a
+    (2, F), one column per field, in one walk over chunks of slabs: traces written into
+    buffers allocated once per walk, jumps and sums taken in place across every field at
+    once.  A chunk owns the t-lines at its slabs' bottoms and hands the next one only the
+    top trace of its last slab, as row 0 of the top buffer.  Without the plus terms a
     field's closed-form parts are read on the boundary only."""
     nx, nt, F = mesh.nx, mesh.nt, len(fields)
     nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n)[0]
@@ -226,54 +226,51 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
     parts = dict.fromkeys(part for terms in closed for _, part in terms)
     t_ends = {part: part.value(None, nodes, mesh.ts[[0, -1], None, None]) for part in parts}
     step = max(1, _CHUNK_POINTS // (n * (nx + 1)))
-    chunks = [range(s, min(s + step, nt)) for s in range(0, nt, step)]
     sums = np.zeros((2, F))
     rows = min(step, nt)  # the most slabs of a chunk: no buffer grows with the slabs
-    W2, alpha, beta = np.repeat(mesh.rule(n, "top")[2], 2), 1.0 / mesh.h[0], mesh.h[0]
-    # a trace buffer per place: top and bottom, then right, left and their dx
-    buffers = np.empty((4, F, rows + 1, nx, n), dtype=complex)
-    tops, bottoms, *_ = buffers
-    for slabs in chunks:  # the space-like facets: interior, final, initial
-        at = _Chunk(mesh, n, slabs, nodes, times)
-        k = min(slabs.stop, nt - 1) - slabs.start  # interior t-lines the chunk owns
-        top = at.traces(traced, "top", tops)
-        bottom = at.traces(traced, "bottom", bottoms) if k > 0 or slabs.start == 0 else None
-        if k > 0:
-            if with_plus:
-                sums[1] += _wsums(W2, top[:, :k])
-            sums[0] += _wsums(W2, np.subtract(top[:, :k], bottom[:, -k:], out=top[:, :k]))
+    Wt, Wx = (np.repeat(mesh.rule(n, place)[2], 2) for place in ("top", "left"))
+    alpha, beta = 1.0 / mesh.h[0], mesh.h[0]
+    # the trace buffers: top, with the carried row first, and bottom, which the sides'
+    # values reuse once the t-lines are done; the sides' dx; the plus norm's averages
+    tops = np.empty((F, rows + 1, nx, n), dtype=complex)
+    bottoms, *sides = np.empty((4, F, rows, nx, n), dtype=complex)
+    for slabs in (range(s, min(s + step, nt)) for s in range(0, nt, step)):
+        at, m = _Chunk(mesh, n, slabs, nodes, times), len(slabs)
+        top = at.traces(traced, "top", tops[:, 1:])  # row j: the chunk's slab j - 1
+        bottom = at.traces(traced, "bottom", bottoms)
+        first = int(slabs.start == 0)  # slab 0's bottom is the initial line, not a jump
+        if first:
+            _accumulate(bottom[:, 0], closed, lambda part: t_ends[part][0])
+            sums[0] += _wsums(Wt, bottom[:, 0])
+        below = tops[:, first:m]  # under the t-lines at the bottoms of slabs[first:]
+        if with_plus:
+            sums[1] += _wsums(Wt, below)
+        sums[0] += _wsums(Wt, np.subtract(below, bottom[:, first:], out=below))
         if slabs.stop == nt:
             _accumulate(top[:, -1], closed, lambda part: t_ends[part][1])
-            sums[0] += _wsums(W2, top[:, -1])
-        if slabs.start == 0:
-            _accumulate(bottom[:, 0], closed, lambda part: t_ends[part][0])
-            sums[0] += _wsums(W2, bottom[:, 0])
-    W2 = np.repeat(mesh.rule(n, "left")[2], 2)
-    if with_plus and nx > 1:
-        side_sums = np.empty((2, F, rows, nx - 1, n), dtype=complex)  # dx, then value
-    for slabs in chunks:  # the time-like facets: interior, then Dirichlet (x_lo, x_hi)
-        at = _Chunk(mesh, n, slabs, nodes, times)
-        right = at.traces(traced, "right", buffers[0])
-        left = at.traces(traced, "left", buffers[1])
+            sums[0] += _wsums(Wt, top[:, -1])
+        tops[:, 0] = top[:, -1]  # the carry: the top of the chunk's last slab
+        right = at.traces(traced, "right", tops[:, 1:])  # the carried row kept
+        left = at.traces(traced, "left", bottoms)
         if nx > 1 or with_plus:
-            right_dx = at.traces(traced, "right", buffers[2], dx=True)
-            left_dx = at.traces(traced, "left", buffers[3], dx=True)
+            right_dx = at.traces(traced, "right", sides[0], dx=True)
+            left_dx = at.traces(traced, "left", sides[1], dx=True)
         if nx > 1:  # x-line ix + 1: column ix's right side, column ix + 1's left side
             v1, v2 = right[:, :, :-1], left[:, :, 1:]
             g1, g2 = right_dx[:, :, :-1], left_dx[:, :, 1:]
             if with_plus:  # the averages, before the jumps overwrite v1 and g1
-                g, v = side_sums[:, :, :len(slabs)]
-                sums[1] += 0.25 * (_wsums(W2, np.add(g1, g2, out=g)) / alpha
-                                   + _wsums(W2, np.add(v1, v2, out=v)) / beta)
-            sums[0] += (alpha * _wsums(W2, np.subtract(v1, v2, out=v1))
-                        + beta * _wsums(W2, np.subtract(g1, g2, out=g1)))
+                mean = sides[2][:, :m, 1:]
+                sums[1] += 0.25 * (_wsums(Wx, np.add(g1, g2, out=mean)) / alpha
+                                   + _wsums(Wx, np.add(v1, v2, out=mean)) / beta)
+            sums[0] += (alpha * _wsums(Wx, np.subtract(v1, v2, out=v1))
+                        + beta * _wsums(Wx, np.subtract(g1, g2, out=g1)))
         # each closed-form part at x_lo and x_hi at the chunk's Gauss times, (2, slabs, n)
         x_ends = {part: part.value(None, mesh.xs[[0, -1], None, None], at.times) for part in parts}
         _accumulate(left[:, :, 0], closed, lambda part: x_ends[part][0])
         _accumulate(right[:, :, -1], closed, lambda part: x_ends[part][1])
-        sums[0] += alpha * (_wsums(W2, left[:, :, 0]) + _wsums(W2, right[:, :, -1]))
+        sums[0] += alpha * (_wsums(Wx, left[:, :, 0]) + _wsums(Wx, right[:, :, -1]))
         if with_plus:
-            sums[1] += (_wsums(W2, left_dx[:, :, 0]) + _wsums(W2, right_dx[:, :, -1])) / alpha
+            sums[1] += (_wsums(Wx, left_dx[:, :, 0]) + _wsums(Wx, right_dx[:, :, -1])) / alpha
     return sums
 
 

@@ -10,11 +10,11 @@ from schrodg.assembly import (BoundaryData, DiscreteSolution, FacetKind, _facets
 from schrodg.basis import SpaceKind
 from schrodg.mesh import Mesh, SpaceTimeDomain, build_cartesian_mesh
 from schrodg.norms import (ClosedFormField, DifferenceField, PiecewisePolyField,
-                           _Chunk, dg_norm, dg_norms, dg_plus_norm, exact_field,
+                           dg_norm, dg_norms, dg_plus_norm, exact_field,
                            l2_slice_error)
 from schrodg.poly import ScaledPolynomial, eval_poly_many, extended_taylor_poly, mi
 from schrodg.solutions import ExpSolution, SquareWellSeries, square_well_initial
-from schrodg.quadrature import mapped_interval, mapped_intervals
+from schrodg.quadrature import mapped_interval
 from tests.conftest import constant_field, named_mesh
 
 DOM = SpaceTimeDomain(0.0, 1.0, 1.0)
@@ -221,7 +221,7 @@ def test_norms_match_per_facet_walk(monkeypatch, kind, mesh_name):
             # part are read chunk by chunk
             "chunked": lambda: build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 0.1), 16, 16),
             # a chunk per slab, below: every interior t-line lies between two chunks,
-            # and the chunk below it reads its bottom trace from the slab above
+            # and the chunk above it reads the top of the slab below from the carried row
             "one_slab_chunks": lambda: build_cartesian_mesh(DOM, 5, 4),
             }[mesh_name]()
     if mesh_name in ("one_slab_chunks", "chunked"):
@@ -234,18 +234,30 @@ def test_norms_match_per_facet_walk(monkeypatch, kind, mesh_name):
 
 
 @pytest.mark.parametrize("step", [1, 2, 3, 7])
-def test_chunks_own_each_t_line_once(step):
-    # consecutive chunks of ``step`` slabs own the t-lines 0..nt between them, each once,
-    # and read the bottoms of the slabs just above their own t-lines
+def test_a_chunk_reads_only_its_own_slabs(monkeypatch, step):
+    # chunks of ``step`` of the 7 slabs: every trace a chunk asks of a discrete field, its
+    # bottoms included, is of the chunk's own slabs, so the ranges in call order partition
+    # the slabs; what a chunk needs of the slab below its first is the carried top row,
+    # and the norms equal those of a walk in one chunk
     mesh = build_cartesian_mesh(DOM, 3, 7)
-    nodes = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], 4)[0]
-    times = mapped_intervals(mesh.ts[:-1], mesh.ts[1:], 4)[0]
-    chunks = [_Chunk(mesh, 4, range(s, min(s + step, 7)), nodes, times)
-              for s in range(0, 7, step)]
-    assert [line for chunk in chunks for line in chunk.lines] == list(range(8))
-    for chunk in chunks:
-        assert list(chunk.slabs_at("bottom")) == [line for line in chunk.lines if line < 7]
-        assert chunk.slabs_at("top") == chunk.slabs
+    dsol = _field("discrete", mesh)
+    fields = [dsol, DifferenceField(exact_field(ExpSolution(3.0)), dsol)]
+    whole = [(dg_norm(f, mesh), dg_plus_norm(f, mesh)) for f in fields]
+    traces, asked = DiscreteSolution.traces, []
+
+    def spy(self, slabs, *args, **kwargs):
+        asked.append(slabs)
+        return traces(self, slabs, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteSolution, "traces", spy)
+    monkeypatch.setattr(schrodg.norms, "_CHUNK_POINTS", step * 20 * (mesh.nx + 1))
+    chunks = [range(s, min(s + step, 7)) for s in range(0, 7, step)]
+    for field, norms in zip(fields, whole):
+        for norm, want in zip((dg_norm, dg_plus_norm), norms):
+            asked.clear()
+            assert norm(field, mesh) == pytest.approx(want, rel=1e-13)
+            # six places per chunk: top, bottom, right, left and the sides' dx
+            assert asked == [slabs for slabs in chunks for _ in range(6)]
 
 
 class CountingSeries:
@@ -381,6 +393,22 @@ def test_series_value_on_unbroadcast_points_equals_the_broadcast_call():
         assert trace(x[None, :, None], t[:, None, None]).tobytes() == got.T[..., None].tobytes()
         for i, j in ((0, 0), (5, 16), (22, 3), (11, 9)):
             assert got[i, j] == trace(x[i], t[j])[0]
+
+
+def test_plus_norm_reads_the_series_at_the_grids_own_points():
+    # dg_plus_norm traces a closed-form part at every place, at the grid's points
+    # unbroadcast: the 250-mode X over the columns' nodes (or the two x-lines) and T over
+    # the slabs' times, not over every element's row of points (32 MB measured when each
+    # element's points were tiled; 2.6 MB at the grid's points)
+    mesh, sols = _square_well_solutions(16, 16)
+    err = DifferenceField(exact_field(SquareWellSeries(250)), sols[0])
+    want = dg_plus_norm(err, mesh)  # every trace table the walk reads, built before
+    tracemalloc.start()
+    try:
+        assert dg_plus_norm(err, mesh) == want
+        assert tracemalloc.get_traced_memory()[1] <= 4e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_norm_memory_does_not_grow_with_the_number_of_slabs():

@@ -9,14 +9,16 @@ prints "byte-identical", or the largest relative deviation |a - b| / max(|a|, |b
 each numeric column that moved (a JSON file's columns are its leaf paths, list indices
 dropped).
 
-The exit code is 1 when a deviation exceeds 1e-12, when a file differs in anything but
-its numbers, when the sides write different files or exit differently, or when the two
-runs of one side differ at all; it is 0 otherwise.  The list holds no run finer than
-level 4 at p = 3: beyond it a one-ulp change of the coefficients moves ``dg_error`` by
-more than 1e-12 (4.6e-11 at level 6), so such runs are judged by hand against that
-noise.  At p = 1 there is no such floor (3.6e-16 at every level), so ``singular --p 1
---levels 6`` is in the list: up to 64 x 64 elements, the largest run here of the
-250-mode square-well series, which the DG norms read on the boundary only.
+The exit code is 1 when a deviation exceeds its run's tolerance, when a file differs in
+anything but its numbers, when the sides write different files or exit differently, or
+when the two runs of one side differ at all; it is 0 otherwise.  The tolerance is 1e-12
+for every run but the fine one, ``conv-h --p 3 --levels 7``: at p = 3 beyond level 4 a
+one-ulp change of the coefficients moves ``dg_error`` by more than 1e-12 (4.6e-11 at
+level 6, 640 x 640 elements, this run's finest level), so that run is judged against
+1e-10, about twice that one-ulp noise floor.  At p = 1 there is no such floor (3.6e-16
+at every level), so ``singular --p 1 --levels 6`` is in the list at 1e-12: up to 64 x 64
+elements, the largest run here of the 250-mode square-well series, which the DG norms
+read on the boundary only.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOLERANCE = 1e-12
+FINE = {"conv-h --p 3 --levels 7": 1e-10}  # run -> its tolerance, past the one-ulp floor
 RUNS = [*(f"singular --p {p} --levels {levels}" for p in (1, 2, 3) for levels in (3, 4)),
         "singular --p 1 --levels 6",
         "conv-h --p 3 --levels 4",
@@ -39,7 +42,12 @@ RUNS = [*(f"singular --p {p} --levels {levels}" for p in (1, 2, 3) for levels in
         "conv-h --p 1 --levels 3 --global-oracle",
         "conv-p --levels 3",
         "conv-p --space planewave --levels 3",
-        "conditioning --p 2 --levels 3"]
+        "conditioning --p 2 --levels 3",
+        *FINE]
+
+
+def run_dir(run: str) -> str:
+    return run.replace(" --", "_").replace(" ", "")
 
 
 def run_all(src: Path, out: Path) -> dict[str, int]:
@@ -49,7 +57,7 @@ def run_all(src: Path, out: Path) -> dict[str, int]:
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     codes = {}
     for run in RUNS:
-        where = out / run.replace(" --", "_").replace(" ", "")
+        where = out / run_dir(run)
         where.mkdir(parents=True)
         codes[run] = subprocess.run([sys.executable, "-m", "schrodg.cli", *run.split(),
                                      "--out", str(where / "out.csv")], env=env, cwd=where,
@@ -147,7 +155,8 @@ def main(argv: list[str]) -> int:
             ok = False
             print(f"files differ: only at {rev}: {sorted(theirs.keys() - ours.keys())}; "
                   f"only in the working tree: {sorted(ours.keys() - theirs.keys())}")
-        worst = 0.0
+        tolerances = {run_dir(run): tol for run, tol in FINE.items()}
+        worst, over = 0.0, []
         for name in sorted(theirs.keys() & ours.keys()):
             if theirs[name] == ours[name]:
                 print(f"{name}: byte-identical")
@@ -158,12 +167,16 @@ def main(argv: list[str]) -> int:
                 print(f"{name}: differs in more than its numbers")
                 continue
             worst = max([worst, *moved.values()])
+            if max(moved.values(), default=0.0) > tolerances.get(name.split("/")[0], TOLERANCE):
+                over.append(name)
             listed = ", ".join(f"{c} {d:.2g}" for c, d in moved.items() if d)
             print(f"{name}: max relative deviation {listed}" if listed else
                   f"{name}: the same numbers, written differently")
-    ok = ok and worst <= TOLERANCE
+    ok = ok and not over
+    limits = "; ".join([f"{TOLERANCE:g}", *(f"{run}: {tol:g}" for run, tol in FINE.items())])
     print(f"{len(RUNS)} runs, twice per side, {len(ours)} files; largest deviation "
-          f"{worst:.2g} (tolerance {TOLERANCE:g}): {'PASS' if ok else 'FAIL'}")
+          f"{worst:.2g} (tolerance {limits}); over it: {', '.join(over) or 'none'}: "
+          f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -39,11 +39,16 @@ SERIES_TABLES = "tests/test_solutions.py::test_series_tables_match_a_long_double
 OWN_SPACE_ABOVE_CAP = "tests/test_assembly.py::test_own_space_is_reproduced_above_the_global_cap"
 # the time-like terms of the walk: the plus norm's averages, then the jumps in place
 AVERAGES = ("            if with_plus:  # the averages, before the jumps overwrite v1 and g1\n"
-            "                g, v = side_sums[:, :, :len(slabs)]\n"
-            "                sums[1] += 0.25 * (_wsums(W2, np.add(g1, g2, out=g)) / alpha\n"
-            "                                   + _wsums(W2, np.add(v1, v2, out=v)) / beta)\n")
-DIFFERENCES = ("            sums[0] += (alpha * _wsums(W2, np.subtract(v1, v2, out=v1))\n"
-               "                        + beta * _wsums(W2, np.subtract(g1, g2, out=g1)))\n")
+            "                mean = sides[2][:, :m, 1:]\n"
+            "                sums[1] += 0.25 * (_wsums(Wx, np.add(g1, g2, out=mean)) / alpha\n"
+            "                                   + _wsums(Wx, np.add(v1, v2, out=mean)) / beta)\n")
+DIFFERENCES = ("            sums[0] += (alpha * _wsums(Wx, np.subtract(v1, v2, out=v1))\n"
+               "                        + beta * _wsums(Wx, np.subtract(g1, g2, out=g1)))\n")
+# the space-like jumps: the tops under the t-lines, the carried row first, against the bottoms
+JUMPS = ("        below = tops[:, first:m]  # under the t-lines at the bottoms of slabs[first:]\n"
+         "        if with_plus:\n"
+         "            sums[1] += _wsums(Wt, below)\n"
+         "        sums[0] += _wsums(Wt, np.subtract(below, bottom[:, first:], out=below))\n")
 
 # (name, file, old text, new text, pytest node ids that must fail)
 MUTANTS = [
@@ -144,7 +149,7 @@ MUTANTS = [
      "                    fun = fun / self.h[0]\n", "                    pass\n",
      [BAND_BLOCK]),
     ("dg_norm's beta term dropped", NORMS,
-     "\n                        + beta * _wsums(W2, np.subtract(g1, g2, out=g1))", "",
+     "\n                        + beta * _wsums(Wx, np.subtract(g1, g2, out=g1))", "",
      ["tests/test_norms.py"]),
     ("alpha = 1/h_t, beta = h_t in the norms", NORMS,
      "1.0 / mesh.h[0], mesh.h[0]\n", "1.0 / mesh.h[1], mesh.h[1]\n",
@@ -168,35 +173,30 @@ MUTANTS = [
     ("the plus norm without the closed-form parts' interior traces", NORMS,
      "ends = [not with_plus and isinstance(", "ends = [isinstance(",
      ["tests/test_norms.py"]),
-    # the norm's slab ranges: a chunk owns the t-lines above its slabs, and slab 0's bottom
-    ("a chunk's owned t-lines without its top one", NORMS,
-     "range(slabs.start + (slabs.start > 0), slabs.stop + 1)",
-     "range(slabs.start + (slabs.start > 0), slabs.stop)",
+    # the one pass: a chunk owns the t-lines at its slabs' bottoms and carries one top row
+    ("the carry row not copied", NORMS,
+     "        tops[:, 0] = top[:, -1]  # the carry: the top of the chunk's last slab\n", "",
      ["tests/test_norms.py"]),
-    ("a chunk's owned t-lines from the line below its first slab", NORMS,
-     "range(slabs.start + (slabs.start > 0), slabs.stop + 1)",
-     "range(slabs.start, slabs.stop + 1)",
+    ("slab 0's bottom taken as a jump", NORMS,
+     JUMPS, JUMPS.replace("first:", "0:"),
      ["tests/test_norms.py"]),
-    ("the bottoms one slab short of the owned t-lines", NORMS,
-     "range(self.lines.start, min(self.lines.stop, self.mesh.nt))",
-     "range(self.lines.start, min(self.lines.stop - 1, self.mesh.nt))",
+    ("the interior jumps against the bottoms one row off", NORMS,
+     JUMPS, JUMPS.replace("tops[:, first:m]", "tops[:, first + 1:m + 1]"),
      ["tests/test_norms.py"]),
-    ("the bottoms from the slab below the first owned t-line", NORMS,
-     "range(self.lines.start, min(self.lines.stop, self.mesh.nt))",
-     "range(max(self.lines.start - 1, 0), min(self.lines.stop, self.mesh.nt))",
+    ("the sides' values written over the carried row", NORMS,
+     'right = at.traces(traced, "right", tops[:, 1:])', 'right = at.traces(traced, "right", tops)',
+     ["tests/test_norms.py"]),
+    ("the closed-form part added to the carry row instead of the final row", NORMS,
+     "_accumulate(top[:, -1], closed,", "_accumulate(tops[:, 0], closed,",
      ["tests/test_norms.py"]),
     ("Dirichlet owners swapped in the norms", NORMS,
-     "alpha * (_wsums(W2, left[:, :, 0]) + _wsums(W2, right[:, :, -1]))",
-     "alpha * (_wsums(W2, right[:, :, 0]) + _wsums(W2, left[:, :, -1]))",
+     "alpha * (_wsums(Wx, left[:, :, 0]) + _wsums(Wx, right[:, :, -1]))",
+     "alpha * (_wsums(Wx, right[:, :, 0]) + _wsums(Wx, left[:, :, -1]))",
      ["tests/test_norms.py"]),
     # the walk's in-place arithmetic: a term read after the jump that overwrites it
-    ("the plus norm's top[:k] term read after the in-place jump", NORMS,
-     "            if with_plus:\n"
-     "                sums[1] += _wsums(W2, top[:, :k])\n"
-     "            sums[0] += _wsums(W2, np.subtract(top[:, :k], bottom[:, -k:], out=top[:, :k]))\n",
-     "            sums[0] += _wsums(W2, np.subtract(top[:, :k], bottom[:, -k:], out=top[:, :k]))\n"
-     "            if with_plus:\n"
-     "                sums[1] += _wsums(W2, top[:, :k])\n",
+    ("the plus norm's tops under the t-lines read after the in-place jump", NORMS,
+     JUMPS, JUMPS.replace("        if with_plus:\n            sums[1] += _wsums(Wt, below)\n", "")
+     + "        if with_plus:\n            sums[1] += _wsums(Wt, below)\n",
      ["tests/test_norms.py"]),
     ("the time-like averages taken after the in-place differences", NORMS,
      AVERAGES + DIFFERENCES, DIFFERENCES + AVERAGES,
