@@ -12,23 +12,27 @@ Four families are supported:
 
   (zero once |jx| > 2p - 2), which cancels the operator exactly.
 * ``quasi-trefftz``: degree-p polynomials whose operator image has a zero
-  of order p - 2 at the element center (d = 1 only).
-* ``full``: all scaled monomials of total degree <= p.
+  of order p - 2 at the element center (d = 1 only).  The same recurrence
+  completes each free monomial upward from its own level: x^jx (jx <= p) at
+  j_t = 0, and x^(p - j_t) at each j_t = 1..p.
+* ``full``: all scaled monomials of total degree <= p, not completed.
 * ``planewave``: exp(i (k (x - x_K) - k^2 (t - t_K) / 2)) with 2p + 1
   equispaced wavenumbers k = -2p, -2p + 2, ..., 2p (d = 1 only).
 
 Every family is centered at the element center (x_K, t_K), so all elements
 of one size carry the same basis, only translated.  `element_basis` builds
 the basis of any family on a d = 1 element; `trefftz_basis(d, ...)` builds
-the Trefftz family in any space dimension d.  `MeshBasis` evaluates the basis
-of a mesh's elements, which share the one size `Mesh.h`, from one
-`coefficient_table`: `MeshBasis.table(n, place)` is the read-only trace table of
-the rule at a named place of the element (`Mesh.rule`), and
-`MeshBasis.evaluate` evaluates at any offsets from the centres, in one array
-call.  Every evaluation goes through `poly.scaled_monomials` or the one wave
-formula.  The scaled monomials at a place's rule do not depend on the element
-size: a polynomial family's trace tables contract one table of them, evaluated
-once per process at the reference rule (`quadrature.reference_rule`).
+the Trefftz family in any space dimension d.  Both read the polynomial
+families' coefficients from one cached builder per (family, d, h_x, h_t).
+`MeshBasis` evaluates the basis of a mesh's elements, which share the one
+size `Mesh.h`, from one `coefficient_table`: `MeshBasis.table(n, place)` is
+the read-only trace table of the rule at a named place of the element
+(`Mesh.rule`), and `MeshBasis.evaluate` evaluates at any offsets from the
+centres, in one array call.  Every evaluation goes through
+`poly.scaled_monomials` or the one wave formula.  The scaled monomials at a
+place's rule do not depend on the element size: a polynomial family's trace
+tables contract one table of them, evaluated once per process at the
+reference rule (`quadrature.reference_rule`).
 """
 
 from __future__ import annotations
@@ -134,12 +138,13 @@ def eval_basis_many(b: BasisFunction, xs, ts, deriv: MultiIndex | None = None) -
     return eval_poly_many(b, xs, ts, deriv)
 
 
-def _propagate_trefftz(seed: dict[tuple[int, ...], complex], d: int, p: int,
-                       hx: float, ht: float) -> dict[MultiIndex, complex]:
-    """Complete a spatial seed (coefficients at j_t = 0) to a kernel polynomial."""
-    coeffs: dict[MultiIndex, complex] = {mi(jx, 0): c for jx, c in seed.items() if c != 0}
+def _propagate_trefftz(seed: dict[tuple[int, ...], complex], d: int, hx: float, ht: float,
+                       jt: int = 0) -> dict[MultiIndex, complex]:
+    """Complete a spatial seed, the coefficients at level j_t = ``jt``, upward in j_t by the
+    recurrence until no term is left; from ``jt`` = 0 the result is a kernel polynomial."""
+    coeffs: dict[MultiIndex, complex] = {mi(jx, jt): c for jx, c in seed.items() if c != 0}
     level = {jx: c for jx, c in seed.items() if c != 0}
-    for jt in range(2 * p):
+    while level:
         fac = ht / (2.0 * (jt + 1) * hx * hx)
         nxt: dict[tuple[int, ...], complex] = {}
         for jx, c in sorted(level.items()):
@@ -149,10 +154,9 @@ def _propagate_trefftz(seed: dict[tuple[int, ...], complex], d: int, p: int,
                     tgt = jx[:ell] + (e - 2,) + jx[ell + 1:]
                     nxt[tgt] = nxt.get(tgt, 0.0) + 1j * fac * (e - 1) * e * c
         level = {jx: c for jx, c in nxt.items() if c != 0}
-        if not level:
-            break
+        jt += 1
         for jx, c in level.items():
-            coeffs[mi(jx, jt + 1)] = c
+            coeffs[mi(jx, jt)] = c
     return coeffs
 
 
@@ -177,44 +181,35 @@ def _trefftz_seeds(d: int, p: int, hx: float, seed_choice: str
 
 
 @lru_cache(maxsize=None)
-def _trefftz_local_coeffs(d: int, p: int, hx: float, ht: float, seed_choice: str
-                          ) -> tuple[dict, ...]:
-    return tuple(_propagate_trefftz(seed, d, p, hx, ht)
-                 for seed in _trefftz_seeds(d, p, hx, seed_choice))
+def _local_coeffs(kind: SpaceKind, d: int, hx: float, ht: float) -> tuple[dict, ...]:
+    """The coefficients of a polynomial family's basis on elements of size (hx, ht): each
+    function is one seed, a (j_x, j_t) monomial, completed upward by the recurrence
+    (full polynomials are left uncompleted)."""
+    p = kind.p
+    if kind.family == "trefftz":
+        return tuple(_propagate_trefftz(seed, d, hx, ht)
+                     for seed in _trefftz_seeds(d, p, hx, kind.seed_choice))
+    if kind.family == "full":
+        return tuple({mi(jx, jt): 1.0} for jx in range(p + 1) for jt in range(p - jx + 1))
+    # quasi-trefftz: x^jx for jx <= p at level 0, and x^(p - jt) at each level jt >= 1
+    free = [(jx, 0) for jx in range(p + 1)] + [(p - jt, jt) for jt in range(1, p + 1)]
+    return tuple(_propagate_trefftz({(jx,): 1.0 + 0.0j}, 1, hx, ht, jt) for jx, jt in free)
+
+
+def _polynomial_basis(kind: SpaceKind, d: int, center, scales) -> ElementBasis:
+    hx, ht = float(scales[0]), float(scales[1])
+    bound = 2 * kind.p if kind.family == "trefftz" else kind.p
+    return ElementBasis(kind, tuple(
+        ScaledPolynomial.from_terms(coeffs, center=center, scales=(hx, ht), d=d,
+                                    degree_bound=bound)
+        for coeffs in _local_coeffs(kind, d, hx, ht)))
 
 
 def trefftz_basis(d: int, p: int, center, scales, seed_choice: str = "a") -> ElementBasis:
     """Kernel polynomials of degree <= 2p; dimension C(2p + d, d)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    hx, ht = float(scales[0]), float(scales[1])
-    funcs = [
-        ScaledPolynomial.from_terms(coeffs, center=center, scales=(hx, ht), d=d,
-                                    degree_bound=2 * p)
-        for coeffs in _trefftz_local_coeffs(d, p, hx, ht, seed_choice)
-    ]
-    return ElementBasis(SpaceKind.trefftz(p, seed_choice), tuple(funcs))
-
-
-@lru_cache(maxsize=None)
-def _quasi_trefftz_local_coeffs(p: int, hx: float, ht: float) -> tuple[dict, ...]:
-    # Free coefficients: (jx, 0) for jx <= p, plus (p - jt, jt) for jt >= 1.
-    # The rest follow from requiring the operator image to vanish to order
-    # p - 2 at the center:
-    #   C[jx, jt+1] = i h_t (jx+1)(jx+2) / (2 (jt+1) h_x^2) C[jx+2, jt]
-    # for jx + jt <= p - 2.
-    free = [(jx, 0) for jx in range(p + 1)] + [(p - jt, jt) for jt in range(1, p + 1)]
-    out = []
-    for f in free:
-        c: dict[tuple[int, int], complex] = {f: 1.0 + 0.0j}
-        for jt in range(p - 1):
-            for jx in range(p - 1 - jt):
-                src = c.get((jx + 2, jt), 0.0)
-                val = 1j * ht * (jx + 1) * (jx + 2) / (2.0 * (jt + 1) * hx * hx) * src
-                if val != 0:
-                    c[(jx, jt + 1)] = val
-        out.append({mi(jx, jt): v for (jx, jt), v in c.items()})
-    return tuple(out)
+    return _polynomial_basis(SpaceKind.trefftz(p, seed_choice), d, center, scales)
 
 
 def element_basis(kind: SpaceKind, center, scales) -> ElementBasis:
@@ -222,19 +217,11 @@ def element_basis(kind: SpaceKind, center, scales) -> ElementBasis:
 
     Plane waves do not scale; every other family is in scaled monomials.
     """
-    p = kind.p
-    if kind.family == "trefftz":
-        return trefftz_basis(1, p, center, scales, kind.seed_choice)
-    if kind.family == "planewave":
-        z, s = _normalize_center(center, 1)
-        return ElementBasis(kind, tuple(Wave(-2.0 * p + 2.0 * ell, (z[0], s))
-                                        for ell in range(2 * p + 1)))
-    hx, ht = float(scales[0]), float(scales[1])
-    terms = (_quasi_trefftz_local_coeffs(p, hx, ht) if kind.family == "quasi-trefftz" else
-             [{mi(jx, jt): 1.0} for jx in range(p + 1) for jt in range(p - jx + 1)])  # full
-    return ElementBasis(kind, tuple(ScaledPolynomial.from_terms(c, center=center, scales=(hx, ht),
-                                                                d=1, degree_bound=p)
-                                    for c in terms))
+    if kind.family != "planewave":
+        return _polynomial_basis(kind, 1, center, scales)
+    z, s = _normalize_center(center, 1)
+    return ElementBasis(kind, tuple(Wave(-2.0 * kind.p + 2.0 * ell, (z[0], s))
+                                    for ell in range(2 * kind.p + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -72,11 +72,15 @@ def build_parser() -> _Parser:
 
 def _check_options(args) -> None:
     """Reject every option given that the chosen experiment does not read."""
-    reads = set(READS[args.experiment].split()) - ({"kappa"} if args.constant_data else set())
+    # an option that another given option turns off -> that option's text, else ""
+    other_space = args.space not in (None, "trefftz")
+    scopes = {"kappa": " --constant-data" if args.constant_data else "",
+              "seed_choice": f" --space {args.space}" if other_space else ""}
+    reads = set(READS[args.experiment].split()) - {name for name, scope in scopes.items() if scope}
     for name, value in vars(args).items():
         if value is not None and value is not False and name not in reads | {"experiment", "out"}:
-            scope = " --constant-data" if name == "kappa" and args.constant_data else ""
-            raise ValueError(f"{args.experiment}{scope} does not read --{name.replace('_', '-')}")
+            raise ValueError(f"{args.experiment}{scopes.get(name, '')} does not read "
+                             f"--{name.replace('_', '-')}")
 
 
 def _make_config(args) -> ExperimentConfig:

@@ -14,13 +14,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, constant_data, march,
-                       slab_operator, solution_data, solve_global)
+from .assembly import (GLOBAL_DOF_CAP, BoundaryData, SlabSolveError, _rule_sizes, constant_data,
+                       march, slab_operator, solution_data, solve_global)
 from .basis import FAMILIES, SpaceKind, trefftz_basis
 from .mesh import SpaceTimeDomain, build_cartesian_mesh
 from .norms import DifferenceField, dg_norm, dg_norms, exact_field
 from .poly import apply_schrodinger, eval_poly_many, poly_combination
-from .quadrature import MAX_NODES, box_rule, data_rule_size
+from .quadrature import MAX_NODES, box_rule, data_rule_size, poly_rule_size
 from .solutions import ExpSolution, SquareWellSeries, square_well_initial
 
 SMOOTH_DOMAIN = SpaceTimeDomain(0.0, 1.0, 1.0)
@@ -142,8 +142,7 @@ def _solve_and_error(mesh, space, data, sol_field, quad_n, global_oracle=False) 
         num, den = np.linalg.norm(sol.coeffs - ref.coeffs), np.linalg.norm(ref.coeffs)
         if not num <= 1e-10 * max(den, 1.0):  # a NaN in either solution fails too
             raise OracleMismatchError(f"marching/global mismatch {num / max(den, 1e-300):.3e}")
-    n_norm = quad_n if quad_n is not None else data_rule_size(space.p)
-    return dg_norm(DifferenceField(sol_field, sol), mesh, n=n_norm), sol
+    return dg_norm(DifferenceField(sol_field, sol), mesh, n=_rule_sizes(space, quad_n)[1]), sol
 
 
 def _row(level: int, mesh, space, err, cond) -> ConvergenceRow:
@@ -220,7 +219,7 @@ def run_singular(config: ExperimentConfig) -> dict:
     sol_field = exact_field(SquareWellSeries(250))
     families = FAMILIES if config.all_spaces else (config.space.family,)
     spaces = [SpaceKind(family, p, config.space.seed_choice) for family in families]
-    n_norm = config.quad_n if config.quad_n is not None else data_rule_size(p)
+    n_norm = _rule_sizes(config.space, config.quad_n)[1]
 
     def level(j) -> list[ConvergenceRow]:
         mesh = build_cartesian_mesh(SINGULAR_DOMAIN, 2 * 2 ** j, 2 * 2 ** j)
@@ -243,7 +242,7 @@ def _gram_time_slice(funcs, d: int, p_for_rule: int, center, scales) -> np.ndarr
     z, s = center
     hx = scales[0]
     ranges = [(z[ell] - hx / 2.0, z[ell] + hx / 2.0) for ell in range(d)]
-    pts, wts = box_rule(ranges, 2 * p_for_rule + 2)
+    pts, wts = box_rule(ranges, poly_rule_size(p_for_rule))
     vals = np.stack([eval_poly_many(f, pts if d > 1 else pts[:, 0], s) for f in funcs])
     return (vals.conj() * wts) @ vals.T
 
@@ -276,7 +275,7 @@ def verify_basis(p_max: int = 3, dims: tuple[int, ...] = (1, 2, 3),
             gamma = rng.standard_normal(eb.dim) + 1j * rng.standard_normal(eb.dim)
             member = poly_combination(list(eb.functions), gamma)
             seed = member.time_slice_coeffs()
-            rebuilt = _propagate_trefftz(seed, d, p, scales[0], scales[1])
+            rebuilt = _propagate_trefftz(seed, d, scales[0], scales[1])
             keys = set(member.coeffs) | set(rebuilt)
             scale = max(member.max_coeff(), 1e-300)
             trace_err = max((abs(member.coeffs.get(k, 0.0) - rebuilt.get(k, 0.0))

@@ -252,18 +252,17 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
         tops[:, 0] = top[:, -1]  # the carry: the top of the chunk's last slab
         right = at.traces(traced, "right", tops[:, 1:])  # the carried row kept
         left = at.traces(traced, "left", bottoms)
-        if nx > 1 or with_plus:
-            right_dx = at.traces(traced, "right", sides[0], dx=True)
-            left_dx = at.traces(traced, "left", sides[1], dx=True)
-        if nx > 1:  # x-line ix + 1: column ix's right side, column ix + 1's left side
-            v1, v2 = right[:, :, :-1], left[:, :, 1:]
-            g1, g2 = right_dx[:, :, :-1], left_dx[:, :, 1:]
-            if with_plus:  # the averages, before the jumps overwrite v1 and g1
-                mean = sides[2][:, :m, 1:]
-                sums[1] += 0.25 * (_wsums(Wx, np.add(g1, g2, out=mean)) / alpha
-                                   + _wsums(Wx, np.add(v1, v2, out=mean)) / beta)
-            sums[0] += (alpha * _wsums(Wx, np.subtract(v1, v2, out=v1))
-                        + beta * _wsums(Wx, np.subtract(g1, g2, out=g1)))
+        right_dx = at.traces(traced, "right", sides[0], dx=True)
+        left_dx = at.traces(traced, "left", sides[1], dx=True)
+        # x-line ix + 1: column ix's right side, column ix + 1's left side (none if nx = 1)
+        v1, v2 = right[:, :, :-1], left[:, :, 1:]
+        g1, g2 = right_dx[:, :, :-1], left_dx[:, :, 1:]
+        if with_plus:  # the averages, before the jumps overwrite v1 and g1
+            mean = sides[2][:, :m, 1:]
+            sums[1] += 0.25 * (_wsums(Wx, np.add(g1, g2, out=mean)) / alpha
+                               + _wsums(Wx, np.add(v1, v2, out=mean)) / beta)
+        sums[0] += (alpha * _wsums(Wx, np.subtract(v1, v2, out=v1))
+                    + beta * _wsums(Wx, np.subtract(g1, g2, out=g1)))
         # each closed-form part at x_lo and x_hi at the chunk's Gauss times, (2, slabs, n)
         x_ends = {part: part.value(None, mesh.xs[[0, -1], None, None], at.times) for part in parts}
         _accumulate(left[:, :, 0], closed, lambda part: x_ends[part][0])

@@ -80,7 +80,7 @@ def test_trefftz_uniqueness_by_trace():
     eb = trefftz_basis(1, 3, center=(0.1, -0.2), scales=(0.5, 0.7))
     gamma = rng.standard_normal(eb.dim) + 1j * rng.standard_normal(eb.dim)
     member = poly_combination(list(eb.functions), gamma)
-    rebuilt = _propagate_trefftz(member.time_slice_coeffs(), 1, 3, 0.5, 0.7)
+    rebuilt = _propagate_trefftz(member.time_slice_coeffs(), 1, 0.5, 0.7)
     keys = set(member.coeffs) | set(rebuilt)
     for k in keys:
         assert abs(member.coeffs.get(k, 0) - rebuilt.get(k, 0)) <= 1e-12 * member.max_coeff()
@@ -113,7 +113,7 @@ def test_quasi_trefftz_dimension(p):
     assert eb.dim == 2 * p + 1
 
 
-@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 def test_quasi_trefftz_operator_zero_of_order(p):
     # D^j (S q)(center) = 0 for |j| <= p - 2, read off exactly from coefficients
     eb = element_basis(SpaceKind.quasi_trefftz(p), center=(0.2, 0.1), scales=(0.5, 0.25))
@@ -122,6 +122,18 @@ def test_quasi_trefftz_operator_zero_of_order(p):
         for j, c in res.coeffs.items():
             if j.order <= p - 2:
                 assert abs(c) <= 1e-14 * max(f.max_coeff(), 1.0)
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0), (0.5, 0.7), (0.5, 0.25), (0.1, 0.1),
+                                    (0.05, 0.005)])
+@pytest.mark.parametrize("p", range(1, 8))
+def test_quasi_trefftz_spatial_seed_is_the_trefftz_function(p, scales):
+    # one recurrence completes both: x^jx, jx <= p, seeds the same polynomial to the bit
+    quasi = element_basis(SpaceKind.quasi_trefftz(p), center=(0.2, 0.1), scales=scales)
+    trefftz = trefftz_basis(1, p, center=(0.2, 0.1), scales=scales, seed_choice="a")
+    for jx in range(p + 1):
+        assert quasi.functions[jx].time_slice_coeffs() == {(jx,): 1.0}
+        assert quasi.functions[jx].coeffs == trefftz.functions[jx].coeffs
 
 
 def test_quasi_trefftz_rejects_p0():

@@ -151,6 +151,12 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys):
     (["conditioning", "--seed-choice", "a", "--levels", "2"],
      "conditioning does not read --seed-choice"),
     (["verify-basis", "--seed-choice", "b", "--p", "1"], "seed choice must be a for verify-basis"),
+    (["conv-h", "--space", "full", "--p", "1", "--levels", "2", "--seed-choice", "b"],
+     "conv-h --space full does not read --seed-choice"),
+    (["conv-p", "--space", "quasi-trefftz", "--levels", "2", "--seed-choice", "a"],
+     "conv-p --space quasi-trefftz does not read --seed-choice"),
+    (["singular", "--space", "planewave", "--levels", "2", "--seed-choice", "b"],
+     "singular --space planewave does not read --seed-choice"),
     (["verify-basis", "--quad-n", "8", "--p", "1"], "verify-basis does not read --quad-n"),
     (["verify-basis", "--levels", "2", "--p", "1"], "verify-basis does not read --levels"),
     (["conv-p", "--p", "2", "--levels", "1"], "conv-p does not read --p"),

@@ -38,12 +38,12 @@ MARCH_GLOBAL = "tests/test_assembly.py::test_marching_equals_global_oracle"
 SERIES_TABLES = "tests/test_solutions.py::test_series_tables_match_a_long_double_reference"
 OWN_SPACE_ABOVE_CAP = "tests/test_assembly.py::test_own_space_is_reproduced_above_the_global_cap"
 # the time-like terms of the walk: the plus norm's averages, then the jumps in place
-AVERAGES = ("            if with_plus:  # the averages, before the jumps overwrite v1 and g1\n"
-            "                mean = sides[2][:, :m, 1:]\n"
-            "                sums[1] += 0.25 * (_wsums(Wx, np.add(g1, g2, out=mean)) / alpha\n"
-            "                                   + _wsums(Wx, np.add(v1, v2, out=mean)) / beta)\n")
-DIFFERENCES = ("            sums[0] += (alpha * _wsums(Wx, np.subtract(v1, v2, out=v1))\n"
-               "                        + beta * _wsums(Wx, np.subtract(g1, g2, out=g1)))\n")
+AVERAGES = ("        if with_plus:  # the averages, before the jumps overwrite v1 and g1\n"
+            "            mean = sides[2][:, :m, 1:]\n"
+            "            sums[1] += 0.25 * (_wsums(Wx, np.add(g1, g2, out=mean)) / alpha\n"
+            "                               + _wsums(Wx, np.add(v1, v2, out=mean)) / beta)\n")
+DIFFERENCES = ("        sums[0] += (alpha * _wsums(Wx, np.subtract(v1, v2, out=v1))\n"
+               "                    + beta * _wsums(Wx, np.subtract(g1, g2, out=g1)))\n")
 # the space-like jumps: the tops under the t-lines, the carried row first, against the bottoms
 JUMPS = ("        below = tops[:, first:m]  # under the t-lines at the bottoms of slabs[first:]\n"
          "        if with_plus:\n"
@@ -145,11 +145,15 @@ MUTANTS = [
     ("volume weights not halved in t", QUADRATURE,
      "np.outer(w, w).reshape(-1)", "np.outer(w, weights).reshape(-1)",
      [BAND_BLOCK]),
+    # the one recurrence that completes trefftz and quasi-trefftz seeds alike
+    ("the recurrence's (e - 1) * e as e * e", BASIS,
+     "1j * fac * (e - 1) * e * c", "1j * fac * e * e * c",
+     ["tests/test_basis.py::test_quasi_trefftz_operator_zero_of_order"]),
     ("dx table not divided by h_x", BASIS,
      "                    fun = fun / self.h[0]\n", "                    pass\n",
      [BAND_BLOCK]),
     ("dg_norm's beta term dropped", NORMS,
-     "\n                        + beta * _wsums(Wx, np.subtract(g1, g2, out=g1))", "",
+     "\n                    + beta * _wsums(Wx, np.subtract(g1, g2, out=g1))", "",
      ["tests/test_norms.py"]),
     ("alpha = 1/h_t, beta = h_t in the norms", NORMS,
      "1.0 / mesh.h[0], mesh.h[0]\n", "1.0 / mesh.h[1], mesh.h[1]\n",
