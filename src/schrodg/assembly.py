@@ -121,9 +121,13 @@ class DiscreteSolution:
         self.operator: SlabOperator | None = None
 
     def set_coeffs(self, eid, vec) -> None:
-        """Coefficients of element ``eid``, or rows (len(eid), dim) for an id array."""
-        self.coeffs[eid] = vec
-        self._known[eid] = True
+        """Coefficients of element ``eid``, or rows (len(eid), dim) for an id array; an id
+        outside [0, n_elements) raises."""
+        ids = np.asarray(eid)
+        if np.any((ids < 0) | (ids >= len(self.coeffs))):
+            raise ValueError(f"element ids must lie in [0, {len(self.coeffs)})")
+        self.coeffs[ids] = vec
+        self._known[ids] = True
 
     def traces(self, slabs: range, n: int, place: str, dx: bool = False,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -145,7 +149,7 @@ class DiscreteSolution:
         return self.coeffs[eids]
 
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
-        eids, X, T, shape = field_points(eid, xs, ts)
+        eids, X, T, shape = field_points(eid, xs, ts, self.mesh.n_elements)
         c = self.basis.center[eids]
         values = self.basis.evaluate(X - c[:, :1], T - c[:, 1:], dx=dx)
         return (self._coeffs_of(eids)[:, None, :] @ values)[:, 0].reshape(shape)

@@ -22,22 +22,23 @@ Four families are supported:
 Every family is centered at the element center (x_K, t_K), so all elements
 of one size carry the same basis, only translated.  `element_basis` builds
 the basis of any family on a d = 1 element; `trefftz_basis(d, ...)` builds
-the Trefftz family in any space dimension d.  Both read the polynomial
-families' coefficients from one cached builder per (family, d, h_x, h_t).
+the Trefftz family in any space dimension d.  Both build a polynomial
+family's coefficients anew (`_local_coeffs`): a few seeds and one recurrence.
 `MeshBasis` evaluates the basis of a mesh's elements, which share the one
-size `Mesh.h`, from one `coefficient_table`: `MeshBasis.table(n, place)` is
-the read-only trace table of the rule at a named place of the element
-(`Mesh.rule`), and `MeshBasis.evaluate` evaluates at any offsets from the
-centres, in one array call.  Every evaluation goes through
-`poly.scaled_monomials` or the one wave formula.  The scaled monomials at a
-place's rule do not depend on the element size: a polynomial family's trace
-tables contract one table of them, evaluated once per process at the
-reference rule (`quadrature.reference_rule`).
+size `Mesh.h`, from one `coefficient_table` that it keeps, and no cache does:
+`MeshBasis.table(n, place)` is the read-only trace table of the rule at a
+named place of the element (`Mesh.rule`), and `MeshBasis.evaluate` evaluates
+at any offsets from the centres, in one array call.  Every evaluation goes
+through `poly.scaled_monomials` or the one wave formula.  The scaled
+monomials at a place's rule do not depend on the element size: a polynomial
+family's trace tables contract one table of them, evaluated once per process
+at the reference rule (`quadrature.reference_rule`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -62,6 +63,8 @@ class SpaceKind:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral):
+            raise TypeError(f"p must be an integer, not {self.p!r}")
         if self.p < 0:
             raise ValueError("p must be >= 0")
         if self.family in ("quasi-trefftz", "planewave") and self.p < 1:
@@ -180,7 +183,6 @@ def _trefftz_seeds(d: int, p: int, hx: float, seed_choice: str
     return [{jx: 1.0 + 0.0j} for jx in space_multi_indices(d, 2 * p)]
 
 
-@lru_cache(maxsize=None)
 def _local_coeffs(kind: SpaceKind, d: int, hx: float, ht: float) -> tuple[dict, ...]:
     """The coefficients of a polynomial family's basis on elements of size (hx, ht): each
     function is one seed, a (j_x, j_t) monomial, completed upward by the recurrence
@@ -224,7 +226,6 @@ def element_basis(kind: SpaceKind, center, scales) -> ElementBasis:
                                     for ell in range(2 * kind.p + 1)))
 
 
-@lru_cache(maxsize=None)
 def coefficient_table(kind: SpaceKind, hx: float, ht: float
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense form of a family's local basis on elements of size (hx, ht).
@@ -238,14 +239,10 @@ def coefficient_table(kind: SpaceKind, hx: float, ht: float
     """
     funcs = element_basis(kind, (0.0, 0.0), (hx, ht)).functions
     if kind.family == "planewave":
-        out = (np.array([f.k for f in funcs]), np.eye(len(funcs), dtype=complex),
-               np.zeros((len(funcs),) * 2, dtype=complex))
-    else:
-        exps, coeffs = dense_terms([*funcs, *(apply_schrodinger(f) for f in funcs)])
-        out = (exps, coeffs[:len(funcs)], coeffs[len(funcs):])
-    for a in out:
-        a.flags.writeable = False
-    return out
+        return (np.array([f.k for f in funcs]), np.eye(len(funcs), dtype=complex),
+                np.zeros((len(funcs),) * 2, dtype=complex))
+    exps, coeffs = dense_terms([*funcs, *(apply_schrodinger(f) for f in funcs)])
+    return exps, coeffs[:len(funcs)], coeffs[len(funcs):]
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +261,9 @@ class MeshBasis:
     """The local basis of every element of a mesh, evaluated a batch at a time.
 
     Every element has the mesh's one size `Mesh.h`, so the basis is one
-    `coefficient_table`, the same at every centre.  `table(n, place)` holds it at the
-    n-point rule on an element's side or volume, `Mesh.rule(n, place)`: evaluated once
-    per basis and read-only.
+    `coefficient_table`, the same at every centre, built for this basis.  `table(n, place)`
+    holds it at the n-point rule on an element's side or volume, `Mesh.rule(n, place)`:
+    evaluated once per basis and read-only.
     `evaluate` takes any offsets ``x``, ``t`` from element centres that broadcast to
     (nF, nq), row f on one element, and keeps nothing.  Both return basis values alone,
     for the caller to contract; a result equal for every element keeps its leading 1.

@@ -13,8 +13,7 @@ The grid is the only geometry: the slab kernel, the data and the norms read a
 facet's neighbours off the (slab, column) layout (the element below a top side is
 the same column of the slab below, ...), and only the reference walk of
 `schrodg.assembly` enumerates facets, from the `Mesh.elements` records.  A mesh is
-immutable after construction, apart from the rules it keeps once computed, and safe
-for concurrent read access.
+immutable after construction and safe for concurrent read access.
 """
 
 from __future__ import annotations
@@ -121,23 +120,14 @@ class Mesh:
                              center=tuple(c))
                      for e, c in enumerate(self.centers.tolist()))
 
-    @cached_property
-    def _rules(self) -> dict:
-        return {}  # (n, place) -> rule
-
     def rule(self, n: int, place: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The n-point Gauss rule on an element's ``place``: its "top", "bottom", "left" or
         "right" side, or its "volume" (the tensor rule, x-major), as offsets x, t from the
         element's centre and weights w.  Each is one row that every element shares: (1, n),
-        or (1, n * n) over the volume.  It is `reference_rule` scaled by `h`, computed once
-        per mesh and read-only."""
-        if (n, place) not in self._rules:
-            (hx, ht), (x, t, w) = self.h, reference_rule(n, place)
-            scale = hx * ht if place == "volume" else hx if place in ("top", "bottom") else ht
-            self._rules[n, place] = out = hx * x, ht * t, scale * w
-            for a in out:
-                a.flags.writeable = False
-        return self._rules[n, place]
+        or (1, n * n) over the volume.  It is `reference_rule` scaled by `h`, on every call."""
+        (hx, ht), (x, t, w) = self.h, reference_rule(n, place)
+        scale = hx * ht if place == "volume" else hx if place in ("top", "bottom") else ht
+        return hx * x, ht * t, scale * w
 
 
 def build_cartesian_mesh(domain: SpaceTimeDomain, nx: int, nt: int) -> Mesh:

@@ -57,13 +57,16 @@ from .poly import ScaledPolynomial, dense_terms, mi, scaled_monomials
 from .quadrature import mapped_intervals
 
 
-def field_points(eid, xs, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Normalize the arguments of a field call.
+def field_points(eid, xs, ts, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Normalize the arguments of a field call on ``count`` elements.
 
     Returns element ids (nF,), points X, T (nF, nq) and the shape of the
-    result: that of the broadcast points, at least 1-D for a scalar id.
+    result: that of the broadcast points, at least 1-D for a scalar id.  An id
+    outside [0, count) raises.
     """
     eids = np.asarray(eid, dtype=np.intp)
+    if np.any((eids < 0) | (eids >= count)):
+        raise ValueError(f"element ids must lie in [0, {count})")
     if eids.ndim == 0:
         X, T = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
         return eids.reshape(1), X.reshape(1, -1), T.reshape(1, -1), X.shape or (1,)
@@ -108,7 +111,7 @@ class PiecewisePolyField:
                                dtype=float).reshape(-1, 4)
 
     def _eval(self, eid, xs, ts, dx: bool) -> np.ndarray:
-        eids, X, T, shape = field_points(eid, xs, ts)
+        eids, X, T, shape = field_points(eid, xs, ts, len(self._frame))
         z, s, hx, ht = (self._frame[eids, k][:, None] for k in range(4))
         mon = scaled_monomials(self._exps, ((X - z) / hx, (T - s) / ht), mi(1, 0) if dx else None)
         out = np.einsum("fk,kfq->fq", self._coeffs[eids], mon)
@@ -138,6 +141,18 @@ def _terms(field, sign: float = 1.0) -> list:
     if isinstance(field, DifferenceField):
         return _terms(field.a, sign) + _terms(field.b, -sign)
     return [(sign, field)]
+
+
+def _terms_on(field, mesh: Mesh) -> list:
+    """`_terms` of a field to be measured on ``mesh``: a part that has a mesh (a discrete
+    solution) must have one of the same domain, nx and nt, or it raises."""
+    terms = _terms(field)
+    for _, part in terms:
+        own = getattr(part, "mesh", mesh)
+        if (own.domain, own.nx, own.nt) != (mesh.domain, mesh.nx, mesh.nt):
+            raise ValueError(f"a field on the {own.nx} x {own.nt} mesh of {own.domain} "
+                             f"measured on the {mesh.nx} x {mesh.nt} mesh of {mesh.domain}")
+    return terms
 
 
 def _wsums(w2: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -217,7 +232,7 @@ def _norm_terms(fields, mesh: Mesh, n: int, with_plus: bool) -> np.ndarray:
     times = mapped_intervals(mesh.ts[:-1], mesh.ts[1:], n)[0]
     traced, closed = [], []  # per field: its row holds sign times its traced parts
     for field in fields:
-        terms = _terms(field)  # below, ends[i]: part i is read at the boundary only
+        terms = _terms_on(field, mesh)  # below, ends[i]: part i is read at the boundary only
         ends = [not with_plus and isinstance(part, ClosedFormField) for _, part in terms]
         sign = next((s for (s, _), end in zip(terms, ends) if not end), 1.0)
         traced.append([(s * sign, part) for (s, part), end in zip(terms, ends) if not end])
@@ -295,6 +310,7 @@ def l2_slice_error(field, t: float, mesh: Mesh, n: int = 20) -> float:
     """
     if not 0.0 <= t <= mesh.domain.t_final:
         raise ValueError("t outside the time interval")
+    _terms_on(field, mesh)
     elems = np.asarray(mesh.slab_elements[int(np.searchsorted(mesh.ts[1:], t))], dtype=np.intp)
     X, W = mapped_intervals(mesh.xs[:-1], mesh.xs[1:], n)
     z = field.value(elems, X, t)

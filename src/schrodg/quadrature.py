@@ -51,12 +51,10 @@ def reference_rule(n: int, place: str) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return out
 
 
-@lru_cache(maxsize=8192)
 def mapped_interval(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule mapped affinely to (lo, hi); cached since meshes reuse few spans."""
-    pts, wts = (a[0] for a in mapped_intervals(np.array([lo]), np.array([hi]), n))
-    pts.flags.writeable = wts.flags.writeable = False
-    return pts, wts
+    """The n-point Gauss rule mapped affinely to (lo, hi): points and weights (n,)."""
+    pts, wts = mapped_intervals(np.array([lo]), np.array([hi]), n)
+    return pts[0], wts[0]
 
 
 def mapped_intervals(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

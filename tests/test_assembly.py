@@ -528,6 +528,19 @@ def test_element_without_coefficients_raises():
         sol.dx(3, 0.75, 0.6)
 
 
+def test_set_coeffs_rejects_element_ids_outside_the_mesh():
+    # -1 would have written the last element's row and 4 raised an IndexError; neither
+    # writes anything now
+    mesh = build_cartesian_mesh(DOM, 2, 2)
+    sol = DiscreteSolution(mesh, SpaceKind.trefftz(1))
+    for eid in (-1, 4, [0, -1], np.array([3, 4])):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 4\)"):
+            sol.set_coeffs(eid, np.ones(3))
+    assert not sol.coeffs.any() and not sol._known.any()
+    sol.set_coeffs(3, np.ones(3))
+    assert sol._known.tolist() == [False, False, False, True]
+
+
 def _empty_reference_monomials(patch):
     """Empty the process-wide cache of reference monomials for the duration of ``patch``, so
     that what runs under it evaluates every table it reads."""

@@ -1,11 +1,15 @@
 import cmath
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import schrodg
 from schrodg.basis import (MeshBasis, SpaceKind, Wave, element_basis, eval_basis_many,
                            trefftz_basis)
+from schrodg.mesh import SpaceTimeDomain, build_cartesian_mesh
 from schrodg.quadrature import mapped_interval, rect_rule
 from schrodg.poly import apply_schrodinger, mi, poly_combination
 from tests.conftest import named_mesh
@@ -213,6 +217,16 @@ def test_space_kind_validation():
     assert SpaceKind.quasi_trefftz(1).needs_volume_term
 
 
+def test_space_kind_requires_an_integer_p():
+    # a float or a bool p is no degree (1.5 gave the dimension 4.0, True passed as 1); a
+    # numpy integer is one
+    for p in (1.5, 2.0, True, np.bool_(True), "2"):
+        with pytest.raises(TypeError, match="p must be an integer"):
+            SpaceKind("trefftz", p)
+    assert SpaceKind("trefftz", np.int64(2)) == SpaceKind.trefftz(2)
+    assert SpaceKind("full", np.int32(2)).dim() == 6
+
+
 def test_gram_rank_certifies_independence():
     from schrodg.experiments import _gram_time_slice
 
@@ -260,3 +274,36 @@ def test_facet_tables_equal_pointwise_evaluation(space, mesh_name):
                 X, T = np.full(n, x1 if place == "right" else x0), mapped_interval(t0, t1, n)[0]
             for table, ref in zip(tables, _pointwise(mesh, space, el.id, X, T)):
                 assert np.max(np.abs(table - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1e-300)
+
+
+def _lru_caches() -> dict:
+    """Every functools.lru_cache of a module of schrodg, by its module and name."""
+    caches = {}
+    for info in pkgutil.iter_modules(schrodg.__path__):
+        module = importlib.import_module(f"schrodg.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                caches[f"{module.__name__}.{name}"] = obj
+    return caches
+
+
+def test_no_cache_grows_with_the_element_size():
+    # only size-free quantities are memoised for the life of the process: once the trace
+    # tables of every family are built on one mesh, building them on meshes of other
+    # element sizes adds no entry to any lru_cache of schrodg
+    caches = _lru_caches()
+    assert {"schrodg.quadrature.reference_rule", "schrodg.basis._reference_monomials",
+            "schrodg.quadrature.gauss_legendre"} <= set(caches)
+    kinds = [SpaceKind.trefftz(2), SpaceKind.trefftz(2, "b"), SpaceKind.quasi_trefftz(2),
+             SpaceKind.full_poly(2), SpaceKind.plane_wave(2)]
+    sizes = []
+    for nx in range(4, 13):
+        mesh = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), nx, 3)
+        for kind in kinds:
+            basis = MeshBasis(mesh, kind)
+            for place in ("top", "bottom", "left", "right"):
+                basis.table(6, place)
+                basis.table(6, place, dx=True)
+            basis.table(6, "volume", image=True)
+        sizes.append({name: cache.cache_info().currsize for name, cache in caches.items()})
+    assert all(size == sizes[0] for size in sizes[1:])

@@ -464,3 +464,39 @@ def test_discrete_traces_need_every_coefficient():
         dsol.traces(range(1, 3), 3, "top")
     with pytest.raises(ValueError, match="element 4"):
         dg_norm(dsol, mesh)
+
+
+def test_norms_reject_a_solution_of_another_mesh():
+    # a discrete solution is measured on its own mesh: a mesh of another domain with the
+    # same nx x nt (which read the solution's coefficients as its own) or of another nx or
+    # nt raises; a separately built copy of its mesh is the same mesh
+    sol = ExpSolution(2.0)
+    mesh = build_cartesian_mesh(DOM, 4, 3)
+    psi = march(mesh, SpaceKind.trefftz(1), solution_data(sol))
+    err = DifferenceField(exact_field(sol), psi)
+    copy = build_cartesian_mesh(SpaceTimeDomain(0.0, 1.0, 1.0), 4, 3)
+    assert dg_norm(err, copy) == dg_norm(err, mesh) > 0.0
+    assert l2_slice_error(err, 0.5, copy) == l2_slice_error(err, 0.5, mesh)
+    for other in (build_cartesian_mesh(SpaceTimeDomain(0.0, 2.0, 1.0), 4, 3),
+                  build_cartesian_mesh(DOM, 5, 3), build_cartesian_mesh(DOM, 4, 6)):
+        for norm in (lambda f: dg_norm(f, other), lambda f: dg_norms([zero_field(), f], other),
+                     lambda f: dg_plus_norm(f, other), lambda f: l2_slice_error(f, 0.5, other)):
+            for field in (psi, err, DifferenceField(zero_field(), err)):
+                with pytest.raises(ValueError, match="measured on"):
+                    norm(field)
+
+
+def test_field_calls_reject_element_ids_outside_the_mesh():
+    # an id outside [0, n_elements) raises, -1 included, where indexing would have read
+    # the last element
+    sol = ExpSolution(1.0)
+    mesh = build_cartesian_mesh(DOM, 2, 2)
+    psi = march(mesh, SpaceKind.trefftz(1), solution_data(sol))
+    poly = PiecewisePolyField([extended_taylor_poly(sol.derivative, 1, el.center,
+                                                    (el.h_x, el.h_t)) for el in mesh.elements])
+    for field in (psi, poly):
+        assert field.value(3, 0.75, 0.75).shape == (1,)
+        for call in (field.value, field.dx):
+            for eids in (-1, 4, np.array([0, -1]), np.array([3, 4])):
+                with pytest.raises(ValueError, match=r"must lie in \[0, 4\)"):
+                    call(eids, np.full((np.size(eids), 1), 0.75), 0.75)

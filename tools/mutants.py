@@ -155,6 +155,14 @@ MUTANTS = [
     ("dg_norm's beta term dropped", NORMS,
      "\n                    + beta * _wsums(Wx, np.subtract(g1, g2, out=g1))", "",
      ["tests/test_norms.py"]),
+    # the norms' guards: a discrete part on another mesh, an element id below 0
+    ("the norm's mesh check dropped", NORMS,
+     "        if (own.domain, own.nx, own.nt) != (mesh.domain, mesh.nx, mesh.nt):\n",
+     "        if False:\n",
+     ["tests/test_norms.py::test_norms_reject_a_solution_of_another_mesh"]),
+    ("the negative-id check dropped", NORMS,
+     "(eids < 0) | ", "",
+     ["tests/test_norms.py::test_field_calls_reject_element_ids_outside_the_mesh"]),
     ("alpha = 1/h_t, beta = h_t in the norms", NORMS,
      "1.0 / mesh.h[0], mesh.h[0]\n", "1.0 / mesh.h[1], mesh.h[1]\n",
      ["tests/test_norms.py"]),
