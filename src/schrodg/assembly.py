@@ -61,7 +61,7 @@ from .basis import ElementBasis, MeshBasis, SpaceKind, element_basis
 from .linalg import (COND_MAX_N, FactoredMatrix, SingularMatrixError, cond2, from_band, zgetrf,
                      zgetrs)
 from .mesh import Element, Mesh
-from .norms import field_points
+from .norms import element_ids, field_points
 from .quadrature import data_rule_size, mapped_interval, mapped_intervals, poly_rule_size, rect_rule
 
 # plane-wave slabs with 1 / rcond_1 above this are rejected, to keep out cond2 above 1e14:
@@ -122,10 +122,8 @@ class DiscreteSolution:
 
     def set_coeffs(self, eid, vec) -> None:
         """Coefficients of element ``eid``, or rows (len(eid), dim) for an id array; an id
-        outside [0, n_elements) raises."""
-        ids = np.asarray(eid)
-        if np.any((ids < 0) | (ids >= len(self.coeffs))):
-            raise ValueError(f"element ids must lie in [0, {len(self.coeffs)})")
+        that is not an integer, or lies outside [0, n_elements), raises."""
+        ids = element_ids(eid, len(self.coeffs))
         self.coeffs[ids] = vec
         self._known[ids] = True
 

@@ -57,16 +57,25 @@ from .poly import ScaledPolynomial, dense_terms, mi, scaled_monomials
 from .quadrature import mapped_intervals
 
 
+def element_ids(eid, count: int) -> np.ndarray:
+    """``eid``, an id or an id array, as intp; an id of a non-integer dtype, or one
+    outside [0, count), raises."""
+    eids = np.asarray(eid)
+    if not np.issubdtype(eids.dtype, np.integer):
+        raise ValueError(f"element ids must be integers, not {eids.dtype}")
+    if np.any((eids < 0) | (eids >= count)):
+        raise ValueError(f"element ids must lie in [0, {count})")
+    return eids.astype(np.intp, copy=False)
+
+
 def field_points(eid, xs, ts, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Normalize the arguments of a field call on ``count`` elements.
 
     Returns element ids (nF,), points X, T (nF, nq) and the shape of the
     result: that of the broadcast points, at least 1-D for a scalar id.  An id
-    outside [0, count) raises.
+    that is not an integer, or lies outside [0, count), raises (`element_ids`).
     """
-    eids = np.asarray(eid, dtype=np.intp)
-    if np.any((eids < 0) | (eids >= count)):
-        raise ValueError(f"element ids must lie in [0, {count})")
+    eids = element_ids(eid, count)
     if eids.ndim == 0:
         X, T = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
         return eids.reshape(1), X.reshape(1, -1), T.reshape(1, -1), X.shape or (1,)

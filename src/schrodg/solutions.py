@@ -12,9 +12,12 @@ The series is a sum of m products X(x) T(t), one per mode: ``x_table(x, dx=False
 returns the table X (len(x), m), or its x-derivative, and ``t_table(t)`` the table T
 (m, len(t)).  Its value and dx tabulate X over the entries of x and T over those of
 t, and take each point's sum as one dot (`mode_sum`), broadcast over the points'
-shapes: a point's value does not depend on the other points of the call.  T takes
-about 3 sqrt(m) exponentials per time, not m, by a recurrence over blocks of modes
-(`SquareWellSeries.t_table`); every step of it is elementwise in time.
+shapes: a point's value does not depend on the other points of the call.  Both tables
+group the modes in J blocks of B = ceil(sqrt(m)).  T takes about 3 sqrt(m)
+exponentials per time, not m, by a recurrence over the blocks
+(`SquareWellSeries.t_table`); every step of it is elementwise in time.  X takes one
+sine and one cosine of B + J angles per point, 2 (B + J) values (64 for 250 modes)
+instead of m sines, by the angle-sum formula per block (`SquareWellSeries.x_table`).
 """
 
 from __future__ import annotations
@@ -103,12 +106,24 @@ class SquareWellSeries:
 
     def x_table(self, x, dx: bool = False) -> np.ndarray:
         """X = a_m sin(n_m pi x) (len(x), n_trunc), or its x-derivative a_m n_m pi
-        cos(n_m pi x), where n_m = 2m + 1 and a_m = sqrt(30) (2/pi)^3 / n_m^3."""
+        cos(n_m pi x), where n_m = 2m + 1 and a_m = sqrt(30) (2/pi)^3 / n_m^3.
+
+        X is built in T's blocks: mode m = jB + k has n_m pi x = o_k pi x + 2Bj pi x, so
+        sin(n_m pi x) = sin(o_k pi x) cos(2Bj pi x) + cos(o_k pi x) sin(2Bj pi x), and
+        cos(n_m pi x) = cos cos - sin sin.  That is one sine and one cosine of B + J
+        angles per point (64 values for 250 modes, not 250 sines), combined per point as
+        one (J, 2) @ (2, B) product: a row of X depends on its own x alone."""
         n = 2.0 * np.arange(self.n_trunc) + 1.0
         amp = SQUARE_WELL_AMPLITUDE * (2.0 / math.pi) ** 3 / n ** 3
-        X = np.outer(x, np.pi * n)  # in place: X is the largest table
-        (np.cos if dx else np.sin)(X, out=X)
-        X *= amp * (np.pi * n) if dx else amp
+        b = math.isqrt(self.n_trunc - 1) + 1
+        blocks = -(-self.n_trunc // b)
+        arg = np.outer(x, np.pi * np.concatenate((n[:b], 2.0 * b * np.arange(blocks))))
+        sc = np.stack((np.sin(arg), np.cos(arg)), axis=1)  # (len(x), 2, B + J)
+        # [cos q_j, sin q_j] (J, 2) @ [sin o_k; cos o_k], or [cos o_k; -sin o_k] for dx
+        left = sc[:, ::-1, b:].transpose(0, 2, 1)
+        right = sc[:, ::-1, :b] * [[1.0], [-1.0]] if dx else sc[:, :, :b]
+        X = np.matmul(left, right).reshape(len(arg), -1)[:, :self.n_trunc]
+        X *= amp * (np.pi * n) if dx else amp  # in place: X is the largest table
         return X
 
     def t_table(self, t) -> np.ndarray:

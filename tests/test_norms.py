@@ -500,3 +500,29 @@ def test_field_calls_reject_element_ids_outside_the_mesh():
             for eids in (-1, 4, np.array([0, -1]), np.array([3, 4])):
                 with pytest.raises(ValueError, match=r"must lie in \[0, 4\)"):
                     call(eids, np.full((np.size(eids), 1), 0.75), 0.75)
+
+
+def test_field_calls_and_set_coeffs_reject_non_integer_element_ids():
+    # a float id raises, where a cast to intp would have read element 1 for 1.7; ints,
+    # numpy integers and intp arrays still index
+    sol = ExpSolution(1.0)
+    mesh = build_cartesian_mesh(DOM, 2, 2)
+    psi = march(mesh, SpaceKind.trefftz(1), solution_data(sol))
+    poly = PiecewisePolyField([extended_taylor_poly(sol.derivative, 1, el.center,
+                                                    (el.h_x, el.h_t)) for el in mesh.elements])
+    for field in (psi, poly):
+        for call in (field.value, field.dx):
+            for eids in (1.7, np.array([0.0, 1.5])):
+                with pytest.raises(ValueError, match="element ids must be integers"):
+                    call(eids, np.full((np.size(eids), 1), 0.75), 0.25)
+            want = call(np.array([1, 3]), np.full((2, 1), 0.75), 0.25)
+            for eid, row in ((1, 0), (np.int32(3), 1)):
+                assert np.array_equal(call(eid, 0.75, 0.25), want[row])
+    rows = psi.coeffs[[1, 3]].copy()
+    for eids in (1.7, np.array([0.0, 1.5])):
+        with pytest.raises(ValueError, match="element ids must be integers"):
+            psi.set_coeffs(eids, np.zeros(psi.coeffs.shape[1]))
+    assert np.array_equal(psi.coeffs[[1, 3]], rows)
+    psi.set_coeffs(np.int64(1), rows[0])
+    psi.set_coeffs(np.array([3], dtype=np.intp), rows[1:])
+    assert np.array_equal(psi.coeffs[[1, 3]], rows)

@@ -213,9 +213,31 @@ def test_series_time_column_does_not_depend_on_the_batch(n_trunc):
 
 
 @pytest.mark.parametrize("dx", [False, True], ids=["value", "dx"])
+@pytest.mark.parametrize("n_trunc", [1, 40, 250, 256, 257])
+def test_series_space_row_does_not_depend_on_the_batch(n_trunc, dx):
+    # the blocked X is one product per point: one x alone gives its row of a batch to
+    # the bit, whatever the batch's length
+    series = SquareWellSeries(n_trunc)
+    x = np.random.default_rng(9).random(333)
+    X = series.x_table(x, dx)
+    assert X.shape == (x.size, n_trunc)
+    n = 2.0 * np.arange(n_trunc) + 1.0  # the last block may be cut short
+    amp = math.sqrt(30.0) * (2.0 / math.pi) ** 3 / n ** 3
+    phase = np.pi * np.outer(x, n)
+    scale = amp * np.pi * n if dx else amp
+    want = scale * (np.cos(phase) if dx else np.sin(phase))
+    # each side within 4 (1 + phase) eps of the exact entry
+    assert np.all(np.abs(X - want) <= 8 * (1 + phase) * np.finfo(float).eps * scale)
+    for j in (0, 5, 16, 332):
+        assert np.array_equal(series.x_table(x[j:j + 1], dx)[0], X[j])
+    assert np.array_equal(series.x_table(x[3:200], dx), X[3:200])
+
+
+@pytest.mark.parametrize("dx", [False, True], ids=["value", "dx"])
 def test_series_builds_only_the_half_asked_for(monkeypatch, dx):
-    # X takes one sine or cosine call and no exponential, T one exponential call and no
-    # sine or cosine
+    # X hands at most B + J = 32 angles per point (B = J = 16 for 250 modes) to each of
+    # sin and cos and takes no exponential; T takes one exponential call and no sine or
+    # cosine
     series = SquareWellSeries(250)
     rng = np.random.default_rng(11)
     x, t = rng.random(13), 0.1 * rng.random(7)
@@ -223,13 +245,18 @@ def test_series_builds_only_the_half_asked_for(monkeypatch, dx):
 
     def counted(name):
         ufunc = getattr(np, name)
-        return lambda *args, **kwargs: calls.append(name) or ufunc(*args, **kwargs)
+        return lambda arg, *args, **kwargs: (calls.append((name, np.size(arg)))
+                                             or ufunc(arg, *args, **kwargs))
+
+    def values(name):
+        return sum(size for called, size in calls if called == name)
 
     for name in ("exp", "sin", "cos"):
         monkeypatch.setattr(np, name, counted(name))
     X = series.x_table(x, dx)
-    assert calls == ["cos" if dx else "sin"]
+    assert values("exp") == 0
+    assert 0 < values("sin") <= 32 * x.size and 0 < values("cos") <= 32 * x.size
     calls.clear()
     T = series.t_table(t)
-    assert calls == ["exp"]
+    assert [name for name, _ in calls] == ["exp"]
     assert X.shape == (13, 250) and T.shape == (250, 7)

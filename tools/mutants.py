@@ -36,6 +36,7 @@ BAND_BLOCK = "tests/test_assembly.py::test_band_slab_matrix_is_the_global_diagon
 SCREEN = "tests/test_assembly.py::test_plane_wave_screen_keeps_each_decision"
 MARCH_GLOBAL = "tests/test_assembly.py::test_marching_equals_global_oracle"
 SERIES_TABLES = "tests/test_solutions.py::test_series_tables_match_a_long_double_reference"
+SERIES_ROWS = "tests/test_solutions.py::test_series_space_row_does_not_depend_on_the_batch"
 OWN_SPACE_ABOVE_CAP = "tests/test_assembly.py::test_own_space_is_reproduced_above_the_global_cap"
 # the time-like terms of the walk: the plus norm's averages, then the jumps in place
 AVERAGES = ("        if with_plus:  # the averages, before the jumps overwrite v1 and g1\n"
@@ -155,7 +156,8 @@ MUTANTS = [
     ("dg_norm's beta term dropped", NORMS,
      "\n                    + beta * _wsums(Wx, np.subtract(g1, g2, out=g1))", "",
      ["tests/test_norms.py"]),
-    # the norms' guards: a discrete part on another mesh, an element id below 0
+    # the norms' guards: a discrete part on another mesh, an element id below 0 or not an
+    # integer
     ("the norm's mesh check dropped", NORMS,
      "        if (own.domain, own.nx, own.nt) != (mesh.domain, mesh.nx, mesh.nt):\n",
      "        if False:\n",
@@ -163,6 +165,9 @@ MUTANTS = [
     ("the negative-id check dropped", NORMS,
      "(eids < 0) | ", "",
      ["tests/test_norms.py::test_field_calls_reject_element_ids_outside_the_mesh"]),
+    ("the integer-id check dropped", NORMS,
+     "    if not np.issubdtype(eids.dtype, np.integer):\n", "    if False:\n",
+     ["tests/test_norms.py::test_field_calls_and_set_coeffs_reject_non_integer_element_ids"]),
     ("alpha = 1/h_t, beta = h_t in the norms", NORMS,
      "1.0 / mesh.h[0], mesh.h[0]\n", "1.0 / mesh.h[1], mesh.h[1]\n",
      ["tests/test_norms.py"]),
@@ -222,6 +227,12 @@ MUTANTS = [
     ("the blocked T's first block seeded with ones", SOLUTIONS,
      "        T[0] = P\n", "        T[0] = 1.0\n",
      [SERIES_TABLES]),
+    ("the blocked X's block offset at B, not 2B", SOLUTIONS,
+     "np.concatenate((n[:b], 2.0 * b *", "np.concatenate((n[:b], 1.0 * b *",
+     [SERIES_TABLES, SERIES_ROWS]),
+    ("the blocked X's dx sine-sine term added, not subtracted", SOLUTIONS,
+     "[[1.0], [-1.0]]", "[[1.0], [1.0]]",
+     [SERIES_TABLES, SERIES_ROWS]),
 ]
 
 
